@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .errors import GermkitError, ParseError, VariableIndexError
 from .germs import GermQuery, GermStatus, ScanReport, analyze_germ, scan_stability
 from .parsing import format_poly, parse_curve, parse_point, parse_poly, parse_rationals
 from .series import TruncatedSeries
-from .weierstrass import apply_shear, make_regular, weierstrass_prepare
+from .weierstrass import make_regular, weierstrass_prepare
 
 DEMO_POLY = "z3^2 - z1*z2^2"
 DEMO_CURVE = "t,0,0"
@@ -40,6 +41,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # every germkit flag is --long, so "-1,0,0" or "-z1^2" is a value
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -177,10 +184,18 @@ def _status_lines(status: GermStatus, j: int) -> list[str]:
     return lines
 
 
+def _sample_line(s) -> str:
+    where = "on locus" if s.on_locus else "off locus"
+    return f"t = {s.t}: point {_format_point(s.point)}, {where}, {s.status.kind}"
+
+
 # -- input plumbing -----------------------------------------------------------
 
 
-def _parse_var_flag(text: str, n: int) -> int:
+def _parse_var_flag(text: str | None, n: int) -> int:
+    """Index of the --var variable; the last of n variables when not given."""
+    if not text:
+        return n
     raw = text.strip()
     digits = raw[1:] if raw.startswith("z") else raw
     if not digits.isdigit() or int(digits) == 0:
@@ -191,19 +206,26 @@ def _parse_var_flag(text: str, n: int) -> int:
     return j
 
 
-def _poly_and_point(poly_text: str, point_text: str | None):
-    """Parse a polynomial and a base point into one common dimension."""
-    f = parse_poly(poly_text)
+def _parse_inputs(poly_texts, var_text, point_text=None, point_sets_dimension=True):
+    """Parse polynomials, a base point (default: origin) and --var in one dimension n.
+
+    n is the largest variable count among the polynomials, at least 1.  With
+    point_sets_dimension a longer point raises n too; a point of any other
+    length than n is an error.  Returns (polynomials, point, variable index).
+    """
+    polys = [parse_poly(text) for text in poly_texts]
+    n = max(1, *(f.n for f in polys))
     if point_text is None:
-        n = max(f.n, 1)
         point = tuple(Fraction(0) for _ in range(n))
     else:
-        point = parse_point(point_text)
-        n = max(f.n, len(point))
+        if point_sets_dimension:
+            n = max(n, len(parse_point(point_text)))
         point = parse_point(point_text, n)
-    if f.n < n:
-        f = parse_poly(poly_text, var_count=n)
-    return f, point, n
+    polys = [
+        f if f.n == n else parse_poly(text, var_count=n)
+        for f, text in zip(polys, poly_texts)
+    ]
+    return polys, point, _parse_var_flag(var_text, n)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -211,8 +233,7 @@ def _poly_and_point(poly_text: str, point_text: str | None):
 
 
 def _cmd_analyze(ns):
-    f, point, n = _poly_and_point(ns.poly, ns.point)
-    j = _parse_var_flag(ns.var, n) if ns.var else n
+    (f,), point, j = _parse_inputs([ns.poly], ns.var, ns.point)
     status = analyze_germ(GermQuery(f, point, ns.order, j))
     lines = [
         f"f = {format_poly(f)}",
@@ -225,9 +246,8 @@ def _cmd_analyze(ns):
 
 
 def _cmd_scan(ns):
-    f, point, n = _poly_and_point(ns.poly, ns.point)
-    j = _parse_var_flag(ns.var, n) if ns.var else n
-    curve = parse_curve(ns.curve, n)
+    (f,), point, j = _parse_inputs([ns.poly], ns.var, ns.point)
+    curve = parse_curve(ns.curve, f.n)
     t_values = parse_rationals(ns.t)
     report = scan_stability(f, point, curve, t_values, ns.order, j)
     curve_text = "(" + ", ".join(_format_curve_coord(c) for c in curve) + ")"
@@ -240,11 +260,7 @@ def _cmd_scan(ns):
         f"curve = {curve_text}",
         f"order = {ns.order}",
     ]
-    for s in report.samples:
-        where = "on locus" if s.on_locus else "off locus"
-        lines.append(
-            f"t = {s.t}: point {_format_point(s.point)}, {where}, {s.status.kind}"
-        )
+    lines += [_sample_line(s) for s in report.samples]
     lines.append(f"verdict: {report.verdict}")
     if report.witness is not None:
         lines.append(f"witness: t = {report.witness.t}")
@@ -261,13 +277,10 @@ def _cmd_scan(ns):
 
 
 def _cmd_prepare(ns):
-    f, point, n = _poly_and_point(ns.poly, ns.point)
-    j = _parse_var_flag(ns.var, n) if ns.var else n
+    (f,), point, j = _parse_inputs([ns.poly], ns.var, ns.point)
     shifted = f.shift(point)
     sheared, report = make_regular(shifted, j)
     change = report.applied_change
-    if change is not None and all(c == 0 for c in change):
-        change = None
     wd = weierstrass_prepare(sheared, j, ns.order)
     w = wd.weierstrass_polynomial()
     ok = wd.multiply_back() == TruncatedSeries(sheared, ns.order)
@@ -308,19 +321,8 @@ def _cmd_prepare(ns):
     return lines, inputs, result
 
 
-def _two_polys(a_text: str, b_text: str):
-    a, b = parse_poly(a_text), parse_poly(b_text)
-    n = max(a.n, b.n, 1)
-    if a.n < n:
-        a = parse_poly(a_text, var_count=n)
-    if b.n < n:
-        b = parse_poly(b_text, var_count=n)
-    return a, b, n
-
-
 def _cmd_resultant(ns):
-    f, g, n = _two_polys(ns.f, ns.g)
-    j = _parse_var_flag(ns.var, n)
+    (f, g), _, j = _parse_inputs([ns.f, ns.g], ns.var)
     r = resultant(f, g, j)
     inputs = {"f": ns.f, "g": ns.g, "var": f"z{j}"}
     result = {"resultant": format_poly(r), "terms": _poly_terms(r), "var": j}
@@ -328,11 +330,7 @@ def _cmd_resultant(ns):
 
 
 def _cmd_discriminant(ns):
-    f = parse_poly(ns.poly)
-    n = max(f.n, 1)
-    if f.n < n:
-        f = parse_poly(ns.poly, var_count=n)
-    j = _parse_var_flag(ns.var, n)
+    (f,), _, j = _parse_inputs([ns.poly], ns.var)
     d = discriminant(f, j)
     inputs = {"poly": ns.poly, "var": f"z{j}"}
     result = {"discriminant": format_poly(d), "terms": _poly_terms(d), "var": j}
@@ -340,12 +338,9 @@ def _cmd_discriminant(ns):
 
 
 def _cmd_coprime(ns):
-    g, h, n = _two_polys(ns.g, ns.h)
-    if ns.point is not None:
-        point = parse_point(ns.point, n)
-    else:
-        point = tuple(Fraction(0) for _ in range(n))
-    j = _parse_var_flag(ns.var, n) if ns.var else n
+    (g, h), point, j = _parse_inputs(
+        [ns.g, ns.h], ns.var, ns.point, point_sets_dimension=False
+    )
     rep = coprime_at(g, h, point, j)
     r = rep.resultant_poly
     discrete = zero_set_discrete(r, tuple(Fraction(0) for _ in range(r.n)))
@@ -356,7 +351,7 @@ def _cmd_coprime(ns):
         f"point = {_format_point(point)}",
         f"eliminated variable: z{j}",
     ]
-    if rep.applied_change is not None and any(c != 0 for c in rep.applied_change):
+    if rep.applied_change is not None:
         lines.append(f"shear: {_describe_shear(rep.applied_change, j)}")
     lines.append(f"resultant (remaining variables renumbered): {format_poly(r)}")
     lines.append("germs coprime at the point: "
@@ -397,9 +392,7 @@ def _cmd_demo(ns):
 
     multiply_back = None
     if near_status.factors is not None:
-        target = f.shift(near)
-        if near_status.applied_change is not None:
-            target = apply_shear(target, 3, near_status.applied_change)
+        target, _ = make_regular(f.shift(near), 3)
         product = near_status.factors[0]
         for fac in near_status.factors[1:]:
             product = product * fac
@@ -430,11 +423,7 @@ def _cmd_demo(ns):
         "",
         "[3] scan along (t, 0, 0) with t in {" + DEMO_T_VALUES.replace(",", ", ") + "}",
     ]
-    for s in report.samples:
-        where = "on locus" if s.on_locus else "off locus"
-        lines.append(
-            f"t = {s.t}: point {_format_point(s.point)}, {where}, {s.status.kind}"
-        )
+    lines += [_sample_line(s) for s in report.samples]
     lines += [
         f"verdict: {report.verdict}",
         "",
@@ -589,4 +578,11 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early: let the interpreter's final flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -35,7 +35,8 @@ class CoprimeReport:
     coprime at the point and remain so at every nearby point;
     `vanishing_at_point` records whether the witness itself vanishes at the
     base point, which is what the discreteness question hinges on.
-    `applied_change` is the shared shear used to make both inputs regular.
+    `applied_change` is the shared shear used to make both inputs regular
+    (None when no shear was needed).
     """
 
     resultant_poly: Polynomial
@@ -127,7 +128,7 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     hs = h.shift(p)
     _, report = make_regular(gs * hs, j)
     change = report.applied_change
-    if change is not None and any(c != 0 for c in change):
+    if change is not None:
         gs = apply_shear(gs, j, change)
         hs = apply_shear(hs, j, change)
     r = resultant(gs, hs, j).drop_variable(j)

@@ -231,16 +231,27 @@ class GermQuery:
 class SquareDecision:
     """Outcome of is_local_square: yes (with root or symbolic), no, or undetermined.
 
-    is_square is True/False for decided cases and None when undetermined.
+    The certificate is the decision: None means undetermined (is_square
+    None), a MonomialUnitSquare means yes, any other certificate means no.
     For a yes, `root` is a series square root when rationally
-    representable, else None with symbolic=True.  Decided cases carry a
-    certificate.
+    representable, else None with symbolic=True.
     """
 
-    is_square: bool | None
-    root: Optional[TruncatedSeries] = None
-    symbolic: bool = False
     certificate: object | None = None
+
+    @property
+    def is_square(self) -> bool | None:
+        if self.certificate is None:
+            return None
+        return isinstance(self.certificate, MonomialUnitSquare)
+
+    @property
+    def root(self) -> Optional[TruncatedSeries]:
+        return self.certificate.root if self.is_square else None
+
+    @property
+    def symbolic(self) -> bool:
+        return bool(self.is_square) and self.certificate.symbolic
 
 
 def is_local_square(D: Polynomial, N: int) -> SquareDecision:
@@ -255,8 +266,7 @@ def is_local_square(D: Polynomial, N: int) -> SquareDecision:
     """
     if D.is_zero():
         root = TruncatedSeries(Polynomial.zero(D.n), N)
-        cert = MonomialUnitSquare(root=root)
-        return SquareDecision(is_square=True, root=root, certificate=cert)
+        return SquareDecision(MonomialUnitSquare(root=root))
     split = D.monomial_unit_split()
     if split is not None:
         alpha, U = split
@@ -264,24 +274,21 @@ def is_local_square(D: Polynomial, N: int) -> SquareDecision:
             half = tuple(a // 2 for a in alpha)
             unit_root = ts_sqrt(TruncatedSeries(U, N))
             if unit_root is None:
-                cert = MonomialUnitSquare(root=None, half_exponents=half)
-                return SquareDecision(is_square=True, symbolic=True, certificate=cert)
+                return SquareDecision(MonomialUnitSquare(root=None, half_exponents=half))
             root = TruncatedSeries(Polynomial.monomial(D.n, half), N) * unit_root
             cert = MonomialUnitSquare(
                 root=root, half_exponents=half, unit_root=unit_root
             )
-            return SquareDecision(is_square=True, root=root, certificate=cert)
+            return SquareDecision(cert)
         # some exponent is odd; fall through to the order-parity certificate
     for i in range(1, D.n + 1):
         k = D.variable_order(i)
         if k % 2 == 1:
-            cert = OddVariableOrder(variable=i, order=k)
-            return SquareDecision(is_square=False, certificate=cert)
+            return SquareDecision(OddVariableOrder(variable=i, order=k))
     form, degree = D.lowest_homogeneous_form()
     if degree % 2 == 1 or _form_is_square_over_C(form) is False:
-        cert = LowestFormNotASquare(form=form, degree=degree)
-        return SquareDecision(is_square=False, certificate=cert)
-    return SquareDecision(is_square=None)
+        return SquareDecision(LowestFormNotASquare(form=form, degree=degree))
+    return SquareDecision()
 
 
 def quadratic_germ_test(wd: WeierstrassData) -> GermStatus:
@@ -447,18 +454,20 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     gradient = f.gradient_at(p)
     if any(c != 0 for c in gradient):
         return GermStatus.smooth(SmoothPoint(gradient=gradient))
-    n = f.n
-    j = query.preferred_var if query.preferred_var is not None else n
+    j = query.preferred_var if query.preferred_var is not None else f.n
     shifted = f.shift(p)
     sheared, report = make_regular(shifted, j)
-    change = report.applied_change
-    if change is not None and all(c == 0 for c in change):
-        change = None
     wd = weierstrass_prepare(sheared, j, N)
-    d = wd.degree
+    status = _degree_verdict(wd)
+    return replace(status, applied_change=report.applied_change)
+
+
+def _degree_verdict(wd: WeierstrassData) -> GermStatus:
+    """Verdict on a prepared germ, dispatched on its Weierstrass degree."""
+    d, j, n, N = wd.degree, wd.distinguished_var, wd.n, wd.truncation_order
 
     if d == 1:
-        return replace(GermStatus.irreducible(DegreeOne()), applied_change=change)
+        return GermStatus.irreducible(DegreeOne())
 
     if wd.coefficients[-1].body.is_zero():
         nonzero = [i for i, e in enumerate(wd.coefficients, start=1) if not e.body.is_zero()]
@@ -467,20 +476,16 @@ def analyze_germ(query: GermQuery) -> GermStatus:
         w = wd.weierstrass_polynomial()
         factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
         cert = DistinguishedVarDivides(variable=j, multiplicity=multiplicity)
-        return replace(
-            GermStatus.reducible(cert, factors=factors), applied_change=change
-        )
+        return GermStatus.reducible(cert, factors=factors)
 
     if d == 2:
-        return replace(quadratic_germ_test(wd), applied_change=change)
+        return quadratic_germ_test(wd)
 
     if n == 2:
-        return replace(polygon_verdict(newton_polygon(wd)), applied_change=change)
+        return polygon_verdict(newton_polygon(wd))
 
-    return GermStatus(
-        UNDETERMINED,
-        reason="Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment",
-        applied_change=change,
+    return GermStatus.undetermined(
+        "Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment"
     )
 
 

@@ -114,13 +114,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
 
-def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product, exact in every retained degree; order = min of the operands'."""
-    return a * b
-
-
 def ts_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a unit: ts_mul(a, result) = 1 mod order.
+    """Multiplicative inverse of a unit: a * result = 1 mod order.
 
     Newton iteration r <- r*(2 - a*r) starting from the inverse of the
     constant term; each step doubles the correct order.

@@ -18,7 +18,7 @@ assembled outputs are cut at the requested order N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf
 
@@ -131,37 +131,28 @@ def make_regular(
     Attempt k applies z_i <- z_i + c_i * z_j with c_i = s^r, where s is the
     k-th entry of a fixed scale sequence 0, 1, -1, 2, -2, ... and r ranks
     the non-distinguished variables in index order.  The first attempt is
-    the identity, so already-regular inputs come back unchanged.  Raises
-    after max_attempts failures; since germ structure is preserved by any
-    invertible linear change, a recorded shear never affects the
-    classification questions asked downstream.
+    the identity, so already-regular inputs come back unchanged, with
+    applied_change None.  Raises after max_attempts failures; since germ
+    structure is preserved by any invertible linear change, a recorded
+    shear never affects the classification questions asked downstream.
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot regularize the zero polynomial")
     n = f.n
-    ranks = {}
-    next_rank = 1
-    for i in range(1, n + 1):
-        if i != j:
-            ranks[i] = next_rank
-            next_rank += 1
     attempts = _SHEAR_SCALES[:max_attempts]
     for s in attempts:
         scale = as_rational(s)
-        coeffs = tuple(
-            scale ** ranks[i] if i != j and scale != 0 else Fraction(0)
-            for i in range(1, n + 1)
-        )
-        candidate = f if scale == 0 else apply_shear(f, j, coeffs)
+        coeffs = None
+        if scale != 0:
+            # z_i has rank i below the distinguished index and i - 1 above it
+            coeffs = tuple(
+                Fraction(0) if i == j else scale ** (i if i < j else i - 1)
+                for i in range(1, n + 1)
+            )
+        candidate = f if coeffs is None else apply_shear(f, j, coeffs)
         report = regular_order(candidate, j)
         if report.regular:
-            return candidate, RegularityReport(
-                var=j,
-                regular=True,
-                order=report.order,
-                leading_coeff=report.leading_coeff,
-                applied_change=coeffs,
-            )
+            return candidate, replace(report, applied_change=coeffs)
     raise ShearExhaustedError(
         f"no shear among {len(attempts)} attempts made the polynomial regular in z{j}"
     )

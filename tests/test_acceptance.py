@@ -20,7 +20,7 @@ from germkit.germs import (
     scan_stability,
 )
 from germkit.parsing import format_poly, parse_poly
-from germkit.series import TruncatedSeries, ts_inverse, ts_mul, ts_sqrt
+from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
 from germkit.weierstrass import make_regular, weierstrass_prepare
 from helpers import random_fraction, random_monomial, random_poly
 
@@ -64,14 +64,14 @@ def test_criterion_2_explicit_factorization():
 
     shifted = COUNTEREXAMPLE.shift((1, 0, 0))
     assert shifted == parse_poly("z3^2 - z2^2 - z1*z2^2")  # z3^2 - (1+z1)*z2^2
-    assert ts_mul(a, b) == TruncatedSeries(shifted, 8)
+    assert a * b == TruncatedSeries(shifted, 8)
 
     # the square factor r with f = (z3 + z2*r)(z3 - z2*r) and r^2 = 1 + z1:
     # the certificate carries 2r as the square root of the split-off unit
     # 4+4*z1, living in the two remaining variables (z1, z2)
     r = status.certificate.unit_root * F(1, 2)
     one_plus_z1 = TruncatedSeries(Polynomial(2, {(0, 0): 1, (1, 0): 1}), 8)
-    assert ts_mul(r, r) == one_plus_z1
+    assert r * r == one_plus_z1
 
     # r also appears as the z2-part of each factor (shorter by one degree
     # because the factor body was truncated after multiplying by z2)
@@ -204,10 +204,10 @@ def test_criterion_7_series_and_parser_suites():
         square_unit = TruncatedSeries(body + Polynomial.constant(n, c * c), order)
         root = ts_sqrt(square_unit)
         assert root is not None
-        assert ts_mul(root, root) == square_unit
+        assert root * root == square_unit
 
         unit = TruncatedSeries(body + Polynomial.constant(n, c), order)
-        assert ts_mul(unit, ts_inverse(unit)).body == Polynomial.constant(n, 1)
+        assert (unit * ts_inverse(unit)).body == Polynomial.constant(n, 1)
 
     # parse/format round trip
     for _ in range(100):

@@ -2,15 +2,21 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from germkit import __version__
 from germkit.algebra import Polynomial
 from germkit.cli import run_cli
-from germkit.series import TruncatedSeries, ts_mul
+from germkit.series import TruncatedSeries
 
 GOLDEN = Path(__file__).parent / "data" / "demo_counterexample.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 F = Fraction
 
@@ -23,6 +29,14 @@ def run(*argv):
 
 def poly_from_terms(n, terms):
     return Polynomial(n, {tuple(mono): Fraction(coeff) for mono, coeff in terms})
+
+
+def python_with_src(*args, **kwargs):
+    """Run a fresh interpreter that imports germkit from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE,
+                          text=True, timeout=120, **kwargs)
 
 
 # -- pinned subcommand behavior ---------------------------------------------------
@@ -122,7 +136,7 @@ def test_json_factors_multiply_back_to_w():
     result = json.loads(out)["result"]
     factors = [poly_from_terms(3, terms) for terms in result["factors"]]
     assert len(factors) == 2
-    product = ts_mul(TruncatedSeries(factors[0], 8), TruncatedSeries(factors[1], 8))
+    product = TruncatedSeries(factors[0], 8) * TruncatedSeries(factors[1], 8)
     shifted = Polynomial(3, {(0, 0, 2): 1, (1, 2, 0): -1}).shift((1, 0, 0))
     assert product == TruncatedSeries(shifted, 8)
 
@@ -197,3 +211,60 @@ def test_order_flag_changes_truncation():
     doc = json.loads(out)
     factors = [poly_from_terms(3, terms) for terms in doc["result"]["factors"]]
     assert max(sum(m) for m, _ in factors[0].terms()) <= 4
+
+
+def test_coprime_json_reports_null_when_no_shear_was_needed():
+    code, out, _ = run(
+        "coprime", "--g", "z3^2 - z1*z2^2", "--h", "2*z3", "--point", "0,0,0", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["applied_change"] is None
+    # z1*(z1 + z2) vanishes on the z2 axis, so z1 <- z1 + z2 is needed
+    code, out, _ = run("coprime", "--g", "z1", "--h", "z1 + z2", "--point", "0,0", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["applied_change"] == ["1", "0"]
+
+
+def test_coprime_point_does_not_widen_the_inputs():
+    code, out, err = run("coprime", "--g", "z1", "--h", "z2", "--point", "0,0,0")
+    assert code == 1 and out == ""
+    assert "point has 3 coordinates, expected 2" in err
+
+
+# -- flag values and streams ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("analyze", "--poly", "z3^2 - z1*z2^2", "--point", "-1,0,0"), "point = (-1, 0, 0)"),
+    (("scan", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0", "--curve", "t,0,0",
+      "--t", "-1,2"), "t = -1: point (-1, 0, 0), on locus, SingularReducible"),
+    (("analyze", "--poly", "-z1^2 + z2^2", "--point", "0,0"), "status: SingularReducible"),
+    (("analyze", "--poly", "-z1^2+z2^2", "--point", "0,0"), "status: SingularReducible"),
+])
+def test_flag_value_may_start_with_a_minus(argv, expected):
+    code, out, err = run(*argv)
+    assert code == 0 and err == ""
+    assert expected in out
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes anything
+    try:
+        proc = python_with_src(
+            "-m", "germkit", "analyze", "--poly", "z3^2 - z1*z2^2", "--point=-1,0,0",
+            stdout=write_end,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
+
+
+def test_importing_the_library_leaves_the_cli_unloaded():
+    proc = python_with_src(
+        "-c", "import sys, germkit; print('germkit.cli' in sys.modules)",
+        stdout=subprocess.PIPE,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

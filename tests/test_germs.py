@@ -9,6 +9,7 @@ from germkit.algebra import Polynomial
 from germkit.errors import DimensionMismatchError, DistinguishedVarDividesError
 from germkit.germs import (
     GermQuery,
+    SquareDecision,
     analyze_germ,
     is_local_square,
     newton_polygon,
@@ -16,7 +17,7 @@ from germkit.germs import (
     quadratic_germ_test,
     scan_stability,
 )
-from germkit.series import TruncatedSeries, ts_mul
+from germkit.series import TruncatedSeries
 from germkit.weierstrass import weierstrass_prepare
 from helpers import random_fraction, random_poly
 
@@ -45,7 +46,7 @@ def test_square_test_monomial_unit_split_with_rational_root():
     expected_head = Polynomial(2, {(0, 1): 2, (1, 1): 1, (2, 1): F(-1, 4)})
     assert dec.root.body.truncate(3) == expected_head
     # certificate re-verification: root^2 = D mod N
-    assert ts_mul(dec.root, dec.root) == TruncatedSeries(d, 8)
+    assert dec.root * dec.root == TruncatedSeries(d, 8)
 
 
 def test_square_test_squarefree_lowest_form():
@@ -81,6 +82,13 @@ def test_square_test_undetermined_beyond_two_essential_variables():
     assert dec.is_square is None
 
 
+def test_square_decision_without_certificate_reads_undetermined():
+    dec = SquareDecision()
+    assert dec.is_square is None
+    assert dec.root is None
+    assert not dec.symbolic
+
+
 # -- quadratic_germ_test ------------------------------------------------------------
 
 
@@ -104,7 +112,7 @@ def test_quadratic_shifted_counterexample_splits():
         assert fac.body.constant_term() == 0  # both factors are non-units
     assert a.body.coefficient((0, 1, 0)) == -b.body.coefficient((0, 1, 0))
     # multiply-back: a*b = w mod N
-    assert ts_mul(a, b) == TruncatedSeries(wd.weierstrass_polynomial(), 8)
+    assert a * b == TruncatedSeries(wd.weierstrass_polynomial(), 8)
 
 
 def test_quadratic_double_root():
@@ -226,7 +234,7 @@ def test_analyze_counterexample_shifted():
     assert status.kind == "SingularReducible"
     a, b = status.factors
     shifted = COUNTEREXAMPLE.shift((1, 0, 0))
-    assert ts_mul(a, b) == TruncatedSeries(shifted, 8)
+    assert a * b == TruncatedSeries(shifted, 8)
     # r = factor head series: z3 -/+ z2*(1 + z1/2 - ...) in shifted coordinates
     assert a.body.coefficient((0, 1, 0)) in (F(1), F(-1))
 
@@ -250,7 +258,7 @@ def test_analyze_distinguished_var_divides():
     assert status.certificate.multiplicity == 2
     a, b = status.factors
     assert a.body == Polynomial.variable(2, 2)
-    prod = ts_mul(a, b)
+    prod = a * b
     assert prod == TruncatedSeries(f, 8)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from germkit.algebra import Polynomial
 from germkit.errors import NotAUnitError
-from germkit.series import TruncatedSeries, ts_inverse, ts_mul, ts_sqrt
+from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
 from helpers import random_fraction, random_poly
 
 F = Fraction
@@ -86,7 +86,7 @@ def test_inverse_identity_on_random_units():
         )
         a = TruncatedSeries(body, order)
         assert a.is_unit()
-        prod = ts_mul(a, ts_inverse(a))
+        prod = a * ts_inverse(a)
         assert prod.body == Polynomial.constant(n, one)
 
 
@@ -116,7 +116,7 @@ def test_sqrt_square_identity_on_random_units():
         a = TruncatedSeries(body, order)
         r = ts_sqrt(a)
         assert r is not None
-        assert ts_mul(r, r) == a
+        assert r * r == a
         assert r.constant_term() == c  # positive branch
 
 

@@ -458,18 +458,28 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     shifted = f.shift(p)
     sheared, report = make_regular(shifted, j)
     wd = weierstrass_prepare(sheared, j, N)
-    status = _degree_verdict(wd)
+    status = _degree_verdict(wd, sheared)
     return replace(status, applied_change=report.applied_change)
 
 
-def _degree_verdict(wd: WeierstrassData) -> GermStatus:
-    """Verdict on a prepared germ, dispatched on its Weierstrass degree."""
+def _degree_verdict(wd: WeierstrassData, sheared: Polynomial) -> GermStatus:
+    """Verdict on a prepared germ, dispatched on its Weierstrass degree.
+
+    `sheared` is the exact germ that was prepared.  Since f(z', 0) =
+    u(z', 0) * e_d with u a unit, e_d = 0 holds exactly when f(z', 0) = 0;
+    a zero truncated e_d alone does not show it.
+    """
     d, j, n, N = wd.degree, wd.distinguished_var, wd.n, wd.truncation_order
 
     if d == 1:
         return GermStatus.irreducible(DegreeOne())
 
     if wd.coefficients[-1].body.is_zero():
+        if not sheared.substitute(j, Polynomial.zero(n)).is_zero():
+            return GermStatus.undetermined(
+                f"degree dispatch: e_{d} vanishes to order {N} but f(z', 0) is not "
+                "zero; a higher order is needed"
+            )
         nonzero = [i for i, e in enumerate(wd.coefficients, start=1) if not e.body.is_zero()]
         multiplicity = d - max(nonzero) if nonzero else d
         t = Polynomial.variable(n, j)

@@ -6,17 +6,18 @@ exactly-computable stand-in for a convergent power series germ: two germs
 agree "to order N" exactly when their TruncatedSeries representatives at
 order N are equal.
 
-Unit inverse and unit square root are computed by Newton iteration, which
-doubles the number of correct degrees per step, so even order 16 costs a
-handful of polynomial multiplications.
+Products never form a term above the order.  Unit inverse and unit square
+root are computed by Newton iteration with precision doubling: each step
+takes k correct degrees to min(2k+1, N) and computes only to that degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Union
 
-from .algebra import Polynomial, as_rational, rational_sqrt
+from .algebra import Polynomial, _raw, rational_sqrt
 from .errors import DimensionMismatchError, NotAUnitError
 
 Scalar = Union[int, Fraction]
@@ -109,26 +110,54 @@ class TruncatedSeries:
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
-        return TruncatedSeries((self.body * other.body).truncate(order), order)
+        return _series(_truncated_product(self.body, other.body, order), order)
 
     __rmul__ = __mul__
+
+
+def _series(body: Polynomial, order: int) -> TruncatedSeries:
+    """Wrap a body known to hold no term above the order (no re-truncation)."""
+    s = object.__new__(TruncatedSeries)
+    object.__setattr__(s, "body", body)
+    object.__setattr__(s, "order", order)
+    return s
+
+
+def _truncated_product(a: Polynomial, b: Polynomial, order: int) -> Polynomial:
+    """a * b without forming a term of total degree above the order."""
+    graded = sorted((sum(m), m, c) for m, c in b._terms.items())
+    out: dict = {}
+    for ma, ca in a._terms.items():
+        room = order - sum(ma)
+        for db, mb, cb in graded:
+            if db > room:
+                break
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out[mono] + ca * cb if mono in out else ca * cb
+    return _raw(a.n, {m: c for m, c in out.items() if c})
+
+
+def _doubling(order: int):
+    """Newton precisions 1, 3, 7, ... capped at the order: k -> min(2k+1, order)."""
+    k = 0
+    while k < order:
+        k = min(2 * k + 1, order)
+        yield k
 
 
 def ts_inverse(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a unit: a * result = 1 mod order.
 
-    Newton iteration r <- r*(2 - a*r) starting from the inverse of the
-    constant term; each step doubles the correct order.
+    Newton iteration r <- r + r*(1 - a*r) from the inverse of the constant
+    term, with precision doubling.
     """
     c = a.constant_term()
     if c == 0:
         raise NotAUnitError("constant term is zero; the series has no inverse")
-    n, order = a.n, a.order
-    two = TruncatedSeries.constant(n, 2, order)
-    r = TruncatedSeries.constant(n, Fraction(1) / c, order)
-    for _ in range(order.bit_length()):
-        r = r * (two - a * r)
-    return r
+    r = Polynomial.constant(a.n, 1 / c)
+    for k in _doubling(a.order):
+        r = r + _truncated_product(r, 1 - _truncated_product(a.body, r, k), k)
+    return _series(r, a.order)
 
 
 def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
@@ -140,7 +169,8 @@ def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
     rational coefficients, so no series is produced.
 
     The branch choice (positive constant term) makes the result unique; the
-    other square root is its negation.
+    other square root is its negation.  It is a * y for the inverse square
+    root y from the Newton iteration y <- y + y*(1 - a*y^2)/2.
     """
     c = a.constant_term()
     if c == 0:
@@ -148,9 +178,8 @@ def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
     root = rational_sqrt(c)
     if root is None:
         return None
-    n, order = a.n, a.order
-    half = Fraction(1, 2)
-    r = TruncatedSeries.constant(n, root, order)
-    for _ in range(order.bit_length()):
-        r = (r + a * ts_inverse(r)) * half
-    return r
+    y = Polynomial.constant(a.n, 1 / root)
+    for k in _doubling(a.order):
+        e = 1 - _truncated_product(a.body, _truncated_product(y, y, k), k)
+        y = y + _truncated_product(y, e, k) * Fraction(1, 2)
+    return a * _series(y, a.order)

@@ -1,5 +1,6 @@
 """Germ classification: square tests, quadratic split, polygons, scanning."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -260,6 +261,33 @@ def test_analyze_distinguished_var_divides():
     assert a.body == Polynomial.variable(2, 2)
     prod = a * b
     assert prod == TruncatedSeries(f, 8)
+
+
+@pytest.mark.parametrize(
+    "f, point",
+    [
+        (Polynomial(2, {(0, 2): 1, (9, 0): -1}), (0, 0)),  # z2^2 - z1^9
+        (Polynomial(3, {(0, 0, 2): 1, (9, 0, 0): -1, (0, 9, 0): -1}), (0, 0, 0)),
+    ],
+)
+def test_analyze_e_d_truncated_to_zero_is_undetermined(f, point):
+    # e_d is nonzero but has order 9 > 8, so it truncates to zero; only the
+    # exact f(z', 0) = 0 test may certify DistinguishedVarDivides.
+    status = analyze_germ(GermQuery(f, point, 8))
+    assert status.kind == "Undetermined"
+    assert status.reason.startswith("degree dispatch")
+
+
+def test_coprime_binomials_are_never_reducible():
+    # z2^a - z1^b with gcd(a, b) = 1 is irreducible, whatever the order
+    for order in range(4, 13):
+        for a in range(2, min(order, 7) + 1):
+            for b in range(2, 20):
+                if math.gcd(a, b) != 1:
+                    continue
+                f = Polynomial(2, {(0, a): 1, (b, 0): -1})
+                status = analyze_germ(GermQuery(f, (0, 0), order))
+                assert status.kind != "SingularReducible", (order, a, b)
 
 
 def test_analyze_bivariate_cusp_via_polygon():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from germkit.algebra import Polynomial
+from germkit.algebra import Polynomial, rational_sqrt
 from germkit.errors import NotAUnitError
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
 from helpers import random_fraction, random_poly
@@ -15,6 +15,49 @@ F = Fraction
 
 def series(terms, order=8, n=1):
     return TruncatedSeries(Polynomial(n, terms), order)
+
+
+# -- reference arithmetic: full products truncated afterwards, full-order Newton
+
+
+def ref_mul(a, b):
+    order = min(a.order, b.order)
+    return TruncatedSeries((a.body * b.body).truncate(order), order)
+
+
+def ref_inverse(a):
+    N = a.order
+    r = Polynomial.constant(a.n, 1 / a.constant_term())
+    for _ in range(N.bit_length()):
+        r = (r * (2 - (a.body * r).truncate(N))).truncate(N)
+    return TruncatedSeries(r, N)
+
+
+def ref_sqrt(a):
+    N = a.order
+    r = Polynomial.constant(a.n, rational_sqrt(a.constant_term()))
+    for _ in range(N.bit_length()):
+        quotient = (a.body * ref_inverse(TruncatedSeries(r, N)).body).truncate(N)
+        r = (r + quotient) * F(1, 2)
+    return TruncatedSeries(r, N)
+
+
+def random_unit(rng, n, order, constant):
+    """constant + every variable + a few random terms of degree 2-4."""
+    terms = {(0,) * n: constant}
+    for i in range(n):
+        terms[tuple(int(i == k) for k in range(n))] = random_fraction(rng)
+    for _ in range(3):
+        mono = tuple(rng.randint(0, 2) for _ in range(n))
+        if 2 <= sum(mono) <= 4:
+            terms[mono] = random_fraction(rng)
+    return TruncatedSeries(Polynomial(n, terms), order)
+
+
+# orders 1-12 in 1-4 variables; the full-order reference bounds the order
+# it can reach in more variables within a test's time
+EXACTNESS_CASES = [(n, order) for n, top in ((1, 12), (2, 12), (3, 7), (4, 4))
+                   for order in range(1, top + 1)]
 
 
 def test_constructor_truncates_body():
@@ -53,6 +96,37 @@ def test_arithmetic_matches_polynomial_arithmetic_mod_order():
         assert (sa - sb).body == (a - b).truncate(order)
         assert (sa * sb).body == (a * b).truncate(order)
         assert (-sa).body == (-a).truncate(order)
+
+
+@pytest.mark.parametrize("n, order", EXACTNESS_CASES)
+def test_product_equals_full_product_truncated(n, order):
+    rng = random.Random(1000 * n + order)
+    for _ in range(4):
+        a = TruncatedSeries(random_poly(rng, n, order + 3, 8), order)
+        b = TruncatedSeries(random_poly(rng, n, order + 3, 8), rng.randint(1, 12))
+        assert a * b == ref_mul(a, b)
+        assert b * a == ref_mul(a, b)
+
+
+def test_products_that_cancel():
+    one_plus = series({(0,): 1, (1,): 1}, order=6)
+    geometric = series({(k,): (-1) ** k for k in range(7)}, order=6)
+    assert (one_plus * geometric).body == Polynomial.constant(1, 1)
+    high = series({(4, 1): 3}, order=8, n=2)
+    assert (high * high).body.is_zero()  # degree 10 > 8: nothing survives
+    zero = TruncatedSeries(Polynomial.zero(2), 5)
+    assert high * zero == TruncatedSeries(Polynomial.zero(2), 5)
+    assert (high * 0).body.is_zero()
+
+
+@pytest.mark.parametrize("n, order", EXACTNESS_CASES)
+def test_inverse_and_sqrt_equal_full_order_newton(n, order):
+    rng = random.Random(2000 * n + order)
+    a = random_unit(rng, n, order, random_fraction(rng, 1, 9))
+    assert ts_inverse(a) == ref_inverse(a)
+    c = random_fraction(rng, 1, 9)
+    square = random_unit(rng, n, order, c * c)
+    assert ts_sqrt(square) == ref_sqrt(square)
 
 
 def test_mixed_order_takes_minimum():

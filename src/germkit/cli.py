@@ -49,69 +49,52 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-# -- serialization helpers ----------------------------------------------------
+# -- JSON payloads ------------------------------------------------------------
 
 
-def _poly_terms(p: Polynomial) -> list:
-    return [[list(mono), str(coeff)] for mono, coeff in p.terms()]
-
-
-def _series_payload(s: TruncatedSeries) -> dict:
-    return {"order": s.order, "terms": _poly_terms(s.body)}
-
-
-def _jsonable(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
+def _encode(value):
+    """json.dumps default: how every germkit value in a payload serializes."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Polynomial):
-        return _poly_terms(value)
+        return [[list(mono), str(coeff)] for mono, coeff in value.terms()]
     if isinstance(value, TruncatedSeries):
-        return _series_payload(value)
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
-def _certificate_payload(cert) -> dict | None:
-    if cert is None:
-        return None
-    payload = {"kind": cert.kind}
-    for field in dataclasses.fields(cert):
-        payload[field.name] = _jsonable(getattr(cert, field.name))
-    return payload
+        return {"order": value.order, "terms": value.body}
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return {"kind": value.kind, **fields}
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
 def _status_payload(status: GermStatus) -> dict:
     factors = None
     if status.factors is not None:
-        factors = [_poly_terms(fac.body) for fac in status.factors]
+        factors = [fac.body for fac in status.factors]
     return {
         "status": status.kind,
-        "certificate": _certificate_payload(status.certificate),
+        "certificate": status.certificate,
         "factors": factors,
         "reason": status.reason,
-        "applied_change": _jsonable(status.applied_change),
+        "applied_change": status.applied_change,
     }
 
 
 def _scan_payload(report: ScanReport) -> dict:
     return {
-        "base_point": [str(c) for c in report.base_point],
+        "base_point": report.base_point,
         "base_status": _status_payload(report.base_status),
         "curve": [_format_curve_coord(c) for c in report.curve],
         "samples": [
             {
-                "t": str(s.t),
-                "point": [str(c) for c in s.point],
+                "t": s.t,
+                "point": s.point,
                 "on_locus": s.on_locus,
                 "status": s.status.kind,
             }
             for s in report.samples
         ],
         "verdict": report.verdict,
-        "witness_t": str(report.witness.t) if report.witness is not None else None,
+        "witness_t": report.witness.t if report.witness is not None else None,
         "reason": report.reason,
     }
 
@@ -136,38 +119,27 @@ def _describe_shear(change, j: int) -> str:
     return ", ".join(steps)
 
 
-_CERT_TEXT = {
-    "NonzeroValue": lambda c: f"NonzeroValue(value = {c.value})",
-    "SmoothPoint": lambda c: "SmoothPoint(gradient = "
-    + _format_point(c.gradient)
-    + ")",
-    "DegreeOne": lambda c: "DegreeOne",
-    "OddVariableOrder": lambda c: (
-        f"OddVariableOrder(variable = z{c.variable}, order = {c.order})"
-    ),
-    "MonomialUnitSquare": lambda c: (
-        "MonomialUnitSquare(square root exists but is not rational)"
-        if c.symbolic
-        else f"MonomialUnitSquare(root = {format_poly(c.root.body)})"
-    ),
-    "LowestFormNotASquare": lambda c: (
-        f"LowestFormNotASquare(degree = {c.degree}, form = {format_poly(c.form)})"
-    ),
-    "DistinguishedVarDivides": lambda c: (
-        f"DistinguishedVarDivides(variable = z{c.variable}, multiplicity = {c.multiplicity})"
-    ),
-    "MultiEdgePolygon": lambda c: f"MultiEdgePolygon(edges = {c.edge_count})",
-    "BinomialCoprimeEdge": lambda c: f"BinomialCoprimeEdge(d = {c.d}, m = {c.m})",
-    "BinomialNoncoprimeEdge": lambda c: f"BinomialNoncoprimeEdge(gcd = {c.gcd})",
-    "EdgePolynomialSplits": lambda c: (
-        f"EdgePolynomialSplits(distinct_factors = {c.factor_count})"
-    ),
-}
-
-
 def _describe_certificate(cert) -> str:
-    render = _CERT_TEXT.get(cert.kind)
-    return render(cert) if render is not None else cert.kind
+    """Kind(field = value, ...) over the certificate's fields, in JSON order."""
+    if cert.kind == "MonomialUnitSquare":
+        # the golden transcript pins this form; half_exponents and unit_root
+        # are data for checkers, not for the reader
+        if cert.symbolic:
+            return "MonomialUnitSquare(square root exists but is not rational)"
+        return f"MonomialUnitSquare(root = {format_poly(cert.root.body)})"
+    parts = []
+    for field in dataclasses.fields(cert):
+        value = getattr(cert, field.name)
+        if field.name == "variable":
+            text = f"z{value}"  # a 1-based index; the reader knows it as z<k>
+        elif isinstance(value, Polynomial):
+            text = format_poly(value)
+        elif isinstance(value, tuple):
+            text = _format_point(value)
+        else:
+            text = str(value)
+        parts.append(f"{field.name} = {text}")
+    return f"{cert.kind}(" + ", ".join(parts) + ")"
 
 
 def _status_lines(status: GermStatus, j: int) -> list[str]:
@@ -206,20 +178,19 @@ def _parse_var_flag(text: str | None, n: int) -> int:
     return j
 
 
-def _parse_inputs(poly_texts, var_text, point_text=None, point_sets_dimension=True):
+def _parse_inputs(poly_texts, var_text, point_text=None):
     """Parse polynomials, a base point (default: origin) and --var in one dimension n.
 
-    n is the largest variable count among the polynomials, at least 1.  With
-    point_sets_dimension a longer point raises n too; a point of any other
-    length than n is an error.  Returns (polynomials, point, variable index).
+    n is the largest variable count among the polynomials and the point, at
+    least 1; polynomials in fewer variables widen to n, and a point shorter
+    than n is an error.  Returns (polynomials, point, variable index).
     """
     polys = [parse_poly(text) for text in poly_texts]
     n = max(1, *(f.n for f in polys))
     if point_text is None:
         point = tuple(Fraction(0) for _ in range(n))
     else:
-        if point_sets_dimension:
-            n = max(n, len(parse_point(point_text)))
+        n = max(n, len(parse_point(point_text)))
         point = parse_point(point_text, n)
     polys = [
         f if f.n == n else parse_poly(text, var_count=n)
@@ -241,7 +212,7 @@ def _cmd_analyze(ns):
         f"order = {ns.order}",
         *_status_lines(status, j),
     ]
-    inputs = {"poly": ns.poly, "point": [str(c) for c in point], "order": ns.order}
+    inputs = {"poly": ns.poly, "point": point, "order": ns.order}
     return lines, inputs, _status_payload(status)
 
 
@@ -268,7 +239,7 @@ def _cmd_scan(ns):
         lines.append(f"reason: {report.reason}")
     inputs = {
         "poly": ns.poly,
-        "point": [str(c) for c in point],
+        "point": point,
         "curve": ns.curve,
         "t": ns.t,
         "order": ns.order,
@@ -304,7 +275,7 @@ def _cmd_prepare(ns):
 
     inputs = {
         "poly": ns.poly,
-        "point": [str(c) for c in point],
+        "point": point,
         "var": f"z{j}",
         "order": ns.order,
     }
@@ -312,10 +283,10 @@ def _cmd_prepare(ns):
         "degree": wd.degree,
         "distinguished_var": j,
         "order": ns.order,
-        "applied_change": _jsonable(change),
-        "weierstrass_polynomial": _poly_terms(w),
-        "coefficients": [_poly_terms(e) for e in embedded],
-        "unit": _series_payload(wd.unit),
+        "applied_change": change,
+        "weierstrass_polynomial": w,
+        "coefficients": embedded,
+        "unit": wd.unit,
         "multiply_back_ok": ok,
     }
     return lines, inputs, result
@@ -325,7 +296,7 @@ def _cmd_resultant(ns):
     (f, g), _, j = _parse_inputs([ns.f, ns.g], ns.var)
     r = resultant(f, g, j)
     inputs = {"f": ns.f, "g": ns.g, "var": f"z{j}"}
-    result = {"resultant": format_poly(r), "terms": _poly_terms(r), "var": j}
+    result = {"resultant": format_poly(r), "terms": r, "var": j}
     return [format_poly(r)], inputs, result
 
 
@@ -333,14 +304,12 @@ def _cmd_discriminant(ns):
     (f,), _, j = _parse_inputs([ns.poly], ns.var)
     d = discriminant(f, j)
     inputs = {"poly": ns.poly, "var": f"z{j}"}
-    result = {"discriminant": format_poly(d), "terms": _poly_terms(d), "var": j}
+    result = {"discriminant": format_poly(d), "terms": d, "var": j}
     return [format_poly(d)], inputs, result
 
 
 def _cmd_coprime(ns):
-    (g, h), point, j = _parse_inputs(
-        [ns.g, ns.h], ns.var, ns.point, point_sets_dimension=False
-    )
+    (g, h), point, j = _parse_inputs([ns.g, ns.h], ns.var, ns.point)
     rep = coprime_at(g, h, point, j)
     r = rep.resultant_poly
     discrete = zero_set_discrete(r, tuple(Fraction(0) for _ in range(r.n)))
@@ -364,14 +333,14 @@ def _cmd_coprime(ns):
     inputs = {
         "g": ns.g,
         "h": ns.h,
-        "point": [str(c) for c in point],
+        "point": point,
         "var": f"z{j}",
     }
     result = {
         "resultant": format_poly(r),
-        "terms": _poly_terms(r),
+        "terms": r,
         "var": j,
-        "applied_change": _jsonable(rep.applied_change),
+        "applied_change": rep.applied_change,
         "coprime": rep.coprime_germ_at_point,
         "vanishes_at_point": rep.vanishing_at_point,
         "zero_set_discrete": discrete,
@@ -433,7 +402,7 @@ def _cmd_demo(ns):
 
     inputs = {
         "poly": DEMO_POLY,
-        "point": [str(c) for c in origin],
+        "point": origin,
         "curve": DEMO_CURVE,
         "t": DEMO_T_VALUES,
         "order": N,
@@ -441,11 +410,11 @@ def _cmd_demo(ns):
     result = {
         "poly": DEMO_POLY,
         "origin": {
-            "point": [str(c) for c in origin],
+            "point": origin,
             **_status_payload(origin_status),
         },
         "nearby": {
-            "point": [str(c) for c in near],
+            "point": near,
             **_status_payload(near_status),
             "factors_multiply_back": multiply_back,
         },
@@ -571,7 +540,7 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
             "result": result,
             "timing_ms": round((time.perf_counter() - started) * 1000, 3),
         }
-        print(json.dumps(envelope, indent=2), file=out)
+        print(json.dumps(envelope, indent=2, default=_encode), file=out)
     else:
         print("\n".join(lines), file=out)
     return 0

@@ -1,15 +1,14 @@
 """Local classification of polynomial germs with machine-checkable certificates.
 
 The classifier is deliberately a partial decision procedure.  It is
-decisive on units, smooth points, degree-1 and degree-2 Weierstrass germs
-in any dimension, and bivariate germs caught by the Newton polygon
+decisive on units, smooth points, degree-2 Weierstrass germs in any
+dimension, and bivariate germs caught by the Newton polygon
 criteria; everything else comes back Undetermined with a reason.  Every
 decisive answer carries a certificate holding exactly the data needed to
 re-verify it independently:
 
   NonzeroValue          f(p) != 0, the germ is a unit
   SmoothPoint           gradient nonzero, the zero set is locally a graph
-  DegreeOne             Weierstrass degree 1, monic linear germs are prime
   OddVariableOrder      the discriminant has odd order in one variable, so
                         it is not a square (orders of squares are even)
   MonomialUnitSquare    the discriminant is monomial * unit with even
@@ -54,13 +53,6 @@ class SmoothPoint:
 
     kind: ClassVar[str] = "SmoothPoint"
     gradient: tuple
-
-
-@dataclass(frozen=True)
-class DegreeOne:
-    """Weierstrass degree 1: monic linear polynomials are irreducible."""
-
-    kind: ClassVar[str] = "DegreeOne"
 
 
 @dataclass(frozen=True)
@@ -227,35 +219,12 @@ class GermQuery:
 # -- local square test --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareDecision:
-    """Outcome of is_local_square: yes (with root or symbolic), no, or undetermined.
-
-    The certificate is the decision: None means undetermined (is_square
-    None), a MonomialUnitSquare means yes, any other certificate means no.
-    For a yes, `root` is a series square root when rationally
-    representable, else None with symbolic=True.
-    """
-
-    certificate: object | None = None
-
-    @property
-    def is_square(self) -> bool | None:
-        if self.certificate is None:
-            return None
-        return isinstance(self.certificate, MonomialUnitSquare)
-
-    @property
-    def root(self) -> Optional[TruncatedSeries]:
-        return self.certificate.root if self.is_square else None
-
-    @property
-    def symbolic(self) -> bool:
-        return bool(self.is_square) and self.certificate.symbolic
-
-
-def is_local_square(D: Polynomial, N: int) -> SquareDecision:
+def is_local_square(D: Polynomial, N: int) -> object | None:
     """Decide whether D is the square of a germ at the origin (over C).
+
+    The certificate is the decision: a MonomialUnitSquare means yes (its
+    `root` is None in the symbolic case), any other certificate means no,
+    and None means undetermined.
 
     Decision cascade: (1) zero is a square; (2) a monomial-unit split
     x^alpha * U with every alpha component even is a square, with explicit
@@ -266,7 +235,7 @@ def is_local_square(D: Polynomial, N: int) -> SquareDecision:
     """
     if D.is_zero():
         root = TruncatedSeries(Polynomial.zero(D.n), N)
-        return SquareDecision(MonomialUnitSquare(root=root))
+        return MonomialUnitSquare(root=root)
     split = D.monomial_unit_split()
     if split is not None:
         alpha, U = split
@@ -274,21 +243,18 @@ def is_local_square(D: Polynomial, N: int) -> SquareDecision:
             half = tuple(a // 2 for a in alpha)
             unit_root = ts_sqrt(TruncatedSeries(U, N))
             if unit_root is None:
-                return SquareDecision(MonomialUnitSquare(root=None, half_exponents=half))
+                return MonomialUnitSquare(root=None, half_exponents=half)
             root = TruncatedSeries(Polynomial.monomial(D.n, half), N) * unit_root
-            cert = MonomialUnitSquare(
-                root=root, half_exponents=half, unit_root=unit_root
-            )
-            return SquareDecision(cert)
+            return MonomialUnitSquare(root=root, half_exponents=half, unit_root=unit_root)
         # some exponent is odd; fall through to the order-parity certificate
     for i in range(1, D.n + 1):
         k = D.variable_order(i)
         if k % 2 == 1:
-            return SquareDecision(OddVariableOrder(variable=i, order=k))
+            return OddVariableOrder(variable=i, order=k)
     form, degree = D.lowest_homogeneous_form()
     if degree % 2 == 1 or _form_is_square_over_C(form) is False:
-        return SquareDecision(LowestFormNotASquare(form=form, degree=degree))
-    return SquareDecision()
+        return LowestFormNotASquare(form=form, degree=degree)
+    return None
 
 
 def quadratic_germ_test(wd: WeierstrassData) -> GermStatus:
@@ -307,21 +273,21 @@ def quadratic_germ_test(wd: WeierstrassData) -> GermStatus:
     e1, e2 = wd.coefficients
     D = e1.body * e1.body - 4 * e2.body
     N, j, n = wd.truncation_order, wd.distinguished_var, wd.n
-    decision = is_local_square(D, N)
-    if decision.is_square:
-        if decision.root is None:
-            return GermStatus.reducible(decision.certificate, factors=None)
-        half = Fraction(1, 2)
-        t = Polynomial.variable(n, j)
-        lo = ((e1.body - decision.root.body) * half).insert_variable(j)
-        hi = ((e1.body + decision.root.body) * half).insert_variable(j)
-        factors = (TruncatedSeries(t + lo, N), TruncatedSeries(t + hi, N))
-        return GermStatus.reducible(decision.certificate, factors=factors)
-    if decision.is_square is False:
-        return GermStatus.irreducible(decision.certificate)
-    return GermStatus.undetermined(
-        "discriminant square-ness is undecided at this truncation order"
-    )
+    cert = is_local_square(D, N)
+    if cert is None:
+        return GermStatus.undetermined(
+            "discriminant square-ness is undecided at this truncation order"
+        )
+    if not isinstance(cert, MonomialUnitSquare):
+        return GermStatus.irreducible(cert)
+    if cert.symbolic:
+        return GermStatus.reducible(cert)
+    half = Fraction(1, 2)
+    t = Polynomial.variable(n, j)
+    lo = ((e1.body - cert.root.body) * half).insert_variable(j)
+    hi = ((e1.body + cert.root.body) * half).insert_variable(j)
+    factors = (TruncatedSeries(t + lo, N), TruncatedSeries(t + hi, N))
+    return GermStatus.reducible(cert, factors=factors)
 
 
 # -- Newton polygon -----------------------------------------------------------
@@ -441,9 +407,10 @@ def analyze_germ(query: GermQuery) -> GermStatus:
 
     Cascade: nonvanishing value -> Unit; nonzero gradient ->
     SmoothIrreducible; otherwise shift to the point, regularize, prepare,
-    and decide by degree: 1 -> irreducible, e_d = 0 -> the distinguished
-    variable splits off, 2 -> discriminant square test, bivariate ->
-    Newton polygon; anything else is outside the decidable fragment.
+    and decide by degree: e_d = 0 -> the distinguished variable splits
+    off, 2 -> discriminant square test, bivariate -> Newton polygon;
+    anything else is outside the decidable fragment.  A regularity order
+    above the truncation order leaves the germ Undetermined.
     Factors in the result are expressed in the shifted coordinates (plus
     the recorded shear when one was needed).
     """
@@ -457,8 +424,13 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     j = query.preferred_var if query.preferred_var is not None else f.n
     shifted = f.shift(p)
     sheared, report = make_regular(shifted, j)
-    wd = weierstrass_prepare(sheared, j, N)
-    status = _degree_verdict(wd, sheared)
+    if report.order > N:
+        status = GermStatus.undetermined(
+            f"prepare: regularity order {report.order} exceeds the truncation "
+            f"order {N}; a higher order is needed"
+        )
+    else:
+        status = _degree_verdict(weierstrass_prepare(sheared, j, N), sheared)
     return replace(status, applied_change=report.applied_change)
 
 
@@ -467,12 +439,11 @@ def _degree_verdict(wd: WeierstrassData, sheared: Polynomial) -> GermStatus:
 
     `sheared` is the exact germ that was prepared.  Since f(z', 0) =
     u(z', 0) * e_d with u a unit, e_d = 0 holds exactly when f(z', 0) = 0;
-    a zero truncated e_d alone does not show it.
+    a zero truncated e_d alone does not show it.  The degree is at least
+    2: the germ and its gradient vanish at the point, so its order is at
+    least 2, and a linear shear keeps the order.
     """
     d, j, n, N = wd.degree, wd.distinguished_var, wd.n, wd.truncation_order
-
-    if d == 1:
-        return GermStatus.irreducible(DegreeOne())
 
     if wd.coefficients[-1].body.is_zero():
         if not sheared.substitute(j, Polynomial.zero(n)).is_zero():
@@ -558,7 +529,10 @@ def scan_stability(
         raise ValueError("t_values must be non-empty")
     start = tuple(c.evaluate((Fraction(0),)) for c in coords)
     if start != p:
-        raise ValueError(f"curve(0) = {start} does not pass through the base point {p}")
+        raise ValueError(
+            f"curve(0) = {_point_text(start)} does not pass through the base point "
+            f"{_point_text(p)}"
+        )
 
     base_status = analyze_germ(GermQuery(f, p, N, preferred_var))
     samples = []
@@ -599,6 +573,10 @@ def scan_stability(
         witness=witness,
         reason=reason,
     )
+
+
+def _point_text(p: tuple) -> str:
+    return "(" + ", ".join(str(c) for c in p) + ")"
 
 
 def _as_curve_coordinate(c) -> Polynomial | None:

@@ -35,7 +35,7 @@ from .series import TruncatedSeries
 # coefficient pattern (s, s^2, s^3, ...) with s = _SHEAR_SCALES[k]; distinct
 # powers are needed because patterns with equal entries leave polynomials
 # like (z1 - z2)^2 degenerate for every scale.
-_SHEAR_SCALES = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8)
+_SHEAR_SCALES = (0, 1, -1, 2, -2, 3, -3, 4)
 
 
 @dataclass(frozen=True)
@@ -123,24 +123,21 @@ def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:
     return out
 
 
-def make_regular(
-    f: Polynomial, j: int, max_attempts: int = 8
-) -> tuple[Polynomial, RegularityReport]:
+def make_regular(f: Polynomial, j: int) -> tuple[Polynomial, RegularityReport]:
     """Find a linear shear making f regular of finite order in z_j.
 
     Attempt k applies z_i <- z_i + c_i * z_j with c_i = s^r, where s is the
-    k-th entry of a fixed scale sequence 0, 1, -1, 2, -2, ... and r ranks
+    k-th entry of the scale sequence 0, 1, -1, 2, -2, 3, -3, 4 and r ranks
     the non-distinguished variables in index order.  The first attempt is
     the identity, so already-regular inputs come back unchanged, with
-    applied_change None.  Raises after max_attempts failures; since germ
+    applied_change None.  Raises when every scale fails; since germ
     structure is preserved by any invertible linear change, a recorded
     shear never affects the classification questions asked downstream.
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot regularize the zero polynomial")
     n = f.n
-    attempts = _SHEAR_SCALES[:max_attempts]
-    for s in attempts:
+    for s in _SHEAR_SCALES:
         scale = as_rational(s)
         coeffs = None
         if scale != 0:
@@ -154,7 +151,7 @@ def make_regular(
         if report.regular:
             return candidate, replace(report, applied_change=coeffs)
     raise ShearExhaustedError(
-        f"no shear among {len(attempts)} attempts made the polynomial regular in z{j}"
+        f"no shear among {len(_SHEAR_SCALES)} attempts made the polynomial regular in z{j}"
     )
 
 

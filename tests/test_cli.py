@@ -92,6 +92,24 @@ def test_coprime_subcommand_reports_discreteness():
     assert "resultant zero set discrete near the point: no" in out
 
 
+@pytest.mark.parametrize("poly, point, line", [
+    ("z1 + 1", "0", "NonzeroValue(value = 1)"),
+    ("z1 + z2^2", "0,0", "SmoothPoint(gradient = (1, 0))"),
+    ("z2^2 - 2*z1^2", "0,0", "MonomialUnitSquare(square root exists but is not rational)"),
+    ("z3^2 - z1^2 - z2^2", "0,0,0",
+     "LowestFormNotASquare(form = 4*z1^2 + 4*z2^2, degree = 2)"),
+    ("z2^3 + z1*z2^2", "0,0", "DistinguishedVarDivides(variable = z2, multiplicity = 2)"),
+    ("(z2 - z1)*(z2^2 - z1^3)", "0,0", "MultiEdgePolygon(edge_count = 2)"),
+    ("z2^3 - z1^2", "0,0", "BinomialCoprimeEdge(d = 3, m = 2)"),
+    ("z2^3 - z1^3", "0,0", "BinomialNoncoprimeEdge(gcd = 3)"),
+    ("z2^3 + z1*z2^2 - 2*z1^3", "0,0", "EdgePolynomialSplits(factor_count = 3)"),
+])
+def test_certificate_line_lists_the_fields_in_order(poly, point, line):
+    code, out, err = run("analyze", "--poly", poly, "--point", point)
+    assert code == 0 and err == ""
+    assert f"certificate: {line}\n" in out
+
+
 # -- golden demo -------------------------------------------------------------------
 
 
@@ -125,7 +143,11 @@ def test_json_envelope_shape():
     assert isinstance(doc["timing_ms"], (int, float))
     result = doc["result"]
     assert result["status"] == "SingularReducible"
-    assert result["certificate"]["kind"] == "MonomialUnitSquare"
+    cert = result["certificate"]
+    assert list(cert) == ["kind", "root", "half_exponents", "unit_root"]
+    assert cert["kind"] == "MonomialUnitSquare"
+    assert cert["root"]["order"] == 8 and cert["half_exponents"] == [0, 1]
+    assert cert["unit_root"]["terms"][0] == [[0, 0], "2"]
 
 
 def test_json_factors_multiply_back_to_w():
@@ -225,10 +247,33 @@ def test_coprime_json_reports_null_when_no_shear_was_needed():
     assert json.loads(out)["result"]["applied_change"] == ["1", "0"]
 
 
-def test_coprime_point_does_not_widen_the_inputs():
+def test_coprime_point_widens_the_inputs():
     code, out, err = run("coprime", "--g", "z1", "--h", "z2", "--point", "0,0,0")
+    assert code == 0 and err == ""
+    assert "eliminated variable: z3" in out
+    assert "germs coprime at the point: yes" in out
+    code, out, err = run("coprime", "--g", "z1*z3", "--h", "z2", "--point", "0,0")
     assert code == 1 and out == ""
-    assert "point has 3 coordinates, expected 2" in err
+    assert "point has 2 coordinates, expected 3" in err
+
+
+def test_regularity_order_above_the_order_is_undetermined_not_an_error():
+    code, out, err = run("analyze", "--poly", "z2^9 + z1^9", "--point", "0,0")
+    assert code == 0 and err == ""
+    assert "status: Undetermined" in out
+    assert "reason: prepare: regularity order 9 exceeds the truncation order 8" in out
+    code, out, err = run(
+        "scan", "--poly", "z2^9 - z1^9*(z1-1)", "--point", "0,0", "--curve", "t,0",
+        "--t", "1,2",
+    )
+    assert code == 0 and err == ""
+    assert "base status: Undetermined" in out
+    assert "t = 1: point (1, 0), on locus, SmoothIrreducible" in out
+    assert "verdict: Inconclusive" in out
+    # prepare was asked for the data itself, so it still refuses
+    code, out, err = run("prepare", "--poly", "z2^9 + z1^9", "--point", "0,0")
+    assert code == 1 and out == ""
+    assert "truncation order 8 is below the regularity order 9" in err
 
 
 # -- flag values and streams ---------------------------------------------------------

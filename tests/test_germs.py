@@ -10,7 +10,7 @@ from germkit.algebra import Polynomial
 from germkit.errors import DimensionMismatchError, DistinguishedVarDividesError
 from germkit.germs import (
     GermQuery,
-    SquareDecision,
+    MonomialUnitSquare,
     analyze_germ,
     is_local_square,
     newton_polygon,
@@ -33,61 +33,51 @@ CUSP = Polynomial(2, {(0, 2): 1, (3, 0): -1})  # z2^2 - z1^3
 
 def test_square_test_odd_variable_order():
     d = Polynomial(2, {(1, 2): 1})  # z1*z2^2
-    dec = is_local_square(d, 8)
-    assert dec.is_square is False
-    assert dec.certificate.kind == "OddVariableOrder"
-    assert dec.certificate.variable == 1 and dec.certificate.order == 1
+    cert = is_local_square(d, 8)
+    assert cert.kind == "OddVariableOrder"
+    assert cert.variable == 1 and cert.order == 1
 
 
 def test_square_test_monomial_unit_split_with_rational_root():
     d = Polynomial(2, {(0, 2): 4, (1, 2): 4})  # 4(1+z1)*z2^2
-    dec = is_local_square(d, 8)
-    assert dec.is_square is True and not dec.symbolic
+    cert = is_local_square(d, 8)
+    assert isinstance(cert, MonomialUnitSquare) and not cert.symbolic
     # root = 2*z2*(1 + z1/2 - z1^2/8 + ...)
     expected_head = Polynomial(2, {(0, 1): 2, (1, 1): 1, (2, 1): F(-1, 4)})
-    assert dec.root.body.truncate(3) == expected_head
+    assert cert.root.body.truncate(3) == expected_head
     # certificate re-verification: root^2 = D mod N
-    assert dec.root * dec.root == TruncatedSeries(d, 8)
+    assert cert.root * cert.root == TruncatedSeries(d, 8)
 
 
 def test_square_test_squarefree_lowest_form():
     d = Polynomial(2, {(2, 0): 1, (0, 2): 1})  # z1^2 + z2^2
-    dec = is_local_square(d, 8)
-    assert dec.is_square is False
-    assert dec.certificate.kind == "LowestFormNotASquare"
-    assert dec.certificate.degree == 2
+    cert = is_local_square(d, 8)
+    assert cert.kind == "LowestFormNotASquare"
+    assert cert.degree == 2
 
 
 def test_square_test_zero_is_a_square():
-    dec = is_local_square(Polynomial.zero(2), 8)
-    assert dec.is_square is True
-    assert dec.root.body.is_zero()
+    cert = is_local_square(Polynomial.zero(2), 8)
+    assert isinstance(cert, MonomialUnitSquare)
+    assert cert.root.body.is_zero()
 
 
 def test_square_test_symbolic_when_constant_is_not_a_rational_square():
     d = Polynomial(2, {(0, 2): 2, (1, 2): 2})  # 2(1+z1)*z2^2: square over C only
-    dec = is_local_square(d, 8)
-    assert dec.is_square is True
-    assert dec.symbolic and dec.root is None
+    cert = is_local_square(d, 8)
+    assert isinstance(cert, MonomialUnitSquare)
+    assert cert.symbolic and cert.root is None
 
 
 def test_square_test_odd_lowest_degree():
     d = Polynomial(2, {(1, 1): 1, (0, 3): 1})  # order 2 but z1-order 1
-    dec = is_local_square(d, 8)
-    assert dec.is_square is False
+    cert = is_local_square(d, 8)
+    assert cert is not None and not isinstance(cert, MonomialUnitSquare)
 
 
 def test_square_test_undetermined_beyond_two_essential_variables():
     d = Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    dec = is_local_square(d, 8)
-    assert dec.is_square is None
-
-
-def test_square_decision_without_certificate_reads_undetermined():
-    dec = SquareDecision()
-    assert dec.is_square is None
-    assert dec.root is None
-    assert not dec.symbolic
+    assert is_local_square(d, 8) is None
 
 
 # -- quadratic_germ_test ------------------------------------------------------------
@@ -278,6 +268,21 @@ def test_analyze_e_d_truncated_to_zero_is_undetermined(f, point):
     assert status.reason.startswith("degree dispatch")
 
 
+@pytest.mark.parametrize(
+    "f, change",
+    [
+        (Polynomial(2, {(0, 9): 1, (9, 0): 1}), None),  # z2^9 + z1^9
+        # z1^9 + z1^4*z2^5 vanishes on the z2 axis; z1 <- z1 + z2 gives order 9
+        (Polynomial(2, {(9, 0): 1, (4, 5): 1}), (F(1), F(0))),
+    ],
+)
+def test_analyze_regularity_order_above_truncation_is_undetermined(f, change):
+    status = analyze_germ(GermQuery(f, (0, 0), 8))
+    assert status.kind == "Undetermined"
+    assert status.reason.startswith("prepare: regularity order 9 exceeds")
+    assert status.applied_change == change
+
+
 def test_coprime_binomials_are_never_reducible():
     # z2^a - z1^b with gcd(a, b) = 1 is irreducible, whatever the order
     for order in range(4, 13):
@@ -402,7 +407,8 @@ def test_scan_off_locus_is_inconclusive():
 
 
 def test_scan_requires_curve_through_base_point():
-    with pytest.raises(ValueError):
+    message = r"curve\(0\) = \(1, 0, 0\) does not pass through the base point \(0, 0, 0\)$"
+    with pytest.raises(ValueError, match=message):
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), curve({(0,): 1}, {}, {}), (1,), 8)
     with pytest.raises(ValueError):
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (), 8)

@@ -7,17 +7,20 @@ positive degree in that variable, which is what makes it a robust witness
 for coprimality of germs: a nonzero resultant certifies coprimality at the
 center point and at every nearby point at once.
 
-Determinants are computed by fraction-free Bareiss elimination (every
-division in the schedule is exact over the polynomial ring), with direct
-cofactor expansion for matrices of size at most 4.
+Every determinant, whatever its size, takes one path: each row is scaled
+to integer coefficients, fraction-free Bareiss elimination runs over Z[x]
+(every division in the schedule is exact there), and the product of the
+row scales is divided out once at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
-from .algebra import Point, Polynomial, as_point
+from .algebra import Polynomial, _raw, as_point
 from .errors import (
     DegreeTooSmallError,
     DegreeZeroError,
@@ -73,14 +76,43 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, j: int) -> list:
 
 
 def matrix_det(rows: list) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials."""
+    """Exact determinant of a square matrix of polynomials.
+
+    Each row is scaled by the lcm of its coefficients' denominators, so the
+    elimination runs over Z[x] on integer term tables; the determinant is
+    divided by the product of the row scales once, at the end.
+    """
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
         raise ValueError("matrix must be square and non-empty")
     n = rows[0][0].n
-    if size <= 4:
-        return _cofactor_det(rows, n)
-    return _bareiss_det(rows, n)
+    scale = 1
+    m = []
+    for row in rows:
+        tables = [entry._terms for entry in row]
+        lcm = math.lcm(*(c.denominator for t in tables for c in t.values()))
+        scale *= lcm
+        m.append([
+            {mono: c.numerator * (lcm // c.denominator) for mono, c in t.items()}
+            for t in tables
+        ])
+    sign = 1
+    prev = None
+    for k in range(size - 1):
+        if not m[k][k]:
+            if not _swap_pivot(m, k):
+                return Polynomial.zero(n)
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for i in range(k + 1, size):
+            row = m[i]
+            for jj in range(k + 1, size):
+                num = _mul_sub(row[jj], pivot, row[k], top[jj])
+                # Bareiss guarantee: the previous pivot divides exactly
+                row[jj] = num if prev is None else _exact_quotient(num, prev)
+        prev = pivot
+    return _raw(n, {mono: Fraction(sign * c, scale) for mono, c in m[-1][-1].items()})
 
 
 def resultant(f: Polynomial, g: Polynomial, j: int) -> Polynomial:
@@ -159,44 +191,51 @@ def zero_set_discrete(R: Polynomial, p) -> bool:
     return R.n <= 1
 
 
-def _cofactor_det(rows: list, n: int) -> Polynomial:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Polynomial.zero(n)
-    for col in range(size):
-        entry = rows[0][col]
-        if entry.is_zero():
-            continue
-        minor = [r[:col] + r[col + 1 :] for r in rows[1:]]
-        term = entry * _cofactor_det(minor, n)
-        total = total - term if col % 2 else total + term
-    return total
+def _swap_pivot(m: list, k: int) -> bool:
+    """Swap a row with a nonzero column-k entry into row k; False if none."""
+    r = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
+    if r is None:
+        return False
+    m[k], m[r] = m[r], m[k]
+    return True
 
 
-def _bareiss_det(rows: list, n: int) -> Polynomial:
-    m = [row[:] for row in rows]
-    size = len(m)
-    zero = Polynomial.zero(n)
-    prev = Polynomial.constant(n, 1)
-    sign = 1
-    for k in range(size - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (r for r in range(k + 1, size) if not m[r][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return zero
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for jj in range(k + 1, size):
-                num = m[i][jj] * m[k][k] - m[i][k] * m[k][jj]
-                # Bareiss guarantee: the previous pivot divides exactly
-                m[i][jj] = num.exact_div(prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return -det if sign < 0 else det
+def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
+    """a*b - c*d on integer term tables."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    for mc, cc in c.items():
+        for md, cd in d.items():
+            mono = tuple(map(add, mc, md))
+            out[mono] = out.get(mono, 0) - cc * cd
+    return {mono: v for mono, v in out.items() if v}
+
+
+def _exact_quotient(rem: dict, divisor: dict) -> dict:
+    """rem / divisor over Z[x], consuming rem; ValueError unless exact.
+
+    Leading terms are taken in lex order, a monomial order, so every
+    quotient term is found once and an exact quotient over Z[x] never
+    needs a fraction.
+    """
+    lead = max(divisor)
+    lead_coeff = divisor[lead]
+    quotient = {}
+    while rem:
+        top = max(rem)
+        qmono = tuple(map(sub, top, lead))
+        q, r = divmod(rem[top], lead_coeff)
+        if r or any(e < 0 for e in qmono):
+            raise ValueError("division is not exact")
+        quotient[qmono] = q
+        for mono, c in divisor.items():
+            mono = tuple(map(add, qmono, mono))
+            v = rem.get(mono, 0) - q * c
+            if v:
+                rem[mono] = v
+            else:
+                del rem[mono]
+    return quotient

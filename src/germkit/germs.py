@@ -32,7 +32,11 @@ from fractions import Fraction
 from typing import ClassVar, Optional
 
 from .algebra import Polynomial, as_point, as_rational
-from .errors import DimensionMismatchError, DistinguishedVarDividesError
+from .errors import (
+    DimensionMismatchError,
+    DistinguishedVarDividesError,
+    ShearExhaustedError,
+)
 from .series import TruncatedSeries, ts_sqrt
 from .weierstrass import WeierstrassData, make_regular, weierstrass_prepare
 
@@ -409,8 +413,9 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     SmoothIrreducible; otherwise shift to the point, regularize, prepare,
     and decide by degree: e_d = 0 -> the distinguished variable splits
     off, 2 -> discriminant square test, bivariate -> Newton polygon;
-    anything else is outside the decidable fragment.  A regularity order
-    above the truncation order leaves the germ Undetermined.
+    anything else is outside the decidable fragment.  A germ that no tried
+    shear makes regular, or whose regularity order is above the truncation
+    order, is left Undetermined.
     Factors in the result are expressed in the shifted coordinates (plus
     the recorded shear when one was needed).
     """
@@ -423,7 +428,10 @@ def analyze_germ(query: GermQuery) -> GermStatus:
         return GermStatus.smooth(SmoothPoint(gradient=gradient))
     j = query.preferred_var if query.preferred_var is not None else f.n
     shifted = f.shift(p)
-    sheared, report = make_regular(shifted, j)
+    try:
+        sheared, report = make_regular(shifted, j)
+    except ShearExhaustedError as exc:
+        return GermStatus.undetermined(f"regularize: {exc}")
     if report.order > N:
         status = GermStatus.undetermined(
             f"prepare: regularity order {report.order} exceeds the truncation "

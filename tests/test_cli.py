@@ -276,6 +276,33 @@ def test_regularity_order_above_the_order_is_undetermined_not_an_error():
     assert "truncation order 8 is below the regularity order 9" in err
 
 
+def test_shear_exhaustion_is_undetermined_for_analyze_and_scan_only():
+    poly = "z1^2*z3 - z2*z3^2"
+    reason = "regularize: no shear among 8 attempts made the polynomial regular in z3"
+    code, out, err = run("analyze", "--poly", poly, "--point", "0,0,0")
+    assert code == 0 and err == ""
+    assert "status: Undetermined" in out
+    assert f"reason: {reason}" in out
+    code, out, err = run("analyze", "--poly", poly, "--point", "0,0,0", "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["status"] == "Undetermined" and result["reason"] == reason
+    assert result["applied_change"] is None
+    code, out, err = run(
+        "scan", "--poly", poly, "--point", "0,0,0", "--curve", "t,0,0", "--t", "1,2"
+    )
+    assert code == 0 and err == ""
+    assert "base status: Undetermined" in out
+    assert "verdict: Inconclusive" in out
+    # prepare and coprime need the regular germ itself, so they still refuse
+    code, out, err = run("prepare", "--poly", poly, "--point", "0,0,0")
+    assert code == 1 and out == ""
+    assert "no shear among 8 attempts" in err
+    code, out, err = run("coprime", "--g", poly, "--h", "z3 - z1", "--point", "0,0,0")
+    assert code == 1 and out == ""
+    assert "no shear among 8 attempts" in err
+
+
 # -- flag values and streams ---------------------------------------------------------
 
 

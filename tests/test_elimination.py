@@ -7,6 +7,7 @@ import pytest
 
 from germkit.algebra import Polynomial
 from germkit.elimination import (
+    _exact_quotient,
     coprime_at,
     discriminant,
     matrix_det,
@@ -62,21 +63,32 @@ def test_matrix_det_known_values():
         matrix_det([[c(1, 1), c(1, 2)]])
 
 
+def laplace_det(m):
+    """Reference determinant: Laplace expansion along the first remaining row,
+    memoised on the set of columns left, over Fraction polynomials."""
+    n, size = m[0][0].n, len(m)
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return Polynomial.constant(n, 1)
+        if cols not in memo:
+            row = m[size - len(cols)]
+            total = Polynomial.zero(n)
+            for k, col in enumerate(sorted(cols)):
+                if not row[col].is_zero():
+                    term = row[col] * minor(cols - {col})
+                    total = total + (term if k % 2 == 0 else -term)
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(frozenset(range(size)))
+
+
 def test_bareiss_agrees_with_cofactor_expansion():
-    # matrix_det switches from cofactor expansion to Bareiss above size 4;
-    # cross-check on polynomial matrices where both routes stay exact.
+    # one Bareiss path serves every size; cross-check it on polynomial
+    # matrices against the Laplace expansion
     rng = random.Random(401)
-
-    def cofactor(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = Polynomial.zero(m[0][0].n)
-        for k, entry in enumerate(m[0]):
-            minor = [row[:k] + row[k + 1 :] for row in m[1:]]
-            term = entry * cofactor(minor)
-            total = total + (term if k % 2 == 0 else -term)
-        return total
-
     for size in (5, 6):
         m = [
             [
@@ -85,7 +97,67 @@ def test_bareiss_agrees_with_cofactor_expansion():
             ]
             for _ in range(size)
         ]
-        assert matrix_det(m) == cofactor(m)
+        assert matrix_det(m) == laplace_det(m)
+
+
+def _row_entries(rng, n, size, den):
+    """A row of sparse polynomials whose coefficients have denominator den.
+
+    Exponents stay below 2 in 3 variables, which keeps the size-7 minors
+    (and the reference expansion) small enough for a unit test.
+    """
+    top = 2 if n < 3 else 1
+    row = []
+    for _ in range(size):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):  # no terms at all gives a zero entry
+            mono = tuple(rng.randint(0, top) for _ in range(n))
+            terms[mono] = F(rng.choice([-7, -5, -3, -1, 1, 3, 5, 7]), den)
+        row.append(Polynomial(n, terms))
+    return row
+
+
+def _assert_det_matches_laplace(m):
+    det = matrix_det(m)
+    assert det == laplace_det(m)
+    # the integer kernel converts back once: no int coefficient leaks out
+    assert all(isinstance(c, Fraction) for _, c in det.terms())
+    return det
+
+
+def test_matrix_det_matches_laplace_expansion_on_rational_matrices():
+    rng = random.Random(406)
+    dens = [2, 3, 4, 5, 6, 7, 8]  # a different non-integer denominator per row
+    for n in (1, 2, 3):
+        for size in range(1, 8):
+            rng.shuffle(dens)
+            m = [_row_entries(rng, n, size, dens[i]) for i in range(size)]
+            _assert_det_matches_laplace(m)
+            if size == 1:
+                continue
+            # a zero first pivot forces a row swap
+            swapped = [row[:] for row in m]
+            swapped[0][0] = Polynomial.zero(n)
+            if all(row[0].is_zero() for row in swapped[1:]):
+                swapped[1][0] = Polynomial.constant(n, F(1, 3))
+            _assert_det_matches_laplace(swapped)
+            # a zero row, and a last row that combines earlier ones, are singular
+            zero_row = [row[:] for row in m]
+            zero_row[size - 1] = [Polynomial.zero(n)] * size
+            assert _assert_det_matches_laplace(zero_row).is_zero()
+            a, b = rng.choice(m[0]), Polynomial.constant(n, F(-2, 9))
+            combined = [row[:] for row in m]
+            combined[size - 1] = [a * x + b * y for x, y in zip(m[0], m[size - 2])]
+            assert _assert_det_matches_laplace(combined).is_zero()
+
+
+def test_exact_quotient_rejects_an_inexact_division():
+    x2_plus_1, x = {(2,): 1, (0,): 1}, {(1,): 1}
+    with pytest.raises(ValueError):
+        _exact_quotient(x2_plus_1, x)  # leaves the remainder 1
+    with pytest.raises(ValueError):
+        _exact_quotient({(1,): 3}, {(1,): 2})  # 3/2 is not an integer
+    assert _exact_quotient({(2,): 1, (0,): -1}, {(1,): 1, (0,): -1}) == {(1,): 1, (0,): 1}
 
 
 def test_det_of_singular_matrix_is_zero():

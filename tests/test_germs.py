@@ -283,6 +283,22 @@ def test_analyze_regularity_order_above_truncation_is_undetermined(f, change):
     assert status.applied_change == change
 
 
+def test_analyze_shear_exhaustion_is_undetermined():
+    # z1^2*z3 - z2*z3^2: every shear (s, s^2) keeps the z3-axis restriction
+    # identically zero, so no tried shear makes the germ regular in z3
+    f = Polynomial(3, {(2, 0, 1): 1, (0, 1, 2): -1})
+    status = analyze_germ(GermQuery(f, (0, 0, 0), 8))
+    assert status.kind == "Undetermined"
+    assert status.reason.startswith("regularize: no shear among 8 attempts")
+    assert status.applied_change is None
+    # scan inherits the verdict for its base point and still samples the curve
+    report = scan_stability(f, (0, 0, 0), T_LINE, (1, 2), 8)
+    assert report.base_status.kind == "Undetermined"
+    assert report.base_status.reason.startswith("regularize:")
+    assert all(s.status.kind == "SmoothIrreducible" for s in report.samples)
+    assert report.verdict == "Inconclusive"
+
+
 def test_coprime_binomials_are_never_reducible():
     # z2^a - z1^b with gcd(a, b) = 1 is irreducible, whatever the order
     for order in range(4, 13):

@@ -19,10 +19,11 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import Point, Polynomial
+from .algebra import Polynomial
 from .elimination import coprime_at, discriminant, resultant, zero_set_discrete
 from .errors import GermkitError, ParseError, VariableIndexError
 from .germs import GermQuery, GermStatus, ScanReport, analyze_germ, scan_stability
+from .germs import _format_point
 from .parsing import format_poly, parse_curve, parse_point, parse_poly, parse_rationals
 from .series import TruncatedSeries
 from .weierstrass import make_regular, weierstrass_prepare
@@ -100,10 +101,6 @@ def _scan_payload(report: ScanReport) -> dict:
 
 
 # -- text rendering -----------------------------------------------------------
-
-
-def _format_point(p: Point) -> str:
-    return "(" + ", ".join(str(c) for c in p) + ")"
 
 
 def _format_curve_coord(c: Polynomial) -> str:

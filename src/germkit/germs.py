@@ -14,14 +14,20 @@ re-verify it independently:
   MonomialUnitSquare    the discriminant is monomial * unit with even
                         exponents; carries the square root when it is
                         rationally representable
-  LowestFormNotASquare  the lowest homogeneous form of the discriminant is
-                        provably not a square of a form
+  LowestFormNotASquare  the lowest homogeneous form of the discriminant,
+                        of degree at most the order, is not a square of a
+                        form (decided in any number of variables)
   DistinguishedVarDivides  e_d = 0, the distinguished variable splits off
   MultiEdgePolygon / BinomialCoprimeEdge / BinomialNoncoprimeEdge /
   EdgePolynomialSplits  Newton polygon criteria for bivariate germs
 
 All certificates are statements over the complex numbers; rational
-arithmetic is only the computation substrate.
+arithmetic is only the computation substrate.  The two questions over C
+that these need, whether a form is a square and whether an edge
+polynomial has a single distinct root, are each one exact Polynomial
+identity over Q: a form F is a square exactly when F / lc(F) is the
+square of a rational polynomial, and E of degree g has one root exactly
+when E = lc * (x - c)^g with c = -E_(g-1) / (g * lc).
 """
 
 from __future__ import annotations
@@ -97,8 +103,8 @@ class LowestFormNotASquare:
     """The lowest homogeneous form of D is not the square of a form.
 
     Squares have square lowest forms (lowest forms multiply without
-    cancellation), so D cannot be a square.  Covers odd total degree and
-    binary forms with an odd corner exponent or a simple root.
+    cancellation), so D cannot be a square.  A checker re-verifies that
+    form / lc(form) is not the square of a rational polynomial.
     """
 
     kind: ClassVar[str] = "LowestFormNotASquare"
@@ -145,11 +151,14 @@ class EdgePolynomialSplits:
     """The single edge's polynomial has several distinct complex roots.
 
     Distinct edge roots belong to distinct factors, so the germ is
-    reducible; factor_count is the number of distinct roots.
+    reducible.  `edge_polynomial` E, of degree g = the edge's lattice
+    length, is univariate in the edge parameter (printed as z1).  A checker
+    re-verifies E != lc * (z1 - c)^g for c = -E_(g-1) / (g * lc), the only
+    candidate for a single root.
     """
 
     kind: ClassVar[str] = "EdgePolynomialSplits"
-    factor_count: int
+    edge_polynomial: Polynomial
 
 
 # -- status and query ---------------------------------------------------------
@@ -233,9 +242,9 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
     Decision cascade: (1) zero is a square; (2) a monomial-unit split
     x^alpha * U with every alpha component even is a square, with explicit
     root when U(0) is a rational square; (3) an odd variable order rules a
-    square out; (4) a lowest homogeneous form of odd degree, or one that is
-    provably not the square of a form (decided for forms in at most two
-    essential variables), rules a square out; (5) otherwise undetermined.
+    square out; (4) a lowest homogeneous form of degree at most N (D is
+    exact only through degree N) that is not the square of a form rules a
+    square out; (5) otherwise undetermined.
     """
     if D.is_zero():
         root = TruncatedSeries(Polynomial.zero(D.n), N)
@@ -256,9 +265,38 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
         if k % 2 == 1:
             return OddVariableOrder(variable=i, order=k)
     form, degree = D.lowest_homogeneous_form()
-    if degree % 2 == 1 or _form_is_square_over_C(form) is False:
+    if degree <= N and not _is_square_form(form):
         return LowestFormNotASquare(form=form, degree=degree)
     return None
+
+
+def _is_square_form(form: Polynomial) -> bool:
+    """Whether a nonzero form is the square of a form over C.
+
+    Over C, F is a square exactly when F / lc(F) is the square of a
+    polynomial over Q: the Q-irreducible factors of F stay squarefree and
+    pairwise coprime over C.  The root is found term by term from the
+    graded-lex leading term, as in exact division; an odd leading exponent,
+    or a remainder term that the first root term does not divide, rules a
+    square out.  Every remainder term is below the leading term of F, so
+    each new root term is below the first and the remainder's leading term
+    falls strictly: the loop ends.
+    """
+    lead, lc = form.leading_term()
+    if any(e % 2 for e in lead):
+        return False
+    top = tuple(e // 2 for e in lead)
+    root = Polynomial.monomial(form.n, top)
+    rem = form * (1 / lc) - root * root
+    while not rem.is_zero():
+        mono, c = rem.leading_term()
+        step = tuple(a - b for a, b in zip(mono, top))
+        if min(step) < 0:
+            return False
+        term = Polynomial.monomial(form.n, step, c / 2)
+        rem = rem - term * (root + root + term)
+        root = root + term
+    return True
 
 
 def quadratic_germ_test(wd: WeierstrassData) -> GermStatus:
@@ -309,7 +347,6 @@ class PolygonEdge:
 
     start: tuple
     end: tuple
-    slope: Fraction
     lattice_gcd: int
     edge_polynomial: Polynomial
 
@@ -368,12 +405,15 @@ def newton_polygon(wd: WeierstrassData) -> NewtonPolygon:
             PolygonEdge(
                 start=(i0, j0),
                 end=(i1, j1),
-                slope=Fraction(-dj, di),
                 lattice_gcd=g,
                 edge_polynomial=Polynomial(1, terms),
             )
         )
     return NewtonPolygon(support_points=support, edges=tuple(edges), degree=wd.degree)
+
+
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def polygon_verdict(polygon: NewtonPolygon) -> GermStatus:
@@ -382,22 +422,24 @@ def polygon_verdict(polygon: NewtonPolygon) -> GermStatus:
     Several edges mean several branches.  A single binomial edge from
     (0,d) to (m,0) is one quasi-homogeneous branch when gcd(d,m)=1 and g
     conjugate branches when g = gcd(d,m) > 1.  A single non-binomial edge
-    whose edge polynomial has at least two distinct complex roots splits.
-    A repeated single edge root is beyond this oracle: Undetermined.
+    splits unless its edge polynomial E, of degree g, is a pure power
+    lc * (x - c)^g; then c = -E_(g-1) / (g * lc) is rational, and that one
+    repeated edge root is beyond this oracle: Undetermined.
     """
     edges = polygon.edges
     if len(edges) >= 2:
         return GermStatus.reducible(MultiEdgePolygon(edge_count=len(edges)))
     edge = edges[0]
     d, m = edge.start[1], edge.end[0]
-    g = math.gcd(d, m)
-    if edge.edge_polynomial.term_count() == 2:
+    E, g = edge.edge_polynomial, edge.lattice_gcd  # g = gcd(d, m)
+    if E.term_count() == 2:
         if g == 1:
             return GermStatus.irreducible(BinomialCoprimeEdge(d=d, m=m))
         return GermStatus.reducible(BinomialNoncoprimeEdge(gcd=g))
-    count = _distinct_complex_roots(edge.edge_polynomial)
-    if count >= 2:
-        return GermStatus.reducible(EdgePolynomialSplits(factor_count=count))
+    lc = E.coefficient((g,))
+    c = -E.coefficient((g - 1,)) / (g * lc)
+    if E != lc * (Polynomial.variable(1, 1) - c) ** g:
+        return GermStatus.reducible(EdgePolynomialSplits(edge_polynomial=E))
     return GermStatus.undetermined(
         "single Newton polygon edge with one repeated edge root; deeper expansion needed"
     )
@@ -538,8 +580,8 @@ def scan_stability(
     start = tuple(c.evaluate((Fraction(0),)) for c in coords)
     if start != p:
         raise ValueError(
-            f"curve(0) = {_point_text(start)} does not pass through the base point "
-            f"{_point_text(p)}"
+            f"curve(0) = {_format_point(start)} does not pass through the base point "
+            f"{_format_point(p)}"
         )
 
     base_status = analyze_germ(GermQuery(f, p, N, preferred_var))
@@ -583,7 +625,7 @@ def scan_stability(
     )
 
 
-def _point_text(p: tuple) -> str:
+def _format_point(p: tuple) -> str:
     return "(" + ", ".join(str(c) for c in p) + ")"
 
 
@@ -597,124 +639,3 @@ def _as_curve_coordinate(c) -> Polynomial | None:
         if c.n == 0:
             return c.insert_variable(1)
     return None
-
-
-# -- univariate and binary-form helpers ---------------------------------------
-
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _coeff_list(p: Polynomial) -> list:
-    """Ascending coefficient list of a univariate polynomial."""
-    if p.n != 1:
-        raise DimensionMismatchError("expected a univariate polynomial")
-    if p.is_zero():
-        return []
-    top = p.degree_in(1)
-    out = [Fraction(0)] * (top + 1)
-    for mono, c in p.terms():
-        out[mono[0]] = c
-    return out
-
-
-def _ustrip(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _udivmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    if len(a) < len(b):
-        return [], a
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        factor = a[k + len(b) - 1] * inv
-        if factor:
-            q[k] = factor
-            for i, bc in enumerate(b):
-                a[k + i] -= factor * bc
-    return q, _ustrip(a)
-
-def _ugcd(a: list, b: list) -> list:
-    a, b = _ustrip(list(a)), _ustrip(list(b))
-    while b:
-        _, r = _udivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def _uderiv(a: list) -> list:
-    return _ustrip([c * k for k, c in enumerate(a)][1:])
-
-
-def _usquarefree_part(a: list) -> list:
-    g = _ugcd(a, _uderiv(a))
-    q, r = _udivmod(a, g)
-    assert not r
-    return q
-
-
-def _u_is_square_over_C(a: list) -> bool:
-    """Whether a nonzero univariate polynomial is a square over C.
-
-    True exactly when every complex root has even multiplicity (the
-    leading coefficient always has a complex square root).  Recursion: the
-    squarefree part s must divide a twice, and a / s^2 must be a square.
-    """
-    a = _ustrip(list(a))
-    if len(a) <= 1:
-        return bool(a)  # nonzero constants are squares; zero never reaches here
-    s = _usquarefree_part(a)
-    s2 = _umul(s, s)
-    q, r = _udivmod(a, s2)
-    if r:
-        return False
-    return _u_is_square_over_C(q)
-
-
-def _umul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for k, cb in enumerate(b):
-                out[i + k] += ca * cb
-    return _ustrip(out)
-
-
-def _distinct_complex_roots(p: Polynomial) -> int:
-    """Number of distinct complex roots = degree of the squarefree part."""
-    a = _coeff_list(p)
-    return max(len(_usquarefree_part(a)) - 1, 0)
-
-
-def _form_is_square_over_C(form: Polynomial) -> bool | None:
-    """Square-of-a-form test for homogeneous forms, decided for <= 2 essential variables.
-
-    Returns True/False when decided, None for forms genuinely involving
-    three or more variables (outside this oracle's fragment).
-    """
-    essential = [i for i in range(1, form.n + 1) if form.degree_in(i) > 0]
-    if not essential:
-        return True  # nonzero constant
-    if len(essential) == 1:
-        return form.degree_in(essential[0]) % 2 == 0
-    if len(essential) > 2:
-        return None
-    xi, yi = essential
-    a0 = form.variable_order(xi)
-    b0 = form.variable_order(yi)
-    if a0 % 2 or b0 % 2:
-        return False
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in form.terms():
-        coeffs[mono[xi - 1] - a0] = c
-    top = max(coeffs)
-    dehom = [coeffs.get(k, Fraction(0)) for k in range(top + 1)]
-    return _u_is_square_over_C(dehom)

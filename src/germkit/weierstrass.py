@@ -43,17 +43,15 @@ class RegularityReport:
     """Outcome of a regularity probe in one distinguished variable.
 
     `order` is the vanishing order of the restriction to the distinguished
-    axis (+inf when the restriction is identically zero).  `leading_coeff`
-    is the coefficient of t^order in that restriction, None when not
-    regular.  `applied_change` records the shear that produced the probed
-    polynomial: entry i-1 is the coefficient c_i in z_i <- z_i + c_i * z_j
-    (None when no change was applied).
+    axis (+inf when the restriction is identically zero).  `applied_change`
+    records the shear that produced the probed polynomial: entry i-1 is the
+    coefficient c_i in z_i <- z_i + c_i * z_j (None when no change was
+    applied).
     """
 
     var: int
     regular: bool
     order: int | float
-    leading_coeff: Fraction | None = None
     applied_change: tuple | None = None
 
 
@@ -105,8 +103,7 @@ def regular_order(f: Polynomial, j: int) -> RegularityReport:
     axis = _axis_slice(f, j)
     if not axis:
         return RegularityReport(var=j, regular=False, order=inf)
-    d = min(axis)
-    return RegularityReport(var=j, regular=True, order=d, leading_coeff=axis[d])
+    return RegularityReport(var=j, regular=True, order=min(axis))
 
 
 def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:

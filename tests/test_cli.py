@@ -102,12 +102,25 @@ def test_coprime_subcommand_reports_discreteness():
     ("(z2 - z1)*(z2^2 - z1^3)", "0,0", "MultiEdgePolygon(edge_count = 2)"),
     ("z2^3 - z1^2", "0,0", "BinomialCoprimeEdge(d = 3, m = 2)"),
     ("z2^3 - z1^3", "0,0", "BinomialNoncoprimeEdge(gcd = 3)"),
-    ("z2^3 + z1*z2^2 - 2*z1^3", "0,0", "EdgePolynomialSplits(factor_count = 3)"),
+    ("z2^3 + z1*z2^2 - 2*z1^3", "0,0",
+     "EdgePolynomialSplits(edge_polynomial = 1 + z1 - 2*z1^3)"),
+    ("z4^2 - z1^2 - z2^2 - z3^2", "0,0,0,0",
+     "LowestFormNotASquare(form = 4*z1^2 + 4*z2^2 + 4*z3^2, degree = 2)"),
 ])
 def test_certificate_line_lists_the_fields_in_order(poly, point, line):
     code, out, err = run("analyze", "--poly", poly, "--point", point)
     assert code == 0 and err == ""
     assert f"certificate: {line}\n" in out
+
+
+def test_lowest_form_above_the_order_is_undetermined():
+    # (z3 + z1^4 + z2^5)^2 is a square, so its discriminant is 0; the one
+    # computed from order-8 data has a degree-9 lowest form, beyond the
+    # degrees that data determines
+    code, out, err = run("analyze", "--poly", "(z3 + z1^4 + z2^5)^2", "--point", "0,0,0,0")
+    assert code == 0 and err == ""
+    assert "status: Undetermined\n" in out
+    assert "certificate:" not in out
 
 
 # -- golden demo -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from germkit.germs import (
 )
 from germkit.series import TruncatedSeries
 from germkit.weierstrass import weierstrass_prepare
-from helpers import random_fraction, random_poly
+from helpers import random_fraction, random_monomial, random_poly
 
 F = Fraction
 
@@ -75,9 +75,72 @@ def test_square_test_odd_lowest_degree():
     assert cert is not None and not isinstance(cert, MonomialUnitSquare)
 
 
-def test_square_test_undetermined_beyond_two_essential_variables():
+def test_square_test_decides_forms_in_three_variables():
     d = Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    cert = is_local_square(d, 8)
+    assert cert.kind == "LowestFormNotASquare"
+    assert cert.form == d and cert.degree == 2
+    # -3*(z1 + z2 - z3)^2 + z1^5: a square lowest form does not decide
+    r = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1})
+    assert is_local_square(r * r * -3 + Polynomial(3, {(5, 0, 0): 1}), 8) is None
+
+
+def test_square_test_ignores_a_lowest_form_above_the_order():
+    # z1^4*z2^4*(z1^2 + z2^2): even variable orders, no monomial-unit split,
+    # and a non-square lowest form of degree 10; D is exact only through N
+    d = Polynomial(2, {(6, 4): 1, (4, 6): 1})
     assert is_local_square(d, 8) is None
+    cert = is_local_square(d, 10)
+    assert cert.kind == "LowestFormNotASquare" and cert.degree == 10
+
+
+def _random_form(rng, n, degree):
+    """A nonzero homogeneous form of the given degree in n variables."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mono = random_monomial(rng, n, degree)
+            if sum(mono) == degree:
+                terms[mono] = random_fraction(rng, -3, 3, 3)
+        form = Polynomial(n, terms)
+        if not form.is_zero():
+            return form
+
+
+def _nonzero_fraction(rng):
+    return random_fraction(rng, 1, 9, 9) * rng.choice((1, -1))
+
+
+def test_square_test_on_forms_of_known_factorization():
+    # truth by construction: c * prod l_i^(m_i) with pairwise non-proportional
+    # linear forms l_i is a square over C exactly when every m_i is even, and
+    # c * r^2 always is
+    rng = random.Random(707)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        if rng.random() < 0.3:
+            r = _random_form(rng, n, rng.randint(1, 3))
+            d, square = r * r * _nonzero_fraction(rng), True
+        else:
+            count, lines = rng.randint(1, 3), []
+            while len(lines) < count:  # lines z1 + ... are proportional only if equal
+                line = Polynomial.variable(n, 1)
+                for k in range(2, n + 1):
+                    line = line + Polynomial.variable(n, k) * _nonzero_fraction(rng)
+                if line not in lines:
+                    lines.append(line)
+            multiplicities = [rng.randint(1, 3) for _ in lines]
+            d = Polynomial.constant(n, _nonzero_fraction(rng))
+            for line, m in zip(lines, multiplicities):
+                d = d * (line * _nonzero_fraction(rng)) ** m
+            square = all(m % 2 == 0 for m in multiplicities)
+        # a square lowest form leaves D undecided (None) unless D is a monomial
+        cert = is_local_square(d, d.total_degree())
+        ruled_out = cert is not None and not isinstance(cert, MonomialUnitSquare)
+        assert ruled_out == (not square), d
+        seen[square] += 1
+    assert min(seen.values()) >= 30
 
 
 # -- quadratic_germ_test ------------------------------------------------------------
@@ -195,7 +258,41 @@ def test_polygon_verdicts():
     sp_status = polygon_verdict(newton_polygon(weierstrass_prepare(splits, 2, 8)))
     assert sp_status.kind == "SingularReducible"
     assert sp_status.certificate.kind == "EdgePolynomialSplits"
-    assert sp_status.certificate.factor_count == 2
+    # edge polynomial 1 - 3*z1 + 2*z1^2 = (1 - z1)(1 - 2*z1)
+    assert sp_status.certificate.edge_polynomial == Polynomial(1, {(0,): 1, (1,): -3, (2,): 2})
+
+    power = Polynomial(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})  # (z2 - z1)^2
+    pw_status = polygon_verdict(newton_polygon(weierstrass_prepare(power, 2, 8)))
+    assert pw_status.kind == "Undetermined"
+
+
+def test_polygon_verdict_on_edge_polynomials_of_known_roots():
+    # E = lc * prod (x - c_i)^(m_i) with distinct nonzero c_i is, divided by
+    # E(0) (the Weierstrass polynomial is monic), the edge polynomial of the
+    # germ sum_k E_k z1^k z2^(g-k); one distinct root leaves the germ
+    # Undetermined, several split it
+    rng = random.Random(808)
+    x = Polynomial.variable(1, 1)
+    seen = {1: 0, 2: 0}
+    for _ in range(120):
+        count, roots = rng.randint(1, 3), set()
+        while len(roots) < count:
+            roots.add(random_fraction(rng, -4, 4, 3) or Fraction(1))
+        edge = Polynomial.constant(1, _nonzero_fraction(rng))
+        for root in roots:
+            edge = edge * (x - root) ** rng.randint(1, 3)
+        g = edge.degree_in(1)
+        if edge.term_count() == 2 or g > 8:
+            continue  # binomial edges have their own certificates; g <= N = 8
+        f = Polynomial(2, {(m[0], g - m[0]): c for m, c in edge.terms()})
+        status = polygon_verdict(newton_polygon(weierstrass_prepare(f, 2, 8)))
+        if len(roots) == 1:
+            assert status.kind == "Undetermined", edge
+        else:
+            assert status.kind == "SingularReducible", edge
+            assert status.certificate.edge_polynomial * edge.constant_term() == edge
+        seen[min(len(roots), 2)] += 1
+    assert min(seen.values()) >= 20
 
 
 # -- analyze_germ ---------------------------------------------------------------------

@@ -413,6 +413,21 @@ def _raw(n: int, table: dict) -> Polynomial:
     return p
 
 
+def _clear_denominators(tables) -> tuple[int, list[dict]]:
+    """Scale rational term tables to integer ones by one common factor.
+
+    Returns (scale, integer tables): scale is the lcm of every denominator
+    in the tables (1 when they are empty) and each integer table is scale
+    times its rational one, so exact arithmetic can run on ints and divide
+    the scale out once at the end.
+    """
+    scale = math.lcm(*(c.denominator for t in tables for c in t.values()))
+    return scale, [
+        {mono: c.numerator * (scale // c.denominator) for mono, c in t.items()}
+        for t in tables
+    ]
+
+
 def _check_var(var: int, n: int) -> None:
     if not 1 <= var <= n:
         raise VariableIndexError(f"variable index {var} outside 1..{n}")

@@ -15,12 +15,11 @@ row scales is divided out once at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .algebra import Polynomial, _raw, as_point
+from .algebra import Polynomial, _clear_denominators, _raw, as_point
 from .errors import (
     DegreeTooSmallError,
     DegreeZeroError,
@@ -78,9 +77,10 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, j: int) -> list:
 def matrix_det(rows: list) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Each row is scaled by the lcm of its coefficients' denominators, so the
-    elimination runs over Z[x] on integer term tables; the determinant is
-    divided by the product of the row scales once, at the end.
+    Each row is scaled to integer term tables by
+    `algebra._clear_denominators` (the lcm of the row's denominators), so
+    the elimination runs over Z[x]; the determinant is divided by the
+    product of the row scales once, at the end.
     """
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
@@ -89,13 +89,9 @@ def matrix_det(rows: list) -> Polynomial:
     scale = 1
     m = []
     for row in rows:
-        tables = [entry._terms for entry in row]
-        lcm = math.lcm(*(c.denominator for t in tables for c in t.values()))
-        scale *= lcm
-        m.append([
-            {mono: c.numerator * (lcm // c.denominator) for mono, c in t.items()}
-            for t in tables
-        ])
+        row_scale, tables = _clear_denominators([entry._terms for entry in row])
+        scale *= row_scale
+        m.append(tables)
     sign = 1
     prev = None
     for k in range(size - 1):

@@ -451,9 +451,9 @@ def polygon_verdict(polygon: NewtonPolygon) -> GermStatus:
 def analyze_germ(query: GermQuery) -> GermStatus:
     """Classify the germ of query.f at query.point.
 
-    Cascade: nonvanishing value -> Unit; nonzero gradient ->
-    SmoothIrreducible; otherwise shift to the point, regularize, prepare,
-    and decide by degree: e_d = 0 -> the distinguished variable splits
+    Cascade: nonvanishing value -> Unit; then one shift to the point, whose
+    linear part is the gradient: nonzero gradient -> SmoothIrreducible;
+    otherwise regularize the shifted germ, prepare, and decide by degree: e_d = 0 -> the distinguished variable splits
     off, 2 -> discriminant square test, bivariate -> Newton polygon;
     anything else is outside the decidable fragment.  A germ that no tried
     shear makes regular, or whose regularity order is above the truncation
@@ -465,11 +465,13 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     value = f.evaluate(p)
     if value != 0:
         return GermStatus.unit(NonzeroValue(value=value))
-    gradient = f.gradient_at(p)
+    n = f.n
+    shifted = f.shift(p)
+    # the gradient at p is the linear part of f(p + x)
+    gradient = tuple(shifted.coefficient([int(i == k) for i in range(n)]) for k in range(n))
     if any(c != 0 for c in gradient):
         return GermStatus.smooth(SmoothPoint(gradient=gradient))
-    j = query.preferred_var if query.preferred_var is not None else f.n
-    shifted = f.shift(p)
+    j = query.preferred_var if query.preferred_var is not None else n
     try:
         sheared, report = make_regular(shifted, j)
     except ShearExhaustedError as exc:
@@ -589,9 +591,8 @@ def scan_stability(
     for t in t_values:
         q = tuple(c.evaluate((t,)) for c in coords)
         status = analyze_germ(GermQuery(f, q, N, preferred_var))
-        samples.append(
-            ScanSample(t=t, point=q, on_locus=(f.evaluate(q) == 0), status=status)
-        )
+        # analyze_germ answers Unit exactly when f(q) != 0
+        samples.append(ScanSample(t=t, point=q, on_locus=status.kind != UNIT, status=status))
     samples = tuple(samples)
 
     on_locus = [s for s in samples if s.on_locus]

@@ -6,9 +6,12 @@ exactly-computable stand-in for a convergent power series germ: two germs
 agree "to order N" exactly when their TruncatedSeries representatives at
 order N are equal.
 
-Products never form a term above the order.  Unit inverse and unit square
-root are computed by Newton iteration with precision doubling: each step
-takes k correct degrees to min(2k+1, N) and computes only to that degree.
+Products never form a term above the order, and run on integer term
+tables: each operand's denominators are cleared once and the product of
+the two scales is divided out once per output term.  Unit inverse and
+unit square root are computed by Newton iteration with precision
+doubling: each step takes k correct degrees to min(2k+1, N) and computes
+only to that degree.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Union
 
-from .algebra import Polynomial, _raw, rational_sqrt
+from .algebra import Polynomial, _clear_denominators, _raw, rational_sqrt
 from .errors import DimensionMismatchError, NotAUnitError
 
 Scalar = Union[int, Fraction]
@@ -124,17 +127,24 @@ def _series(body: Polynomial, order: int) -> TruncatedSeries:
 
 
 def _truncated_product(a: Polynomial, b: Polynomial, order: int) -> Polynomial:
-    """a * b without forming a term of total degree above the order."""
-    graded = sorted((sum(m), m, c) for m, c in b._terms.items())
+    """a * b without forming a term of total degree above the order.
+
+    Each operand is scaled to an integer term table once; the integer
+    product is divided by the two scales once per output term.
+    """
+    scale_a, (ta,) = _clear_denominators((a._terms,))
+    scale_b, (tb,) = _clear_denominators((b._terms,))
+    graded = sorted((sum(m), m, c) for m, c in tb.items())
     out: dict = {}
-    for ma, ca in a._terms.items():
+    for ma, ca in ta.items():
         room = order - sum(ma)
         for db, mb, cb in graded:
             if db > room:
                 break
             mono = tuple(map(add, ma, mb))
-            out[mono] = out[mono] + ca * cb if mono in out else ca * cb
-    return _raw(a.n, {m: c for m, c in out.items() if c})
+            out[mono] = out.get(mono, 0) + ca * cb
+    scale = scale_a * scale_b
+    return _raw(a.n, {m: Fraction(c, scale) for m, c in out.items() if c})
 
 
 def _doubling(order: int):

@@ -9,11 +9,18 @@ coefficients e_i are series in the remaining variables vanishing at 0.
 The preparation here is computed slice by slice: group terms by their
 exponent pattern beta in the non-distinguished variables and solve
 
-    f_beta = u_beta * t^d + u_0 * w_beta + sum over splits of beta
+    f_beta = u_beta * t^d + u_0 * w_beta + sum of u_delta * w_gamma
+             over delta + gamma = beta with delta, gamma != 0
 
-in increasing total degree |beta|.  Every slice is an exact univariate
-polynomial in t, so the solve needs no intermediate truncation; only the
-assembled outputs are cut at the requested order N.
+for u_beta and w_beta (w_beta of degree below d in t).  The sum is pushed,
+not gathered: once a slice is solved, its product with every solved slice
+of the other kind is subtracted into the pending slice at the sum of the
+two patterns, so each product is formed exactly once, when the later of
+its two factors is solved.  Pending slices are solved level by level in
+total degree |beta| <= N, and a slice that holds no terms is skipped.
+Every slice is an exact univariate polynomial in t, so the solve needs no
+intermediate truncation; only the assembled outputs are cut at the
+requested order N.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf
+from operator import add
 
 from .algebra import Monomial, Polynomial, as_rational
 from .errors import (
@@ -182,25 +190,36 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
         f_slices.setdefault(beta, {})[mono[j - 1]] = coeff
 
     zero_beta = (0,) * (n - 1)
-    axis = f_slices.get(zero_beta, {})
+    axis = f_slices.pop(zero_beta, {})
     u0 = {k - d: c for k, c in axis.items()}  # exact: t^d divides the axis slice
     u0_inv = _uni_inverse(u0, d)
 
-    u_slices: dict[Monomial, dict[int, Fraction]] = {zero_beta: u0}
+    # pending[L][beta] accumulates f_beta minus every product u_delta * w_gamma
+    # with delta + gamma = beta pushed so far; slices above level N are dropped
+    pending: list[dict[Monomial, dict[int, Fraction]]] = [{} for _ in range(N + 1)]
+    for beta, q in f_slices.items():
+        if sum(beta) <= N:
+            pending[sum(beta)][beta] = q
+    u_slices: dict[Monomial, dict[int, Fraction]] = {}
     w_slices: dict[Monomial, dict[int, Fraction]] = {}
     for level in range(1, N + 1):
-        for beta in _compositions(level, n - 1):
-            q = dict(f_slices.get(beta, {}))
-            for gamma, w_gamma in w_slices.items():
-                if gamma != beta and all(g <= b for g, b in zip(gamma, beta)):
-                    delta = tuple(b - g for b, g in zip(beta, gamma))
-                    _sub_product(q, u_slices.get(delta, {}), w_gamma)
+        for beta, q in pending[level].items():
+            if not q:
+                continue
             w_beta = _uni_mul_mod(q, u0_inv, d)
             _sub_product(q, u0, w_beta)
             # q is now divisible by t^d: the low part cancelled exactly
-            u_slices[beta] = {k - d: c for k, c in q.items() if k >= d}
+            u_beta = {k - d: c for k, c in q.items() if k >= d}
+            # push each product once, when the later of its two factors is solved
             if w_beta:
                 w_slices[beta] = w_beta
+                for delta, u_delta in u_slices.items():
+                    _push(pending, beta, delta, u_delta, w_beta, N)
+            if u_beta:
+                u_slices[beta] = u_beta
+                for gamma, w_gamma in w_slices.items():
+                    _push(pending, beta, gamma, u_beta, w_gamma, N)
+    u_slices[zero_beta] = u0
 
     coeff_terms: list[dict[Monomial, Fraction]] = [{} for _ in range(d)]
     for beta, w_beta in w_slices.items():
@@ -283,15 +302,9 @@ def _sub_product(q: dict[int, Fraction], a: dict[int, Fraction], b: dict[int, Fr
                 q[key] = acc
 
 
-def _compositions(total: int, parts: int):
-    """All exponent tuples of the given length summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _push(pending: list, beta: Monomial, other: Monomial, u: dict, w: dict, N: int) -> None:
+    """Subtract u * w from the pending slice at beta + other, if within the order."""
+    level = sum(beta) + sum(other)
+    if level <= N:
+        target = tuple(map(add, beta, other))
+        _sub_product(pending[level].setdefault(target, {}), u, w)

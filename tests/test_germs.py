@@ -20,7 +20,7 @@ from germkit.germs import (
 )
 from germkit.series import TruncatedSeries
 from germkit.weierstrass import weierstrass_prepare
-from helpers import random_fraction, random_monomial, random_poly
+from helpers import random_fraction, random_monomial, random_point, random_poly
 
 F = Fraction
 
@@ -310,6 +310,27 @@ def test_analyze_smooth_point():
     assert status.certificate.gradient == (-1, -2, 2)
 
 
+def test_smooth_point_gradient_equals_gradient_at():
+    rng = random.Random(503)
+    smooth = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        p = random_point(rng, n)
+        f = random_poly(rng, n, 4, 6, nonzero=True)
+        f = f - f.evaluate(p)  # vanish at p, so the smooth-point test runs
+        if f.is_zero():
+            continue
+        status = analyze_germ(GermQuery(f, p, 8))
+        gradient = f.gradient_at(p)
+        if any(c != 0 for c in gradient):
+            assert status.kind == "SmoothIrreducible"
+            assert status.certificate.gradient == gradient
+            smooth += 1
+        else:
+            assert status.kind != "SmoothIrreducible"
+    assert smooth >= 40
+
+
 def test_analyze_counterexample_origin():
     status = analyze_germ(GermQuery(COUNTEREXAMPLE, (0, 0, 0), 8))
     assert status.kind == "SingularIrreducible"
@@ -525,6 +546,28 @@ def test_scan_requires_curve_through_base_point():
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), curve({(0,): 1}, {}, {}), (1,), 8)
     with pytest.raises(ValueError):
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (), 8)
+
+
+def test_scan_on_locus_is_exact_vanishing():
+    # f = (z1 - p1 - 1) * g along a curve with z1 = p1 + t: every sample at
+    # t = 1 lies on the locus, most others do not
+    rng = random.Random(504)
+    flags = set()
+    for _ in range(20):
+        n = rng.randint(2, 3)
+        p = random_point(rng, n, -2, 2, 2)
+        g = random_poly(rng, n, 3, 4, nonzero=True)
+        line = Polynomial(n, {(1,) + (0,) * (n - 1): 1, (0,) * n: -p[0] - 1})
+        f = line * g
+        coords = [Polynomial(1, {(0,): p[0], (1,): 1})]
+        for c in p[1:]:
+            coords.append(Polynomial(1, {(0,): c, (rng.randint(1, 3),): random_fraction(rng)}))
+        ts = (1, F(1, 2), -1, 2, F(-1, 3))
+        report = scan_stability(f, p, tuple(coords), ts, 8)
+        for s in report.samples:
+            assert s.on_locus == (f.evaluate(s.point) == 0)
+            flags.add(s.on_locus)
+    assert flags == {True, False}
 
 
 def test_scan_determinism_and_sample_order():

@@ -20,7 +20,7 @@ from germkit.weierstrass import (
     regular_order,
     weierstrass_prepare,
 )
-from helpers import random_poly
+from helpers import random_fraction, random_poly
 
 F = Fraction
 
@@ -156,6 +156,64 @@ def test_prepare_invariants_on_random_regular_polynomials():
         # u*w = f mod total degree 8
         assert wd.multiply_back() == TruncatedSeries(g, 8)
         checked += 1
+
+
+def _assert_unique_preparation(wd, g, N):
+    """The invariants that determine a preparation: unit(0) != 0, every
+    e_i(0) = 0, and u * w = g through total degree N."""
+    assert wd.unit.constant_term() != 0
+    origin = (F(0),) * (g.n - 1)
+    for e in wd.coefficients:
+        assert e.body.evaluate(origin) == 0
+    assert wd.multiply_back() == TruncatedSeries(g, N)
+
+
+def test_prepare_invariants_in_any_variable_up_to_order_12():
+    rng = random.Random(302)
+    checked = 0
+    while checked < 24:
+        n = rng.randint(2, 4)
+        j = rng.randint(1, n - 1)  # not the last variable
+        N = rng.randint(2, 12)
+        f = random_poly(rng, n, 4, 6, nonzero=True)
+        f = f - f.constant_term()
+        if f.is_zero():
+            continue
+        try:
+            g, rep = make_regular(f, j)
+            wd = weierstrass_prepare(g, j, N)
+        except (ShearExhaustedError, OrderTooSmallError):
+            continue
+        assert wd.degree == rep.order and wd.distinguished_var == j
+        _assert_unique_preparation(wd, g, N)
+        checked += 1
+
+
+def test_prepare_invariants_on_sparse_binomial_germs():
+    # unit * z_j^d + c * z^alpha: a handful of slices hold terms at the start,
+    # so most slices up to order 12 are filled only by pushed products
+    rng = random.Random(303)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        j = rng.randint(1, n)
+        d = rng.randint(1, 4)
+        alpha = [rng.randint(0, 3) for _ in range(n)]
+        alpha[j - 1] = rng.randint(0, d - 1)
+        if sum(alpha) == alpha[j - 1]:
+            alpha[j % n] += 1  # keep z^alpha off the z_j axis
+        head = [0] * n
+        head[j - 1] = d
+        terms = {tuple(head): random_fraction(rng, 1, 9),
+                 tuple(alpha): random_fraction(rng, 1, 9)}
+        for k in rng.sample([i for i in range(n) if i != j - 1], min(2, n - 1)):
+            tail = list(head)
+            tail[k] += 1
+            terms[tuple(tail)] = random_fraction(rng)  # unit terms z_j^d * z_k
+        g = Polynomial(n, terms)
+        N = 12 if n < 4 else 10
+        wd = weierstrass_prepare(g, j, N)
+        assert wd.degree == d
+        _assert_unique_preparation(wd, g, N)
 
 
 def test_prepare_is_deterministic():

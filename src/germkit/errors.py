@@ -31,10 +31,6 @@ class OrderTooSmallError(GermkitError):
     """The requested truncation order is below the regularity order."""
 
 
-class ShearExhaustedError(GermkitError):
-    """No shear from the deterministic sequence made the input regular."""
-
-
 class DegreeZeroError(GermkitError):
     """A resultant operand has degree zero in the chosen variable."""
 
@@ -48,7 +44,7 @@ class NonConstantLeadingCoefficientError(GermkitError):
 
 
 class DistinguishedVarDividesError(GermkitError):
-    """The distinguished variable divides the Weierstrass polynomial."""
+    """The distinguished variable divides the germ."""
 
 
 class ParseError(GermkitError):

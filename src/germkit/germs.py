@@ -17,7 +17,8 @@ re-verify it independently:
   LowestFormNotASquare  the lowest homogeneous form of the discriminant,
                         of degree at most the order, is not a square of a
                         form (decided in any number of variables)
-  DistinguishedVarDivides  e_d = 0, the distinguished variable splits off
+  DistinguishedVarDivides  the distinguished variable divides the exact
+                        germ, `multiplicity` times
   MultiEdgePolygon / BinomialCoprimeEdge / BinomialNoncoprimeEdge /
   EdgePolynomialSplits  Newton polygon criteria for bivariate germs
 
@@ -38,11 +39,7 @@ from fractions import Fraction
 from typing import ClassVar, Optional
 
 from .algebra import Polynomial, as_point, as_rational
-from .errors import (
-    DimensionMismatchError,
-    DistinguishedVarDividesError,
-    ShearExhaustedError,
-)
+from .errors import DimensionMismatchError, DistinguishedVarDividesError, NotRegularError
 from .series import TruncatedSeries, ts_sqrt
 from .weierstrass import WeierstrassData, make_regular, weierstrass_prepare
 
@@ -114,7 +111,7 @@ class LowestFormNotASquare:
 
 @dataclass(frozen=True)
 class DistinguishedVarDivides:
-    """e_d = 0, so the distinguished variable divides the Weierstrass polynomial."""
+    """z_variable^multiplicity is the highest power of z_variable dividing the germ."""
 
     kind: ClassVar[str] = "DistinguishedVarDivides"
     variable: int
@@ -178,8 +175,9 @@ class GermStatus:
     `applied_change` is set, sheared) coordinates; they multiply back to
     the Weierstrass polynomial modulo the truncation order and neither is
     a unit.  Reducible verdicts from polygon certificates carry no factors
-    (producing them would need Puiseux lifting); the certificate alone is
-    the deliverable.
+    (producing them would need Puiseux lifting), and neither does
+    DistinguishedVarDivides when the regularity order is above the
+    truncation order; the certificate alone is the deliverable.
     """
 
     kind: str
@@ -239,16 +237,15 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
     `root` is None in the symbolic case), any other certificate means no,
     and None means undetermined.
 
-    Decision cascade: (1) zero is a square; (2) a monomial-unit split
-    x^alpha * U with every alpha component even is a square, with explicit
-    root when U(0) is a rational square; (3) an odd variable order rules a
-    square out; (4) a lowest homogeneous form of degree at most N (D is
-    exact only through degree N) that is not the square of a form rules a
-    square out; (5) otherwise undetermined.
+    D is exact only through degree N.  Decision cascade: (1) zero decides
+    nothing; (2) a monomial-unit split x^alpha * U with every alpha
+    component even is a square, with explicit root when U(0) is a rational
+    square; (3) an odd variable order rules a square out; (4) a lowest
+    homogeneous form of degree at most N that is not the square of a form
+    rules a square out; (5) otherwise undetermined.
     """
     if D.is_zero():
-        root = TruncatedSeries(Polynomial.zero(D.n), N)
-        return MonomialUnitSquare(root=root)
+        return None
     split = D.monomial_unit_split()
     if split is not None:
         alpha, U = split
@@ -313,7 +310,7 @@ def quadratic_germ_test(wd: WeierstrassData) -> GermStatus:
             f"quadratic test needs a degree-2 Weierstrass polynomial, got degree {wd.degree}"
         )
     e1, e2 = wd.coefficients
-    D = e1.body * e1.body - 4 * e2.body
+    D = (e1 * e1).body - 4 * e2.body  # through degree N, where e1 and e2 are exact
     N, j, n = wd.truncation_order, wd.distinguished_var, wd.n
     cert = is_local_square(D, N)
     if cert is None:
@@ -353,33 +350,37 @@ class PolygonEdge:
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    """Lower convex hull of a bivariate Weierstrass polynomial's support."""
+    """Lower convex hull of a bivariate germ's support, from (0, degree) down."""
 
     support_points: frozenset
     edges: tuple
     degree: int
 
 
-def newton_polygon(wd: WeierstrassData) -> NewtonPolygon:
-    """Newton polygon of a bivariate Weierstrass germ.
+def newton_polygon(f: Polynomial, j: int) -> NewtonPolygon:
+    """Newton polygon of a bivariate germ at the origin, regular in z_j.
 
-    Requires e_d != 0 (otherwise the distinguished variable divides w and
-    the polygon never reaches the base axis); that shortcut is signalled
-    as DistinguishedVarDivides for the caller to handle.
+    The hull is read from the exact polynomial.  By preparation f = u * w
+    with u a unit, whose Newton polygon is the whole quadrant, so f and its
+    Weierstrass polynomial w have the same edges, and f's edge polynomials
+    are u(0) times w's.  Dividing them by the coefficient at (0, d), which
+    is u(0) since w is monic, gives w's.  Requires f(0) = 0, f regular of
+    order d in z_j, and f(z', 0) != 0 (otherwise z_j divides f and the
+    polygon never reaches the base axis: DistinguishedVarDividesError).
     """
-    if wd.n != 2:
+    if f.n != 2:
         raise DimensionMismatchError("Newton polygon is defined for bivariate germs")
-    if wd.coefficients and wd.coefficients[-1].body.is_zero():
-        raise DistinguishedVarDividesError(
-            f"e_{wd.degree} = 0: z{wd.distinguished_var} divides the Weierstrass polynomial"
-        )
-    j = wd.distinguished_var
     x = 1 if j == 2 else 2
-    w = wd.weierstrass_polynomial()
-    coeffs = {(m[x - 1], m[j - 1]): c for m, c in w.terms()}
+    coeffs = {(m[x - 1], m[j - 1]): c for m, c in f.terms()}
     support = frozenset(coeffs)
+    d = min((jj for (i, jj) in support if i == 0), default=0)
+    if d == 0:
+        raise NotRegularError(f"the germ is a unit or not regular in z{j}")
+    m0 = min((i for (i, jj) in support if jj == 0), default=None)
+    if m0 is None:
+        raise DistinguishedVarDividesError(f"z{j} divides the germ")
+    u0 = coeffs[(0, d)]
 
-    m0 = min(i for (i, jj) in support if jj == 0)
     best: dict[int, int] = {}
     for (i, jj) in support:
         if i <= m0 and (i not in best or jj < best[i]):
@@ -400,7 +401,7 @@ def newton_polygon(wd: WeierstrassData) -> NewtonPolygon:
         for k in range(g + 1):
             c = coeffs.get((i0 + k * step_i, j0 - k * step_j))
             if c:
-                terms[(k,)] = c
+                terms[(k,)] = c / u0
         edges.append(
             PolygonEdge(
                 start=(i0, j0),
@@ -409,7 +410,7 @@ def newton_polygon(wd: WeierstrassData) -> NewtonPolygon:
                 edge_polynomial=Polynomial(1, terms),
             )
         )
-    return NewtonPolygon(support_points=support, edges=tuple(edges), degree=wd.degree)
+    return NewtonPolygon(support_points=support, edges=tuple(edges), degree=d)
 
 
 def _cross(o, a, b) -> int:
@@ -453,13 +454,15 @@ def analyze_germ(query: GermQuery) -> GermStatus:
 
     Cascade: nonvanishing value -> Unit; then one shift to the point, whose
     linear part is the gradient: nonzero gradient -> SmoothIrreducible;
-    otherwise regularize the shifted germ, prepare, and decide by degree: e_d = 0 -> the distinguished variable splits
-    off, 2 -> discriminant square test, bivariate -> Newton polygon;
-    anything else is outside the decidable fragment.  A germ that no tried
-    shear makes regular, or whose regularity order is above the truncation
-    order, is left Undetermined.
-    Factors in the result are expressed in the shifted coordinates (plus
-    the recorded shear when one was needed).
+    otherwise regularize the shifted germ in z_j, to order d >= 2 (the germ
+    and its gradient vanish, and a linear shear keeps the order), and
+    dispatch once on the exact sheared germ: z_j divides it -> the
+    distinguished variable splits off; d = 2 -> prepare and test the
+    discriminant for a square; bivariate -> Newton polygon; anything else
+    is outside the decidable fragment.  Only the first two branches
+    prepare, and the first only for its factors, when d is at most the
+    order.  Factors in the result are expressed in the shifted coordinates
+    (plus the recorded shear when one was needed).
     """
     f, p, N = query.f, query.point, query.order
     value = f.evaluate(p)
@@ -472,54 +475,33 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     if any(c != 0 for c in gradient):
         return GermStatus.smooth(SmoothPoint(gradient=gradient))
     j = query.preferred_var if query.preferred_var is not None else n
-    try:
-        sheared, report = make_regular(shifted, j)
-    except ShearExhaustedError as exc:
-        return GermStatus.undetermined(f"regularize: {exc}")
-    if report.order > N:
-        status = GermStatus.undetermined(
-            f"prepare: regularity order {report.order} exceeds the truncation "
-            f"order {N}; a higher order is needed"
-        )
-    else:
-        status = _degree_verdict(weierstrass_prepare(sheared, j, N), sheared)
-    return replace(status, applied_change=report.applied_change)
-
-
-def _degree_verdict(wd: WeierstrassData, sheared: Polynomial) -> GermStatus:
-    """Verdict on a prepared germ, dispatched on its Weierstrass degree.
-
-    `sheared` is the exact germ that was prepared.  Since f(z', 0) =
-    u(z', 0) * e_d with u a unit, e_d = 0 holds exactly when f(z', 0) = 0;
-    a zero truncated e_d alone does not show it.  The degree is at least
-    2: the germ and its gradient vanish at the point, so its order is at
-    least 2, and a linear shear keeps the order.
-    """
-    d, j, n, N = wd.degree, wd.distinguished_var, wd.n, wd.truncation_order
-
-    if wd.coefficients[-1].body.is_zero():
-        if not sheared.substitute(j, Polynomial.zero(n)).is_zero():
-            return GermStatus.undetermined(
-                f"degree dispatch: e_{d} vanishes to order {N} but f(z', 0) is not "
+    sheared, report = make_regular(shifted, j)
+    d, k = report.order, sheared.variable_order(j)
+    if k > 0:
+        factors = None
+        if d <= N:
+            t = Polynomial.variable(n, j)
+            w = weierstrass_prepare(sheared, j, N).weierstrass_polynomial()
+            factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
+        cert = DistinguishedVarDivides(variable=j, multiplicity=k)
+        status = GermStatus.reducible(cert, factors=factors)
+    elif d == 2:
+        wd = weierstrass_prepare(sheared, j, N)
+        if wd.coefficients[-1].body.is_zero():
+            # f(z', 0) = u(z', 0) * e_2 is not zero, so e_2 only truncates to zero
+            status = GermStatus.undetermined(
+                f"degree dispatch: e_2 vanishes to order {N} but f(z', 0) is not "
                 "zero; a higher order is needed"
             )
-        nonzero = [i for i, e in enumerate(wd.coefficients, start=1) if not e.body.is_zero()]
-        multiplicity = d - max(nonzero) if nonzero else d
-        t = Polynomial.variable(n, j)
-        w = wd.weierstrass_polynomial()
-        factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
-        cert = DistinguishedVarDivides(variable=j, multiplicity=multiplicity)
-        return GermStatus.reducible(cert, factors=factors)
-
-    if d == 2:
-        return quadratic_germ_test(wd)
-
-    if n == 2:
-        return polygon_verdict(newton_polygon(wd))
-
-    return GermStatus.undetermined(
-        "Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment"
-    )
+        else:
+            status = quadratic_germ_test(wd)
+    elif n == 2:
+        status = polygon_verdict(newton_polygon(sheared, j))
+    else:
+        status = GermStatus.undetermined(
+            "Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment"
+        )
+    return replace(status, applied_change=report.applied_change)
 
 
 # -- stability scanner --------------------------------------------------------
@@ -541,8 +523,10 @@ class ScanReport:
 
     verdict is "Unstable" (the base germ is irreducible but some on-locus
     sample with t != 0 is reducible; `witness` holds it), "Stable-evidence"
-    (every on-locus sample got an irreducible classification; finite
-    evidence, not a proof), or "Inconclusive" (reason attached).
+    (the base germ and every on-locus sample got an irreducible
+    classification; finite evidence, not a proof), or "Inconclusive"
+    (reason attached; among others, whenever the base germ is not
+    irreducible, since stability of irreducibility is then not in question).
     """
 
     curve: tuple
@@ -603,13 +587,15 @@ def scan_stability(
         s.status.kind == UNDETERMINED for s in on_locus
     ):
         reason = "a germ classification came back undetermined"
+    elif not base_status.is_irreducible_verdict():
+        reason = f"the base germ is not irreducible ({base_status.kind})"
     else:
         breaking = [
             s
             for s in on_locus
             if s.t != 0 and s.status.kind == SINGULAR_REDUCIBLE
         ]
-        if base_status.is_irreducible_verdict() and breaking:
+        if breaking:
             verdict, witness = "Unstable", breaking[0]
         elif all(s.status.is_irreducible_verdict() for s in on_locus):
             verdict = "Stable-evidence"

@@ -31,20 +31,8 @@ from math import inf
 from operator import add
 
 from .algebra import Monomial, Polynomial, as_rational
-from .errors import (
-    NotRegularError,
-    OrderTooSmallError,
-    ShearExhaustedError,
-    ZeroPolynomialError,
-)
+from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from .series import TruncatedSeries
-
-# Shear scale factors tried by make_regular, in order.  Attempt k uses the
-# coefficient pattern (s, s^2, s^3, ...) with s = _SHEAR_SCALES[k]; distinct
-# powers are needed because patterns with equal entries leave polynomials
-# like (z1 - z2)^2 degenerate for every scale.
-_SHEAR_SCALES = (0, 1, -1, 2, -2, 3, -3, 4)
-
 
 @dataclass(frozen=True)
 class RegularityReport:
@@ -129,35 +117,37 @@ def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:
 
 
 def make_regular(f: Polynomial, j: int) -> tuple[Polynomial, RegularityReport]:
-    """Find a linear shear making f regular of finite order in z_j.
+    """Find a linear shear making f regular in z_j; it never fails.
 
-    Attempt k applies z_i <- z_i + c_i * z_j with c_i = s^r, where s is the
-    k-th entry of the scale sequence 0, 1, -1, 2, -2, 3, -3, 4 and r ranks
-    the non-distinguished variables in index order.  The first attempt is
-    the identity, so already-regular inputs come back unchanged, with
-    applied_change None.  Raises when every scale fails; since germ
-    structure is preserved by any invertible linear change, a recorded
-    shear never affects the classification questions asked downstream.
+    An f already regular in z_j comes back unchanged, with applied_change
+    None.  Otherwise let L be the lowest form of f, of degree m.  The shear
+    z_i <- z_i + c_i * z_j restricts f to the z_j axis as L(c) * t^m plus
+    higher terms, where c has c_j = 1, so any c with L(c) != 0 makes the
+    order exactly m.  The c_i are chosen one variable at a time, in index
+    order, as the least value in 0..m that keeps L, with z_j = 1 and the
+    chosen values put in, a nonzero polynomial.  One always exists: the
+    polynomial has degree at most m in z_i, so at most m values of z_i make
+    it vanish identically (the grid bound of the Combinatorial
+    Nullstellensatz, Alon 1999).  Since germ structure is preserved by any
+    invertible linear change, a recorded shear never affects the
+    classification questions asked downstream.
     """
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot regularize the zero polynomial")
+    report = regular_order(f, j)
+    if report.regular:
+        return f, report
     n = f.n
-    for s in _SHEAR_SCALES:
-        scale = as_rational(s)
-        coeffs = None
-        if scale != 0:
-            # z_i has rank i below the distinguished index and i - 1 above it
-            coeffs = tuple(
-                Fraction(0) if i == j else scale ** (i if i < j else i - 1)
-                for i in range(1, n + 1)
-            )
-        candidate = f if coeffs is None else apply_shear(f, j, coeffs)
-        report = regular_order(candidate, j)
-        if report.regular:
-            return candidate, replace(report, applied_change=coeffs)
-    raise ShearExhaustedError(
-        f"no shear among {len(_SHEAR_SCALES)} attempts made the polynomial regular in z{j}"
-    )
+    form, m = f.lowest_homogeneous_form()
+    rest = form.substitute(j, Polynomial.constant(n, 1))
+    coeffs = [Fraction(0)] * n
+    for i in range(1, n + 1):
+        if i != j:
+            for c in range(m + 1):
+                candidate = rest.substitute(i, Polynomial.constant(n, c))
+                if not candidate.is_zero():
+                    rest, coeffs[i - 1] = candidate, Fraction(c)
+                    break
+    sheared = apply_shear(f, j, coeffs)
+    return sheared, replace(regular_order(sheared, j), applied_change=tuple(coeffs))
 
 
 def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:

@@ -104,6 +104,9 @@ def test_coprime_subcommand_reports_discreteness():
     ("z2^3 - z1^3", "0,0", "BinomialNoncoprimeEdge(gcd = 3)"),
     ("z2^3 + z1*z2^2 - 2*z1^3", "0,0",
      "EdgePolynomialSplits(edge_polynomial = 1 + z1 - 2*z1^3)"),
+    # the edge polynomial is divided by the coefficient of z2^3
+    ("2*z2^3 + z1*z2^2 - z1^3", "0,0",
+     "EdgePolynomialSplits(edge_polynomial = 1 + 1/2*z1 - 1/2*z1^3)"),
     ("z4^2 - z1^2 - z2^2 - z3^2", "0,0,0,0",
      "LowestFormNotASquare(form = 4*z1^2 + 4*z2^2 + 4*z3^2, degree = 2)"),
 ])
@@ -271,49 +274,49 @@ def test_coprime_point_widens_the_inputs():
 
 
 def test_regularity_order_above_the_order_is_undetermined_not_an_error():
-    code, out, err = run("analyze", "--poly", "z2^9 + z1^9", "--point", "0,0")
+    # in three variables a Weierstrass degree above 2 is outside the fragment
+    code, out, err = run("analyze", "--poly", "z3^9 + z1^9 + z2^9", "--point", "0,0,0")
     assert code == 0 and err == ""
     assert "status: Undetermined" in out
-    assert "reason: prepare: regularity order 9 exceeds the truncation order 8" in out
+    assert "reason: Weierstrass degree >= 3 in dimension >= 3" in out
     code, out, err = run(
-        "scan", "--poly", "z2^9 - z1^9*(z1-1)", "--point", "0,0", "--curve", "t,0",
-        "--t", "1,2",
+        "scan", "--poly", "z3^9 + z2^9 - z1^9*(z1-1)", "--point", "0,0,0",
+        "--curve", "t,0,0", "--t", "1,2",
     )
     assert code == 0 and err == ""
     assert "base status: Undetermined" in out
-    assert "t = 1: point (1, 0), on locus, SmoothIrreducible" in out
+    assert "t = 1: point (1, 0, 0), on locus, SmoothIrreducible" in out
     assert "verdict: Inconclusive" in out
     # prepare was asked for the data itself, so it still refuses
-    code, out, err = run("prepare", "--poly", "z2^9 + z1^9", "--point", "0,0")
+    code, out, err = run("prepare", "--poly", "z3^9 + z1^9 + z2^9", "--point", "0,0,0")
     assert code == 1 and out == ""
     assert "truncation order 8 is below the regularity order 9" in err
 
 
-def test_shear_exhaustion_is_undetermined_for_analyze_and_scan_only():
+def test_shear_invariant_kernel_is_regularized_by_every_command():
+    # no shear (s, s^2) makes z1^2*z3 - z2*z3^2 regular in z3; z2 <- z2 + z3 does
     poly = "z1^2*z3 - z2*z3^2"
-    reason = "regularize: no shear among 8 attempts made the polynomial regular in z3"
     code, out, err = run("analyze", "--poly", poly, "--point", "0,0,0")
     assert code == 0 and err == ""
-    assert "status: Undetermined" in out
-    assert f"reason: {reason}" in out
+    assert "status: SingularReducible" in out
+    assert "shear: z2 <- z2 + 1*z3\n" in out
+    assert "certificate: DistinguishedVarDivides(variable = z3, multiplicity = 1)" in out
     code, out, err = run("analyze", "--poly", poly, "--point", "0,0,0", "--json")
     assert code == 0 and err == ""
-    result = json.loads(out)["result"]
-    assert result["status"] == "Undetermined" and result["reason"] == reason
-    assert result["applied_change"] is None
+    assert json.loads(out)["result"]["applied_change"] == ["0", "1", "0"]
     code, out, err = run(
         "scan", "--poly", poly, "--point", "0,0,0", "--curve", "t,0,0", "--t", "1,2"
     )
     assert code == 0 and err == ""
-    assert "base status: Undetermined" in out
+    assert "base status: SingularReducible" in out
     assert "verdict: Inconclusive" in out
-    # prepare and coprime need the regular germ itself, so they still refuse
+    assert "reason: the base germ is not irreducible (SingularReducible)" in out
     code, out, err = run("prepare", "--poly", poly, "--point", "0,0,0")
-    assert code == 1 and out == ""
-    assert "no shear among 8 attempts" in err
+    assert code == 0 and err == ""
+    assert "degree d = 3\n" in out and "u*w agrees with f through total degree 8: yes" in out
     code, out, err = run("coprime", "--g", poly, "--h", "z3 - z1", "--point", "0,0,0")
-    assert code == 1 and out == ""
-    assert "no shear among 8 attempts" in err
+    assert code == 0 and err == ""
+    assert "shear: z2 <- z2 + 1*z3\n" in out
 
 
 # -- flag values and streams ---------------------------------------------------------

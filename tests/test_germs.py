@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 
 from germkit.algebra import Polynomial
-from germkit.errors import DimensionMismatchError, DistinguishedVarDividesError
+from germkit import germs
+from germkit.errors import DimensionMismatchError, DistinguishedVarDividesError, NotRegularError
 from germkit.germs import (
+    BinomialCoprimeEdge,
+    BinomialNoncoprimeEdge,
+    DistinguishedVarDivides,
     GermQuery,
     MonomialUnitSquare,
     analyze_germ,
@@ -19,7 +23,7 @@ from germkit.germs import (
     scan_stability,
 )
 from germkit.series import TruncatedSeries
-from germkit.weierstrass import weierstrass_prepare
+from germkit.weierstrass import apply_shear, weierstrass_prepare
 from helpers import random_fraction, random_monomial, random_point, random_poly
 
 F = Fraction
@@ -56,10 +60,9 @@ def test_square_test_squarefree_lowest_form():
     assert cert.degree == 2
 
 
-def test_square_test_zero_is_a_square():
-    cert = is_local_square(Polynomial.zero(2), 8)
-    assert isinstance(cert, MonomialUnitSquare)
-    assert cert.root.body.is_zero()
+def test_square_test_leaves_zero_undecided():
+    # D = 0 through degree N says nothing about D's terms above N
+    assert is_local_square(Polynomial.zero(2), 8) is None
 
 
 def test_square_test_symbolic_when_constant_is_not_a_rational_square():
@@ -170,13 +173,30 @@ def test_quadratic_shifted_counterexample_splits():
 
 
 def test_quadratic_double_root():
-    w = Polynomial(2, {(0, 2): 1})  # z2^2: e1 = e2 = 0
+    # z2^2: e1 = e2 = 0, so D = 0, which decides nothing at a finite order
+    # (analyze_germ certifies this germ by DistinguishedVarDivides instead)
+    w = Polynomial(2, {(0, 2): 1})
     wd = weierstrass_prepare(w, 2, 8)
     status = quadratic_germ_test(wd)
-    assert status.kind == "SingularReducible"
-    a, b = status.factors
-    assert a.body == Polynomial.variable(2, 2)
-    assert b.body == Polynomial.variable(2, 2)
+    assert status.kind == "Undetermined" and status.factors is None
+
+
+def test_quadratic_discriminant_is_cut_at_the_order():
+    # (z3 + z1^4 + z2^5)^2 is a square: D = 0.  Squaring the order-8 e1
+    # without cutting at 8 would leave 8*z1^4*z2^5 + 4*z2^10, which e2's
+    # order-8 data cannot cancel and whose odd z2-order rules out a square
+    r = Polynomial(3, {(0, 0, 1): 1, (4, 0, 0): 1, (0, 5, 0): 1})
+    status = quadratic_germ_test(weierstrass_prepare(r * r, 3, 8))
+    assert status.kind == "Undetermined"
+
+
+def test_analyze_discriminant_zero_to_the_order_is_undetermined():
+    # (z2 + z1^2)^2 - z1^9: D = 4*z1^9 is zero through degree 8
+    f = Polynomial(2, {(0, 2): 1, (2, 1): 2, (4, 0): 1, (9, 0): -1})
+    assert analyze_germ(GermQuery(f, (0, 0), 8)).kind == "Undetermined"
+    status = analyze_germ(GermQuery(f, (0, 0), 12))
+    assert status.kind == "SingularIrreducible"
+    assert status.certificate.kind == "OddVariableOrder"
 
 
 def test_quadratic_symbolic_split_omits_factors():
@@ -201,8 +221,7 @@ def test_quadratic_requires_degree_two():
 
 
 def test_polygon_of_cusp():
-    wd = weierstrass_prepare(CUSP, 2, 8)
-    pg = newton_polygon(wd)
+    pg = newton_polygon(CUSP, 2)
     assert set(pg.support_points) == {(0, 2), (3, 0)}
     assert len(pg.edges) == 1
     (edge,) = pg.edges
@@ -212,7 +231,7 @@ def test_polygon_of_cusp():
 
 def test_polygon_of_even_binomial():
     w = Polynomial(2, {(0, 2): 1, (2, 0): -1})  # z2^2 - z1^2
-    pg = newton_polygon(weierstrass_prepare(w, 2, 8))
+    pg = newton_polygon(w, 2)
     assert len(pg.edges) == 1
     (edge,) = pg.edges
     assert edge.start == (0, 2) and edge.end == (2, 0)
@@ -222,54 +241,64 @@ def test_polygon_of_even_binomial():
 def test_polygon_with_two_edges():
     # (z2^2 - z1^3)(z2 - z1) expanded
     w = Polynomial(2, {(0, 3): 1, (1, 2): -1, (3, 1): -1, (4, 0): 1})
-    pg = newton_polygon(weierstrass_prepare(w, 2, 8))
+    pg = newton_polygon(w, 2)
     assert [(e.start, e.end) for e in pg.edges] == [((0, 3), (1, 2)), ((1, 2), (4, 0))]
 
 
 def test_polygon_requires_bivariate_and_nonzero_tail():
-    wd = weierstrass_prepare(COUNTEREXAMPLE, 3, 8)
     with pytest.raises(DimensionMismatchError):
-        newton_polygon(wd)
-    w = Polynomial(2, {(0, 2): 1, (1, 1): 1})  # z2^2 + z1*z2: e_2 = 0
+        newton_polygon(COUNTEREXAMPLE, 3)
+    w = Polynomial(2, {(0, 2): 1, (1, 1): 1})  # z2^2 + z1*z2: z2 divides it
     with pytest.raises(DistinguishedVarDividesError):
-        newton_polygon(weierstrass_prepare(w, 2, 8))
+        newton_polygon(w, 2)
+    with pytest.raises(NotRegularError):
+        newton_polygon(Polynomial(2, {(1, 1): 1, (3, 0): 1}), 2)  # z1*z2 + z1^3
+
+
+def test_polygon_edges_are_those_of_the_weierstrass_polynomial():
+    # f = u * w with a unit u, u(0) = 3: the hull and the edge polynomials
+    # read from f equal those read from w, whose (0, d) coefficient is 1
+    w = Polynomial(2, {(0, 3): 1, (1, 2): -1, (3, 1): -1, (4, 0): 1})
+    u = Polynomial(2, {(0, 0): 3, (1, 0): 1, (0, 1): -2, (2, 1): 5})
+    from_f, from_w = newton_polygon(u * w, 2), newton_polygon(w, 2)
+    assert from_f.edges == from_w.edges and from_f.degree == from_w.degree == 3
 
 
 def test_polygon_verdicts():
-    cusp_status = polygon_verdict(newton_polygon(weierstrass_prepare(CUSP, 2, 8)))
+    cusp_status = polygon_verdict(newton_polygon(CUSP, 2))
     assert cusp_status.kind == "SingularIrreducible"
     assert cusp_status.certificate.kind == "BinomialCoprimeEdge"
     assert (cusp_status.certificate.d, cusp_status.certificate.m) == (2, 3)
 
     even = Polynomial(2, {(0, 2): 1, (2, 0): -1})
-    even_status = polygon_verdict(newton_polygon(weierstrass_prepare(even, 2, 8)))
+    even_status = polygon_verdict(newton_polygon(even, 2))
     assert even_status.kind == "SingularReducible"
     assert even_status.certificate.kind == "BinomialNoncoprimeEdge"
     assert even_status.certificate.gcd == 2
 
     two_edge = Polynomial(2, {(0, 3): 1, (1, 2): -1, (3, 1): -1, (4, 0): 1})
-    te_status = polygon_verdict(newton_polygon(weierstrass_prepare(two_edge, 2, 8)))
+    te_status = polygon_verdict(newton_polygon(two_edge, 2))
     assert te_status.kind == "SingularReducible"
     assert te_status.certificate.kind == "MultiEdgePolygon"
     assert te_status.certificate.edge_count == 2
     assert te_status.factors is None  # polygon verdicts carry no explicit factors
 
     splits = Polynomial(2, {(0, 2): 1, (1, 1): -3, (2, 0): 2})  # (z2-z1)(z2-2z1)
-    sp_status = polygon_verdict(newton_polygon(weierstrass_prepare(splits, 2, 8)))
+    sp_status = polygon_verdict(newton_polygon(splits, 2))
     assert sp_status.kind == "SingularReducible"
     assert sp_status.certificate.kind == "EdgePolynomialSplits"
     # edge polynomial 1 - 3*z1 + 2*z1^2 = (1 - z1)(1 - 2*z1)
     assert sp_status.certificate.edge_polynomial == Polynomial(1, {(0,): 1, (1,): -3, (2,): 2})
 
     power = Polynomial(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})  # (z2 - z1)^2
-    pw_status = polygon_verdict(newton_polygon(weierstrass_prepare(power, 2, 8)))
+    pw_status = polygon_verdict(newton_polygon(power, 2))
     assert pw_status.kind == "Undetermined"
 
 
 def test_polygon_verdict_on_edge_polynomials_of_known_roots():
     # E = lc * prod (x - c_i)^(m_i) with distinct nonzero c_i is, divided by
-    # E(0) (the Weierstrass polynomial is monic), the edge polynomial of the
-    # germ sum_k E_k z1^k z2^(g-k); one distinct root leaves the germ
+    # E(0) (the coefficient at (0, g)), the edge polynomial of the germ
+    # sum_k E_k z1^k z2^(g-k); one distinct root leaves the germ
     # Undetermined, several split it
     rng = random.Random(808)
     x = Polynomial.variable(1, 1)
@@ -282,10 +311,10 @@ def test_polygon_verdict_on_edge_polynomials_of_known_roots():
         for root in roots:
             edge = edge * (x - root) ** rng.randint(1, 3)
         g = edge.degree_in(1)
-        if edge.term_count() == 2 or g > 8:
-            continue  # binomial edges have their own certificates; g <= N = 8
+        if edge.term_count() == 2:
+            continue  # binomial edges have their own certificates
         f = Polynomial(2, {(m[0], g - m[0]): c for m, c in edge.terms()})
-        status = polygon_verdict(newton_polygon(weierstrass_prepare(f, 2, 8)))
+        status = polygon_verdict(newton_polygon(f, 2))
         if len(roots) == 1:
             assert status.kind == "Undetermined", edge
         else:
@@ -371,6 +400,20 @@ def test_analyze_distinguished_var_divides():
     assert prod == TruncatedSeries(f, 8)
 
 
+def test_distinguished_var_multiplicity_is_read_from_the_exact_germ():
+    # z2*(z2^2 + z1^9): e_2 = z1^9 truncates to zero at order 8, yet z2
+    # divides the germ only once
+    f = Polynomial(2, {(0, 3): 1, (9, 1): 1})
+    status = analyze_germ(GermQuery(f, (0, 0), 8))
+    assert status.certificate.kind == "DistinguishedVarDivides"
+    assert status.certificate.multiplicity == 1
+    # z2*(z2^9 + z1^10): regularity order 10 > 8, so no factors are prepared
+    f = Polynomial(2, {(0, 10): 1, (10, 1): 1})
+    status = analyze_germ(GermQuery(f, (0, 0), 8))
+    assert status.kind == "SingularReducible" and status.factors is None
+    assert status.certificate.multiplicity == 1
+
+
 @pytest.mark.parametrize(
     "f, point",
     [
@@ -389,32 +432,56 @@ def test_analyze_e_d_truncated_to_zero_is_undetermined(f, point):
 @pytest.mark.parametrize(
     "f, change",
     [
-        (Polynomial(2, {(0, 9): 1, (9, 0): 1}), None),  # z2^9 + z1^9
-        # z1^9 + z1^4*z2^5 vanishes on the z2 axis; z1 <- z1 + z2 gives order 9
-        (Polynomial(2, {(9, 0): 1, (4, 5): 1}), (F(1), F(0))),
+        (Polynomial(3, {(0, 0, 9): 1, (9, 0, 0): 1, (0, 9, 0): 1}), None),
+        # z1^9 + z1^4*z3^5 + z1*z2^8 vanishes on the z3 axis; z1 <- z1 + z3
+        # gives order 9
+        (Polynomial(3, {(9, 0, 0): 1, (4, 0, 5): 1, (1, 8, 0): 1}), (F(1), F(0), F(0))),
     ],
 )
-def test_analyze_regularity_order_above_truncation_is_undetermined(f, change):
-    status = analyze_germ(GermQuery(f, (0, 0), 8))
+def test_analyze_regularity_order_above_truncation_is_undetermined(f, change, monkeypatch):
+    # in three variables a degree above 2 is outside the fragment, whatever
+    # the order; nothing is prepared
+    monkeypatch.setattr(germs, "weierstrass_prepare", _no_preparation)
+    status = analyze_germ(GermQuery(f, (0, 0, 0), 8))
     assert status.kind == "Undetermined"
-    assert status.reason.startswith("prepare: regularity order 9 exceeds")
+    assert status.reason.startswith("Weierstrass degree >= 3 in dimension >= 3")
     assert status.applied_change == change
 
 
-def test_analyze_shear_exhaustion_is_undetermined():
+def _no_preparation(*args):
+    raise AssertionError("weierstrass_prepare was called")
+
+
+@pytest.mark.parametrize(
+    "f, certificate",
+    [
+        # z2^3 - z1^10 and z2^9 + z1^9: edges that reach past the order 8
+        (Polynomial(2, {(0, 3): 1, (10, 0): -1}), BinomialCoprimeEdge(d=3, m=10)),
+        (Polynomial(2, {(0, 9): 1, (9, 0): 1}), BinomialNoncoprimeEdge(gcd=9)),
+    ],
+)
+def test_analyze_plane_germs_by_the_exact_polygon(f, certificate, monkeypatch):
+    monkeypatch.setattr(germs, "weierstrass_prepare", _no_preparation)
+    status = analyze_germ(GermQuery(f, (0, 0), 8))
+    assert status.certificate == certificate
+
+
+def test_analyze_shear_search_splits_off_the_distinguished_variable():
     # z1^2*z3 - z2*z3^2: every shear (s, s^2) keeps the z3-axis restriction
-    # identically zero, so no tried shear makes the germ regular in z3
+    # identically zero; z2 <- z2 + z3 gives order 3, and z3 still divides
     f = Polynomial(3, {(2, 0, 1): 1, (0, 1, 2): -1})
     status = analyze_germ(GermQuery(f, (0, 0, 0), 8))
-    assert status.kind == "Undetermined"
-    assert status.reason.startswith("regularize: no shear among 8 attempts")
-    assert status.applied_change is None
-    # scan inherits the verdict for its base point and still samples the curve
+    assert status.kind == "SingularReducible"
+    assert status.certificate == DistinguishedVarDivides(variable=3, multiplicity=1)
+    assert status.applied_change == (F(0), F(1), F(0))
+    a, b = status.factors  # their product is w = -f (sheared); the unit is -1
+    assert a * b == TruncatedSeries(-apply_shear(f, 3, status.applied_change), 8)
+    # scan: the base germ is reducible, so the scan is inconclusive
     report = scan_stability(f, (0, 0, 0), T_LINE, (1, 2), 8)
-    assert report.base_status.kind == "Undetermined"
-    assert report.base_status.reason.startswith("regularize:")
+    assert report.base_status == status
     assert all(s.status.kind == "SmoothIrreducible" for s in report.samples)
     assert report.verdict == "Inconclusive"
+    assert report.reason == "the base germ is not irreducible (SingularReducible)"
 
 
 def test_coprime_binomials_are_never_reducible():
@@ -491,7 +558,7 @@ def test_quadratic_and_polygon_verdicts_agree_when_both_decide():
         wd = weierstrass_prepare(w, 2, 8)
         quad = quadratic_germ_test(wd)
         try:
-            poly_status = polygon_verdict(newton_polygon(wd))
+            poly_status = polygon_verdict(newton_polygon(w, 2))
         except DistinguishedVarDividesError:
             continue
         if "Undetermined" in (quad.kind, poly_status.kind):
@@ -540,6 +607,19 @@ def test_scan_off_locus_is_inconclusive():
     assert report.reason
 
 
+def test_scan_around_a_base_germ_that_is_not_irreducible_is_inconclusive():
+    # z1*z2 is reducible at the origin and smooth at every other point of
+    # (t, 0); z2^9 - z1^9*(z1 - 1) has a binomial edge of lattice length 9
+    for f in (
+        Polynomial(2, {(1, 1): 1}),
+        Polynomial(2, {(0, 9): 1, (10, 0): -1, (9, 0): 1}),
+    ):
+        report = scan_stability(f, (0, 0), curve({(1,): 1}, {}), (1, 2), 8)
+        assert report.base_status.kind == "SingularReducible"
+        assert report.verdict == "Inconclusive"
+        assert report.reason == "the base germ is not irreducible (SingularReducible)"
+
+
 def test_scan_requires_curve_through_base_point():
     message = r"curve\(0\) = \(1, 0, 0\) does not pass through the base point \(0, 0, 0\)$"
     with pytest.raises(ValueError, match=message):
@@ -586,10 +666,7 @@ def test_unit_iff_nonvanishing_both_directions():
     for _ in range(50):
         f = random_poly(rng, 2, 3, 4, nonzero=True)
         p = (random_fraction(rng, -2, 2, 2), random_fraction(rng, -2, 2, 2))
-        try:
-            status = analyze_germ(GermQuery(f, p, 8))
-        except Exception:
-            continue  # shear exhaustion on degenerate inputs is acceptable
+        status = analyze_germ(GermQuery(f, p, 8))
         assert (status.kind == "Unit") == (f.evaluate(p) != 0)
         if status.kind == "SmoothIrreducible":
             assert f.evaluate(p) == 0

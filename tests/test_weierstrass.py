@@ -7,12 +7,7 @@ from fractions import Fraction
 import pytest
 
 from germkit.algebra import Polynomial
-from germkit.errors import (
-    NotRegularError,
-    OrderTooSmallError,
-    ShearExhaustedError,
-    ZeroPolynomialError,
-)
+from germkit.errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from germkit.series import TruncatedSeries
 from germkit.weierstrass import (
     apply_shear,
@@ -20,7 +15,7 @@ from germkit.weierstrass import (
     regular_order,
     weierstrass_prepare,
 )
-from helpers import random_fraction, random_poly
+from helpers import random_fraction, random_monomial, random_poly
 
 F = Fraction
 
@@ -68,12 +63,75 @@ def test_make_regular_finds_a_shear_for_degenerate_axis():
     assert regular_order(g, 2).order == 2
 
 
-def test_make_regular_exhausts_on_shear_invariant_kernel():
-    # Every shear z1 <- z1+a*z3, z2 <- z2+b*z3 with b = a^2 (the geometric
-    # scale schedule) keeps the z3-axis restriction identically zero.
+def test_make_regular_shears_the_kernel_of_the_power_pattern():
+    # every shear z1 <- z1 + a*z3, z2 <- z2 + a^2*z3 keeps the z3-axis
+    # restriction identically zero; with L = z1^2 - z2 at z3 = 1, the search
+    # keeps c1 = 0 (L stays -z2) and takes c2 = 1, the least value with L != 0
     f = poly3({(2, 0, 1): 1, (0, 1, 2): -1})  # z1^2*z3 - z2*z3^2
-    with pytest.raises(ShearExhaustedError):
-        make_regular(f, 3)
+    g, rep = make_regular(f, 3)
+    assert rep.applied_change == (F(0), F(1), F(0))
+    assert g == apply_shear(f, 3, rep.applied_change)
+    assert rep.regular and rep.order == 3
+
+
+def _random_form(rng, n, m, avoid=None):
+    """A nonzero form of degree m in n variables without the monomial `avoid`."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            cuts = sorted(rng.randint(0, m) for _ in range(n - 1))
+            mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [m]))
+            if mono != avoid:
+                terms[mono] = random_fraction(rng, -3, 3, 3)
+        form = Polynomial(n, terms)
+        if not form.is_zero():
+            return form
+
+
+def _form_vanishing_at_axis(rng, n, j, m):
+    """A nonzero form of degree m in n variables that vanishes at e_j.
+
+    Half of them are z_i * (z_i - z_j) * ... * (z_i - (k-1)*z_j) times a
+    form, which vanishes whenever z_j = 1 and z_i is in 0..k-1, so the
+    shear search has to go up to c_i >= k.
+    """
+    axis = tuple(m if i == j else 0 for i in range(1, n + 1))
+    if rng.random() < 0.5:
+        return _random_form(rng, n, m, avoid=axis)
+    i = rng.choice([i for i in range(1, n + 1) if i != j])
+    k = rng.randint(1, m)
+    zi, zj = Polynomial.variable(n, i), Polynomial.variable(n, j)
+    form = _random_form(rng, n, m - k)
+    for a in range(k):
+        form = form * (zi - zj * a)
+    return form
+
+
+def test_make_regular_reaches_the_lowest_degree_on_germs_not_regular():
+    # forms that vanish at e_j, plus higher terms off the z_j axis: the germ
+    # is not regular in z_j, and the one shear must make it regular of order
+    # exactly its lowest degree m, with every coefficient in 0..m
+    rng = random.Random(304)
+    largest = []
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        j = rng.randint(1, n)
+        m = rng.randint(1, 4)
+        f = _form_vanishing_at_axis(rng, n, j, m)
+        for _ in range(rng.randint(0, 3)):
+            mono = list(random_monomial(rng, n, m + 3))
+            mono[j - 1] = 0
+            if sum(mono) > m:
+                f = f + Polynomial.monomial(n, mono, random_fraction(rng, -3, 3, 3))
+        assert not regular_order(f, j).regular
+        g, rep = make_regular(f, j)
+        change = rep.applied_change
+        assert rep.regular and rep.order == m == f.order()
+        assert change[j - 1] == 0 and all(c in range(m + 1) for c in change)
+        assert g == apply_shear(f, j, change)
+        largest.append(max(change))
+    # the search goes past 1, where a shear by all ones fails, on about a fifth
+    assert sum(c >= 2 for c in largest) >= 20
 
 
 # -- preparation: pinned examples ------------------------------------------------
@@ -138,7 +196,7 @@ def test_prepare_invariants_on_random_regular_polynomials():
         try:
             g, rep = make_regular(f, n)
             wd = weierstrass_prepare(g, n, 8)
-        except (ShearExhaustedError, NotRegularError, OrderTooSmallError):
+        except (NotRegularError, OrderTooSmallError):
             continue
         d = wd.degree
         assert d == rep.order
@@ -182,7 +240,7 @@ def test_prepare_invariants_in_any_variable_up_to_order_12():
         try:
             g, rep = make_regular(f, j)
             wd = weierstrass_prepare(g, j, N)
-        except (ShearExhaustedError, OrderTooSmallError):
+        except OrderTooSmallError:
             continue
         assert wd.degree == rep.order and wd.distinguished_var == j
         _assert_unique_preparation(wd, g, N)

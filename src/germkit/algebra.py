@@ -13,12 +13,19 @@ safe.
 
 Variable indices in the public API are 1-based (`var=3` means z3), matching
 the z1..zn naming used by the expression grammar in `germkit.parsing`.
+
+Exact kernels run on integer term tables: denominators are cleared once,
+the work runs on ints and one scale is divided out at the end.  This is the
+only module that reads a term table; it holds one kernel per operation:
+`_int_product` (products, optionally truncated), `_horner` (`substitute`,
+`shift`) and `_exact_quotient` (`exact_div`, `elimination.matrix_det`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -224,16 +231,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_space(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                acc = out.get(mono, Fraction(0)) + ca * cb
-                if acc == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
-        return _raw(self.n, out)
+        return _truncated_product(self, other)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -291,34 +289,27 @@ class Polynomial:
     def shift(self, point: Sequence) -> "Polynomial":
         """Recenter at a point: returns g with g(x) = f(point + x) exactly.
 
-        Uses a per-variable Taylor shift (repeated synthetic division), so
-        the result is exact whatever the degrees involved.
+        Each nonzero c_i = a/b is one integer Horner pass z_i <- (b*z_i + a)/b.
         """
         pt = as_point(point, self.n)
-        terms = self._terms
-        for i0, c in enumerate(pt):
-            if c != 0 and any(m[i0] for m in terms):
-                terms = _taylor_shift_one(terms, i0, c)
-        return _raw(self.n, dict(terms))
+        scale, (table,) = _clear_denominators((self,))
+        origin = (0,) * self.n
+        for i, c in enumerate(pt):
+            if c != 0:
+                axis = origin[:i] + (1,) + origin[i + 1 :]
+                rep = {axis: c.denominator, origin: c.numerator}
+                table, lift = _horner(table, i, rep, c.denominator)
+                scale *= lift
+        return _from_integers(self.n, table, scale)
 
     def substitute(self, var: int, replacement: "Polynomial") -> "Polynomial":
-        """Replace z_var by an arbitrary polynomial (Horner evaluation)."""
+        """Replace z_var by an arbitrary polynomial (Horner on integer tables)."""
         _check_var(var, self.n)
         self._check_same_space(replacement)
-        i = var - 1
-        by_power: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, coeff in self._terms.items():
-            k = mono[i]
-            reduced = mono[:i] + (0,) + mono[i + 1 :]
-            row = by_power.setdefault(k, {})
-            row[reduced] = row.get(reduced, Fraction(0)) + coeff
-        if not by_power:
-            return Polynomial.zero(self.n)
-        top = max(by_power)
-        acc = _raw(self.n, by_power.get(top, {}))
-        for k in range(top - 1, -1, -1):
-            acc = acc * replacement + _raw(self.n, by_power.get(k, {}))
-        return acc
+        scale, (table,) = _clear_denominators((self,))
+        rep_scale, (rep,) = _clear_denominators((replacement,))
+        table, lift = _horner(table, var - 1, rep, rep_scale)
+        return _from_integers(self.n, table, scale * lift)
 
     def truncate(self, max_total_degree: int) -> "Polynomial":
         """Drop every term of total degree above the bound."""
@@ -353,22 +344,20 @@ class Polynomial:
         return alpha, _raw(self.n, quotient)
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact polynomial quotient; raises if the division leaves a remainder."""
+        """Exact polynomial quotient; raises if the division leaves a remainder.
+
+        Divides by the divisor's primitive part over Z[x], where by Gauss's
+        lemma an exact quotient has integer coefficients.
+        """
         self._check_same_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quotient: dict[Monomial, Fraction] = {}
-        rem = self
-        lead_mono, lead_coeff = divisor.leading_term()
-        while not rem.is_zero():
-            rmono, rcoeff = rem.leading_term()
-            qmono = tuple(a - b for a, b in zip(rmono, lead_mono))
-            if any(e < 0 for e in qmono):
-                raise ValueError("division is not exact")
-            qcoeff = rcoeff / lead_coeff
-            quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoeff
-            rem = rem - Polynomial.monomial(self.n, qmono, qcoeff) * divisor
-        return _raw(self.n, {m: c for m, c in quotient.items() if c != 0})
+        scale, (table,) = _clear_denominators((self,))
+        div_scale, (div,) = _clear_denominators((divisor,))
+        content = math.gcd(*div.values())
+        quotient = _exact_quotient(table, {m: c // content for m, c in div.items()})
+        den = scale * content
+        return _raw(self.n, {m: Fraction(c * div_scale, den) for m, c in quotient.items()})
 
     # -- variable-space plumbing --------------------------------------------
 
@@ -413,48 +402,96 @@ def _raw(n: int, table: dict) -> Polynomial:
     return p
 
 
-def _clear_denominators(tables) -> tuple[int, list[dict]]:
-    """Scale rational term tables to integer ones by one common factor.
+def _clear_denominators(polys) -> tuple[int, list[dict]]:
+    """Scale polynomials to integer term tables by one common factor.
 
-    Returns (scale, integer tables): scale is the lcm of every denominator
-    in the tables (1 when they are empty) and each integer table is scale
-    times its rational one, so exact arithmetic can run on ints and divide
-    the scale out once at the end.
+    Returns (scale, tables): scale is the lcm of every denominator (1 when
+    all are zero) and each table is scale times a polynomial's term table.
     """
-    scale = math.lcm(*(c.denominator for t in tables for c in t.values()))
+    scale = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
     return scale, [
-        {mono: c.numerator * (scale // c.denominator) for mono, c in t.items()}
-        for t in tables
+        {mono: c.numerator * (scale // c.denominator) for mono, c in p._terms.items()}
+        for p in polys
     ]
+
+
+def _from_integers(n: int, table: dict, scale: int) -> Polynomial:
+    """The polynomial table / scale in n variables; zero entries are dropped."""
+    return _raw(n, {mono: Fraction(c, scale) for mono, c in table.items() if c})
+
+
+def _truncated_product(a: Polynomial, b: Polynomial, order=math.inf) -> Polynomial:
+    """a * b with no term of total degree above the order, on integer tables."""
+    scale_a, (ta,) = _clear_denominators((a,))
+    scale_b, (tb,) = _clear_denominators((b,))
+    return _from_integers(a.n, _int_product(ta, tb, order), scale_a * scale_b)
+
+
+def _int_product(ta: dict, tb: dict, order=math.inf) -> dict:
+    """ta * tb on integer term tables, no term of total degree above the order."""
+    graded = sorted((sum(m), m, c) for m, c in tb.items())
+    out: dict = {}
+    for ma, ca in ta.items():
+        room = order - sum(ma)
+        for db, mb, cb in graded:
+            if db > room:
+                break
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
+    """Substitute z_i <- rep / rep_scale into an integer table (0-based i).
+
+    Returns (result, lift), the substitution being result / lift: with top
+    the degree in z_i, lift = rep_scale^top and the row of z_i^k is lifted
+    by rep_scale^(top-k), so every Horner step stays in Z[x].
+    """
+    rows: dict[int, dict] = {}
+    for mono, c in table.items():
+        rows.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1 :]] = c
+    top = max(rows, default=0)
+    acc, lift = rows.get(top, {}), 1
+    for k in range(top - 1, -1, -1):
+        lift *= rep_scale
+        acc = _int_product(acc, rep)
+        for mono, c in rows.get(k, {}).items():
+            v = acc.get(mono, 0) + c * lift
+            if v:
+                acc[mono] = v
+            else:
+                del acc[mono]
+    return acc, lift
+
+
+def _exact_quotient(rem: dict, divisor: dict) -> dict:
+    """rem / divisor over Z[x], consuming rem; ValueError unless exact.
+
+    Leading terms are taken in lex order, a monomial order, so every
+    quotient term is found once and an exact quotient over Z[x] never
+    needs a fraction.
+    """
+    lead = max(divisor)
+    lead_coeff = divisor[lead]
+    quotient = {}
+    while rem:
+        top = max(rem)
+        qmono = tuple(map(sub, top, lead))
+        q, r = divmod(rem[top], lead_coeff)
+        if r or any(e < 0 for e in qmono):
+            raise ValueError("division is not exact")
+        quotient[qmono] = q
+        for mono, c in divisor.items():
+            mono = tuple(map(add, qmono, mono))
+            v = rem.get(mono, 0) - q * c
+            if v:
+                rem[mono] = v
+            else:
+                del rem[mono]
+    return quotient
 
 
 def _check_var(var: int, n: int) -> None:
     if not 1 <= var <= n:
         raise VariableIndexError(f"variable index {var} outside 1..{n}")
-
-
-def _taylor_shift_one(
-    terms: Mapping[Monomial, Fraction], i0: int, c: Fraction
-) -> dict[Monomial, Fraction]:
-    """Substitute z_i <- z_i + c by synthetic division along one variable."""
-    rows: dict[int, dict[Monomial, Fraction]] = {}
-    for mono, coeff in terms.items():
-        reduced = mono[:i0] + (0,) + mono[i0 + 1 :]
-        rows.setdefault(mono[i0], {})[reduced] = coeff
-    top = max(rows)
-    coeffs: list[dict[Monomial, Fraction]] = [dict(rows.get(k, {})) for k in range(top + 1)]
-    for j in range(top):
-        for k in range(top - 1, j - 1, -1):
-            dst, src = coeffs[k], coeffs[k + 1]
-            for mono, coeff in src.items():
-                acc = dst.get(mono, Fraction(0)) + c * coeff
-                if acc == 0:
-                    dst.pop(mono, None)
-                else:
-                    dst[mono] = acc
-    out: dict[Monomial, Fraction] = {}
-    for k, row in enumerate(coeffs):
-        for mono, coeff in row.items():
-            if coeff != 0:
-                out[mono[:i0] + (k,) + mono[i0 + 1 :]] = coeff
-    return out

@@ -9,17 +9,18 @@ center point and at every nearby point at once.
 
 Every determinant, whatever its size, takes one path: each row is scaled
 to integer coefficients, fraction-free Bareiss elimination runs over Z[x]
-(every division in the schedule is exact there), and the product of the
-row scales is divided out once at the end.
+(every division in the schedule is exact there, and runs on the exact
+quotient kernel of `germkit.algebra`), and the product of the row scales
+is divided out once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
-from .algebra import Polynomial, _clear_denominators, _raw, as_point
+from .algebra import Polynomial, _clear_denominators, _exact_quotient, _from_integers, as_point
 from .errors import (
     DegreeTooSmallError,
     DegreeZeroError,
@@ -89,7 +90,7 @@ def matrix_det(rows: list) -> Polynomial:
     scale = 1
     m = []
     for row in rows:
-        row_scale, tables = _clear_denominators([entry._terms for entry in row])
+        row_scale, tables = _clear_denominators(row)
         scale *= row_scale
         m.append(tables)
     sign = 1
@@ -108,7 +109,7 @@ def matrix_det(rows: list) -> Polynomial:
                 # Bareiss guarantee: the previous pivot divides exactly
                 row[jj] = num if prev is None else _exact_quotient(num, prev)
         prev = pivot
-    return _raw(n, {mono: Fraction(sign * c, scale) for mono, c in m[-1][-1].items()})
+    return _from_integers(n, m[-1][-1], sign * scale)
 
 
 def resultant(f: Polynomial, g: Polynomial, j: int) -> Polynomial:
@@ -208,30 +209,3 @@ def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
             mono = tuple(map(add, mc, md))
             out[mono] = out.get(mono, 0) - cc * cd
     return {mono: v for mono, v in out.items() if v}
-
-
-def _exact_quotient(rem: dict, divisor: dict) -> dict:
-    """rem / divisor over Z[x], consuming rem; ValueError unless exact.
-
-    Leading terms are taken in lex order, a monomial order, so every
-    quotient term is found once and an exact quotient over Z[x] never
-    needs a fraction.
-    """
-    lead = max(divisor)
-    lead_coeff = divisor[lead]
-    quotient = {}
-    while rem:
-        top = max(rem)
-        qmono = tuple(map(sub, top, lead))
-        q, r = divmod(rem[top], lead_coeff)
-        if r or any(e < 0 for e in qmono):
-            raise ValueError("division is not exact")
-        quotient[qmono] = q
-        for mono, c in divisor.items():
-            mono = tuple(map(add, qmono, mono))
-            v = rem.get(mono, 0) - q * c
-            if v:
-                rem[mono] = v
-            else:
-                del rem[mono]
-    return quotient

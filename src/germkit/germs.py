@@ -452,8 +452,9 @@ def polygon_verdict(polygon: NewtonPolygon) -> GermStatus:
 def analyze_germ(query: GermQuery) -> GermStatus:
     """Classify the germ of query.f at query.point.
 
-    Cascade: nonvanishing value -> Unit; then one shift to the point, whose
-    linear part is the gradient: nonzero gradient -> SmoothIrreducible;
+    Cascade: one shift to the point, whose constant term is the value and
+    whose linear part is the gradient: nonvanishing value -> Unit; nonzero
+    gradient -> SmoothIrreducible;
     otherwise regularize the shifted germ in z_j, to order d >= 2 (the germ
     and its gradient vanish, and a linear shear keeps the order), and
     dispatch once on the exact sheared germ: z_j divides it -> the
@@ -465,12 +466,12 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     (plus the recorded shear when one was needed).
     """
     f, p, N = query.f, query.point, query.order
-    value = f.evaluate(p)
+    shifted = f.shift(p)
+    # f(p) is the constant term of f(p + x), and the gradient its linear part
+    value = shifted.constant_term()
     if value != 0:
         return GermStatus.unit(NonzeroValue(value=value))
     n = f.n
-    shifted = f.shift(p)
-    # the gradient at p is the linear part of f(p + x)
     gradient = tuple(shifted.coefficient([int(i == k) for i in range(n)]) for k in range(n))
     if any(c != 0 for c in gradient):
         return GermStatus.smooth(SmoothPoint(gradient=gradient))
@@ -523,10 +524,12 @@ class ScanReport:
 
     verdict is "Unstable" (the base germ is irreducible but some on-locus
     sample with t != 0 is reducible; `witness` holds it), "Stable-evidence"
-    (the base germ and every on-locus sample got an irreducible
+    (the base germ and every on-locus sample with t != 0 got an irreducible
     classification; finite evidence, not a proof), or "Inconclusive"
-    (reason attached; among others, whenever the base germ is not
-    irreducible, since stability of irreducibility is then not in question).
+    (reason attached; among others, whenever no on-locus sample has t != 0,
+    and whenever the base germ is not irreducible, since stability of
+    irreducibility is then not in question).  A sample at t = 0 is the base
+    point again and never counts toward the verdict.
     """
 
     curve: tuple
@@ -579,10 +582,10 @@ def scan_stability(
         samples.append(ScanSample(t=t, point=q, on_locus=status.kind != UNIT, status=status))
     samples = tuple(samples)
 
-    on_locus = [s for s in samples if s.on_locus]
+    on_locus = [s for s in samples if s.on_locus and s.t != 0]
     verdict, witness, reason = "Inconclusive", None, None
     if not on_locus:
-        reason = "no sample lies on the zero locus"
+        reason = "no sample with t != 0 lies on the zero locus"
     elif base_status.kind == UNDETERMINED or any(
         s.status.kind == UNDETERMINED for s in on_locus
     ):
@@ -590,11 +593,7 @@ def scan_stability(
     elif not base_status.is_irreducible_verdict():
         reason = f"the base germ is not irreducible ({base_status.kind})"
     else:
-        breaking = [
-            s
-            for s in on_locus
-            if s.t != 0 and s.status.kind == SINGULAR_REDUCIBLE
-        ]
+        breaking = [s for s in on_locus if s.status.kind == SINGULAR_REDUCIBLE]
         if breaking:
             verdict, witness = "Unstable", breaking[0]
         elif all(s.status.is_irreducible_verdict() for s in on_locus):

@@ -6,21 +6,20 @@ exactly-computable stand-in for a convergent power series germ: two germs
 agree "to order N" exactly when their TruncatedSeries representatives at
 order N are equal.
 
-Products never form a term above the order, and run on integer term
-tables: each operand's denominators are cleared once and the product of
-the two scales is divided out once per output term.  Unit inverse and
-unit square root are computed by Newton iteration with precision
-doubling: each step takes k correct degrees to min(2k+1, N) and computes
-only to that degree.
+Products never form a term above the order; they run on the integer
+product kernel of `germkit.algebra` (`_truncated_product`), which clears
+each operand's denominators once and divides the product of the two
+scales out once per output term.  Unit inverse and unit square root are
+computed by Newton iteration with precision doubling: each step takes k
+correct degrees to min(2k+1, N) and computes only to that degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Union
 
-from .algebra import Polynomial, _clear_denominators, _raw, rational_sqrt
+from .algebra import Polynomial, _truncated_product, rational_sqrt
 from .errors import DimensionMismatchError, NotAUnitError
 
 Scalar = Union[int, Fraction]
@@ -124,27 +123,6 @@ def _series(body: Polynomial, order: int) -> TruncatedSeries:
     object.__setattr__(s, "body", body)
     object.__setattr__(s, "order", order)
     return s
-
-
-def _truncated_product(a: Polynomial, b: Polynomial, order: int) -> Polynomial:
-    """a * b without forming a term of total degree above the order.
-
-    Each operand is scaled to an integer term table once; the integer
-    product is divided by the two scales once per output term.
-    """
-    scale_a, (ta,) = _clear_denominators((a._terms,))
-    scale_b, (tb,) = _clear_denominators((b._terms,))
-    graded = sorted((sum(m), m, c) for m, c in tb.items())
-    out: dict = {}
-    for ma, ca in ta.items():
-        room = order - sum(ma)
-        for db, mb, cb in graded:
-            if db > room:
-                break
-            mono = tuple(map(add, ma, mb))
-            out[mono] = out.get(mono, 0) + ca * cb
-    scale = scale_a * scale_b
-    return _raw(a.n, {m: Fraction(c, scale) for m, c in out.items() if c})
 
 
 def _doubling(order: int):

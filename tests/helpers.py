@@ -31,3 +31,19 @@ def random_poly(rng, n, max_degree, max_terms, nonzero=False):
         p = Polynomial(n, terms)
         if not nonzero or not p.is_zero():
             return p
+
+
+# pairwise coprime: a Mersenne prime and powers of 3, 5 and 7
+BIG_DENOMINATORS = (2**61 - 1, 3**40, 5**27, 7**20)
+
+
+def big_denominator_poly(rng, n, max_degree, max_terms):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        den = 1
+        for big in rng.sample(BIG_DENOMINATORS, rng.randint(1, 2)):
+            den *= big
+        terms[random_monomial(rng, n, max_degree)] = Fraction(
+            rng.randint(-(10**20), 10**20), den
+        )
+    return Polynomial(n, terms)

@@ -8,7 +8,13 @@ import pytest
 
 from germkit.algebra import Polynomial, as_point, as_rational, rational_sqrt
 from germkit.errors import DimensionMismatchError, ZeroPolynomialError
-from helpers import random_fraction, random_point, random_poly
+from helpers import (
+    big_denominator_poly,
+    random_fraction,
+    random_monomial,
+    random_point,
+    random_poly,
+)
 
 F = Fraction
 
@@ -195,6 +201,165 @@ def test_exact_div_rejects_inexact_quotient():
     f = Polynomial(2, {(2, 0): 1, (0, 1): 1})  # z1^2 + z2
     with pytest.raises(ValueError):
         f.exact_div(Polynomial.variable(2, 1))
+
+
+def test_exact_div_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.variable(2, 1).exact_div(Polynomial.zero(2))
+
+
+# -- Fraction references for the integer kernels --------------------------------
+#
+# Products, substitutions, shifts and exact divisions run on integer term
+# tables; these are the direct Fraction algorithms they replaced.
+
+
+def ref_mul(a, b):
+    """Double loop over the terms in Fraction arithmetic."""
+    out = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, F(0)) + ca * cb
+    return Polynomial(a.n, out)
+
+
+def ref_rows(f, i):
+    """{k: coefficient of z_(i+1)^k as a term table}, for a 0-based i."""
+    rows = {}
+    for mono, c in f.terms():
+        rows.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1 :]] = c
+    return rows
+
+
+def ref_taylor_shift_one(f, i, c):
+    """z_(i+1) <- z_(i+1) + c by synthetic division along one variable."""
+    rows = ref_rows(f, i)
+    top = max(rows, default=0)
+    coeffs = [dict(rows.get(k, {})) for k in range(top + 1)]
+    for j in range(top):
+        for k in range(top - 1, j - 1, -1):
+            for mono, coeff in coeffs[k + 1].items():
+                coeffs[k][mono] = coeffs[k].get(mono, F(0)) + c * coeff
+    return Polynomial(f.n, {
+        mono[:i] + (k,) + mono[i + 1 :]: coeff
+        for k, row in enumerate(coeffs)
+        for mono, coeff in row.items()
+    })
+
+
+def ref_shift(f, point):
+    for i, c in enumerate(point):
+        if c != 0:
+            f = ref_taylor_shift_one(f, i, F(c))
+    return f
+
+
+def ref_substitute(f, var, replacement):
+    """Horner evaluation in Fraction arithmetic."""
+    rows = ref_rows(f, var - 1)
+    if not rows:
+        return Polynomial.zero(f.n)
+    top = max(rows)
+    acc = Polynomial(f.n, rows[top])
+    for k in range(top - 1, -1, -1):
+        acc = ref_mul(acc, replacement) + Polynomial(f.n, rows.get(k, {}))
+    return acc
+
+
+def ref_exact_div(f, divisor):
+    """Division with grlex leading terms in Fraction arithmetic."""
+    quotient = {}
+    rem = f
+    lead_mono, lead_coeff = divisor.leading_term()
+    while not rem.is_zero():
+        rmono, rcoeff = rem.leading_term()
+        qmono = tuple(a - b for a, b in zip(rmono, lead_mono))
+        if any(e < 0 for e in qmono):
+            raise ValueError("division is not exact")
+        qcoeff = rcoeff / lead_coeff
+        quotient[qmono] = quotient.get(qmono, F(0)) + qcoeff
+        rem = rem - ref_mul(Polynomial.monomial(f.n, qmono, qcoeff), divisor)
+    return Polynomial(f.n, quotient)
+
+
+def assert_equal_with_fraction_coefficients(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for _, c in got.terms())
+
+
+def operand(rng, n):
+    """A zero, constant, small-rational or large-denominator polynomial."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Polynomial.zero(n)
+    if kind == 1:
+        return Polynomial.constant(n, rng.choice((F(-7, 3), F(1, 2**61 - 1), 3**40)))
+    if kind == 2:
+        return random_poly(rng, n, 4, 5)
+    return big_denominator_poly(rng, n, 4, 5)
+
+
+# zero, negative, non-integer and large coordinates
+COORDINATES = (0, 0, -3, 2, F(5, 7), F(-1, 2**61 - 1), F(3**40, 7), F(-2**61 + 1, 3**40))
+
+
+def test_product_matches_the_fraction_double_loop():
+    rng = random.Random(110)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        a, b = operand(rng, n), operand(rng, n)
+        assert_equal_with_fraction_coefficients(a * b, ref_mul(a, b))
+
+
+def test_shift_matches_synthetic_division():
+    rng = random.Random(111)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        f = operand(rng, n)
+        p = tuple(rng.choice(COORDINATES) for _ in range(n))
+        assert_equal_with_fraction_coefficients(f.shift(p), ref_shift(f, p))
+
+
+def test_substitute_matches_fraction_horner():
+    rng = random.Random(112)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        var = rng.randint(1, n)
+        f = operand(rng, n)
+        # zero, constant and multi-term replacements, z_var itself included
+        replacement = operand(rng, n) + rng.choice((0, Polynomial.variable(n, var)))
+        got = f.substitute(var, replacement)
+        assert_equal_with_fraction_coefficients(got, ref_substitute(f, var, replacement))
+
+
+def integer_divisor(rng, n):
+    """Nonconstant, integer coefficients, content > 1, all coefficients negative."""
+    content = rng.choice((2, 6, 3**40))
+    while True:
+        terms = {random_monomial(rng, n, 3): -content * rng.randint(1, 9)
+                 for _ in range(rng.randint(1, 4))}
+        if any(map(sum, terms)):
+            return Polynomial(n, terms)
+
+
+def test_exact_div_matches_grlex_division():
+    rng = random.Random(113)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        divisor = integer_divisor(rng, n) if rng.random() < 0.5 else operand(rng, n)
+        while divisor.total_degree() < 1:
+            divisor = divisor + Polynomial.variable(n, rng.randint(1, n))
+        q = operand(rng, n)  # zero included: a zero dividend
+        f = ref_mul(q, divisor)
+        assert_equal_with_fraction_coefficients(f.exact_div(divisor), q)
+        assert ref_exact_div(f, divisor) == q
+        # a nonconstant divisor never divides f + c for a constant c != 0
+        inexact = f + rng.choice(COORDINATES[2:])
+        with pytest.raises(ValueError, match="division is not exact"):
+            inexact.exact_div(divisor)
+        with pytest.raises(ValueError, match="division is not exact"):
+            ref_exact_div(inexact, divisor)
 
 
 # -- local-structure helpers ---------------------------------------------------

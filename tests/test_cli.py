@@ -61,6 +61,19 @@ def test_scan_counterexample_is_unstable():
     assert out.count("SingularReducible") == 4
 
 
+def test_scan_sample_at_t_zero_is_no_evidence():
+    # t = 0 is the base point again: alone it leaves the verdict open
+    scan = ("scan", "--poly", "z2^2-z1^3", "--point", "0,0", "--curve", "t^2,t^3")
+    code, out, err = run(*scan, "--t", "0")
+    assert code == 0 and err == ""
+    assert "t = 0: point (0, 0), on locus, SingularIrreducible" in out
+    assert "verdict: Inconclusive" in out
+    assert "reason: no sample with t != 0 lies on the zero locus" in out
+    code, out, err = run(*scan, "--t", "0,1/2")
+    assert code == 0 and err == ""
+    assert "verdict: Stable-evidence" in out
+
+
 def test_resultant_prints_the_formatted_polynomial():
     code, out, err = run("resultant", "--f", "z2^2 - z1^3", "--g", "2*z2", "--var", "z2")
     assert code == 0 and err == ""

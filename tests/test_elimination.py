@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from germkit.algebra import Polynomial
+from germkit.algebra import Polynomial, _exact_quotient
 from germkit.elimination import (
-    _exact_quotient,
     coprime_at,
     discriminant,
     matrix_det,

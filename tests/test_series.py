@@ -8,7 +8,7 @@ import pytest
 from germkit.algebra import Polynomial, rational_sqrt
 from germkit.errors import NotAUnitError
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
-from helpers import random_fraction, random_monomial, random_poly
+from helpers import big_denominator_poly, random_fraction, random_poly
 
 F = Fraction
 
@@ -106,20 +106,6 @@ def test_product_equals_full_product_truncated(n, order):
         b = TruncatedSeries(random_poly(rng, n, order + 3, 8), rng.randint(1, 12))
         assert a * b == ref_mul(a, b)
         assert b * a == ref_mul(a, b)
-
-
-# pairwise coprime: a Mersenne prime and powers of 3, 5 and 7
-BIG_DENOMINATORS = (2**61 - 1, 3**40, 5**27, 7**20)
-
-
-def big_denominator_poly(rng, n, max_degree, max_terms):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        den = 1
-        for big in rng.sample(BIG_DENOMINATORS, rng.randint(1, 2)):
-            den *= big
-        terms[random_monomial(rng, n, max_degree)] = F(rng.randint(-(10**20), 10**20), den)
-    return Polynomial(n, terms)
 
 
 def test_product_with_large_coprime_denominators_equals_full_product_truncated():

@@ -26,7 +26,7 @@ from .germs import GermQuery, GermStatus, ScanReport, analyze_germ, scan_stabili
 from .germs import _format_point
 from .parsing import format_poly, parse_curve, parse_point, parse_poly, parse_rationals
 from .series import TruncatedSeries
-from .weierstrass import make_regular, weierstrass_prepare
+from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
 
 DEMO_POLY = "z3^2 - z1*z2^2"
 DEMO_CURVE = "t,0,0"
@@ -201,25 +201,25 @@ def _parse_inputs(poly_texts, var_text, point_text=None):
 
 
 def _cmd_analyze(ns):
-    (f,), point, j = _parse_inputs([ns.poly], ns.var, ns.point)
-    status = analyze_germ(GermQuery(f, point, ns.order, j))
+    (f,), point, _ = _parse_inputs([ns.poly], None, ns.point)
+    status = analyze_germ(GermQuery(f, point, ns.order))
     lines = [
         f"f = {format_poly(f)}",
         f"point = {_format_point(point)}",
         f"order = {ns.order}",
-        *_status_lines(status, j),
+        *_status_lines(status, f.n),
     ]
     inputs = {"poly": ns.poly, "point": point, "order": ns.order}
     return lines, inputs, _status_payload(status)
 
 
 def _cmd_scan(ns):
-    (f,), point, j = _parse_inputs([ns.poly], ns.var, ns.point)
+    (f,), point, _ = _parse_inputs([ns.poly], None, ns.point)
     curve = parse_curve(ns.curve, f.n)
     t_values = parse_rationals(ns.t)
-    report = scan_stability(f, point, curve, t_values, ns.order, j)
+    report = scan_stability(f, point, curve, t_values, ns.order)
     curve_text = "(" + ", ".join(_format_curve_coord(c) for c in curve) + ")"
-    base = _status_lines(report.base_status, j)
+    base = _status_lines(report.base_status, f.n)
     lines = [
         f"f = {format_poly(f)}",
         f"base point = {_format_point(point)}",
@@ -351,22 +351,15 @@ def _cmd_demo(ns):
     N = ns.order
     f = parse_poly(DEMO_POLY)
     origin = (Fraction(0),) * 3
-    near = (Fraction(1), Fraction(0), Fraction(0))
-
-    origin_status = analyze_germ(GermQuery(f, origin, N))
-    near_status = analyze_germ(GermQuery(f, near, N))
+    curve = parse_curve(DEMO_CURVE, 3)
+    report = scan_stability(f, origin, curve, parse_rationals(DEMO_T_VALUES), N)
+    near = next(s for s in report.samples if s.t == 1)  # the sample at (1, 0, 0)
 
     multiply_back = None
-    if near_status.factors is not None:
-        target, _ = make_regular(f.shift(near), 3)
-        product = near_status.factors[0]
-        for fac in near_status.factors[1:]:
-            product = product * fac
-        multiply_back = product == TruncatedSeries(target, N)
-
-    curve = parse_curve(DEMO_CURVE, 3)
-    t_values = parse_rationals(DEMO_T_VALUES)
-    report = scan_stability(f, origin, curve, t_values, N)
+    if near.status.factors is not None:
+        target, _ = make_regular(f.shift(near.point), 3)
+        a, b = near.status.factors
+        multiply_back = a * b == TruncatedSeries(target, N)
 
     lines = [
         "counterexample: local irreducibility is not stable in three variables",
@@ -374,14 +367,14 @@ def _cmd_demo(ns):
         f"f = {format_poly(f)}",
         "",
         "[1] analyze at the origin",
-        *_status_lines(origin_status, 3),
+        *_status_lines(report.base_status, 3),
         "",
-        f"[2] analyze at {_format_point(near)}",
-        *_status_lines(near_status, 3),
+        f"[2] analyze at {_format_point(near.point)}",
+        *_status_lines(near.status, 3),
     ]
     if multiply_back is not None:
         lines.append(
-            f"factors multiply back to f at {_format_point(near)}: "
+            f"factors multiply back to f at {_format_point(near.point)}: "
             + ("yes" if multiply_back else "NO")
             + f" (through total degree {N})"
         )
@@ -408,11 +401,11 @@ def _cmd_demo(ns):
         "poly": DEMO_POLY,
         "origin": {
             "point": origin,
-            **_status_payload(origin_status),
+            **_status_payload(report.base_status),
         },
         "nearby": {
-            "point": near,
-            **_status_payload(near_status),
+            "point": near.point,
+            **_status_payload(near.status),
             "factors_multiply_back": multiply_back,
         },
         "scan": _scan_payload(report),
@@ -437,7 +430,7 @@ _HANDLERS = {
 def _add_common(sub, order=True):
     if order:
         sub.add_argument("--order", type=int, default=8,
-                         help="series truncation order N (default 8)")
+                         help=f"series truncation order N, at most {MAX_ORDER} (default 8)")
     sub.add_argument("--json", action="store_true",
                      help="emit a JSON report instead of text")
 
@@ -455,7 +448,6 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("analyze", help="classify the germ of a polynomial at a point")
     p.add_argument("--poly", required=True, help="polynomial in z1, z2, ...")
     p.add_argument("--point", required=True, help="comma-separated rationals")
-    p.add_argument("--var", help="distinguished variable (default: last)")
     _add_common(p)
 
     p = sub.add_parser("scan", help="classify germs along a parametric curve")
@@ -465,7 +457,6 @@ def _build_parser() -> _ArgumentParser:
                    help="curve through the base point, e.g. \"t,0,0\"")
     p.add_argument("--t", default=DEMO_T_VALUES,
                    help=f"parameter samples (default {DEMO_T_VALUES})")
-    p.add_argument("--var", help="distinguished variable (default: last)")
     _add_common(p)
 
     p = sub.add_parser("prepare",

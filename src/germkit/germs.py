@@ -41,7 +41,7 @@ from typing import ClassVar, Optional
 from .algebra import Polynomial, as_point, as_rational
 from .errors import DimensionMismatchError, DistinguishedVarDividesError, NotRegularError
 from .series import TruncatedSeries, ts_sqrt
-from .weierstrass import WeierstrassData, make_regular, weierstrass_prepare
+from .weierstrass import MAX_ORDER, WeierstrassData, make_regular, weierstrass_prepare
 
 # -- certificates -----------------------------------------------------------
 
@@ -217,14 +217,11 @@ class GermQuery:
     f: Polynomial
     point: tuple
     order: int = 8
-    preferred_var: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "point", as_point(self.point, self.f.n))
-        if self.order < 2:
-            raise ValueError("truncation order must be at least 2")
-        if self.preferred_var is not None and not 1 <= self.preferred_var <= self.f.n:
-            raise ValueError(f"preferred variable {self.preferred_var} out of range")
+        if not 2 <= self.order <= MAX_ORDER:
+            raise ValueError(f"truncation order must be at least 2 and at most {MAX_ORDER}")
 
 
 # -- local square test --------------------------------------------------------
@@ -454,8 +451,8 @@ def analyze_germ(query: GermQuery) -> GermStatus:
 
     Cascade: one shift to the point, whose constant term is the value and
     whose linear part is the gradient: nonvanishing value -> Unit; nonzero
-    gradient -> SmoothIrreducible;
-    otherwise regularize the shifted germ in z_j, to order d >= 2 (the germ
+    gradient -> SmoothIrreducible; otherwise, with j = n (the last
+    variable), regularize the shifted germ in z_j, to order d >= 2 (the germ
     and its gradient vanish, and a linear shear keeps the order), and
     dispatch once on the exact sheared germ: z_j divides it -> the
     distinguished variable splits off; d = 2 -> prepare and test the
@@ -475,7 +472,7 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     gradient = tuple(shifted.coefficient([int(i == k) for i in range(n)]) for k in range(n))
     if any(c != 0 for c in gradient):
         return GermStatus.smooth(SmoothPoint(gradient=gradient))
-    j = query.preferred_var if query.preferred_var is not None else n
+    j = n  # any other choice asks about the same germ with variables renamed
     sheared, report = make_regular(shifted, j)
     d, k = report.order, sheared.variable_order(j)
     if k > 0:
@@ -526,10 +523,10 @@ class ScanReport:
     sample with t != 0 is reducible; `witness` holds it), "Stable-evidence"
     (the base germ and every on-locus sample with t != 0 got an irreducible
     classification; finite evidence, not a proof), or "Inconclusive"
-    (reason attached; among others, whenever no on-locus sample has t != 0,
-    and whenever the base germ is not irreducible, since stability of
-    irreducibility is then not in question).  A sample at t = 0 is the base
-    point again and never counts toward the verdict.
+    (reason attached: no on-locus sample has t != 0, some classification
+    is Undetermined, or the base germ is not irreducible, since stability
+    of irreducibility is then not in question).  A sample at t = 0 is the
+    base point again and never counts toward the verdict.
     """
 
     curve: tuple
@@ -547,7 +544,6 @@ def scan_stability(
     curve,
     t_values,
     N: int = 8,
-    preferred_var: int | None = None,
 ) -> ScanReport:
     """Classify f along a rational curve and judge stability of irreducibility.
 
@@ -573,11 +569,11 @@ def scan_stability(
             f"{_format_point(p)}"
         )
 
-    base_status = analyze_germ(GermQuery(f, p, N, preferred_var))
+    base_status = analyze_germ(GermQuery(f, p, N))
     samples = []
     for t in t_values:
         q = tuple(c.evaluate((t,)) for c in coords)
-        status = analyze_germ(GermQuery(f, q, N, preferred_var))
+        status = analyze_germ(GermQuery(f, q, N))
         # analyze_germ answers Unit exactly when f(q) != 0
         samples.append(ScanSample(t=t, point=q, on_locus=status.kind != UNIT, status=status))
     samples = tuple(samples)
@@ -593,13 +589,9 @@ def scan_stability(
     elif not base_status.is_irreducible_verdict():
         reason = f"the base germ is not irreducible ({base_status.kind})"
     else:
-        breaking = [s for s in on_locus if s.status.kind == SINGULAR_REDUCIBLE]
-        if breaking:
-            verdict, witness = "Unstable", breaking[0]
-        elif all(s.status.is_irreducible_verdict() for s in on_locus):
-            verdict = "Stable-evidence"
-        else:
-            reason = "mixed classifications without an instability witness"
+        # every other on-locus sample is irreducible: no Unit, no Undetermined
+        witness = next((s for s in on_locus if s.status.kind == SINGULAR_REDUCIBLE), None)
+        verdict = "Stable-evidence" if witness is None else "Unstable"
     return ScanReport(
         curve=coords,
         base_point=p,

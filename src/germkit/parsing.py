@@ -13,7 +13,8 @@ The expression grammar, with no implicit multiplication:
 so "z1^-2" is rejected.  Points and t-lists are comma-separated rationals.
 
 format_poly prints graded-lexicographic ascending order with explicit
-"*" and "^", and its output always re-parses to the same polynomial.
+"*" and "^", and its output re-parses to the same polynomial when no
+exponent is above MAX_EXPONENT, the largest exponent the parser accepts.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ __all__ = [
     "parse_rationals",
     "format_poly",
 ]
+
+# The largest exponent literal accepted: powers expand in full, and
+# (1+z1+z2+z3)^32 takes about a second to expand, ^48 about seven.
+MAX_EXPONENT = 32
 
 
 class _Token(NamedTuple):
@@ -117,6 +122,8 @@ class _Parser:
             self.advance()
             if self.peek().kind != "num":
                 raise self.fail("a natural-number exponent")
+            if self.peek().value > MAX_EXPONENT:
+                raise self.fail(f"an exponent of at most {MAX_EXPONENT}")
             value = value ** self.advance().value
         return value
 
@@ -224,7 +231,7 @@ def parse_curve(text: str, n: int | None = None) -> tuple[Polynomial, ...]:
 
 
 def format_poly(f: Polynomial) -> str:
-    """Canonical text form, ascending graded-lex, always re-parseable."""
+    """Canonical text form, ascending graded-lex, re-parseable up to MAX_EXPONENT."""
     if f.is_zero():
         return "0"
     parts = []

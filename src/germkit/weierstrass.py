@@ -34,6 +34,11 @@ from .algebra import Monomial, Polynomial, as_rational
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from .series import TruncatedSeries
 
+# The largest truncation order accepted.  Series work grows steeply with it:
+# a dense 4-variable germ takes seconds at order 32 and over a minute at 64.
+MAX_ORDER = 32
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     """Outcome of a regularity probe in one distinguished variable.
@@ -154,9 +159,11 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
     """Compute f = unit * w with w a Weierstrass polynomial in z_j, mod degree N.
 
     Requires f(origin) = 0 and f regular of finite order d in z_j, with
-    N >= d.  The unit and the coefficient series e_i are exact in every
-    term of total degree <= N; terms beyond N are discarded.
+    d <= N <= MAX_ORDER.  The unit and the coefficient series e_i are
+    exact in every term of total degree <= N; terms beyond N are discarded.
     """
+    if N > MAX_ORDER:
+        raise ValueError(f"truncation order must be at most {MAX_ORDER}")
     report = regular_order(f, j)
     if not report.regular:
         raise NotRegularError(
@@ -238,7 +245,6 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
 
 def _axis_slice(f: Polynomial, j: int) -> dict[int, Fraction]:
     """Exponent -> coefficient map of f restricted to the z_j axis."""
-    n = f.n
     out: dict[int, Fraction] = {}
     for mono, coeff in f.terms():
         if all(e == 0 for i, e in enumerate(mono) if i != j - 1):
@@ -247,12 +253,9 @@ def _axis_slice(f: Polynomial, j: int) -> dict[int, Fraction]:
 
 
 def _uni_inverse(a: dict[int, Fraction], k: int) -> dict[int, Fraction]:
-    """Inverse of a unit univariate series, mod t^k."""
+    """Inverse of a unit univariate series, mod t^k for k >= 1."""
     c0 = a.get(0, Fraction(0))
-    out: dict[int, Fraction] = {}
-    if k <= 0:
-        return out
-    out[0] = 1 / c0
+    out: dict[int, Fraction] = {0: 1 / c0}
     for m in range(1, k):
         acc = Fraction(0)
         for i in range(1, m + 1):

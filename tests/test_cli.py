@@ -13,7 +13,9 @@ import pytest
 from germkit import __version__
 from germkit.algebra import Polynomial
 from germkit.cli import run_cli
+from germkit.parsing import MAX_EXPONENT
 from germkit.series import TruncatedSeries
+from germkit.weierstrass import MAX_ORDER
 
 GOLDEN = Path(__file__).parent / "data" / "demo_counterexample.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -236,6 +238,40 @@ def test_exit_code_1_on_usage_error():
     assert code == 1 and "out of range" in err
     code, _, err = run("analyze", "--poly", "z1^2", "--point", "0", "--order", "1")
     assert code == 1 and "at least 2" in err
+
+
+def test_analyze_and_scan_take_no_distinguished_variable():
+    # they always distinguish the last variable; prepare still takes --var
+    code, out, err = run(
+        "analyze", "--poly", "z1^2 - z2*z3^2", "--point", "0,0,0", "--var", "z1"
+    )
+    assert code == 1 and out == "" and err.startswith("usage error:")
+    code, out, err = run(
+        "scan", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0", "--curve", "t,0,0",
+        "--var", "z1",
+    )
+    assert code == 1 and out == "" and err.startswith("usage error:")
+    code, out, err = run("prepare", "--poly", "z1^2 - z2*z3^2", "--var", "z1")
+    assert code == 0 and "distinguished variable: z1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0"),
+    ("scan", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0", "--curve", "t,0,0"),
+    ("prepare", "--poly", "z2^2 - z1^3"),
+    ("demo",),
+])
+def test_order_above_the_cap_is_an_error(argv):
+    code, out, err = run(*argv, "--order", str(MAX_ORDER + 1))
+    assert code == 1 and out == ""
+    assert err.startswith("error: truncation order must be")
+    assert err.endswith(f"at most {MAX_ORDER}\n")
+
+
+def test_exponent_above_the_cap_is_a_parse_error():
+    code, out, err = run("analyze", "--poly", f"z1^{MAX_EXPONENT + 1}", "--point", "0")
+    assert code == 2 and out == ""
+    assert f"expected an exponent of at most {MAX_EXPONENT}" in err
 
 
 def test_exit_code_0_on_undetermined():

@@ -302,6 +302,18 @@ def test_coprime_at_detects_shared_factor():
     assert rep.resultant_poly.is_zero()
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a zero resultant is read as a common factor even when it is a unit at p",
+)
+def test_common_factor_that_is_a_unit_at_the_point_leaves_the_germs_coprime():
+    # z2 - 1 is a unit at the origin, so the germs there are those of z1 and z2
+    unit = Polynomial(2, {(0, 1): 1, (0, 0): -1})  # z2 - 1
+    g = unit * Polynomial.variable(2, 1)
+    h = unit * Polynomial.variable(2, 2)
+    assert coprime_at(g, h, (0, 0), 2).coprime_germ_at_point
+
+
 def test_zero_set_discrete_conventions():
     r = Polynomial(1, {(3,): -4})
     assert zero_set_discrete(r, (0,)) is True  # univariate, finitely many roots

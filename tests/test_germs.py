@@ -22,8 +22,9 @@ from germkit.germs import (
     quadratic_germ_test,
     scan_stability,
 )
+from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries
-from germkit.weierstrass import apply_shear, weierstrass_prepare
+from germkit.weierstrass import MAX_ORDER, apply_shear, weierstrass_prepare
 from helpers import random_fraction, random_monomial, random_point, random_poly
 
 F = Fraction
@@ -379,12 +380,10 @@ def test_analyze_counterexample_shifted():
 
 def test_analyze_smoothness_shortcut_precedes_preparation():
     # d = 1 forces a nonzero partial derivative, so every degree-one germ is
-    # already caught by the smooth-point check, preferred variable or not.
+    # already caught by the smooth-point check.
     f = Polynomial(2, {(0, 1): 1, (2, 0): 1})  # z2 + z1^2, smooth at 0
     status = analyze_germ(GermQuery(f, (0, 0), 8))
     assert status.kind == "SmoothIrreducible"
-    status2 = analyze_germ(GermQuery(f, (0, 0), 8, preferred_var=2))
-    assert status2.kind == "SmoothIrreducible"
 
 
 def test_analyze_distinguished_var_divides():
@@ -628,6 +627,14 @@ def test_scan_requires_curve_through_base_point():
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (), 8)
 
 
+def test_order_above_the_cap_is_rejected_at_once():
+    message = f"truncation order must be at least 2 and at most {MAX_ORDER}"
+    with pytest.raises(ValueError, match=message):
+        GermQuery(COUNTEREXAMPLE, (0, 0, 0), MAX_ORDER + 1)
+    with pytest.raises(ValueError, match=message):
+        scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (1,), MAX_ORDER + 1)
+
+
 def test_scan_on_locus_is_exact_vanishing():
     # f = (z1 - p1 - 1) * g along a curve with z1 = p1 + t: every sample at
     # t = 1 lies on the locus, most others do not
@@ -671,3 +678,25 @@ def test_unit_iff_nonvanishing_both_directions():
         if status.kind == "SmoothIrreducible":
             assert f.evaluate(p) == 0
             assert any(c != 0 for c in f.gradient_at(p))
+
+
+# -- known wrong answers -----------------------------------------------------------------
+# The quadratic square test reads the discriminant D = e1^2 - 4*e2 truncated at
+# the order, so a term of D above the order can flip the verdict.  Each test
+# states the sound property and fails until the square test reads the exact D.
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="square test on the truncated discriminant"
+)
+@pytest.mark.parametrize("poly, wrong", [
+    # (z3 - z1 - z2^5)*(z3 + z1 + z2^5): D = 4*(z1 + z2^5)^2 is a square
+    ("z3^2 - (z1 + z2^5)^2", "SingularIrreducible"),
+    # D = 4*(z1^2 + z2^9), and the plane germ z1^2 + z2^9 is not a square
+    ("z3^2 - z1^2 - z2^9", "SingularReducible"),
+    # D = -4*(z2^2 + z1^9), not a square either
+    ("z1^9 + z2^2 + z3^2", "SingularReducible"),
+])
+def test_quadratic_verdict_holds_for_the_exact_germ(poly, wrong):
+    status = analyze_germ(GermQuery(parse_poly(poly), (0, 0, 0)))
+    assert status.kind != wrong

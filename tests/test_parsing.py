@@ -8,6 +8,7 @@ import pytest
 from germkit.algebra import Polynomial
 from germkit.errors import DimensionMismatchError, ParseError, UnknownVariableError
 from germkit.parsing import (
+    MAX_EXPONENT,
     format_poly,
     parse_curve,
     parse_point,
@@ -57,6 +58,16 @@ def test_parse_rejects_negative_exponent():
     with pytest.raises(ParseError) as exc:
         parse_poly("z1^-2")
     assert exc.value.position == 3
+
+
+def test_parse_rejects_exponent_above_the_cap():
+    assert parse_poly(f"z1^{MAX_EXPONENT}") == Polynomial(1, {(MAX_EXPONENT,): 1})
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"z1^{MAX_EXPONENT + 1}")
+    assert exc.value.position == 3
+    assert exc.value.expected == f"an exponent of at most {MAX_EXPONENT}"
+    with pytest.raises(ParseError):
+        parse_curve(f"t^{MAX_EXPONENT + 1},0", 2)
 
 
 def test_parse_rejects_polynomial_division():

@@ -10,6 +10,7 @@ from germkit.algebra import Polynomial
 from germkit.errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from germkit.series import TruncatedSeries
 from germkit.weierstrass import (
+    MAX_ORDER,
     apply_shear,
     make_regular,
     regular_order,
@@ -180,6 +181,8 @@ def test_prepare_errors():
         weierstrass_prepare(Polynomial.constant(2, 5), 2, 8)  # unit, order 0
     with pytest.raises(OrderTooSmallError):
         weierstrass_prepare(COUNTEREXAMPLE, 3, 1)  # N < d
+    with pytest.raises(ValueError, match=f"truncation order must be at most {MAX_ORDER}"):
+        weierstrass_prepare(COUNTEREXAMPLE, 3, MAX_ORDER + 1)
 
 
 # -- preparation: property suite -------------------------------------------------

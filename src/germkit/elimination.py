@@ -45,7 +45,6 @@ class CoprimeReport:
     resultant_poly: Polynomial
     coprime_germ_at_point: bool
     vanishing_at_point: bool
-    var: int
     applied_change: tuple | None = None
 
 
@@ -164,8 +163,7 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     return CoprimeReport(
         resultant_poly=r,
         coprime_germ_at_point=not r.is_zero(),
-        vanishing_at_point=r.evaluate((Fraction(0),) * r.n) == 0,
-        var=j,
+        vanishing_at_point=r.constant_term() == 0,
         applied_change=change,
     )
 

@@ -1,11 +1,12 @@
 """Local classification of polynomial germs with machine-checkable certificates.
 
 The classifier is deliberately a partial decision procedure.  It is
-decisive on units, smooth points, degree-2 Weierstrass germs in any
-dimension, and bivariate germs caught by the Newton polygon
-criteria; everything else comes back Undetermined with a reason.  Every
-decisive answer carries a certificate holding exactly the data needed to
-re-verify it independently:
+decisive on units, smooth points, germs a*z_n^2 + b*z_n + c with a
+nonzero constant a in any dimension, and bivariate germs caught by the
+Newton polygon criteria; everything else comes back Undetermined with a
+reason.  No verdict depends on the truncation order, the precision of
+printed series.  Every decisive answer carries a certificate holding
+exactly the data needed to re-verify it independently:
 
   NonzeroValue          f(p) != 0, the germ is a unit
   SmoothPoint           gradient nonzero, the zero set is locally a graph
@@ -14,9 +15,9 @@ re-verify it independently:
   MonomialUnitSquare    the discriminant is monomial * unit with even
                         exponents; carries the square root when it is
                         rationally representable
-  LowestFormNotASquare  the lowest homogeneous form of the discriminant,
-                        of degree at most the order, is not a square of a
-                        form (decided in any number of variables)
+  LowestFormNotASquare  the lowest homogeneous form of the discriminant is
+                        not a square of a form (decided in any number of
+                        variables)
   DistinguishedVarDivides  the distinguished variable divides the exact
                         germ, `multiplicity` times
   MultiEdgePolygon / BinomialCoprimeEdge / BinomialNoncoprimeEdge /
@@ -41,7 +42,7 @@ from typing import ClassVar, Optional
 from .algebra import Polynomial, as_point, as_rational
 from .errors import DimensionMismatchError, DistinguishedVarDividesError, NotRegularError
 from .series import TruncatedSeries, ts_sqrt
-from .weierstrass import MAX_ORDER, WeierstrassData, make_regular, weierstrass_prepare
+from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
 
 # -- certificates -----------------------------------------------------------
 
@@ -228,18 +229,18 @@ class GermQuery:
 
 
 def is_local_square(D: Polynomial, N: int) -> object | None:
-    """Decide whether D is the square of a germ at the origin (over C).
+    """Decide whether D, an exact polynomial, is a square germ at the origin (over C).
 
     The certificate is the decision: a MonomialUnitSquare means yes (its
-    `root` is None in the symbolic case), any other certificate means no,
-    and None means undetermined.
+    `root`, cut at order N, is None in the symbolic case), any other
+    certificate means no, and None means undetermined.
 
-    D is exact only through degree N.  Decision cascade: (1) zero decides
-    nothing; (2) a monomial-unit split x^alpha * U with every alpha
-    component even is a square, with explicit root when U(0) is a rational
-    square; (3) an odd variable order rules a square out; (4) a lowest
-    homogeneous form of degree at most N that is not the square of a form
-    rules a square out; (5) otherwise undetermined.
+    Decision cascade: (1) zero decides nothing (no certificate states it);
+    (2) a monomial-unit split x^alpha * U with every alpha component even
+    is a square, with explicit root when U(0) is a rational square; (3) an
+    odd variable order rules a square out; (4) a lowest homogeneous form
+    that is not the square of a form rules a square out; (5) otherwise
+    undetermined.
     """
     if D.is_zero():
         return None
@@ -259,7 +260,7 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
         if k % 2 == 1:
             return OddVariableOrder(variable=i, order=k)
     form, degree = D.lowest_homogeneous_form()
-    if degree <= N and not _is_square_form(form):
+    if not _is_square_form(form):
         return LowestFormNotASquare(form=form, degree=degree)
     return None
 
@@ -293,37 +294,44 @@ def _is_square_form(form: Polynomial) -> bool:
     return True
 
 
-def quadratic_germ_test(wd: WeierstrassData) -> GermStatus:
-    """Classify a degree-2 Weierstrass germ via its discriminant.
+def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus:
+    """Classify the germ f = a*t^2 + b*t + c, t = z_j, by its exact discriminant.
 
-    w = t^2 + e1*t + e2 splits into two monic linear Weierstrass factors
-    exactly when D = e1^2 - 4*e2 is a square germ; the factors are then
-    t + (e1 -+ r)/2 for a square root r of D.  When the square exists over
+    Requires a to be a nonzero rational constant and b(0) = c(0) = 0.  Then
+    f / a = t^2 + e1*t + e2 is exactly the germ's Weierstrass polynomial,
+    and it splits into two monic linear factors exactly when the polynomial
+    D = e1^2 - 4*e2 is a square germ; the factors are then t + (e1 -+ r)/2
+    for a square root r of D, cut at order N.  When the square exists over
     C but has no rational representation the verdict is still reducible,
     with factors omitted (the symbolic case).
     """
-    if wd.degree != 2:
-        raise ValueError(
-            f"quadratic test needs a degree-2 Weierstrass polynomial, got degree {wd.degree}"
-        )
-    e1, e2 = wd.coefficients
-    D = (e1 * e1).body - 4 * e2.body  # through degree N, where e1 and e2 are exact
-    N, j, n = wd.truncation_order, wd.distinguished_var, wd.n
+    coefficients = _monic_quadratic(f, j)
+    if coefficients is None:
+        raise ValueError(f"quadratic test needs a*z{j}^2 + b*z{j} + c, a constant, b(0) = c(0) = 0")
+    e1, e2 = coefficients
+    D = e1 * e1 - 4 * e2
     cert = is_local_square(D, N)
     if cert is None:
-        return GermStatus.undetermined(
-            "discriminant square-ness is undecided at this truncation order"
-        )
+        why = ("is zero: the germ is a constant times a square" if D.is_zero()
+               else "has a square lowest form but no monomial-unit split")
+        return GermStatus.undetermined("the discriminant " + why)
     if not isinstance(cert, MonomialUnitSquare):
         return GermStatus.irreducible(cert)
     if cert.symbolic:
         return GermStatus.reducible(cert)
-    half = Fraction(1, 2)
-    t = Polynomial.variable(n, j)
-    lo = ((e1.body - cert.root.body) * half).insert_variable(j)
-    hi = ((e1.body + cert.root.body) * half).insert_variable(j)
-    factors = (TruncatedSeries(t + lo, N), TruncatedSeries(t + hi, N))
-    return GermStatus.reducible(cert, factors=factors)
+    t, r = Polynomial.variable(f.n, j), cert.root.body
+    lo, hi = (t + ((e1 + s * r) * Fraction(1, 2)).insert_variable(j) for s in (-1, 1))
+    return GermStatus.reducible(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
+
+
+def _monic_quadratic(f: Polynomial, j: int) -> tuple | None:
+    """(e1, e2), in the variables other than z_j, when f = a*(z_j^2 + e1*z_j + e2)
+    with a a nonzero constant and e1(0) = e2(0) = 0; otherwise None."""
+    coeffs = f.coefficients_in(j)
+    if len(coeffs) == 3 and coeffs[2].total_degree() == 0:
+        e2, e1 = (c.drop_variable(j) * (1 / coeffs[2].constant_term()) for c in coeffs[:2])
+        if e1.constant_term() == e2.constant_term() == 0:
+            return e1, e2
 
 
 # -- Newton polygon -----------------------------------------------------------
@@ -455,12 +463,12 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     variable), regularize the shifted germ in z_j, to order d >= 2 (the germ
     and its gradient vanish, and a linear shear keeps the order), and
     dispatch once on the exact sheared germ: z_j divides it -> the
-    distinguished variable splits off; d = 2 -> prepare and test the
-    discriminant for a square; bivariate -> Newton polygon; anything else
-    is outside the decidable fragment.  Only the first two branches
-    prepare, and the first only for its factors, when d is at most the
-    order.  Factors in the result are expressed in the shifted coordinates
-    (plus the recorded shear when one was needed).
+    distinguished variable splits off; a*z_j^2 + b*z_j + c with a nonzero
+    constant a -> the square test on its exact discriminant; bivariate ->
+    Newton polygon; anything else is outside the decidable fragment.  No
+    verdict depends on the order N, the precision of the factors, which are
+    in the shifted coordinates (plus the recorded shear, if any); only the
+    first branch prepares, for its factors, when d is at most N.
     """
     f, p, N = query.f, query.point, query.order
     shifted = f.shift(p)
@@ -483,21 +491,14 @@ def analyze_germ(query: GermQuery) -> GermStatus:
             factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
         cert = DistinguishedVarDivides(variable=j, multiplicity=k)
         status = GermStatus.reducible(cert, factors=factors)
-    elif d == 2:
-        wd = weierstrass_prepare(sheared, j, N)
-        if wd.coefficients[-1].body.is_zero():
-            # f(z', 0) = u(z', 0) * e_2 is not zero, so e_2 only truncates to zero
-            status = GermStatus.undetermined(
-                f"degree dispatch: e_2 vanishes to order {N} but f(z', 0) is not "
-                "zero; a higher order is needed"
-            )
-        else:
-            status = quadratic_germ_test(wd)
+    elif _monic_quadratic(sheared, j) is not None:
+        status = quadratic_germ_test(sheared, j, N)
     elif n == 2:
         status = polygon_verdict(newton_polygon(sheared, j))
     else:
+        shape = f"2 (but not a*z{j}^2 + b*z{j} + c, a constant)" if d == 2 else ">= 3"
         status = GermStatus.undetermined(
-            "Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment"
+            f"Weierstrass degree {shape} in dimension >= 3 is outside the decidable fragment"
         )
     return replace(status, applied_change=report.applied_change)
 

@@ -50,7 +50,6 @@ class RegularityReport:
     applied).
     """
 
-    var: int
     regular: bool
     order: int | float
     applied_change: tuple | None = None
@@ -103,8 +102,8 @@ def regular_order(f: Polynomial, j: int) -> RegularityReport:
         raise ZeroPolynomialError("regularity is undefined for the zero polynomial")
     axis = _axis_slice(f, j)
     if not axis:
-        return RegularityReport(var=j, regular=False, order=inf)
-    return RegularityReport(var=j, regular=True, order=min(axis))
+        return RegularityReport(regular=False, order=inf)
+    return RegularityReport(regular=True, order=min(axis))
 
 
 def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:

@@ -132,12 +132,12 @@ def test_certificate_line_lists_the_fields_in_order(poly, point, line):
 
 
 def test_lowest_form_above_the_order_is_undetermined():
-    # (z3 + z1^4 + z2^5)^2 is a square, so its discriminant is 0; the one
-    # computed from order-8 data has a degree-9 lowest form, beyond the
-    # degrees that data determines
+    # (z3 + z1^4 + z2^5)^2 is a square, so its exact discriminant is 0; the
+    # one of an order-8 preparation would have a degree-9 lowest form
     code, out, err = run("analyze", "--poly", "(z3 + z1^4 + z2^5)^2", "--point", "0,0,0,0")
     assert code == 0 and err == ""
     assert "status: Undetermined\n" in out
+    assert "reason: the discriminant is zero: the germ is a constant times a square\n" in out
     assert "certificate:" not in out
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from germkit.germs import (
     BinomialNoncoprimeEdge,
     DistinguishedVarDivides,
     GermQuery,
+    LowestFormNotASquare,
     MonomialUnitSquare,
+    OddVariableOrder,
     analyze_germ,
     is_local_square,
     newton_polygon,
@@ -24,7 +27,7 @@ from germkit.germs import (
 )
 from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries
-from germkit.weierstrass import MAX_ORDER, apply_shear, weierstrass_prepare
+from germkit.weierstrass import MAX_ORDER, apply_shear
 from helpers import random_fraction, random_monomial, random_point, random_poly
 
 F = Fraction
@@ -62,7 +65,8 @@ def test_square_test_squarefree_lowest_form():
 
 
 def test_square_test_leaves_zero_undecided():
-    # D = 0 through degree N says nothing about D's terms above N
+    # 0 = 0^2, but no certificate states it: a quadratic germ with D = 0 is
+    # a constant times a square, which the cascade leaves Undetermined
     assert is_local_square(Polynomial.zero(2), 8) is None
 
 
@@ -89,13 +93,13 @@ def test_square_test_decides_forms_in_three_variables():
     assert is_local_square(r * r * -3 + Polynomial(3, {(5, 0, 0): 1}), 8) is None
 
 
-def test_square_test_ignores_a_lowest_form_above_the_order():
+def test_square_test_decides_a_lowest_form_above_the_order():
     # z1^4*z2^4*(z1^2 + z2^2): even variable orders, no monomial-unit split,
-    # and a non-square lowest form of degree 10; D is exact only through N
+    # and a non-square lowest form of degree 10; D is exact, so N, the
+    # precision of a root, does not matter
     d = Polynomial(2, {(6, 4): 1, (4, 6): 1})
-    assert is_local_square(d, 8) is None
-    cert = is_local_square(d, 10)
-    assert cert.kind == "LowestFormNotASquare" and cert.degree == 10
+    for N in (2, 8, 10):
+        assert is_local_square(d, N) == LowestFormNotASquare(form=d, degree=10)
 
 
 def _random_form(rng, n, degree):
@@ -151,8 +155,7 @@ def test_square_test_on_forms_of_known_factorization():
 
 
 def test_quadratic_counterexample_at_origin_is_irreducible():
-    wd = weierstrass_prepare(COUNTEREXAMPLE, 3, 8)
-    status = quadratic_germ_test(wd)
+    status = quadratic_germ_test(COUNTEREXAMPLE, 3, 8)
     assert status.kind == "SingularIrreducible"
     assert status.certificate.kind == "OddVariableOrder"
     assert status.certificate.variable == 1 and status.certificate.order == 1
@@ -160,8 +163,7 @@ def test_quadratic_counterexample_at_origin_is_irreducible():
 
 def test_quadratic_shifted_counterexample_splits():
     shifted = COUNTEREXAMPLE.shift((1, 0, 0))
-    wd = weierstrass_prepare(shifted, 3, 8)
-    status = quadratic_germ_test(wd)
+    status = quadratic_germ_test(shifted, 3, 8)
     assert status.kind == "SingularReducible"
     a, b = status.factors
     # factors z3 -/+ z2*(1 + z1/2 - z1^2/8 + ...)
@@ -169,42 +171,41 @@ def test_quadratic_shifted_counterexample_splits():
         assert fac.body.coefficient((0, 0, 1)) == 1
         assert fac.body.constant_term() == 0  # both factors are non-units
     assert a.body.coefficient((0, 1, 0)) == -b.body.coefficient((0, 1, 0))
-    # multiply-back: a*b = w mod N
-    assert a * b == TruncatedSeries(wd.weierstrass_polynomial(), 8)
+    # multiply-back: a*b = w mod N, and w is the shifted germ itself (a = 1)
+    assert a * b == TruncatedSeries(shifted, 8)
 
 
 def test_quadratic_double_root():
-    # z2^2: e1 = e2 = 0, so D = 0, which decides nothing at a finite order
+    # z2^2: e1 = e2 = 0, so D = 0, which no certificate states
     # (analyze_germ certifies this germ by DistinguishedVarDivides instead)
     w = Polynomial(2, {(0, 2): 1})
-    wd = weierstrass_prepare(w, 2, 8)
-    status = quadratic_germ_test(wd)
+    status = quadratic_germ_test(w, 2, 8)
     assert status.kind == "Undetermined" and status.factors is None
 
 
-def test_quadratic_discriminant_is_cut_at_the_order():
-    # (z3 + z1^4 + z2^5)^2 is a square: D = 0.  Squaring the order-8 e1
-    # without cutting at 8 would leave 8*z1^4*z2^5 + 4*z2^10, which e2's
-    # order-8 data cannot cancel and whose odd z2-order rules out a square
+def test_quadratic_discriminant_is_exact():
+    # (z3 + z1^4 + z2^5)^2 is a square: D = 0 exactly, at every order.  The
+    # discriminant of an order-8 preparation would keep 8*z1^4*z2^5 + 4*z2^10
     r = Polynomial(3, {(0, 0, 1): 1, (4, 0, 0): 1, (0, 5, 0): 1})
-    status = quadratic_germ_test(weierstrass_prepare(r * r, 3, 8))
-    assert status.kind == "Undetermined"
+    for N in (2, 8, MAX_ORDER):
+        status = quadratic_germ_test(r * r, 3, N)
+        assert status.kind == "Undetermined"
+        assert status.reason == "the discriminant is zero: the germ is a constant times a square"
 
 
-def test_analyze_discriminant_zero_to_the_order_is_undetermined():
-    # (z2 + z1^2)^2 - z1^9: D = 4*z1^9 is zero through degree 8
+def test_analyze_discriminant_above_the_order_is_decided():
+    # (z2 + z1^2)^2 - z1^9: D = 4*z1^9 has no term through degree 8
     f = Polynomial(2, {(0, 2): 1, (2, 1): 2, (4, 0): 1, (9, 0): -1})
-    assert analyze_germ(GermQuery(f, (0, 0), 8)).kind == "Undetermined"
-    status = analyze_germ(GermQuery(f, (0, 0), 12))
-    assert status.kind == "SingularIrreducible"
-    assert status.certificate.kind == "OddVariableOrder"
+    for N in (2, 8, 12):
+        status = analyze_germ(GermQuery(f, (0, 0), N))
+        assert status.kind == "SingularIrreducible"
+        assert status.certificate == OddVariableOrder(variable=1, order=9)
 
 
 def test_quadratic_symbolic_split_omits_factors():
     # shifted to (1/2, 0, 0): discriminant constant 4*(1/2) has no rational root
     shifted = COUNTEREXAMPLE.shift((F(1, 2), 0, 0))
-    wd = weierstrass_prepare(shifted, 3, 8)
-    status = quadratic_germ_test(wd)
+    status = quadratic_germ_test(shifted, 3, 8)
     assert status.kind == "SingularReducible"
     assert status.factors is None
     assert status.certificate.kind == "MonomialUnitSquare"
@@ -212,10 +213,15 @@ def test_quadratic_symbolic_split_omits_factors():
 
 
 def test_quadratic_requires_degree_two():
-    f = Polynomial(2, {(0, 1): 1, (2, 0): 1})
-    wd = weierstrass_prepare(f, 2, 8)
-    with pytest.raises(ValueError):
-        quadratic_germ_test(wd)
+    for poly in (
+        "z2 + z1^2",  # degree 1 in z2
+        "z2^2 + z2^3 - z1^3",  # degree 3 in z2
+        "(1 + z1)*z2^2 - z1^3",  # the coefficient of z2^2 is not constant
+        "z2^2 + z2 - z1^3",  # b(0) != 0: regular of order 1, not 2
+        "z2^2 + 1",  # c(0) != 0: a unit
+    ):
+        with pytest.raises(ValueError, match=r"quadratic test needs a\*z2\^2"):
+            quadratic_germ_test(parse_poly(poly), 2, 8)
 
 
 # -- Newton polygon ------------------------------------------------------------------
@@ -414,18 +420,25 @@ def test_distinguished_var_multiplicity_is_read_from_the_exact_germ():
 
 
 @pytest.mark.parametrize(
-    "f, point",
+    "f, point, certificate",
     [
-        (Polynomial(2, {(0, 2): 1, (9, 0): -1}), (0, 0)),  # z2^2 - z1^9
-        (Polynomial(3, {(0, 0, 2): 1, (9, 0, 0): -1, (0, 9, 0): -1}), (0, 0, 0)),
+        # z2^2 - z1^9
+        (Polynomial(2, {(0, 2): 1, (9, 0): -1}), (0, 0), OddVariableOrder(variable=1, order=9)),
+        # z3^2 - z1^9 - z2^9
+        (
+            Polynomial(3, {(0, 0, 2): 1, (9, 0, 0): -1, (0, 9, 0): -1}),
+            (0, 0, 0),
+            LowestFormNotASquare(form=Polynomial(2, {(9, 0): 4, (0, 9): 4}), degree=9),
+        ),
     ],
 )
-def test_analyze_e_d_truncated_to_zero_is_undetermined(f, point):
-    # e_d is nonzero but has order 9 > 8, so it truncates to zero; only the
-    # exact f(z', 0) = 0 test may certify DistinguishedVarDivides.
-    status = analyze_germ(GermQuery(f, point, 8))
-    assert status.kind == "Undetermined"
-    assert status.reason.startswith("degree dispatch")
+def test_analyze_e_d_above_the_order_is_decided(f, point, certificate):
+    # e_2 is nonzero of order 9 > 8; the discriminant is read from the exact
+    # germ, so the irreducible verdict is the same at every order
+    for N in (2, 8, 16):
+        status = analyze_germ(GermQuery(f, point, N))
+        assert status.kind == "SingularIrreducible"
+        assert status.certificate == certificate
 
 
 @pytest.mark.parametrize(
@@ -554,8 +567,7 @@ def test_quadratic_and_polygon_verdicts_agree_when_both_decide():
         w = z2 * z2 + e1.insert_variable(2) * z2 + e2.insert_variable(2)
         if w.evaluate((F(0), F(0))) != 0 or w.gradient_at((F(0), F(0))) != (0, 0):
             continue  # not singular at the origin; analyzers disagree by design
-        wd = weierstrass_prepare(w, 2, 8)
-        quad = quadratic_germ_test(wd)
+        quad = quadratic_germ_test(w, 2, 8)
         try:
             poly_status = polygon_verdict(newton_polygon(w, 2))
         except DistinguishedVarDividesError:
@@ -565,6 +577,119 @@ def test_quadratic_and_polygon_verdicts_agree_when_both_decide():
         assert quad.is_irreducible_verdict() == poly_status.is_irreducible_verdict()
         decided += 1
     assert decided >= 50
+
+
+# -- exact quadratic verdicts ----------------------------------------------------------
+
+
+def _vanishing(rng, m, low, max_degree, max_terms):
+    """A random polynomial in m variables with no term of degree below `low`."""
+    p = random_poly(rng, m, max_degree, max_terms)
+    return p - p.truncate(low - 1)
+
+
+def _monomial_times_unit(rng, m, max_degree, odd=False):
+    """x^beta * U with |beta| >= 1 and U(0) != 0; with `odd`, |beta| >= 2 and
+    some exponent of beta is odd."""
+    mono = random_monomial(rng, m, max_degree)
+    if odd and (sum(mono) < 2 or all(e % 2 == 0 for e in mono)):
+        mono = (mono[0] // 2 * 2 + 3,) + mono[1:]
+    elif sum(mono) == 0:
+        mono = (1,) + mono[1:]
+    unit = Polynomial.constant(m, _nonzero_fraction(rng)) + _vanishing(rng, m, 1, 3, 2)
+    return Polynomial.monomial(m, mono) * unit
+
+
+def _random_monic_quadratic(rng, m):
+    """(e1, e2) in m variables, e1(0) = 0 and e2 of order >= 2, with D = e1^2 - 4*e2
+    random, k * (x^beta * U)^2 (a square, over Q when k is 1 or 4) or x^gamma * U
+    with an odd exponent (not a square); U(0) != 0, and terms reach degree 12."""
+    e1 = _vanishing(rng, m, 1, 6, 3)
+    shape = rng.randrange(3)
+    if shape == 0:
+        return e1, _vanishing(rng, m, 2, 12, 4)
+    if shape == 1:
+        root = _monomial_times_unit(rng, m, 6)
+        return e1, (e1 * e1 - root * root * rng.randint(1, 4)) * F(1, 4)
+    return e1, (e1 * e1 - _monomial_times_unit(rng, m, 6, odd=True)) * F(1, 4)
+
+
+def _cut_roots(status, N):
+    """The status with the root of a MonomialUnitSquare cut back to order N."""
+    cert = status.certificate
+    if isinstance(cert, MonomialUnitSquare) and not cert.symbolic:
+        cert = replace(cert, root=cert.root.truncate(N), unit_root=cert.unit_root.truncate(N))
+    return replace(status, certificate=cert, factors=None)
+
+
+def test_quadratic_verdicts_do_not_depend_on_the_order(monkeypatch):
+    # a*(t^2 + e1*t + e2), t = z_n: singular, regular of order 2 in t, and of
+    # the exact quadratic form, so nothing is prepared; the verdict and the
+    # certificate are the same at every order, and the factors multiply back
+    # to f/a through the order
+    monkeypatch.setattr(germs, "weierstrass_prepare", _no_preparation)
+    rng = random.Random(909)
+    kinds, above = {}, 0
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        e1, e2 = _random_monic_quadratic(rng, n - 1)
+        if e2.is_zero():
+            continue  # t divides the germ
+        t = Polynomial.variable(n, n)
+        w = t * t + e1.insert_variable(n) * t + e2.insert_variable(n)
+        a = _nonzero_fraction(rng)
+        statuses = {N: analyze_germ(GermQuery(w * a, (0,) * n, N)) for N in (2, 8, 16)}
+        for N, status in statuses.items():
+            assert status.applied_change is None
+            assert _cut_roots(status, 2) == _cut_roots(statuses[2], 2), (w, N)
+            if status.factors is not None:
+                f1, f2 = status.factors
+                assert f1 * f2 == TruncatedSeries(w, N)
+        kind = statuses[8].certificate.kind if statuses[8].certificate else "Undetermined"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        above += (e1 * e1 - 4 * e2).total_degree() > 8
+    assert above >= 40
+    assert min(kinds.get(k, 0) for k in ("OddVariableOrder", "MonomialUnitSquare")) >= 20
+    assert kinds.get("LowestFormNotASquare", 0) >= 5
+
+
+def test_planted_split_quadratic_is_never_irreducible():
+    # (t - r1)*(t - r2) with r1(0) = r2(0) = 0 and r1 != r2 is a product of
+    # two non-units at every order; D = (r1 - r2)^2 is a square
+    rng = random.Random(910)
+    kinds = {}
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        r1, r2 = (_vanishing(rng, n - 1, 1, 8, 3) for _ in range(2))
+        if rng.random() < 0.5:  # r1 - r2 = monomial * unit: a certified split
+            r2 = r1 - _monomial_times_unit(rng, n - 1, 5)
+        if r1 == r2 or (r1 * r2).is_zero():
+            continue  # a double root, or t divides the germ
+        t = Polynomial.variable(n, n)
+        g = (t - r1.insert_variable(n)) * (t - r2.insert_variable(n)) * _nonzero_fraction(rng)
+        p = random_point(rng, n)
+        f = g.shift(tuple(-c for c in p))  # f(p + x) = g(x)
+        for N in (2, 8, 16):
+            status = analyze_germ(GermQuery(f, p, N))
+            assert status.kind in ("SingularReducible", "Undetermined"), (g, N, status)
+            kinds[status.kind] = kinds.get(status.kind, 0) + 1
+    assert min(kinds.values()) >= 20 and len(kinds) == 2
+
+
+@pytest.mark.parametrize("poly, point, kind", [
+    ("z3^2 - z1*z2^2", (0, 0, 0), "SingularIrreducible"),
+    ("z3^2 - z1*z2^2", (1, 0, 0), "SingularReducible"),
+    ("z3^2 - z1*z2^2", (F(1, 2), 0, 0), "SingularReducible"),
+    ("z2^2 - z1^3", (0, 0), "SingularIrreducible"),
+    ("z2^2 - z1^9", (0, 0), "SingularIrreducible"),
+    ("-3*z3^2 + z1^9 + z2^9", (0, 0, 0), "SingularIrreducible"),
+    ("z4^2 - z1^2 - z2^2 - z3^2", (0, 0, 0, 0), "SingularIrreducible"),
+    ("(z2 - z1)*(z2 + z1 + z1^5)", (0, 0), "SingularReducible"),
+])
+def test_quadratic_germs_are_decided_without_preparation(poly, point, kind, monkeypatch):
+    monkeypatch.setattr(germs, "weierstrass_prepare", _no_preparation)
+    status = analyze_germ(GermQuery(parse_poly(poly), point, 8))
+    assert status.kind == kind
 
 
 # -- scan_stability -------------------------------------------------------------------
@@ -680,15 +805,12 @@ def test_unit_iff_nonvanishing_both_directions():
             assert any(c != 0 for c in f.gradient_at(p))
 
 
-# -- known wrong answers -----------------------------------------------------------------
-# The quadratic square test reads the discriminant D = e1^2 - 4*e2 truncated at
-# the order, so a term of D above the order can flip the verdict.  Each test
-# states the sound property and fails until the square test reads the exact D.
+# -- verdicts of the exact germ ----------------------------------------------------------
+# A square test on the discriminant cut at the order gave each of these germs
+# the wrong answer; on the exact discriminant each is Undetermined, since its
+# lowest form is a square and no other certificate applies.
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="square test on the truncated discriminant"
-)
 @pytest.mark.parametrize("poly, wrong", [
     # (z3 - z1 - z2^5)*(z3 + z1 + z2^5): D = 4*(z1 + z2^5)^2 is a square
     ("z3^2 - (z1 + z2^5)^2", "SingularIrreducible"),
@@ -700,3 +822,4 @@ def test_unit_iff_nonvanishing_both_directions():
 def test_quadratic_verdict_holds_for_the_exact_germ(poly, wrong):
     status = analyze_germ(GermQuery(parse_poly(poly), (0, 0, 0)))
     assert status.kind != wrong
+    assert status.kind == "Undetermined"

@@ -19,10 +19,9 @@ the work runs on ints and one scale is divided out at the end.  This is the
 only module that reads a Polynomial's term table.  Its kernels are
 `_int_product` (products, optionally truncated), `_horner` (`substitute`,
 `shift`) and `_exact_quotient` (`exact_div`, `elimination.matrix_det`).
-Two product loops stay outside, since merging them into these kernels
+One product loop stays outside, since merging it into these kernels
 measured slower: Bareiss's fused a*b - c*d on integer tables
-(`elimination._mul_sub`) and the univariate Fraction slice loops of
-`weierstrass_prepare`.
+(`elimination._mul_sub`).
 """
 
 from __future__ import annotations

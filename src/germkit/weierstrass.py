@@ -6,21 +6,22 @@ For such f the preparation f = u * w holds near the origin, with u a unit
 and w = z_j^d + e_1*z_j^(d-1) + ... + e_d a polynomial in z_j whose
 coefficients e_i are series in the remaining variables vanishing at 0.
 
-The preparation here is computed slice by slice: group terms by their
-exponent pattern beta in the non-distinguished variables and solve
+The preparation compares coefficients level by level.  The level of a
+term is its total degree in the variables other than t = z_j, and f_L,
+u_L and w_L collect the terms of level L of f, u and w; w_0 = t^d and
+every other w_L has degree below d in t.  Levels add under products, so
+f = u * w reads
 
-    f_beta = u_beta * t^d + u_0 * w_beta + sum of u_delta * w_gamma
-             over delta + gamma = beta with delta, gamma != 0
+    f_0 = u_0 * t^d
+    f_L = u_L * t^d + u_0 * w_L + sum of u_a * w_(L-a) over 0 < a < L
 
-for u_beta and w_beta (w_beta of degree below d in t).  The sum is pushed,
-not gathered: once a slice is solved, its product with every solved slice
-of the other kind is subtracted into the pending slice at the sum of the
-two patterns, so each product is formed exactly once, when the later of
-its two factors is solved.  Pending slices are solved level by level in
-total degree |beta| <= N, and a slice that holds no terms is skipped.
-Every slice is an exact univariate polynomial in t, so the solve needs no
-intermediate truncation; only the assembled outputs are cut at the
-requested order N.
+and level L is solved once every level below it is known: with rest =
+f_L minus the sum, w_L is the part of rest * u_0^(-1) below t^d, and
+u_L = (rest - u_0 * w_L) / t^d is an exact division.  Levels that hold no
+terms are skipped, and so are products with a zero factor.  Every level
+is an exact polynomial, so the solve needs no intermediate truncation;
+only the assembled outputs are cut at the requested order N.  All the
+arithmetic runs on the integer kernels of `germkit.algebra`.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf
-from operator import add
 
-from .algebra import Monomial, Polynomial, as_rational
+from .algebra import Monomial, Polynomial, _check_var, _truncated_product, as_rational
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, ts_inverse
 
 # The largest truncation order accepted.  Series work grows steeply with it:
 # a dense 4-variable germ takes seconds at order 32 and over a minute at 64.
@@ -96,11 +96,13 @@ def regular_order(f: Polynomial, j: int) -> RegularityReport:
 
     The restriction keeps exactly the terms whose other exponents are all
     zero.  Order 0 means f(origin) != 0; +inf (regular=False) means the
-    restriction vanishes identically.
+    restriction vanishes identically.  A j outside 1..n raises
+    VariableIndexError.
     """
     if f.is_zero():
         raise ZeroPolynomialError("regularity is undefined for the zero polynomial")
-    axis = _axis_slice(f, j)
+    _check_var(j, f.n)
+    axis = [mono[j - 1] for mono, _ in f.terms() if sum(mono) == mono[j - 1]]
     if not axis:
         return RegularityReport(regular=False, order=inf)
     return RegularityReport(regular=True, order=min(axis))
@@ -178,60 +180,42 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
             f"truncation order {N} is below the regularity order {d}"
         )
     n = f.n
+    t_d = Polynomial.variable(n, j) ** d
 
-    # Slice f by the exponent pattern in the non-distinguished variables.
-    f_slices: dict[Monomial, dict[int, Fraction]] = {}
+    # f_L: the terms of level L, the total degree in the variables other than t
+    f_levels: list[dict[Monomial, Fraction]] = [{} for _ in range(N + 1)]
     for mono, coeff in f.terms():
-        beta = mono[: j - 1] + mono[j:]
-        f_slices.setdefault(beta, {})[mono[j - 1]] = coeff
+        level = sum(mono) - mono[j - 1]
+        if level <= N:
+            f_levels[level][mono] = coeff
+    u0 = Polynomial(n, f_levels[0]).exact_div(t_d)
+    u0_inv = ts_inverse(TruncatedSeries(u0, d)).body  # exact below t^d
 
-    zero_beta = (0,) * (n - 1)
-    axis = f_slices.pop(zero_beta, {})
-    u0 = {k - d: c for k, c in axis.items()}  # exact: t^d divides the axis slice
-    u0_inv = _uni_inverse(u0, d)
-
-    # pending[L][beta] accumulates f_beta minus every product u_delta * w_gamma
-    # with delta + gamma = beta pushed so far; slices above level N are dropped
-    pending: list[dict[Monomial, dict[int, Fraction]]] = [{} for _ in range(N + 1)]
-    for beta, q in f_slices.items():
-        if sum(beta) <= N:
-            pending[sum(beta)][beta] = q
-    u_slices: dict[Monomial, dict[int, Fraction]] = {}
-    w_slices: dict[Monomial, dict[int, Fraction]] = {}
+    # only nonzero levels are kept, so no product has a zero factor
+    u_levels = {0: u0}
+    w_levels: dict[int, Polynomial] = {}
     for level in range(1, N + 1):
-        for beta, q in pending[level].items():
-            if not q:
-                continue
-            w_beta = _uni_mul_mod(q, u0_inv, d)
-            _sub_product(q, u0, w_beta)
-            # q is now divisible by t^d: the low part cancelled exactly
-            u_beta = {k - d: c for k, c in q.items() if k >= d}
-            # push each product once, when the later of its two factors is solved
-            if w_beta:
-                w_slices[beta] = w_beta
-                for delta, u_delta in u_slices.items():
-                    _push(pending, beta, delta, u_delta, w_beta, N)
-            if u_beta:
-                u_slices[beta] = u_beta
-                for gamma, w_gamma in w_slices.items():
-                    _push(pending, beta, gamma, u_beta, w_gamma, N)
-    u_slices[zero_beta] = u0
+        rest = Polynomial(n, f_levels[level])
+        for a, u_a in u_levels.items():  # w_L is not in w_levels yet, so a > 0
+            if level - a in w_levels:
+                rest = rest - u_a * w_levels[level - a]
+        if rest.is_zero():
+            continue
+        # rest and w_L have level L, so their t-degree is below d exactly
+        # when their total degree is below L + d
+        w_level = _truncated_product(rest, u0_inv, level + d - 1)
+        u_level = (rest - u0 * w_level).exact_div(t_d)
+        if not w_level.is_zero():
+            w_levels[level] = w_level
+        if not u_level.is_zero():
+            u_levels[level] = u_level
 
-    coeff_terms: list[dict[Monomial, Fraction]] = [{} for _ in range(d)]
-    for beta, w_beta in w_slices.items():
-        for k, c in w_beta.items():
-            coeff_terms[d - 1 - k][beta] = c  # t^k belongs to e_(d-k)
-    coefficients = tuple(
-        TruncatedSeries(Polynomial(n - 1, terms), N) for terms in coeff_terms
+    rows = sum(w_levels.values(), Polynomial.zero(n)).coefficients_in(j)
+    rows += [Polynomial.zero(n)] * (d - len(rows))
+    coefficients = tuple(  # e_i is the coefficient of t^(d-i)
+        TruncatedSeries(rows[d - i].drop_variable(j), N) for i in range(1, d + 1)
     )
-
-    unit_terms: dict[Monomial, Fraction] = {}
-    for beta, u_beta in u_slices.items():
-        budget = N - sum(beta)
-        for k, c in u_beta.items():
-            if k <= budget:
-                unit_terms[beta[: j - 1] + (k,) + beta[j - 1 :]] = c
-    unit = TruncatedSeries(Polynomial(n, unit_terms), N)
+    unit = TruncatedSeries(sum(u_levels.values(), Polynomial.zero(n)), N)
 
     return WeierstrassData(
         degree=d,
@@ -240,63 +224,3 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
         distinguished_var=j,
         truncation_order=N,
     )
-
-
-def _axis_slice(f: Polynomial, j: int) -> dict[int, Fraction]:
-    """Exponent -> coefficient map of f restricted to the z_j axis."""
-    out: dict[int, Fraction] = {}
-    for mono, coeff in f.terms():
-        if all(e == 0 for i, e in enumerate(mono) if i != j - 1):
-            out[mono[j - 1]] = coeff
-    return out
-
-
-def _uni_inverse(a: dict[int, Fraction], k: int) -> dict[int, Fraction]:
-    """Inverse of a unit univariate series, mod t^k for k >= 1."""
-    c0 = a.get(0, Fraction(0))
-    out: dict[int, Fraction] = {0: 1 / c0}
-    for m in range(1, k):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            ai = a.get(i)
-            if ai is not None and (m - i) in out:
-                acc += ai * out[m - i]
-        if acc != 0:
-            out[m] = -acc / c0
-    return out
-
-
-def _uni_mul_mod(a: dict[int, Fraction], b: dict[int, Fraction], k: int) -> dict[int, Fraction]:
-    """Product of univariate coefficient maps, truncated below t^k."""
-    out: dict[int, Fraction] = {}
-    for i, ca in a.items():
-        if i >= k:
-            continue
-        for m, cb in b.items():
-            if i + m < k:
-                acc = out.get(i + m, Fraction(0)) + ca * cb
-                if acc == 0:
-                    out.pop(i + m, None)
-                else:
-                    out[i + m] = acc
-    return out
-
-
-def _sub_product(q: dict[int, Fraction], a: dict[int, Fraction], b: dict[int, Fraction]) -> None:
-    """q -= a*b, exact full convolution, in place."""
-    for i, ca in a.items():
-        for m, cb in b.items():
-            key = i + m
-            acc = q.get(key, Fraction(0)) - ca * cb
-            if acc == 0:
-                q.pop(key, None)
-            else:
-                q[key] = acc
-
-
-def _push(pending: list, beta: Monomial, other: Monomial, u: dict, w: dict, N: int) -> None:
-    """Subtract u * w from the pending slice at beta + other, if within the order."""
-    level = sum(beta) + sum(other)
-    if level <= N:
-        target = tuple(map(add, beta, other))
-        _sub_product(pending[level].setdefault(target, {}), u, w)

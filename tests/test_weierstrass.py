@@ -3,14 +3,21 @@
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from germkit.algebra import Polynomial
-from germkit.errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
+from germkit.errors import (
+    NotRegularError,
+    OrderTooSmallError,
+    VariableIndexError,
+    ZeroPolynomialError,
+)
 from germkit.series import TruncatedSeries
 from germkit.weierstrass import (
     MAX_ORDER,
+    WeierstrassData,
     apply_shear,
     make_regular,
     regular_order,
@@ -41,6 +48,20 @@ def test_regular_order_reads_the_axis_restriction():
 def test_regular_order_rejects_zero_polynomial():
     with pytest.raises(ZeroPolynomialError):
         regular_order(Polynomial.zero(2), 1)
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+@pytest.mark.parametrize("j", [0, 3, -1])
+def test_a_variable_index_outside_the_space_is_an_error(j, constant):
+    # z2^2 - z1^3 has n = 2: index 0, n + 1 and -1 name no variable, and a
+    # negative index must not wrap around to the last exponent
+    f = Polynomial(2, {(0, 2): 1, (3, 0): -1, (0, 0): constant})
+    with pytest.raises(VariableIndexError, match=f"variable index {j} outside 1..2"):
+        regular_order(f, j)
+    with pytest.raises(VariableIndexError):
+        make_regular(f, j)
+    with pytest.raises(VariableIndexError):
+        weierstrass_prepare(f, j, 8)
 
 
 def test_apply_shear_substitutes_multiples_of_the_distinguished_var():
@@ -294,3 +315,136 @@ def test_prepare_respects_truncation_order_monotonicity():
     for el, eh in zip(low.coefficients, high.coefficients):
         assert eh.body.truncate(low.truncation_order) == el.body
     assert high.unit.body.truncate(5) == low.unit.body
+
+
+# -- preparation: the slice algorithm as a reference -----------------------------
+
+
+def ref_prepare(f, j, N):
+    """Weierstrass preparation slice by slice, an independent reference.
+
+    Terms are grouped by their exponent pattern beta in the variables other
+    than t = z_j, and each slice, an exact univariate Fraction polynomial
+    in t, is solved from
+
+        f_beta = u_beta * t^d + u_0 * w_beta + sum of u_delta * w_gamma
+                 over delta + gamma = beta with delta, gamma != 0.
+
+    Once a slice is solved, its product with every solved slice of the other
+    kind is subtracted into the pending slice at the sum of the patterns.
+    Only the assembled outputs are cut at N.
+    """
+    n = f.n
+    slices = {}
+    for mono, coeff in f.terms():
+        slices.setdefault(mono[: j - 1] + mono[j:], {})[mono[j - 1]] = coeff
+    zero_beta = (0,) * (n - 1)
+    axis = slices.pop(zero_beta)
+    d = min(axis)
+    u0 = {k - d: c for k, c in axis.items()}
+    u0_inv = {0: 1 / u0[0]}
+    for m in range(1, d):
+        acc = sum(u0.get(i, 0) * u0_inv.get(m - i, 0) for i in range(1, m + 1))
+        if acc != 0:
+            u0_inv[m] = -acc / u0[0]
+
+    def sub_product(q, a, b):
+        for i, ca in a.items():
+            for m, cb in b.items():
+                acc = q.get(i + m, 0) - ca * cb
+                if acc == 0:
+                    q.pop(i + m, None)
+                else:
+                    q[i + m] = acc
+
+    pending = [{} for _ in range(N + 1)]
+    for beta, q in slices.items():
+        if sum(beta) <= N:
+            pending[sum(beta)][beta] = q
+
+    def push(beta, other, u, w):
+        if sum(beta) + sum(other) <= N:
+            target = tuple(map(add, beta, other))
+            sub_product(pending[sum(target)].setdefault(target, {}), u, w)
+
+    u_slices, w_slices = {}, {}
+    for level in range(1, N + 1):
+        for beta, q in pending[level].items():
+            if not q:
+                continue
+            w_beta = {}
+            for i, ca in q.items():
+                for m, cb in u0_inv.items():
+                    if i + m < d:
+                        w_beta[i + m] = w_beta.get(i + m, 0) + ca * cb
+            w_beta = {k: c for k, c in w_beta.items() if c != 0}
+            sub_product(q, u0, w_beta)
+            u_beta = {k - d: c for k, c in q.items() if k >= d}
+            if w_beta:
+                w_slices[beta] = w_beta
+                for delta, u_delta in u_slices.items():
+                    push(beta, delta, u_delta, w_beta)
+            if u_beta:
+                u_slices[beta] = u_beta
+                for gamma, w_gamma in w_slices.items():
+                    push(beta, gamma, u_beta, w_gamma)
+    u_slices[zero_beta] = u0
+
+    coeff_terms = [{} for _ in range(d)]
+    for beta, w_beta in w_slices.items():
+        for k, c in w_beta.items():
+            coeff_terms[d - 1 - k][beta] = c
+    unit_terms = {}
+    for beta, u_beta in u_slices.items():
+        for k, c in u_beta.items():
+            if sum(beta) + k <= N:
+                unit_terms[beta[: j - 1] + (k,) + beta[j - 1 :]] = c
+    return WeierstrassData(
+        degree=d,
+        coefficients=tuple(TruncatedSeries(Polynomial(n - 1, t), N) for t in coeff_terms),
+        unit=TruncatedSeries(Polynomial(n, unit_terms), N),
+        distinguished_var=j,
+        truncation_order=N,
+    )
+
+
+def _big_fraction(rng):
+    return F(rng.choice([-1, 1]) * rng.randint(1, 2**31 - 1), rng.randint(1, 2**31 - 1))
+
+
+def _reference_germ(rng, n, j, d, sparse):
+    """t^d * unit + off-axis terms, with t = z_j.
+
+    The unit has a t-term and, when n > 1, a z'-term.  A sparse germ has a
+    single off-axis term, of t-degree below d, so beyond its level every
+    level holds no term of f and is filled only by products.
+    """
+    def mono(exponents):
+        out = [0] * n
+        for i, e in exponents.items():
+            out[i - 1] += e
+        return tuple(out)
+
+    others = [i for i in range(1, n + 1) if i != j]
+    terms = {mono({j: d}): _big_fraction(rng), mono({j: d + rng.randint(1, 2)}): _big_fraction(rng)}
+    if others:
+        terms[mono({j: d, rng.choice(others): 1})] = _big_fraction(rng)
+    for _ in range(0 if not others else 1 if sparse else rng.randint(1, 4)):
+        alpha = {i: rng.randint(0, 3) for i in others}
+        if not any(alpha.values()):
+            alpha[rng.choice(others)] = 1
+        alpha[j] = rng.randint(0, d - 1 if sparse else d + 1)
+        terms[mono(alpha)] = _big_fraction(rng)
+    return Polynomial(n, terms)
+
+
+def test_level_lifting_matches_the_slice_reference():
+    # n = 1..5, any j, d = 1..4, N = d..16, denominators up to 2^31 - 1
+    rng = random.Random(305)
+    for n in range(1, 6):
+        for _ in range(24):
+            j = rng.randint(1, n)
+            d = rng.randint(1, 4)
+            N = rng.randint(d, 16)
+            f = _reference_germ(rng, n, j, d, sparse=n > 1 and rng.random() < 0.5)
+            assert repr(weierstrass_prepare(f, j, N)) == repr(ref_prepare(f, j, N))

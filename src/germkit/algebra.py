@@ -18,7 +18,8 @@ Exact kernels run on integer term tables: denominators are cleared once,
 the work runs on ints and one scale is divided out at the end.  This is the
 only module that reads a Polynomial's term table.  Its kernels are
 `_int_product` (products, optionally truncated), `_horner` (`substitute`,
-`shift`) and `_exact_quotient` (`exact_div`, `elimination.matrix_det`).
+`shift`), `_exact_quotient` (`exact_div`, `elimination.matrix_det`) and
+`_unit_power` (`series.ts_inverse`, `series.ts_sqrt`).
 One product loop stays outside, since merging it into these kernels
 measured slower: Bareiss's fused a*b - c*d on integer tables
 (`elimination._mul_sub`).
@@ -442,6 +443,45 @@ def _int_product(ta: dict, tb: dict, order=math.inf) -> dict:
             mono = tuple(map(add, ma, mb))
             out[mono] = out.get(mono, 0) + ca * cb
     return {mono: c for mono, c in out.items() if c}
+
+
+def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> Polynomial:
+    """factor * (a/a(0))^(p/q) through total degree `order`, a(0) != 0, by J. C. P. Miller's
+    recurrence q*k*y_k = sum_(i=1..k) (p*i - q*(k-i)) * b_i * y_(k-i) on the homogeneous parts
+    of b = a/a(0) = B/beta and y; in Z[x] as y_k = Y_k/s_k, s_k = s_(k-1)*q*k*beta, y_0 = factor."""
+    _, (table,) = _clear_denominators((a,))
+    parts: dict[int, dict] = {}  # the homogeneous parts B_i
+    for mono, c in table.items():
+        parts.setdefault(sum(mono), {})[mono] = c
+    ys, scales, qb = [{(0,) * a.n: factor.numerator}], [factor.denominator], q * table[(0,) * a.n]
+    for k in range(1, order + 1):
+        acc, weight = {}, 1  # weight = (q*beta)^(i-1) * (k-1)!/(k-i)!
+        for i in range(1, k + 1):
+            lam = (p * i - q * (k - i)) * weight
+            for ma, ca in parts.get(i, {}).items() if lam else ():
+                ca *= lam
+                for mb, cb in ys[k - i].items():
+                    mono = tuple(map(add, ma, mb))
+                    acc[mono] = acc.get(mono, 0) + ca * cb
+            weight *= qb * (k - i)
+        ys.append({mono: c for mono, c in acc.items() if c})
+        scales.append(scales[-1] * qb * k)
+    return _raw(a.n, {mono: Fraction(c, s) for y, s in zip(ys, scales) for mono, c in y.items()})
+
+
+def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:
+    """x^expo * a, by shifting exponents."""
+    return _raw(a.n, {tuple(map(add, m, expo)): c for m, c in a._terms.items()})
+
+
+def _linear_factors(e1: Polynomial, r: Polynomial, j: int) -> tuple[Polynomial, ...]:
+    """z_j + (e1 - r)/2 and z_j + (e1 + r)/2, z_j new at 1-based j; one integer pass each."""
+    scale, (te, tr) = _clear_denominators((e1, r))
+    i = j - 1
+    axis = {(0,) * i + (1,) + (0,) * (e1.n - i): Fraction(1)}
+    return tuple(_raw(e1.n + 1, axis | {
+        m[:i] + (0,) + m[i:]: Fraction(c, 2 * scale)
+        for m in te | tr if (c := te.get(m, 0) + sign * tr.get(m, 0))}) for sign in (-1, 1))
 
 
 def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:

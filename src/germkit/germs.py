@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar, Optional
 
-from .algebra import Polynomial, as_point, as_rational
+from .algebra import Polynomial, _linear_factors, _monomial_multiple, as_point, as_rational
 from .errors import DimensionMismatchError, DistinguishedVarDividesError, NotRegularError
 from .series import TruncatedSeries, ts_sqrt
 from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
@@ -252,7 +252,7 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
             unit_root = ts_sqrt(TruncatedSeries(U, N))
             if unit_root is None:
                 return MonomialUnitSquare(root=None, half_exponents=half)
-            root = TruncatedSeries(Polynomial.monomial(D.n, half), N) * unit_root
+            root = TruncatedSeries(_monomial_multiple(unit_root.body, half), N)
             return MonomialUnitSquare(root=root, half_exponents=half, unit_root=unit_root)
         # some exponent is odd; fall through to the order-parity certificate
     for i in range(1, D.n + 1):
@@ -308,7 +308,11 @@ def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus:
     coefficients = _monic_quadratic(f, j)
     if coefficients is None:
         raise ValueError(f"quadratic test needs a*z{j}^2 + b*z{j} + c, a constant, b(0) = c(0) = 0")
-    e1, e2 = coefficients
+    return _quadratic_verdict(*coefficients, j, N)
+
+
+def _quadratic_verdict(e1: Polynomial, e2: Polynomial, j: int, N: int) -> GermStatus:
+    """quadratic_germ_test on the germ's coefficients (e1, e2) from _monic_quadratic."""
     D = e1 * e1 - 4 * e2
     cert = is_local_square(D, N)
     if cert is None:
@@ -319,8 +323,7 @@ def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus:
         return GermStatus.irreducible(cert)
     if cert.symbolic:
         return GermStatus.reducible(cert)
-    t, r = Polynomial.variable(f.n, j), cert.root.body
-    lo, hi = (t + ((e1 + s * r) * Fraction(1, 2)).insert_variable(j) for s in (-1, 1))
+    lo, hi = _linear_factors(e1, cert.root.body, j)
     return GermStatus.reducible(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
 
 
@@ -491,8 +494,8 @@ def analyze_germ(query: GermQuery) -> GermStatus:
             factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
         cert = DistinguishedVarDivides(variable=j, multiplicity=k)
         status = GermStatus.reducible(cert, factors=factors)
-    elif _monic_quadratic(sheared, j) is not None:
-        status = quadratic_germ_test(sheared, j, N)
+    elif (coefficients := _monic_quadratic(sheared, j)) is not None:
+        status = _quadratic_verdict(*coefficients, j, N)
     elif n == 2:
         status = polygon_verdict(newton_polygon(sheared, j))
     else:

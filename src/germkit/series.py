@@ -10,8 +10,9 @@ Products never form a term above the order; they run on the integer
 product kernel of `germkit.algebra` (`_truncated_product`), which clears
 each operand's denominators once and divides the product of the two
 scales out once per output term.  Unit inverse and unit square root are
-computed by Newton iteration with precision doubling: each step takes k
-correct degrees to min(2k+1, N) and computes only to that degree.
+one pass of J. C. P. Miller's power recurrence (`algebra._unit_power`):
+the degree-k part of a power of a unit follows from the lower parts, on
+integer tables with one Fraction per output term.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .algebra import Polynomial, _truncated_product, rational_sqrt
+from .algebra import Polynomial, _truncated_product, _unit_power, rational_sqrt
 from .errors import DimensionMismatchError, NotAUnitError
 
 Scalar = Union[int, Fraction]
@@ -125,27 +126,15 @@ def _series(body: Polynomial, order: int) -> TruncatedSeries:
     return s
 
 
-def _doubling(order: int):
-    """Newton precisions 1, 3, 7, ... capped at the order: k -> min(2k+1, order)."""
-    k = 0
-    while k < order:
-        k = min(2 * k + 1, order)
-        yield k
-
-
 def ts_inverse(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a unit: a * result = 1 mod order.
 
-    Newton iteration r <- r + r*(1 - a*r) from the inverse of the constant
-    term, with precision doubling.
+    It is (1/c) * (a/c)^(-1), c = a(origin), by Miller's power recurrence.
     """
     c = a.constant_term()
     if c == 0:
         raise NotAUnitError("constant term is zero; the series has no inverse")
-    r = Polynomial.constant(a.n, 1 / c)
-    for k in _doubling(a.order):
-        r = r + _truncated_product(r, 1 - _truncated_product(a.body, r, k), k)
-    return _series(r, a.order)
+    return _series(_unit_power(a.body, a.order, -1, 1, 1 / c), a.order)
 
 
 def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
@@ -157,8 +146,8 @@ def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
     rational coefficients, so no series is produced.
 
     The branch choice (positive constant term) makes the result unique; the
-    other square root is its negation.  It is a * y for the inverse square
-    root y from the Newton iteration y <- y + y*(1 - a*y^2)/2.
+    other square root is its negation.  It is sqrt(c) * (a/c)^(1/2),
+    c = a(origin), by Miller's power recurrence.
     """
     c = a.constant_term()
     if c == 0:
@@ -166,8 +155,4 @@ def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
     root = rational_sqrt(c)
     if root is None:
         return None
-    y = Polynomial.constant(a.n, 1 / root)
-    for k in _doubling(a.order):
-        e = 1 - _truncated_product(a.body, _truncated_product(y, y, k), k)
-        y = y + _truncated_product(y, e, k) * Fraction(1, 2)
-    return a * _series(y, a.order)
+    return _series(_unit_power(a.body, a.order, 1, 2, root), a.order)

@@ -175,6 +175,19 @@ def test_quadratic_shifted_counterexample_splits():
     assert a * b == TruncatedSeries(shifted, 8)
 
 
+def test_quadratic_factors_multiply_back_through_max_order():
+    # at (1, 0, 0): D = z2^2 * ((1 + z2^4)^2 + 8*(1 + z1)*(1 + z2)), U(0) = 9
+    f = parse_poly("3*(z3^2 + (z2 + z2^5)*z3 - 2*z1*z2^2*(1 + z2))")
+    monic = f.shift((1, 0, 0)) * F(1, 3)
+    for N in range(2, MAX_ORDER + 1):
+        status = analyze_germ(GermQuery(f, (1, 0, 0), N))
+        assert status.applied_change is None
+        assert status.certificate.kind == "MonomialUnitSquare"
+        lo, hi = status.factors
+        assert lo * hi == TruncatedSeries(monic, N)
+        assert lo.body.constant_term() == hi.body.constant_term() == 0
+
+
 def test_quadratic_double_root():
     # z2^2: e1 = e2 = 0, so D = 0, which no certificate states
     # (analyze_germ certifies this germ by DistinguishedVarDivides instead)

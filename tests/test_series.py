@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from germkit.algebra import Polynomial, rational_sqrt
+from germkit.algebra import Polynomial, _truncated_product, rational_sqrt
 from germkit.errors import NotAUnitError
+from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
-from helpers import big_denominator_poly, random_fraction, random_poly
+from germkit.weierstrass import MAX_ORDER
+from helpers import big_denominator_poly, random_fraction, random_monomial, random_poly
 
 F = Fraction
 
@@ -40,6 +42,34 @@ def ref_sqrt(a):
         quotient = (a.body * ref_inverse(TruncatedSeries(r, N)).body).truncate(N)
         r = (r + quotient) * F(1, 2)
     return TruncatedSeries(r, N)
+
+
+# -- reference unit series: Newton iteration with precision doubling, each
+# step taking k correct degrees to min(2k+1, N) on truncated products
+
+
+def _doubling(order):
+    k = 0
+    while k < order:
+        k = min(2 * k + 1, order)
+        yield k
+
+
+def newton_inverse(a):
+    """r <- r + r*(1 - a*r) from the inverse of the constant term."""
+    r = Polynomial.constant(a.n, 1 / a.constant_term())
+    for k in _doubling(a.order):
+        r = r + _truncated_product(r, 1 - _truncated_product(a.body, r, k), k)
+    return TruncatedSeries(r, a.order)
+
+
+def newton_sqrt(a):
+    """a * y for the inverse square root y <- y + y*(1 - a*y^2)/2."""
+    y = Polynomial.constant(a.n, 1 / rational_sqrt(a.constant_term()))
+    for k in _doubling(a.order):
+        e = 1 - _truncated_product(a.body, _truncated_product(y, y, k), k)
+        y = y + _truncated_product(y, e, k) * F(1, 2)
+    return a * TruncatedSeries(y, a.order)
 
 
 def random_unit(rng, n, order, constant):
@@ -141,6 +171,47 @@ def test_inverse_and_sqrt_equal_full_order_newton(n, order):
     assert ts_sqrt(square) == ref_sqrt(square)
 
 
+def _power_recurrence_unit(rng, n, order, constant, dense, max_den):
+    """constant + random terms through degree min(order, 3) when dense, else
+    constant + up to three random monomials of degree 1..order."""
+    if dense:
+        monos = {random_monomial(rng, n, min(order, 3)) for _ in range(12)}
+    else:
+        monos = {random_monomial(rng, n, order) for _ in range(3)}
+    terms = {m: F(rng.randint(-9, 9), rng.randint(1, max_den)) for m in monos if sum(m)}
+    terms[(0,) * n] = constant
+    return TruncatedSeries(Polynomial(n, terms), order)
+
+
+# orders 1..MAX_ORDER in 1-2 variables and 1..8 in 3-4 variables
+POWER_RECURRENCE_CASES = [(n, order) for n, top in ((1, MAX_ORDER), (2, MAX_ORDER), (3, 8), (4, 8))
+                          for order in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("n, order", POWER_RECURRENCE_CASES)
+def test_inverse_and_sqrt_equal_doubling_newton(n, order):
+    # two units per case, one sparse and one dense; every third case has
+    # denominators up to 2^31 - 1, and every other inverse a negative constant
+    rng = random.Random(3000 * n + order)
+    max_den = 2**31 - 1 if order % 3 == 0 else 9
+    for dense in (False, True):
+        c = F(rng.randint(1, 9), rng.randint(1, max_den))
+        a = _power_recurrence_unit(rng, n, order, -c if (order + dense) % 2 else c, dense, max_den)
+        assert repr(ts_inverse(a)) == repr(newton_inverse(a))
+        square = _power_recurrence_unit(rng, n, order, c * c, dense, max_den)
+        assert repr(ts_sqrt(square)) == repr(newton_sqrt(square))
+
+
+def test_inverse_and_sqrt_identities_at_max_order_in_four_variables():
+    # the powers of z1*z2 + z3^2*z4 - z1*z3*z4^2 through degree MAX_ORDER stay few
+    a = TruncatedSeries(parse_poly("9/4 + z1*z2 + 3*z3^2*z4 - 1/7*z1*z3*z4^2", 4), MAX_ORDER)
+    root = ts_sqrt(a)
+    assert root.constant_term() == F(3, 2)
+    assert root * root == a
+    assert (a * ts_inverse(a)).body == Polynomial.constant(4, 1)
+    assert (-a * ts_inverse(-a)).body == Polynomial.constant(4, 1)
+
+
 def test_mixed_order_takes_minimum():
     a = series({(1,): 1}, order=6)
     b = series({(1,): 1}, order=3)
@@ -213,3 +284,5 @@ def test_sqrt_requires_unit():
 
 def test_sqrt_signals_non_rational_square_constant():
     assert ts_sqrt(series({(0,): 2, (1,): 1}, order=4)) is None
+    assert ts_sqrt(series({(0,): -4, (1,): 1}, order=MAX_ORDER)) is None  # negative
+    assert ts_sqrt(series({(0,): F(4, 3), (1,): 1}, order=MAX_ORDER)) is None

@@ -17,7 +17,7 @@ the z1..zn naming used by the expression grammar in `germkit.parsing`.
 Exact kernels run on integer term tables: denominators are cleared once,
 the work runs on ints and one scale is divided out at the end.  This is the
 only module that reads a Polynomial's term table.  Its kernels are
-`_int_product` (products, optionally truncated), `_horner` (`substitute`,
+`_int_product` (`*` and the series product), `_horner` (`substitute`,
 `shift`), `_exact_quotient` (`exact_div`, `elimination.matrix_det`) and
 `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`).
 One product loop stays outside, since merging it into these kernels
@@ -330,23 +330,6 @@ class Polynomial:
         form = {m: c for m, c in self._terms.items() if sum(m) == low}
         return _raw(self.n, form), low
 
-    def monomial_unit_split(self) -> tuple[Monomial, "Polynomial"] | None:
-        """Split f = x^alpha * U with U(0) != 0, when that form exists.
-
-        alpha is the componentwise minimum of the support.  Returns None when
-        the quotient still vanishes at the origin (f is not of this form).
-        """
-        if not self._terms:
-            raise ZeroPolynomialError("zero polynomial admits no monomial-unit split")
-        alpha = tuple(min(col) for col in zip(*self._terms))
-        if alpha not in self._terms:
-            return None  # U(0) is the coefficient of x^alpha, so it would be 0
-        quotient = {
-            tuple(e - a for e, a in zip(mono, alpha)): c
-            for mono, c in self._terms.items()
-        }
-        return alpha, _raw(self.n, quotient)
-
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact polynomial quotient; raises if the division leaves a remainder.
 
@@ -470,7 +453,7 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
 
 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:
-    """x^expo * a, by shifting exponents."""
+    """x^expo * a, by shifting exponents; expo may be negative where a's support allows."""
     return _raw(a.n, {tuple(map(add, m, expo)): c for m, c in a._terms.items()})
 
 

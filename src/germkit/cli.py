@@ -19,12 +19,12 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import Polynomial
+from .algebra import Polynomial, as_point
 from .elimination import coprime_at, discriminant, resultant, zero_set_discrete
 from .errors import GermkitError, ParseError, VariableIndexError
 from .germs import GermQuery, GermStatus, ScanReport, analyze_germ, scan_stability
 from .germs import _format_point
-from .parsing import format_poly, parse_curve, parse_point, parse_poly, parse_rationals
+from .parsing import format_poly, parse_curve, parse_poly, parse_rationals
 from .series import TruncatedSeries
 from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
 
@@ -183,12 +183,9 @@ def _parse_inputs(poly_texts, var_text, point_text=None):
     than n is an error.  Returns (polynomials, point, variable index).
     """
     polys = [parse_poly(text) for text in poly_texts]
-    n = max(1, *(f.n for f in polys))
-    if point_text is None:
-        point = tuple(Fraction(0) for _ in range(n))
-    else:
-        n = max(n, len(parse_point(point_text)))
-        point = parse_point(point_text, n)
+    values = () if point_text is None else parse_rationals(point_text)
+    n = max(1, len(values), *(f.n for f in polys))
+    point = as_point(values or (0,) * n, n)
     polys = [
         f if f.n == n else parse_poly(text, var_count=n)
         for f, text in zip(polys, poly_texts)

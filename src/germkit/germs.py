@@ -235,30 +235,27 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
     `root`, cut at order N, is None in the symbolic case), any other
     certificate means no, and None means undetermined.
 
-    Decision cascade: (1) zero decides nothing (no certificate states it);
-    (2) a monomial-unit split x^alpha * U with every alpha component even
-    is a square, with explicit root when U(0) is a rational square; (3) an
-    odd variable order rules a square out; (4) a lowest homogeneous form
-    that is not the square of a form rules a square out; (5) otherwise
-    undetermined.
+    Decision cascade on alpha, the componentwise least exponent of D: (1)
+    zero decides nothing (no certificate states it); (2) an odd variable
+    order alpha_i rules a square out; (3) when x^alpha is a term of D, D is
+    x^alpha times a unit U, a square with explicit root when U(0) is a
+    rational square; (4) a lowest homogeneous form that is not the square of
+    a form rules a square out; (5) otherwise undetermined.
     """
     if D.is_zero():
         return None
-    split = D.monomial_unit_split()
-    if split is not None:
-        alpha, U = split
-        if all(a % 2 == 0 for a in alpha):
-            half = tuple(a // 2 for a in alpha)
-            unit_root = ts_sqrt(TruncatedSeries(U, N))
-            if unit_root is None:
-                return MonomialUnitSquare(root=None, half_exponents=half)
-            root = TruncatedSeries(_monomial_multiple(unit_root.body, half), N)
-            return MonomialUnitSquare(root=root, half_exponents=half, unit_root=unit_root)
-        # some exponent is odd; fall through to the order-parity certificate
-    for i in range(1, D.n + 1):
-        k = D.variable_order(i)
-        if k % 2 == 1:
-            return OddVariableOrder(variable=i, order=k)
+    alpha = tuple(D.variable_order(i) for i in range(1, D.n + 1))
+    for i, a in enumerate(alpha, 1):
+        if a % 2 == 1:
+            return OddVariableOrder(variable=i, order=a)
+    if D.coefficient(alpha) != 0:
+        half = tuple(a // 2 for a in alpha)
+        U = _monomial_multiple(D, tuple(-a for a in alpha))
+        unit_root = ts_sqrt(TruncatedSeries(U, N))
+        if unit_root is None:
+            return MonomialUnitSquare(root=None, half_exponents=half)
+        root = TruncatedSeries(_monomial_multiple(unit_root.body, half), N)
+        return MonomialUnitSquare(root=root, half_exponents=half, unit_root=unit_root)
     form, degree = D.lowest_homogeneous_form()
     if not _is_square_form(form):
         return LowestFormNotASquare(form=form, degree=degree)

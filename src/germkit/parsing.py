@@ -20,6 +20,7 @@ exponent is above MAX_EXPONENT, the largest exponent the parser accepts.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .algebra import Point, Polynomial, as_point
@@ -36,6 +37,10 @@ __all__ = [
 # The largest exponent literal accepted: powers expand in full, and
 # (1+z1+z2+z3)^32 takes about a second to expand, ^48 about seven.
 MAX_EXPONENT = 32
+# The most terms a product or power may expand to, by the bound of
+# `_Parser.capped`: (1+z1+z2+z3)^32 (6,545 terms) parses; (1+z1+...+z8)^10
+# (43,758 terms) and ^32 (about 77 million) fail before they expand.
+MAX_TERMS = 10_000
 
 
 class _Token(NamedTuple):
@@ -109,11 +114,23 @@ class _Parser:
                 value = value - self.term()
         return value
 
+    def capped(self, tok: _Token, terms: int, degree: int) -> None:
+        """Reject, at tok, an expansion that could have more than MAX_TERMS terms.
+
+        terms bounds its term count from the operands' term counts; degree
+        bounds its total degree, and so its term count by C(n + degree, n).
+        """
+        if terms > MAX_TERMS and comb(self.n + degree, self.n) > MAX_TERMS:
+            raise ParseError(tok.pos, f"an expansion of at most {MAX_TERMS} terms", _lexeme(tok))
+
     def term(self) -> Polynomial:
         value = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            value = value * self.factor()
+            star = self.advance()
+            right = self.factor()
+            self.capped(star, value.term_count() * right.term_count(),
+                        value.total_degree() + right.total_degree())
+            value = value * right
         return value
 
     def factor(self) -> Polynomial:
@@ -122,8 +139,12 @@ class _Parser:
             self.advance()
             if self.peek().kind != "num":
                 raise self.fail("a natural-number exponent")
-            if self.peek().value > MAX_EXPONENT:
+            k = self.peek().value
+            if k > MAX_EXPONENT:
                 raise self.fail(f"an exponent of at most {MAX_EXPONENT}")
+            t = value.term_count()
+            if t > 1:  # a monomial's power is a monomial
+                self.capped(self.peek(), comb(t + k - 1, k), k * value.total_degree())
             value = value ** self.advance().value
         return value
 
@@ -209,12 +230,7 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
 
 def parse_point(text: str, n: int | None = None) -> Point:
     """Parse a point as comma-separated rationals, checking arity if n given."""
-    values = parse_rationals(text)
-    if n is not None and len(values) != n:
-        raise DimensionMismatchError(
-            f"point has {len(values)} coordinates, expected {n}"
-        )
-    return as_point(values)
+    return as_point(parse_rationals(text), n)
 
 
 def parse_curve(text: str, n: int | None = None) -> tuple[Polynomial, ...]:

@@ -1,12 +1,14 @@
 """Formal power series truncated at a total-degree order.
 
-A TruncatedSeries is a polynomial body plus an order N; terms of total
-degree above N are discarded by every operation.  It is the finite,
-exactly-computable stand-in for a convergent power series germ: two germs
-agree "to order N" exactly when their TruncatedSeries representatives at
-order N are equal.
+A TruncatedSeries is a polynomial body plus an order N: a value, with no
+term of total degree above N.  It is the finite, exactly-computable
+stand-in for a convergent power series germ: two germs agree "to order N"
+exactly when their TruncatedSeries representatives at order N are equal.
+Every verdict is read from exact polynomials; series only print and
+multiply back factors, so a series has one product, an inverse and a
+square root, and any other arithmetic runs on the bodies (`Polynomial`).
 
-Products never form a term above the order; they run on the integer
+The product never forms a term above the order; it runs on the integer
 product kernel of `germkit.algebra` (`_truncated_product`), which clears
 each operand's denominators once and divides the product of the two
 scales out once per output term.  Unit inverse and unit square root are
@@ -18,12 +20,9 @@ integer tables with one Fraction per output term.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .algebra import Polynomial, _truncated_product, _unit_power, rational_sqrt
 from .errors import DimensionMismatchError, NotAUnitError
-
-Scalar = Union[int, Fraction]
 
 
 class TruncatedSeries:
@@ -40,27 +39,12 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    @classmethod
-    def constant(cls, n: int, value: Scalar, order: int) -> "TruncatedSeries":
-        return cls(Polynomial.constant(n, value), order)
-
     @property
     def n(self) -> int:
         return self.body.n
 
     def constant_term(self) -> Fraction:
         return self.body.constant_term()
-
-    def is_unit(self) -> bool:
-        return self.constant_term() != 0
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Pass to a coarser (or equal) order."""
-        if order > self.order:
-            raise ValueError(
-                f"cannot refine order {self.order} to {order}: the extra terms are unknown"
-            )
-        return TruncatedSeries(self.body, order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -72,50 +56,13 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.body!r}, order={self.order})"
 
-    # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            if other.n != self.n:
-                raise DimensionMismatchError(
-                    f"series live in {self.n} and {other.n} variables"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries.constant(self.n, other, self.order)
-        return NotImplemented
-
-    def __add__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return TruncatedSeries(self.body + other.body, min(self.order, other.order))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return TruncatedSeries(self.body - other.body, min(self.order, other.order))
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.body, self.order)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.n != self.n:
+            raise DimensionMismatchError(f"series live in {self.n} and {other.n} variables")
         order = min(self.order, other.order)
         return _series(_truncated_product(self.body, other.body, order), order)
-
-    __rmul__ = __mul__
 
 
 def _series(body: Polynomial, order: int) -> TruncatedSeries:

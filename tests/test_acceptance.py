@@ -69,7 +69,7 @@ def test_criterion_2_explicit_factorization():
     # the square factor r with f = (z3 + z2*r)(z3 - z2*r) and r^2 = 1 + z1:
     # the certificate carries 2r as the square root of the split-off unit
     # 4+4*z1, living in the two remaining variables (z1, z2)
-    r = status.certificate.unit_root * F(1, 2)
+    r = TruncatedSeries(status.certificate.unit_root.body * F(1, 2), 8)
     one_plus_z1 = TruncatedSeries(Polynomial(2, {(0, 0): 1, (1, 0): 1}), 8)
     assert r * r == one_plus_z1
 

@@ -384,19 +384,6 @@ def test_lowest_homogeneous_form():
         assert all(sum(m) == degree for m, _ in form.terms())
 
 
-def test_monomial_unit_split():
-    d = Polynomial(2, {(0, 2): 4, (1, 2): 4})  # 4(1+z1)*z2^2
-    alpha, unit = d.monomial_unit_split()
-    assert alpha == (0, 2)
-    assert unit == Polynomial(2, {(0, 0): 4, (1, 0): 4})
-    assert unit.constant_term() == 4
-    # reconstruction: x^alpha * unit = d
-    mono = Polynomial.monomial(2, alpha)
-    assert mono * unit == d
-    # no split when the minimal monomial is absent from the support
-    assert Polynomial(2, {(1, 0): 1, (0, 1): 1}).monomial_unit_split() is None
-
-
 def test_coefficients_in_reconstructs():
     rng = random.Random(109)
     for _ in range(20):

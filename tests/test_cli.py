@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +15,12 @@ import pytest
 from germkit import __version__
 from germkit.algebra import Polynomial
 from germkit.cli import run_cli
-from germkit.parsing import MAX_EXPONENT
+from germkit.parsing import MAX_EXPONENT, MAX_TERMS
 from germkit.series import TruncatedSeries
 from germkit.weierstrass import MAX_ORDER
 
 GOLDEN = Path(__file__).parent / "data" / "demo_counterexample.txt"
+README_CLI = Path(__file__).parent / "data" / "readme_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 F = Fraction
@@ -154,6 +157,39 @@ def test_demo_is_deterministic():
     assert run("demo", "counterexample") == run("demo", "counterexample")
 
 
+def readme_cli_transcripts():
+    """{file name: stdout} for each `germkit ...` line of README's CLI block.
+
+    Every line runs twice: as text (without --json) and as --json, whose
+    envelope drops `timing_ms`, its one nondeterministic field.
+    `PYTHONPATH=src python tests/test_cli.py` rewrites tests/data/readme_cli/
+    from the current code.
+    """
+    readme = (SRC.parent / "README.md").read_text().split("## CLI\n", 1)[1]
+    block = readme.split("```\n", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("germkit ")]
+    transcripts = {}
+    for i, line in enumerate(lines, 1):
+        argv = [a for a in shlex.split(line)[1:] if a != "--json"]
+        code, out, err = run(*argv)
+        assert code == 0 and err == "", line
+        transcripts[f"{i}.txt"] = out
+        code, out, err = run(*argv, "--json")
+        assert code == 0 and err == "", line
+        doc = json.loads(out)
+        del doc["timing_ms"]
+        transcripts[f"{i}.json"] = json.dumps(doc, indent=2) + "\n"
+    return transcripts
+
+
+def test_readme_cli_lines_match_golden_transcripts():
+    transcripts = readme_cli_transcripts()
+    assert len(transcripts) == 16
+    assert sorted(transcripts) == sorted(p.name for p in README_CLI.iterdir())
+    for name, out in transcripts.items():
+        assert out == (README_CLI / name).read_text(), name
+
+
 # -- JSON envelope -------------------------------------------------------------------
 
 
@@ -274,6 +310,16 @@ def test_exponent_above_the_cap_is_a_parse_error():
     assert f"expected an exponent of at most {MAX_EXPONENT}" in err
 
 
+def test_oversized_expansion_is_a_parse_error_before_any_work():
+    # (1+z1+...+z8)^32 would expand to about 77 million terms
+    started = time.perf_counter()
+    code, out, err = run("analyze", "--poly", "(1+z1+z2+z3+z4+z5+z6+z7+z8)^32",
+                         "--point", "0,0,0,0,0,0,0,0")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert f"expected an expansion of at most {MAX_TERMS} terms" in err
+
+
 def test_exit_code_0_on_undetermined():
     code, out, _ = run(
         "analyze", "--poly", "z1^3 + z2^3 + z3^3", "--point", "0,0,0"
@@ -284,7 +330,7 @@ def test_exit_code_0_on_undetermined():
 
 def test_point_and_poly_dimensions_must_be_reconcilable():
     code, _, err = run("analyze", "--poly", "z3^2 - z1*z2^2", "--point", "0,0")
-    assert code == 1 and "coordinates" in err  # domain mismatch, not syntax
+    assert code == 1 and err == "error: point has 2 coordinates, expected 3\n"  # not syntax
     code, out, _ = run("analyze", "--poly", "z1^2", "--point", "0,0,0")
     assert code == 0  # lower-dimensional poly widens to the point's space
 
@@ -405,3 +451,9 @@ def test_importing_the_library_leaves_the_cli_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+if __name__ == "__main__":
+    README_CLI.mkdir(exist_ok=True)
+    for name, out in readme_cli_transcripts().items():
+        (README_CLI / name).write_text(out)

@@ -631,7 +631,8 @@ def _cut_roots(status, N):
     """The status with the root of a MonomialUnitSquare cut back to order N."""
     cert = status.certificate
     if isinstance(cert, MonomialUnitSquare) and not cert.symbolic:
-        cert = replace(cert, root=cert.root.truncate(N), unit_root=cert.unit_root.truncate(N))
+        cert = replace(cert, root=TruncatedSeries(cert.root.body, N),
+                       unit_root=TruncatedSeries(cert.unit_root.body, N))
     return replace(status, certificate=cert, factors=None)
 
 

@@ -9,6 +9,7 @@ from germkit.algebra import Polynomial
 from germkit.errors import DimensionMismatchError, ParseError, UnknownVariableError
 from germkit.parsing import (
     MAX_EXPONENT,
+    MAX_TERMS,
     format_poly,
     parse_curve,
     parse_point,
@@ -70,6 +71,36 @@ def test_parse_rejects_exponent_above_the_cap():
         parse_curve(f"t^{MAX_EXPONENT + 1},0", 2)
 
 
+SUM8 = "(1+z1+z2+z3+z4+z5+z6+z7+z8)"
+
+
+def test_parse_rejects_a_power_that_could_exceed_the_term_cap():
+    # (1+z1+z2+z3)^32 has C(35, 3) = 6,545 terms; (1+z1+...+z8)^10 would have
+    # C(18, 8) = 43,758 and ^32 about 77 million: rejected before expanding
+    assert parse_poly("(1+z1+z2+z3)^32").term_count() == 6545 <= MAX_TERMS
+    for k in (10, MAX_EXPONENT):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(f"{SUM8}^{k}")
+        assert exc.value.position == len(SUM8) + 1
+        assert exc.value.expected == f"an expansion of at most {MAX_TERMS} terms"
+    # a 10-term base: C(17, 8) = 24,310 bounds the terms of its 8th power,
+    # but degree 24 in two variables bounds them by C(2 + 24, 2) = 325
+    assert parse_poly("(1+z1+z2+z1*z2+z1^2+z2^2+z1^3+z2^3+z1^2*z2+z1*z2^2)^8").term_count() == 325
+    # nested powers are bounded too: (1+z1+z2)^(32*32) in two variables has
+    # C(2 + 1024, 2) = 525,825 terms
+    with pytest.raises(ParseError):
+        parse_poly("((1+z1+z2)^32)^32")
+
+
+def test_parse_rejects_a_product_that_could_exceed_the_term_cap():
+    # 1,287 x 1,287 term pairs of degree 10 in 8 variables: C(18, 8) > MAX_TERMS
+    with pytest.raises(ParseError) as exc:
+        parse_poly(f"{SUM8}^5*{SUM8}^5")
+    assert exc.value.position == len(SUM8) + 2 and exc.value.found == "*"
+    # 231 x 231 term pairs, but only C(2 + 40, 2) = 861 monomials of degree <= 40
+    assert parse_poly("(1+z1+z2)^20*(1+z1+z2)^20").term_count() == 861
+
+
 def test_parse_rejects_polynomial_division():
     with pytest.raises(ParseError):
         parse_poly("z1/2")
@@ -114,7 +145,7 @@ def test_parse_var_count_widens_and_bounds():
 def test_parse_point():
     assert parse_point("0,0,0") == (0, 0, 0)
     assert parse_point("1,-1/2, 3/4", 3) == (1, F(-1, 2), F(3, 4))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"^point has 2 coordinates, expected 3$"):
         parse_point("1,2", 3)
     with pytest.raises(ParseError) as exc:
         parse_point("1,,2")

@@ -1,4 +1,4 @@
-"""Truncated power series: arithmetic mod total degree, inverse, square root."""
+"""Truncated power series: product mod total degree, inverse, square root."""
 
 import random
 from fractions import Fraction
@@ -107,27 +107,6 @@ def test_equality_needs_same_order():
     assert TruncatedSeries(one, 4) == TruncatedSeries(one, 4)
 
 
-def test_truncate_refuses_to_refine():
-    s = series({(0,): 1}, order=4)
-    assert s.truncate(3).order == 3
-    with pytest.raises(ValueError):
-        s.truncate(5)
-
-
-def test_arithmetic_matches_polynomial_arithmetic_mod_order():
-    rng = random.Random(201)
-    for _ in range(100):
-        n = rng.randint(1, 3)
-        order = rng.randint(2, 6)
-        a = random_poly(rng, n, 6, 5)
-        b = random_poly(rng, n, 6, 5)
-        sa, sb = TruncatedSeries(a, order), TruncatedSeries(b, order)
-        assert (sa + sb).body == (a + b).truncate(order)
-        assert (sa - sb).body == (a - b).truncate(order)
-        assert (sa * sb).body == (a * b).truncate(order)
-        assert (-sa).body == (-a).truncate(order)
-
-
 @pytest.mark.parametrize("n, order", EXACTNESS_CASES)
 def test_product_equals_full_product_truncated(n, order):
     rng = random.Random(1000 * n + order)
@@ -146,7 +125,7 @@ def test_product_with_large_coprime_denominators_equals_full_product_truncated()
         a = TruncatedSeries(big_denominator_poly(rng, n, order + 2, 6), order)
         b = TruncatedSeries(big_denominator_poly(rng, n, order + 2, 6), order)
         assert a * b == ref_mul(a, b)
-        unit = a + 1 - a.constant_term()
+        unit = TruncatedSeries(a.body + (1 - a.constant_term()), order)
         assert ts_inverse(unit) == ref_inverse(unit)
 
 
@@ -158,7 +137,7 @@ def test_products_that_cancel():
     assert (high * high).body.is_zero()  # degree 10 > 8: nothing survives
     zero = TruncatedSeries(Polynomial.zero(2), 5)
     assert high * zero == TruncatedSeries(Polynomial.zero(2), 5)
-    assert (high * 0).body.is_zero()
+    assert (high * TruncatedSeries(Polynomial.zero(2), 8)).body.is_zero()
 
 
 @pytest.mark.parametrize("n, order", EXACTNESS_CASES)
@@ -209,19 +188,14 @@ def test_inverse_and_sqrt_identities_at_max_order_in_four_variables():
     assert root.constant_term() == F(3, 2)
     assert root * root == a
     assert (a * ts_inverse(a)).body == Polynomial.constant(4, 1)
-    assert (-a * ts_inverse(-a)).body == Polynomial.constant(4, 1)
+    minus_a = TruncatedSeries(-a.body, MAX_ORDER)
+    assert (minus_a * ts_inverse(minus_a)).body == Polynomial.constant(4, 1)
 
 
 def test_mixed_order_takes_minimum():
     a = series({(1,): 1}, order=6)
     b = series({(1,): 1}, order=3)
     assert (a * b).order == 3
-
-
-def test_scalar_coercion():
-    a = series({(1,): 1}, order=5)
-    assert (a + 1).body == Polynomial(1, {(0,): 1, (1,): 1})
-    assert (F(1, 2) * a).body == Polynomial(1, {(1,): F(1, 2)})
 
 
 def test_inverse_of_geometric_series():
@@ -242,7 +216,7 @@ def test_inverse_identity_on_random_units():
             n, random_fraction(rng, 1, 9)
         )
         a = TruncatedSeries(body, order)
-        assert a.is_unit()
+        assert a.constant_term() != 0
         prod = a * ts_inverse(a)
         assert prod.body == Polynomial.constant(n, one)
 

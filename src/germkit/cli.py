@@ -175,30 +175,38 @@ def _parse_var_flag(text: str | None, n: int) -> int:
     return j
 
 
-def _parse_inputs(poly_texts, var_text, point_text=None):
-    """Parse polynomials, a base point (default: origin) and --var in one dimension n.
+def _parse_inputs(ns, *poly_texts):
+    """Parse polynomials, --point (default: origin) and --var in one dimension n.
 
     n is the largest variable count among the polynomials and the point, at
     least 1; polynomials in fewer variables widen to n, and a point shorter
-    than n is an error.  Returns (polynomials, point, variable index).
+    than n is an error.  Returns (polynomials, point, variable index), and
+    puts the point and z<j> in place of the flags' text in ns, for the echo.
     """
     polys = [parse_poly(text) for text in poly_texts]
-    values = () if point_text is None else parse_rationals(point_text)
+    values = () if getattr(ns, "point", None) is None else parse_rationals(ns.point)
     n = max(1, len(values), *(f.n for f in polys))
     point = as_point(values or (0,) * n, n)
     polys = [
         f if f.n == n else parse_poly(text, var_count=n)
         for f, text in zip(polys, poly_texts)
     ]
-    return polys, point, _parse_var_flag(var_text, n)
+    j = _parse_var_flag(getattr(ns, "var", None), n)
+    if "point" in ns:
+        ns.point = point
+    if "var" in ns:
+        ns.var = f"z{j}"
+    return polys, point, j
 
 
 # -- subcommand handlers ------------------------------------------------------
-# Each returns (text lines, input echo, result payload).
+# Each returns (text lines, result payload); the JSON input echo is every
+# flag in argparse order, with --point and --var as parsed.  demo has no
+# input flags and returns the input it runs on as a third item.
 
 
 def _cmd_analyze(ns):
-    (f,), point, _ = _parse_inputs([ns.poly], None, ns.point)
+    (f,), point, _ = _parse_inputs(ns, ns.poly)
     status = analyze_germ(GermQuery(f, point, ns.order))
     lines = [
         f"f = {format_poly(f)}",
@@ -206,12 +214,11 @@ def _cmd_analyze(ns):
         f"order = {ns.order}",
         *_status_lines(status, f.n),
     ]
-    inputs = {"poly": ns.poly, "point": point, "order": ns.order}
-    return lines, inputs, _status_payload(status)
+    return lines, _status_payload(status)
 
 
 def _cmd_scan(ns):
-    (f,), point, _ = _parse_inputs([ns.poly], None, ns.point)
+    (f,), point, _ = _parse_inputs(ns, ns.poly)
     curve = parse_curve(ns.curve, f.n)
     t_values = parse_rationals(ns.t)
     report = scan_stability(f, point, curve, t_values, ns.order)
@@ -231,18 +238,11 @@ def _cmd_scan(ns):
         lines.append(f"witness: t = {report.witness.t}")
     if report.reason is not None:
         lines.append(f"reason: {report.reason}")
-    inputs = {
-        "poly": ns.poly,
-        "point": point,
-        "curve": ns.curve,
-        "t": ns.t,
-        "order": ns.order,
-    }
-    return lines, inputs, _scan_payload(report)
+    return lines, _scan_payload(report)
 
 
 def _cmd_prepare(ns):
-    (f,), point, j = _parse_inputs([ns.poly], ns.var, ns.point)
+    (f,), point, j = _parse_inputs(ns, ns.poly)
     shifted = f.shift(point)
     sheared, report = make_regular(shifted, j)
     change = report.applied_change
@@ -267,12 +267,6 @@ def _cmd_prepare(ns):
     lines.append(f"u*w agrees with f through total degree {ns.order}: "
                  + ("yes" if ok else "NO"))
 
-    inputs = {
-        "poly": ns.poly,
-        "point": point,
-        "var": f"z{j}",
-        "order": ns.order,
-    }
     result = {
         "degree": wd.degree,
         "distinguished_var": j,
@@ -283,27 +277,22 @@ def _cmd_prepare(ns):
         "unit": wd.unit,
         "multiply_back_ok": ok,
     }
-    return lines, inputs, result
+    return lines, result
 
 
-def _cmd_resultant(ns):
-    (f, g), _, j = _parse_inputs([ns.f, ns.g], ns.var)
-    r = resultant(f, g, j)
-    inputs = {"f": ns.f, "g": ns.g, "var": f"z{j}"}
-    result = {"resultant": format_poly(r), "terms": r, "var": j}
-    return [format_poly(r)], inputs, result
-
-
-def _cmd_discriminant(ns):
-    (f,), _, j = _parse_inputs([ns.poly], ns.var)
-    d = discriminant(f, j)
-    inputs = {"poly": ns.poly, "var": f"z{j}"}
-    result = {"discriminant": format_poly(d), "terms": d, "var": j}
-    return [format_poly(d)], inputs, result
+def _cmd_eliminate(ns):
+    """resultant of --f and --g, or discriminant of --poly, in --var."""
+    if ns.command == "resultant":
+        (f, g), _, j = _parse_inputs(ns, ns.f, ns.g)
+        r = resultant(f, g, j)
+    else:
+        (f,), _, j = _parse_inputs(ns, ns.poly)
+        r = discriminant(f, j)
+    return [format_poly(r)], {ns.command: format_poly(r), "terms": r, "var": j}
 
 
 def _cmd_coprime(ns):
-    (g, h), point, j = _parse_inputs([ns.g, ns.h], ns.var, ns.point)
+    (g, h), point, j = _parse_inputs(ns, ns.g, ns.h)
     rep = coprime_at(g, h, point, j)
     r = rep.resultant_poly
     discrete = zero_set_discrete(r, tuple(Fraction(0) for _ in range(r.n)))
@@ -324,12 +313,6 @@ def _cmd_coprime(ns):
     lines.append("resultant zero set discrete near the point: "
                  + ("yes" if discrete else "no"))
 
-    inputs = {
-        "g": ns.g,
-        "h": ns.h,
-        "point": point,
-        "var": f"z{j}",
-    }
     result = {
         "resultant": format_poly(r),
         "terms": r,
@@ -339,7 +322,7 @@ def _cmd_coprime(ns):
         "vanishes_at_point": rep.vanishing_at_point,
         "zero_set_discrete": discrete,
     }
-    return lines, inputs, result
+    return lines, result
 
 
 def _cmd_demo(ns):
@@ -407,15 +390,15 @@ def _cmd_demo(ns):
         },
         "scan": _scan_payload(report),
     }
-    return lines, inputs, result
+    return lines, result, inputs
 
 
 _HANDLERS = {
     "analyze": _cmd_analyze,
     "scan": _cmd_scan,
     "prepare": _cmd_prepare,
-    "resultant": _cmd_resultant,
-    "discriminant": _cmd_discriminant,
+    "resultant": _cmd_eliminate,
+    "discriminant": _cmd_eliminate,
     "coprime": _cmd_coprime,
     "demo": _cmd_demo,
 }
@@ -494,18 +477,12 @@ def _build_parser() -> _ArgumentParser:
 def run_cli(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return 1
+        ns = _build_parser().parse_args(argv)
+        started = time.perf_counter()
+        lines, result, *fixed_input = _HANDLERS[ns.command](ns)
     except SystemExit as exc:  # --help / --version print and exit themselves
         return int(exc.code or 0)
-
-    started = time.perf_counter()
-    try:
-        lines, inputs, result = _HANDLERS[ns.command](ns)
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
         return 2
@@ -517,11 +494,12 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         return 1
 
     if ns.json:
+        flags = {k: v for k, v in vars(ns).items() if k not in ("command", "json")}
         envelope = {
             "tool": "germkit",
             "version": __version__,
             "command": ns.command,
-            "input": inputs,
+            "input": fixed_input[0] if fixed_input else flags,
             "result": result,
             "timing_ms": round((time.perf_counter() - started) * 1000, 3),
         }

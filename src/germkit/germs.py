@@ -6,7 +6,9 @@ nonzero constant a in any dimension, and bivariate germs caught by the
 Newton polygon criteria; everything else comes back Undetermined with a
 reason.  No verdict depends on the truncation order, the precision of
 printed series.  Every decisive answer carries a certificate holding
-exactly the data needed to re-verify it independently:
+exactly the data needed to re-verify it independently, and its class
+names the verdict (its `verdict` attribute, which GermStatus.kind
+reads):
 
   NonzeroValue          f(p) != 0, the germ is a unit
   SmoothPoint           gradient nonzero, the zero set is locally a graph
@@ -46,12 +48,19 @@ from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
 
 # -- certificates -----------------------------------------------------------
 
+UNIT = "Unit"
+SMOOTH_IRREDUCIBLE = "SmoothIrreducible"
+SINGULAR_IRREDUCIBLE = "SingularIrreducible"
+SINGULAR_REDUCIBLE = "SingularReducible"
+UNDETERMINED = "Undetermined"
+
 
 @dataclass(frozen=True)
 class NonzeroValue:
     """f(p) != 0: the germ is a unit in the local ring."""
 
     kind: ClassVar[str] = "NonzeroValue"
+    verdict: ClassVar[str] = UNIT
     value: Fraction
 
 
@@ -60,6 +69,7 @@ class SmoothPoint:
     """Nonzero gradient at the point: the zero set is locally smooth."""
 
     kind: ClassVar[str] = "SmoothPoint"
+    verdict: ClassVar[str] = SMOOTH_IRREDUCIBLE
     gradient: tuple
 
 
@@ -72,6 +82,7 @@ class OddVariableOrder:
     """
 
     kind: ClassVar[str] = "OddVariableOrder"
+    verdict: ClassVar[str] = SINGULAR_IRREDUCIBLE
     variable: int
     order: int
 
@@ -87,6 +98,7 @@ class MonomialUnitSquare:
     """
 
     kind: ClassVar[str] = "MonomialUnitSquare"
+    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     root: Optional[TruncatedSeries]
     half_exponents: Optional[tuple] = None
     unit_root: Optional[TruncatedSeries] = None
@@ -106,6 +118,7 @@ class LowestFormNotASquare:
     """
 
     kind: ClassVar[str] = "LowestFormNotASquare"
+    verdict: ClassVar[str] = SINGULAR_IRREDUCIBLE
     form: Polynomial
     degree: int
 
@@ -115,6 +128,7 @@ class DistinguishedVarDivides:
     """z_variable^multiplicity is the highest power of z_variable dividing the germ."""
 
     kind: ClassVar[str] = "DistinguishedVarDivides"
+    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     variable: int
     multiplicity: int
 
@@ -124,6 +138,7 @@ class MultiEdgePolygon:
     """The Newton polygon has several edges; each carries its own branches."""
 
     kind: ClassVar[str] = "MultiEdgePolygon"
+    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     edge_count: int
 
 
@@ -132,6 +147,7 @@ class BinomialCoprimeEdge:
     """Single binomial edge (0,d)-(m,0) with gcd(d,m)=1: one branch, irreducible."""
 
     kind: ClassVar[str] = "BinomialCoprimeEdge"
+    verdict: ClassVar[str] = SINGULAR_IRREDUCIBLE
     d: int
     m: int
 
@@ -141,6 +157,7 @@ class BinomialNoncoprimeEdge:
     """Single binomial edge with gcd g > 1: the initial part splits into g branches."""
 
     kind: ClassVar[str] = "BinomialNoncoprimeEdge"
+    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     gcd: int
 
 
@@ -156,56 +173,36 @@ class EdgePolynomialSplits:
     """
 
     kind: ClassVar[str] = "EdgePolynomialSplits"
+    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     edge_polynomial: Polynomial
 
 
 # -- status and query ---------------------------------------------------------
-
-UNIT = "Unit"
-SMOOTH_IRREDUCIBLE = "SmoothIrreducible"
-SINGULAR_IRREDUCIBLE = "SingularIrreducible"
-SINGULAR_REDUCIBLE = "SingularReducible"
-UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)
 class GermStatus:
     """Classification of a germ, with certificate and optional factor pair.
 
-    `factors`, when present, are TruncatedSeries in the shifted (and, if
-    `applied_change` is set, sheared) coordinates; they multiply back to
-    the Weierstrass polynomial modulo the truncation order and neither is
-    a unit.  Reducible verdicts from polygon certificates carry no factors
+    The certificate is the decision: `kind` is its verdict, and Undetermined
+    when there is none, in which case `reason` says why.  `factors`, when
+    present, are TruncatedSeries in the shifted (and, if `applied_change`
+    is set, sheared) coordinates; they multiply back to the Weierstrass
+    polynomial modulo the truncation order and neither is a unit.
+    Reducible verdicts from polygon certificates carry no factors
     (producing them would need Puiseux lifting), and neither does
     DistinguishedVarDivides when the regularity order is above the
     truncation order; the certificate alone is the deliverable.
     """
 
-    kind: str
     certificate: object | None = None
     factors: tuple | None = None
     reason: str | None = None
     applied_change: tuple | None = None
 
-    @classmethod
-    def unit(cls, certificate: NonzeroValue) -> "GermStatus":
-        return cls(UNIT, certificate=certificate)
-
-    @classmethod
-    def smooth(cls, certificate: SmoothPoint) -> "GermStatus":
-        return cls(SMOOTH_IRREDUCIBLE, certificate=certificate)
-
-    @classmethod
-    def irreducible(cls, certificate) -> "GermStatus":
-        return cls(SINGULAR_IRREDUCIBLE, certificate=certificate)
-
-    @classmethod
-    def reducible(cls, certificate, factors: tuple | None = None) -> "GermStatus":
-        return cls(SINGULAR_REDUCIBLE, certificate=certificate, factors=factors)
-
-    @classmethod
-    def undetermined(cls, reason: str) -> "GermStatus":
-        return cls(UNDETERMINED, reason=reason)
+    @property
+    def kind(self) -> str:
+        return UNDETERMINED if self.certificate is None else self.certificate.verdict
 
     def is_irreducible_verdict(self) -> bool:
         return self.kind in (SMOOTH_IRREDUCIBLE, SINGULAR_IRREDUCIBLE)
@@ -315,13 +312,11 @@ def _quadratic_verdict(e1: Polynomial, e2: Polynomial, j: int, N: int) -> GermSt
     if cert is None:
         why = ("is zero: the germ is a constant times a square" if D.is_zero()
                else "has a square lowest form but no monomial-unit split")
-        return GermStatus.undetermined("the discriminant " + why)
-    if not isinstance(cert, MonomialUnitSquare):
-        return GermStatus.irreducible(cert)
-    if cert.symbolic:
-        return GermStatus.reducible(cert)
+        return GermStatus(reason="the discriminant " + why)
+    if not isinstance(cert, MonomialUnitSquare) or cert.symbolic:
+        return GermStatus(cert)
     lo, hi = _linear_factors(e1, cert.root.body, j)
-    return GermStatus.reducible(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
+    return GermStatus(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
 
 
 def _monic_quadratic(f: Polynomial, j: int) -> tuple | None:
@@ -434,20 +429,20 @@ def polygon_verdict(polygon: NewtonPolygon) -> GermStatus:
     """
     edges = polygon.edges
     if len(edges) >= 2:
-        return GermStatus.reducible(MultiEdgePolygon(edge_count=len(edges)))
+        return GermStatus(MultiEdgePolygon(edge_count=len(edges)))
     edge = edges[0]
     d, m = edge.start[1], edge.end[0]
     E, g = edge.edge_polynomial, edge.lattice_gcd  # g = gcd(d, m)
     if E.term_count() == 2:
         if g == 1:
-            return GermStatus.irreducible(BinomialCoprimeEdge(d=d, m=m))
-        return GermStatus.reducible(BinomialNoncoprimeEdge(gcd=g))
+            return GermStatus(BinomialCoprimeEdge(d=d, m=m))
+        return GermStatus(BinomialNoncoprimeEdge(gcd=g))
     lc = E.coefficient((g,))
     c = -E.coefficient((g - 1,)) / (g * lc)
     if E != lc * (Polynomial.variable(1, 1) - c) ** g:
-        return GermStatus.reducible(EdgePolynomialSplits(edge_polynomial=E))
-    return GermStatus.undetermined(
-        "single Newton polygon edge with one repeated edge root; deeper expansion needed"
+        return GermStatus(EdgePolynomialSplits(edge_polynomial=E))
+    return GermStatus(
+        reason="single Newton polygon edge with one repeated edge root; deeper expansion needed"
     )
 
 
@@ -475,11 +470,11 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     # f(p) is the constant term of f(p + x), and the gradient its linear part
     value = shifted.constant_term()
     if value != 0:
-        return GermStatus.unit(NonzeroValue(value=value))
+        return GermStatus(NonzeroValue(value=value))
     n = f.n
     gradient = tuple(shifted.coefficient([int(i == k) for i in range(n)]) for k in range(n))
     if any(c != 0 for c in gradient):
-        return GermStatus.smooth(SmoothPoint(gradient=gradient))
+        return GermStatus(SmoothPoint(gradient=gradient))
     j = n  # any other choice asks about the same germ with variables renamed
     sheared, report = make_regular(shifted, j)
     d, k = report.order, sheared.variable_order(j)
@@ -490,15 +485,15 @@ def analyze_germ(query: GermQuery) -> GermStatus:
             w = weierstrass_prepare(sheared, j, N).weierstrass_polynomial()
             factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
         cert = DistinguishedVarDivides(variable=j, multiplicity=k)
-        status = GermStatus.reducible(cert, factors=factors)
+        status = GermStatus(cert, factors=factors)
     elif (coefficients := _monic_quadratic(sheared, j)) is not None:
         status = _quadratic_verdict(*coefficients, j, N)
     elif n == 2:
         status = polygon_verdict(newton_polygon(sheared, j))
     else:
         shape = f"2 (but not a*z{j}^2 + b*z{j} + c, a constant)" if d == 2 else ">= 3"
-        status = GermStatus.undetermined(
-            f"Weierstrass degree {shape} in dimension >= 3 is outside the decidable fragment"
+        status = GermStatus(
+            reason=f"Weierstrass degree {shape} in dimension >= 3 is outside the decidable fragment"
         )
     return replace(status, applied_change=report.applied_change)
 
@@ -508,35 +503,45 @@ def analyze_germ(query: GermQuery) -> GermStatus:
 
 @dataclass(frozen=True)
 class ScanSample:
-    """One scanned point: parameter value, coordinates, locus membership, status."""
+    """One scanned point: parameter value, coordinates and status."""
 
     t: Fraction
     point: tuple
-    on_locus: bool
     status: GermStatus
+
+    @property
+    def on_locus(self) -> bool:
+        # analyze_germ answers Unit exactly when f(point) != 0
+        return self.status.kind != UNIT
 
 
 @dataclass(frozen=True)
 class ScanReport:
     """Per-sample classification along a parametric curve, plus a verdict.
 
-    verdict is "Unstable" (the base germ is irreducible but some on-locus
-    sample with t != 0 is reducible; `witness` holds it), "Stable-evidence"
-    (the base germ and every on-locus sample with t != 0 got an irreducible
-    classification; finite evidence, not a proof), or "Inconclusive"
-    (reason attached: no on-locus sample has t != 0, some classification
-    is Undetermined, or the base germ is not irreducible, since stability
-    of irreducibility is then not in question).  A sample at t = 0 is the
-    base point again and never counts toward the verdict.
+    verdict, read from `reason` and `witness`, is "Unstable" (the base germ
+    is irreducible but some on-locus sample with t != 0 is reducible;
+    `witness` holds it), "Stable-evidence" (the base germ and every
+    on-locus sample with t != 0 got an irreducible classification; finite
+    evidence, not a proof), or "Inconclusive" (reason attached: no on-locus
+    sample has t != 0, some classification is Undetermined, or the base
+    germ is not irreducible, since stability of irreducibility is then not
+    in question).  A sample at t = 0 is the base point again and never
+    counts toward the verdict.
     """
 
     curve: tuple
     base_point: tuple
     base_status: GermStatus
     samples: tuple
-    verdict: str
     witness: ScanSample | None = None
     reason: str | None = None
+
+    @property
+    def verdict(self) -> str:
+        if self.reason is not None:
+            return "Inconclusive"
+        return "Stable-evidence" if self.witness is None else "Unstable"
 
 
 def scan_stability(
@@ -555,8 +560,8 @@ def scan_stability(
     pure function of the inputs.
     """
     p = as_point(p, f.n)
-    coords = tuple(_as_curve_coordinate(c) for c in curve)
-    if len(coords) != f.n or any(c is None for c in coords):
+    coords = tuple(curve)
+    if len(coords) != f.n or any(not isinstance(c, Polynomial) or c.n != 1 for c in coords):
         raise DimensionMismatchError(
             f"curve must have {f.n} univariate coordinate polynomials"
         )
@@ -574,13 +579,11 @@ def scan_stability(
     samples = []
     for t in t_values:
         q = tuple(c.evaluate((t,)) for c in coords)
-        status = analyze_germ(GermQuery(f, q, N))
-        # analyze_germ answers Unit exactly when f(q) != 0
-        samples.append(ScanSample(t=t, point=q, on_locus=status.kind != UNIT, status=status))
+        samples.append(ScanSample(t=t, point=q, status=analyze_germ(GermQuery(f, q, N))))
     samples = tuple(samples)
 
     on_locus = [s for s in samples if s.on_locus and s.t != 0]
-    verdict, witness, reason = "Inconclusive", None, None
+    witness, reason = None, None
     if not on_locus:
         reason = "no sample with t != 0 lies on the zero locus"
     elif base_status.kind == UNDETERMINED or any(
@@ -592,13 +595,11 @@ def scan_stability(
     else:
         # every other on-locus sample is irreducible: no Unit, no Undetermined
         witness = next((s for s in on_locus if s.status.kind == SINGULAR_REDUCIBLE), None)
-        verdict = "Stable-evidence" if witness is None else "Unstable"
     return ScanReport(
         curve=coords,
         base_point=p,
         base_status=base_status,
         samples=samples,
-        verdict=verdict,
         witness=witness,
         reason=reason,
     )
@@ -606,15 +607,3 @@ def scan_stability(
 
 def _format_point(p: tuple) -> str:
     return "(" + ", ".join(str(c) for c in p) + ")"
-
-
-def _as_curve_coordinate(c) -> Polynomial | None:
-    """Coerce one curve coordinate to a univariate polynomial in t."""
-    if isinstance(c, (int, Fraction)):
-        return Polynomial.constant(1, c)
-    if isinstance(c, Polynomial):
-        if c.n == 1:
-            return c
-        if c.n == 0:
-            return c.insert_variable(1)
-    return None

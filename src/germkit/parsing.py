@@ -9,8 +9,11 @@ The expression grammar, with no implicit multiplication:
     var      := 'z' nat            (1-based; 't' instead in curve syntax)
     rational := int ('/' nat)?
 
-"z1z2" is a syntax error; write "z1*z2".  Exponents are literal naturals,
-so "z1^-2" is rejected.  Points and t-lists are comma-separated rationals.
+A point or t-list is literal (',' literal)* with literal := '-'? rational,
+and a curve is expr (',' expr)* in 't'.  "z1z2" is a syntax error; write
+"z1*z2".  Exponents are literal naturals, so "z1^-2" is rejected.  So is a
+number with more digits than the interpreter converts to an int
+(sys.get_int_max_str_digits).
 
 format_poly prints graded-lexicographic ascending order with explicit
 "*" and "^", and its output re-parses to the same polynomial when no
@@ -19,6 +22,7 @@ exponent is above MAX_EXPONENT, the largest exponent the parser accepts.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -44,43 +48,51 @@ MAX_TERMS = 10_000
 
 
 class _Token(NamedTuple):
-    kind: str  # "num", "var", one of "+-*/^()", or "end"
+    kind: str  # "num", "var", one of "+-*/^(),", or "end"
     value: int
     pos: int
+    text: str  # the lexeme as written
 
 
-def _tokenize(text: str, param: str | None = None, offset: int = 0) -> list[_Token]:
-    """Lex one expression.  param names the sole variable ('t' for curves)."""
+def _digits(text: str, i: int) -> tuple[int, int]:
+    """(end, value) of the run of decimal digits at text[i] (value 0 if empty)."""
+    j = i
+    while j < len(text) and text[j].isdecimal():
+        j += 1
+    try:
+        return j, int(text[i:j] or 0)
+    except ValueError:  # only the interpreter's limit on integer-string digits
+        limit = f"a number of at most {sys.get_int_max_str_digits()} digits"
+        raise ParseError(i, limit, f"{j - i} digits") from None
+
+
+def _tokenize(text: str, param: str | None = None) -> list[_Token]:
+    """Lex text in z1, z2, ..., or, when param is given, in that sole variable
+    ('t' for curves, '' for none: points and t-lists)."""
     tokens = []
     i, end = 0, len(text)
     while i < end:
-        ch = text[i]
+        ch, j = text[i], i + 1
         if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i + 1
-            while j < end and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", int(text[i:j]), offset + i))
             i = j
-        elif ch in "+-*/^()":
-            tokens.append(_Token(ch, 0, offset + i))
-            i += 1
+            continue
+        if ch.isdecimal():
+            kind, (j, value) = "num", _digits(text, i)
+        elif ch in "+-*/^(),":
+            kind, value = ch, 0
         elif param is None and ch == "z":
-            j = i + 1
-            while j < end and text[j].isdigit():
-                j += 1
-            if j == i + 1 or int(text[i + 1 : j]) == 0:
-                raise UnknownVariableError(offset + i, text[i:j])
-            tokens.append(_Token("var", int(text[i + 1 : j]), offset + i))
-            i = j
-        elif param is not None and ch == param:
-            tokens.append(_Token("var", 1, offset + i))
-            i += 1
+            kind, (j, value) = "var", _digits(text, j)
+            if value == 0:
+                raise UnknownVariableError(i, text[i:j])
+        elif param and ch == param:
+            kind, value = "var", 1
         else:
-            wanted = f"the parameter '{param}'" if param else "a polynomial token"
-            raise ParseError(offset + i, wanted, ch)
-    tokens.append(_Token("end", 0, offset + end))
+            wanted = {None: "a polynomial token", "": "a rational number"}.get(
+                param, f"the parameter '{param}'")
+            raise ParseError(i, wanted, ch)
+        tokens.append(_Token(kind, value, i, text[i:j]))
+        i = j
+    tokens.append(_Token("end", 0, end, ""))
     return tokens
 
 
@@ -102,7 +114,7 @@ class _Parser:
 
     def fail(self, expected: str) -> ParseError:
         tok = self.peek()
-        found = "end of input" if tok.kind == "end" else _lexeme(tok)
+        found = "end of input" if tok.kind == "end" else tok.text
         return ParseError(tok.pos, expected, found)
 
     def expr(self) -> Polynomial:
@@ -121,7 +133,7 @@ class _Parser:
         bounds its total degree, and so its term count by C(n + degree, n).
         """
         if terms > MAX_TERMS and comb(self.n + degree, self.n) > MAX_TERMS:
-            raise ParseError(tok.pos, f"an expansion of at most {MAX_TERMS} terms", _lexeme(tok))
+            raise ParseError(tok.pos, f"an expansion of at most {MAX_TERMS} terms", tok.text)
 
     def term(self) -> Polynomial:
         value = self.factor()
@@ -154,14 +166,7 @@ class _Parser:
             self.advance()
             return -self.base()
         if tok.kind == "num":
-            self.advance()
-            num = tok.value
-            if self.peek().kind == "/":
-                self.advance()
-                if self.peek().kind != "num" or self.peek().value == 0:
-                    raise self.fail("a nonzero natural-number denominator")
-                return Polynomial.constant(self.n, Fraction(num, self.advance().value))
-            return Polynomial.constant(self.n, Fraction(num))
+            return Polynomial.constant(self.n, self.rational())
         if tok.kind == "var":
             self.advance()
             return Polynomial.variable(self.n, tok.value)
@@ -174,18 +179,37 @@ class _Parser:
             return value
         raise self.fail("a number, a variable, '(' or '-'")
 
+    def rational(self) -> Fraction:
+        """rational := int ('/' nat)?, from the "num" token at hand."""
+        num = self.advance().value
+        if self.peek().kind != "/":
+            return Fraction(num)
+        self.advance()
+        if self.peek().kind != "num" or self.peek().value == 0:
+            raise self.fail("a nonzero natural-number denominator")
+        return Fraction(num, self.advance().value)
+
+    def literal(self) -> Fraction:
+        """'-'? rational: one entry of a point or t-list."""
+        sign = -1 if self.peek().kind == "-" and self.advance() else 1
+        if self.peek().kind != "num":
+            raise self.fail("a rational number")
+        return sign * self.rational()
+
+    def listed(self, item) -> tuple:
+        """item (',' item)* through the end of input."""
+        values = [item()]
+        while self.peek().kind == ",":
+            self.advance()
+            values.append(item())
+        if self.peek().kind != "end":
+            raise self.fail("',' or end of input")
+        return tuple(values)
+
     def finish(self, value: Polynomial) -> Polynomial:
         if self.peek().kind != "end":
             raise self.fail("'+', '-', '*' or end of input")
         return value
-
-
-def _lexeme(tok: _Token) -> str:
-    if tok.kind == "num":
-        return str(tok.value)
-    if tok.kind == "var":
-        return f"z{tok.value}"
-    return tok.kind
 
 
 def parse_poly(text: str, var_count: int | None = None) -> Polynomial:
@@ -202,30 +226,15 @@ def parse_poly(text: str, var_count: int | None = None) -> Polynomial:
         n = var_count
         for tok in tokens:
             if tok.kind == "var" and tok.value > n:
-                raise UnknownVariableError(tok.pos, f"z{tok.value}")
+                raise UnknownVariableError(tok.pos, tok.text)
     parser = _Parser(tokens, n)
     return parser.finish(parser.expr())
 
 
-def _split_offsets(text: str) -> list[tuple[str, int]]:
-    pieces = []
-    offset = 0
-    for piece in text.split(","):
-        pieces.append((piece, offset))
-        offset += len(piece) + 1
-    return pieces
-
-
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
-    """Parse a comma-separated list of rationals, e.g. "1,1/2,-3/4"."""
-    values = []
-    for piece, offset in _split_offsets(text):
-        try:
-            values.append(Fraction(piece))
-        except (ValueError, ZeroDivisionError):
-            found = piece.strip() or "nothing"
-            raise ParseError(offset, "a rational number", found) from None
-    return tuple(values)
+    """Parse a comma-separated list of literals '-'? rational, e.g. "1,1/2,-3/4"."""
+    parser = _Parser(_tokenize(text, param=""), 0)
+    return parser.listed(parser.literal)
 
 
 def parse_point(text: str, n: int | None = None) -> Point:
@@ -235,15 +244,13 @@ def parse_point(text: str, n: int | None = None) -> Point:
 
 def parse_curve(text: str, n: int | None = None) -> tuple[Polynomial, ...]:
     """Parse a parametric curve "t,0,0" into one-variable polynomials in t."""
-    coords = []
-    for piece, offset in _split_offsets(text):
-        parser = _Parser(_tokenize(piece, param="t", offset=offset), 1)
-        coords.append(parser.finish(parser.expr()))
+    parser = _Parser(_tokenize(text, param="t"), 1)
+    coords = parser.listed(parser.expr)
     if n is not None and len(coords) != n:
         raise DimensionMismatchError(
             f"curve has {len(coords)} coordinates, expected {n}"
         )
-    return tuple(coords)
+    return coords
 
 
 def format_poly(f: Polynomial) -> str:

@@ -47,12 +47,15 @@ class RegularityReport:
     axis (+inf when the restriction is identically zero).  `applied_change`
     records the shear that produced the probed polynomial: entry i-1 is the
     coefficient c_i in z_i <- z_i + c_i * z_j (None when no change was
-    applied).
+    applied).  `regular` says whether the order is finite.
     """
 
-    regular: bool
     order: int | float
     applied_change: tuple | None = None
+
+    @property
+    def regular(self) -> bool:
+        return self.order != inf
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,8 @@ def regular_order(f: Polynomial, j: int) -> RegularityReport:
     if f.is_zero():
         raise ZeroPolynomialError("regularity is undefined for the zero polynomial")
     _check_var(j, f.n)
-    axis = [mono[j - 1] for mono, _ in f.terms() if sum(mono) == mono[j - 1]]
-    if not axis:
-        return RegularityReport(regular=False, order=inf)
-    return RegularityReport(regular=True, order=min(axis))
+    axis = (mono[j - 1] for mono, _ in f.terms() if sum(mono) == mono[j - 1])
+    return RegularityReport(order=min(axis, default=inf))
 
 
 def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:

@@ -217,6 +217,24 @@ def test_json_envelope_shape():
     assert cert["unit_root"]["terms"][0] == [[0, 0], "2"]
 
 
+def test_json_input_echoes_the_parsed_point_and_variable():
+    # the golden transcripts pass --var as z<k> and --point explicitly
+    code, out, _ = run("prepare", "--poly", "z2^2 - z1^3", "--var", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["input"] == {
+        "poly": "z2^2 - z1^3", "point": ["0", "0"], "var": "z2", "order": 8,
+    }
+    code, out, _ = run("coprime", "--g", "z3^2 - z1*z2^2", "--h", "2*z3", "--var", "3",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["input"] == {
+        "g": "z3^2 - z1*z2^2", "h": "2*z3", "point": ["0", "0", "0"], "var": "z3",
+    }
+    code, out, _ = run("discriminant", "--poly", "z2^2 - z1^3", "--var", " 2", "--json")
+    assert code == 0
+    assert json.loads(out)["input"] == {"poly": "z2^2 - z1^3", "var": "z2"}
+
+
 def test_json_factors_multiply_back_to_w():
     code, out, _ = run(
         "analyze", "--poly", "z3^2 - z1*z2^2", "--point", "1,0,0", "--json"
@@ -318,6 +336,28 @@ def test_oversized_expansion_is_a_parse_error_before_any_work():
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out == ""
     assert f"expected an expansion of at most {MAX_TERMS} terms" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--point", "1e4000,0,0"),
+    ("--poly", "1" * 5000 + "*z3^2 - z1*z2^2"),
+])
+def test_oversized_literals_are_parse_errors(flag, value):
+    # "1e4000" is not a literal of the grammar, and a 5,000-digit number is
+    # over the interpreter's default limit on integer-string conversion
+    argv = {"--poly": "z3^2 - z1*z2^2", "--point": "0,0,0", flag: value}
+    started = time.perf_counter()
+    code, out, err = run("analyze", *[a for kv in argv.items() for a in kv])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ")
+
+
+def test_curve_parse_errors_name_t():
+    code, _, err = run("scan", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0",
+                       "--curve", "t^t,0,0")
+    assert code == 2
+    assert err == "parse error: expected a natural-number exponent, found 't' at offset 2\n"
 
 
 def test_exit_code_0_on_undetermined():

@@ -344,6 +344,32 @@ def test_polygon_verdict_on_edge_polynomials_of_known_roots():
     assert min(seen.values()) >= 20
 
 
+# -- GermStatus -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("poly, point, certificate, kind", [
+    ("z1 + 1", (0,), "NonzeroValue", "Unit"),
+    ("z1", (0,), "SmoothPoint", "SmoothIrreducible"),
+    ("z3^2 - z1*z2^2", (0, 0, 0), "OddVariableOrder", "SingularIrreducible"),
+    ("z3^2 - z1*z2^2", (1, 0, 0), "MonomialUnitSquare", "SingularReducible"),
+    ("z3^2 - z1^2 - z2^2", (0, 0, 0), "LowestFormNotASquare", "SingularIrreducible"),
+    ("z2*(z2 - z1^2)", (0, 0), "DistinguishedVarDivides", "SingularReducible"),
+    ("(z2 - z1)*(z2^2 - z1^3)", (0, 0), "MultiEdgePolygon", "SingularReducible"),
+    ("z2^3 - z1^2", (0, 0), "BinomialCoprimeEdge", "SingularIrreducible"),
+    ("z2^4 - z1^2", (0, 0), "BinomialNoncoprimeEdge", "SingularReducible"),
+    ("(z2 - z1)*(z2 - 2*z1)*(z2 - 3*z1)", (0, 0), "EdgePolynomialSplits", "SingularReducible"),
+])
+def test_the_verdict_is_read_from_the_certificate(poly, point, certificate, kind):
+    cert = analyze_germ(GermQuery(parse_poly(poly), point, 8)).certificate
+    assert cert.kind == certificate
+    assert germs.GermStatus(cert).kind == cert.verdict == kind
+
+
+def test_a_status_without_certificate_is_undetermined():
+    assert germs.GermStatus(reason="no test applies").kind == "Undetermined"
+    assert germs.GermStatus().kind == "Undetermined"
+
+
 # -- analyze_germ ---------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Expression grammar, point/curve syntax, and the canonical printer."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,38 @@ def test_parse_rationals():
     assert parse_rationals("1,1/2,1/4,1/8") == (1, F(1, 2), F(1, 4), F(1, 8))
 
 
+@pytest.mark.parametrize("text, position, found", [
+    ("1.5", 1, "."),  # decimals, digit separators and exponents are not
+    ("1_0", 1, "_"),  # literals of the grammar: '-'? int ('/' nat)?
+    ("0,1e3", 3, "e"),
+    ("+3", 0, "+"),
+    ("--3", 1, "-"),
+    ("1 2", 2, "2"),
+    ("1/-2", 2, "-"),
+    ("1,z1", 2, "z"),
+])
+def test_rationals_use_the_expression_literal(text, position, found):
+    with pytest.raises(ParseError) as exc:
+        parse_rationals(text)
+    assert (exc.value.position, exc.value.found) == (position, found)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter sets no integer-string limit")
+def test_numbers_over_the_integer_string_limit_are_parse_errors():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for parse, text, position in [
+        (parse_rationals, f"0,{digits}", 2),
+        (parse_poly, f"z1 + {digits}", 5),
+        (parse_poly, f"z{digits}", 1),
+        (parse_curve, f"t^2,{digits}*t", 4),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
+        assert exc.value.found == f"{len(digits)} digits"
+
+
 def test_parse_curve():
     coords = parse_curve("t,0,0", 3)
     assert coords[0] == Polynomial(1, {(1,): 1})
@@ -163,6 +196,13 @@ def test_parse_curve():
     twisted = parse_curve("t^2, 1 - t")
     assert twisted[0] == Polynomial(1, {(2,): 1})
     assert twisted[1] == Polynomial(1, {(0,): 1, (1,): -1})
+
+
+def test_parse_curve_errors_name_the_parameter_as_written():
+    for text in ("t^t", "t^t,0,0"):
+        with pytest.raises(ParseError) as exc:
+            parse_curve(text)
+        assert (exc.value.position, exc.value.found) == (2, "t")
 
 
 def test_parse_curve_rejects_z_variables():

@@ -1,22 +1,23 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in n variables z1..zn is a mapping from exponent tuples to
-nonzero `fractions.Fraction` coefficients:
+A polynomial in n variables z1..zn is an integer term table, a mapping
+from exponent tuples to nonzero ints, over one positive denominator:
 
-    z3^2 - z1*z2^2   (n=3)   ->   {(0, 0, 2): 1, (1, 2, 0): -1}
+    z3^2/2 - z1*z2^2   (n=3)   ->   {(0, 0, 2): 1, (1, 2, 0): -2} over 2
 
-The representation is canonical: zero coefficients are never stored, every
-exponent tuple has length n, and two polynomials are equal exactly when
-their term tables are equal.  All values are immutable after construction
-and every operation is a pure function, so unrestricted concurrent use is
-safe.
+The representation is canonical, as FLINT's fmpq_poly: zero coefficients
+are never stored, every exponent tuple has length n, and the denominator
+is coprime to the table's content, so two polynomials are equal exactly
+when their tables and denominators are.  All values are immutable after
+construction and every operation is a pure function, so unrestricted
+concurrent use is safe.
 
 Variable indices in the public API are 1-based (`var=3` means z3), matching
 the z1..zn naming used by the expression grammar in `germkit.parsing`.
 
-Exact kernels run on integer term tables: denominators are cleared once,
-the work runs on ints and one scale is divided out at the end.  This is the
-only module that reads a Polynomial's term table.  Its kernels are
+The public API speaks `fractions.Fraction`; the kernels compute on the
+stored integers, and every result is brought to canonical form by `_raw`.
+This is the only module that reads a Polynomial's term table.  Its kernels are
 `_int_product` (`*` and the series product), `_horner` (`substitute`,
 `shift`), `_exact_quotient` (`exact_div`, `elimination.matrix_det`) and
 `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`).
@@ -45,6 +46,8 @@ Scalar = Union[int, Fraction]
 
 def as_rational(value) -> Fraction:
     """Coerce an int, string like '3/4', or Fraction to an exact Fraction."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact value {value!r}: pass an int, a Fraction or a string like '3/4'")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -76,7 +79,7 @@ def grlex_key(mono: Monomial):
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_den")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         if n < 0:
@@ -88,18 +91,16 @@ class Polynomial:
                 raise DimensionMismatchError(
                     f"monomial {mono} has length {len(mono)}, expected {n}"
                 )
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in monomial {mono}")
+            if any(type(e) is not int or e < 0 for e in mono):
+                raise ValueError(f"exponents must be non-negative ints: {mono}")
             c = as_rational(coeff)
-            if c != 0:
-                acc = table.get(mono)
-                c = c if acc is None else acc + c
-                if c != 0:
-                    table[mono] = c
-                elif mono in table:
-                    del table[mono]
+            table[mono] = table[mono] + c if mono in table else c
+        # lowest terms lifted to the lcm of their denominators are already canonical
+        den = math.lcm(*(c.denominator for c in table.values()))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", table)
+        object.__setattr__(self, "_terms", {
+            m: c.numerator * (den // c.denominator) for m, c in table.items() if c})
+        object.__setattr__(self, "_den", den)
 
     # -- constructors ------------------------------------------------------
 
@@ -134,13 +135,13 @@ class Polynomial:
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Iterate (monomial, coefficient) pairs in canonical graded order."""
         for mono in sorted(self._terms, key=grlex_key):
-            yield mono, self._terms[mono]
+            yield mono, Fraction(self._terms[mono], self._den)
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(expo), Fraction(0))
+        return Fraction(self._terms.get(tuple(expo), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.n, Fraction(0))
+        return self.coefficient((0,) * self.n)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -176,12 +177,12 @@ class Polynomial:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         mono = max(self._terms, key=lambda m: (sum(m), m))
-        return mono, self._terms[mono]
+        return mono, self.coefficient(mono)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._den == other._den and self._terms == other._terms
 
     __hash__ = None  # mutable-dict backed; identity hashing would be a trap
 
@@ -202,14 +203,10 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_same_space(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return _raw(self.n, out)
+        den, (out, tb) = _clear_denominators((self, other))
+        for mono, c in tb.items():
+            out[mono] = out.get(mono, 0) + c
+        return _raw(self.n, out, den)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
@@ -224,14 +221,13 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return _raw(self.n, {m: -c for m, c in self._terms.items()})
+        return _raw(self.n, {m: -c for m, c in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = as_rational(other)
-            if c == 0:
-                return Polynomial.zero(self.n)
-            return _raw(self.n, {m: k * c for m, k in self._terms.items()})
+            return _raw(self.n, {m: k * c.numerator for m, k in self._terms.items()},
+                        self._den * c.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_space(other)
@@ -265,26 +261,19 @@ class Polynomial:
         """Exact value at a rational point of matching dimension."""
         pt = as_point(point, self.n)
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            term = coeff
+        for mono, term in self._terms.items():
             for e, v in zip(mono, pt):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self._den
 
     def derivative(self, var: int) -> "Polynomial":
         """Exact partial derivative with respect to z_var (1-based)."""
         _check_var(var, self.n)
         i = var - 1
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return _raw(self.n, {m: c for m, c in out.items() if c != 0})
+        return _raw(self.n, {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i]
+                             for m, c in self._terms.items() if m[i]}, self._den)
 
     def gradient_at(self, point: Sequence) -> tuple[Fraction, ...]:
         """All first partials evaluated at a point."""
@@ -296,7 +285,7 @@ class Polynomial:
         Each nonzero c_i = a/b is one integer Horner pass z_i <- (b*z_i + a)/b.
         """
         pt = as_point(point, self.n)
-        scale, (table,) = _clear_denominators((self,))
+        table, scale = self._terms, self._den
         origin = (0,) * self.n
         for i, c in enumerate(pt):
             if c != 0:
@@ -304,22 +293,21 @@ class Polynomial:
                 rep = {axis: c.denominator, origin: c.numerator}
                 table, lift = _horner(table, i, rep, c.denominator)
                 scale *= lift
-        return _from_integers(self.n, table, scale)
+        return _raw(self.n, table, scale)
 
     def substitute(self, var: int, replacement: "Polynomial") -> "Polynomial":
         """Replace z_var by an arbitrary polynomial (Horner on integer tables)."""
         _check_var(var, self.n)
         self._check_same_space(replacement)
-        scale, (table,) = _clear_denominators((self,))
-        rep_scale, (rep,) = _clear_denominators((replacement,))
-        table, lift = _horner(table, var - 1, rep, rep_scale)
-        return _from_integers(self.n, table, scale * lift)
+        table, lift = _horner(self._terms, var - 1, replacement._terms, replacement._den)
+        return _raw(self.n, table, self._den * lift)
 
     def truncate(self, max_total_degree: int) -> "Polynomial":
         """Drop every term of total degree above the bound."""
         return _raw(
             self.n,
             {m: c for m, c in self._terms.items() if sum(m) <= max_total_degree},
+            self._den,
         )
 
     def lowest_homogeneous_form(self) -> tuple["Polynomial", int]:
@@ -328,7 +316,7 @@ class Polynomial:
             raise ZeroPolynomialError("zero polynomial has no lowest form")
         low = min(sum(m) for m in self._terms)
         form = {m: c for m, c in self._terms.items() if sum(m) == low}
-        return _raw(self.n, form), low
+        return _raw(self.n, form, self._den), low
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact polynomial quotient; raises if the division leaves a remainder.
@@ -339,12 +327,11 @@ class Polynomial:
         self._check_same_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        scale, (table,) = _clear_denominators((self,))
-        div_scale, (div,) = _clear_denominators((divisor,))
-        content = math.gcd(*div.values())
-        quotient = _exact_quotient(table, {m: c // content for m, c in div.items()})
-        den = scale * content
-        return _raw(self.n, {m: Fraction(c * div_scale, den) for m, c in quotient.items()})
+        content = math.gcd(*divisor._terms.values())
+        quotient = _exact_quotient(
+            dict(self._terms), {m: c // content for m, c in divisor._terms.items()})
+        return _raw(self.n, {m: c * divisor._den for m, c in quotient.items()},
+                    self._den * content)
 
     # -- variable-space plumbing --------------------------------------------
 
@@ -359,12 +346,12 @@ class Polynomial:
         if not self._terms:
             return []
         i = var - 1
-        rows: dict[int, dict[Monomial, Fraction]] = {}
+        rows: dict[int, dict[Monomial, int]] = {}
         for mono, coeff in self._terms.items():
             reduced = mono[:i] + (0,) + mono[i + 1 :]
             rows.setdefault(mono[i], {})[reduced] = coeff
         top = max(rows)
-        return [_raw(self.n, rows.get(k, {})) for k in range(top + 1)]
+        return [_raw(self.n, rows.get(k, {}), self._den) for k in range(top + 1)]
 
     def drop_variable(self, var: int) -> "Polynomial":
         """Forget an unused variable slot, producing an (n-1)-variable polynomial."""
@@ -372,46 +359,39 @@ class Polynomial:
         i = var - 1
         if any(m[i] for m in self._terms):
             raise ValueError(f"variable z{var} occurs; cannot drop it")
-        return _raw(self.n - 1, {m[:i] + m[i + 1 :]: c for m, c in self._terms.items()})
+        table = {m[:i] + m[i + 1 :]: c for m, c in self._terms.items()}
+        return _raw(self.n - 1, table, self._den)
 
     def insert_variable(self, position: int) -> "Polynomial":
         """Embed into n+1 variables with a fresh unused slot at a 1-based position."""
         if not 1 <= position <= self.n + 1:
             raise VariableIndexError(f"insert position {position} outside 1..{self.n + 1}")
         i = position - 1
-        return _raw(self.n + 1, {m[:i] + (0,) + m[i:]: c for m, c in self._terms.items()})
+        table = {m[:i] + (0,) + m[i:]: c for m, c in self._terms.items()}
+        return _raw(self.n + 1, table, self._den)
 
 
-def _raw(n: int, table: dict) -> Polynomial:
-    """Build a Polynomial from an already-canonical term table (no re-checks)."""
-    p = Polynomial(n)
-    object.__setattr__(p, "_terms", table)
+def _raw(n: int, table: dict, den: int) -> Polynomial:
+    """The polynomial table / den in n variables (den != 0), in canonical form:
+    zero entries dropped, the common gcd divided out, the denominator positive."""
+    table = {mono: c for mono, c in table.items() if c}
+    g = math.gcd(den, *table.values()) * (1 if den > 0 else -1)
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "_terms", table if g == 1 else {m: c // g for m, c in table.items()})
+    object.__setattr__(p, "_den", den // g)
     return p
 
 
 def _clear_denominators(polys) -> tuple[int, list[dict]]:
-    """Scale polynomials to integer term tables by one common factor.
-
-    Returns (scale, tables): scale is the lcm of every denominator (1 when
-    all are zero) and each table is scale times a polynomial's term table.
-    """
-    scale = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
-    return scale, [
-        {mono: c.numerator * (scale // c.denominator) for mono, c in p._terms.items()}
-        for p in polys
-    ]
-
-
-def _from_integers(n: int, table: dict, scale: int) -> Polynomial:
-    """The polynomial table / scale in n variables; zero entries are dropped."""
-    return _raw(n, {mono: Fraction(c, scale) for mono, c in table.items() if c})
+    """(den, tables): the lcm of the polynomials' denominators, and each table lifted to it."""
+    den = math.lcm(*(p._den for p in polys))
+    return den, [{m: c * (den // p._den) for m, c in p._terms.items()} for p in polys]
 
 
 def _truncated_product(a: Polynomial, b: Polynomial, order=math.inf) -> Polynomial:
     """a * b with no term of total degree above the order, on integer tables."""
-    scale_a, (ta,) = _clear_denominators((a,))
-    scale_b, (tb,) = _clear_denominators((b,))
-    return _from_integers(a.n, _int_product(ta, tb, order), scale_a * scale_b)
+    return _raw(a.n, _int_product(a._terms, b._terms, order), a._den * b._den)
 
 
 def _int_product(ta: dict, tb: dict, order=math.inf) -> dict:
@@ -432,11 +412,11 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
     """factor * (a/a(0))^(p/q) through total degree `order`, a(0) != 0, by J. C. P. Miller's
     recurrence q*k*y_k = sum_(i=1..k) (p*i - q*(k-i)) * b_i * y_(k-i) on the homogeneous parts
     of b = a/a(0) = B/beta and y; in Z[x] as y_k = Y_k/s_k, s_k = s_(k-1)*q*k*beta, y_0 = factor."""
-    _, (table,) = _clear_denominators((a,))
-    parts: dict[int, dict] = {}  # the homogeneous parts B_i
-    for mono, c in table.items():
+    parts: dict[int, dict] = {}  # the homogeneous parts B_i; a's denominator cancels in b
+    for mono, c in a._terms.items():
         parts.setdefault(sum(mono), {})[mono] = c
-    ys, scales, qb = [{(0,) * a.n: factor.numerator}], [factor.denominator], q * table[(0,) * a.n]
+    qb = q * a._terms[(0,) * a.n]
+    ys, scales = [{(0,) * a.n: factor.numerator}], [factor.denominator]
     for k in range(1, order + 1):
         acc, weight = {}, 1  # weight = (q*beta)^(i-1) * (k-1)!/(k-i)!
         for i in range(1, k + 1):
@@ -448,23 +428,25 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
                     acc[mono] = acc.get(mono, 0) + ca * cb
             weight *= qb * (k - i)
         ys.append({mono: c for mono, c in acc.items() if c})
-        scales.append(scales[-1] * qb * k)
-    return _raw(a.n, {mono: Fraction(c, s) for y, s in zip(ys, scales) for mono, c in y.items()})
+        scales.append(scales[-1] * qb * k)  # so each s_k divides s_order
+    top = scales[-1]
+    table = {mono: c * (top // s) for y, s in zip(ys, scales) for mono, c in y.items()}
+    return _raw(a.n, table, top)
 
 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:
     """x^expo * a, by shifting exponents; expo may be negative where a's support allows."""
-    return _raw(a.n, {tuple(map(add, m, expo)): c for m, c in a._terms.items()})
+    return _raw(a.n, {tuple(map(add, m, expo)): c for m, c in a._terms.items()}, a._den)
 
 
 def _linear_factors(e1: Polynomial, r: Polynomial, j: int) -> tuple[Polynomial, ...]:
     """z_j + (e1 - r)/2 and z_j + (e1 + r)/2, z_j new at 1-based j; one integer pass each."""
     scale, (te, tr) = _clear_denominators((e1, r))
     i = j - 1
-    axis = {(0,) * i + (1,) + (0,) * (e1.n - i): Fraction(1)}
+    axis = {(0,) * i + (1,) + (0,) * (e1.n - i): 2 * scale}
     return tuple(_raw(e1.n + 1, axis | {
-        m[:i] + (0,) + m[i:]: Fraction(c, 2 * scale)
-        for m in te | tr if (c := te.get(m, 0) + sign * tr.get(m, 0))}) for sign in (-1, 1))
+        m[:i] + (0,) + m[i:]: te.get(m, 0) + sign * tr.get(m, 0) for m in te | tr}, 2 * scale)
+        for sign in (-1, 1))
 
 
 def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:

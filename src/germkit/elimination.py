@@ -7,11 +7,11 @@ positive degree in that variable, which is what makes it a robust witness
 for coprimality of germs: a nonzero resultant certifies coprimality at the
 center point and at every nearby point at once.
 
-Every determinant, whatever its size, takes one path: each row is scaled
-to integer coefficients, fraction-free Bareiss elimination runs over Z[x]
-(every division in the schedule is exact there, and runs on the exact
-quotient kernel of `germkit.algebra`), and the product of the row scales
-is divided out once at the end.
+Every determinant, whatever its size, takes one path: each row is lifted
+to one common denominator, fraction-free Bareiss elimination runs over Z[x]
+on the stored integer tables (every division in the schedule is exact
+there, and runs on the exact quotient kernel of `germkit.algebra`), and the
+product of the row denominators is divided out once at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .algebra import Polynomial, _clear_denominators, _exact_quotient, _from_integers, as_point
+from .algebra import Polynomial, _clear_denominators, _exact_quotient, _raw, as_point
 from .errors import (
     DegreeTooSmallError,
     DegreeZeroError,
@@ -77,10 +77,9 @@ def sylvester_matrix(f: Polynomial, g: Polynomial, j: int) -> list:
 def matrix_det(rows: list) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Each row is scaled to integer term tables by
-    `algebra._clear_denominators` (the lcm of the row's denominators), so
-    the elimination runs over Z[x]; the determinant is divided by the
-    product of the row scales once, at the end.
+    Each row's integer tables are lifted to the lcm of its denominators by
+    `algebra._clear_denominators`, so the elimination runs over Z[x]; the
+    product of the row denominators divides the determinant once, at the end.
     """
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
@@ -108,7 +107,7 @@ def matrix_det(rows: list) -> Polynomial:
                 # Bareiss guarantee: the previous pivot divides exactly
                 row[jj] = num if prev is None else _exact_quotient(num, prev)
         prev = pivot
-    return _from_integers(n, m[-1][-1], sign * scale)
+    return _raw(n, m[-1][-1], sign * scale)
 
 
 def resultant(f: Polynomial, g: Polynomial, j: int) -> Polynomial:

@@ -9,12 +9,12 @@ multiply back factors, so a series has one product, an inverse and a
 square root, and any other arithmetic runs on the bodies (`Polynomial`).
 
 The product never forms a term above the order; it runs on the integer
-product kernel of `germkit.algebra` (`_truncated_product`), which clears
-each operand's denominators once and divides the product of the two
-scales out once per output term.  Unit inverse and unit square root are
-one pass of J. C. P. Miller's power recurrence (`algebra._unit_power`):
-the degree-k part of a power of a unit follows from the lower parts, on
-integer tables with one Fraction per output term.
+product kernel of `germkit.algebra` (`_truncated_product`) over the
+bodies' stored integer tables, and its denominator is the product of
+theirs.  Unit inverse and unit square root are one pass of J. C. P.
+Miller's power recurrence (`algebra._unit_power`): the degree-k part of a
+power of a unit follows from the lower parts, on integer tables over one
+common denominator.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 
 from germkit.algebra import Polynomial, as_point, as_rational, rational_sqrt
 from germkit.errors import DimensionMismatchError, ZeroPolynomialError
+from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
 from helpers import (
     big_denominator_poly,
     random_fraction,
@@ -31,6 +32,10 @@ def test_constructor_drops_zero_coefficients():
 def test_constructor_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Polynomial(1, {(-1,): 1})
+    # exponents are ints: (2.0, 0) would print as z1^2.0 and fail later
+    for expo in ((2.0, 0), (0, 1.5), (True, 0), (F(2), 0)):
+        with pytest.raises(ValueError):
+            Polynomial(2, {expo: 1})
 
 
 def test_constructor_rejects_wrong_arity_monomials():
@@ -206,6 +211,55 @@ def test_exact_div_rejects_inexact_quotient():
 def test_exact_div_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Polynomial.variable(2, 1).exact_div(Polynomial.zero(2))
+
+
+# -- canonical form ----------------------------------------------------------------
+#
+# A polynomial is stored as an integer table over one positive denominator
+# coprime to the table's content; every result must be stored exactly as
+# the constructor stores its terms, or `==` would compare representations.
+
+
+def assert_canonical(p):
+    rebuilt = Polynomial(p.n, dict(p.terms()))
+    assert p == rebuilt and repr(p) == repr(rebuilt)
+
+
+def test_every_operation_returns_the_canonical_form():
+    rng = random.Random(117)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        var = rng.randint(1, n)
+        a, b = big_denominator_poly(rng, n, 3, 4), big_denominator_poly(rng, n, 3, 4)
+        point = tuple(rng.choice(COORDINATES) for _ in range(n))
+        # unit bodies with negative, positive and large-denominator constants
+        unit = a - a.constant_term() + rng.choice((-1, F(-7, 3), F(1, 2**61 - 1), 3**20))
+        root = rng.choice((1, F(2, 3), F(-1, 2**61 - 1)))
+        square = a - a.constant_term() + root * root
+        order = rng.randint(1, 4)
+        results = [
+            a + b, a - b, a * b, -a, a.derivative(var), a.truncate(2),
+            a.lowest_homogeneous_form()[0], a.shift(point), a.substitute(var, b),
+            a.insert_variable(var), a.insert_variable(var).drop_variable(var),
+            *(row.drop_variable(var) for row in a.coefficients_in(var)),
+            *(a * k for k in (0, -1, 1, F(-3, 2**61 - 1), 3**40)),
+            *(k * a for k in (0, -2, F(5, 7))),
+            ts_inverse(TruncatedSeries(unit, order)).body,
+            ts_sqrt(TruncatedSeries(square, order)).body,
+        ]
+        if not b.is_zero():
+            results.append((a * b).exact_div(b))
+        for p in results:
+            assert_canonical(p)
+        assert a - a == Polynomial.zero(n)
+        assert repr(a - a) == repr(Polynomial.zero(n))
+
+
+def test_inverse_of_a_unit_with_negative_constant_term_is_canonical():
+    z1 = Polynomial.variable(1, 1)
+    inverse = ts_inverse(TruncatedSeries(z1 - 1, 3)).body
+    assert inverse == -1 - z1 - z1**2 - z1**3
+    assert_canonical(inverse)
 
 
 # -- Fraction references for the integer kernels --------------------------------
@@ -427,3 +481,8 @@ def test_as_point_and_as_rational():
     assert pt == (F(1), F(1, 2))
     with pytest.raises(DimensionMismatchError):
         as_point((1, 2), 3)
+    # a float is refused, not read as its binary value 3602879701896397/2^55
+    for inexact in (lambda: as_rational(0.1), lambda: as_point((1, 0.1)),
+                    lambda: Polynomial(1, {(1,): 0.1})):
+        with pytest.raises(TypeError, match="0.1"):
+            inexact()

@@ -19,11 +19,15 @@ The public API speaks `fractions.Fraction`; the kernels compute on the
 stored integers, and every result is brought to canonical form by `_raw`.
 This is the only module that reads a Polynomial's term table.  Its kernels are
 `_int_product` (`*` and the series product), `_horner` (`substitute`,
-`shift`), `_exact_quotient` (`exact_div`, `elimination.matrix_det`) and
-`_unit_power` (`series.ts_inverse`, `series.ts_sqrt`).
-One product loop stays outside, since merging it into these kernels
-measured slower: Bareiss's fused a*b - c*d on integer tables
-(`elimination._mul_sub`).
+`shift`), `_exact_quotient` (`exact_div`, the subresultant sequence and
+`elimination.matrix_det`), `_unit_power` (`series.ts_inverse`,
+`series.ts_sqrt`) and `_subresultant_prs` (`elimination.resultant`,
+`discriminant` and `coprime_at`: the subresultant sequence on integer
+coefficient tables in one variable, built on `_int_product` and
+`_exact_quotient`).  `_table_rows` splits a table by one variable's
+exponent for `_horner` and the subresultant sequence.
+One product loop stays outside: Bareiss's fused a*b - c*d on integer tables
+(`elimination._mul_sub`), which now serves only the public `matrix_det`.
 """
 
 from __future__ import annotations
@@ -342,16 +346,8 @@ class Polynomial:
         variable's exponent zeroed out.  The list has length degree+1 and is
         empty for the zero polynomial.
         """
-        _check_var(var, self.n)
-        if not self._terms:
-            return []
-        i = var - 1
-        rows: dict[int, dict[Monomial, int]] = {}
-        for mono, coeff in self._terms.items():
-            reduced = mono[:i] + (0,) + mono[i + 1 :]
-            rows.setdefault(mono[i], {})[reduced] = coeff
-        top = max(rows)
-        return [_raw(self.n, rows.get(k, {}), self._den) for k in range(top + 1)]
+        den, rows = _integer_rows(self, var)
+        return [_raw(self.n, row, den) for row in rows]
 
     def drop_variable(self, var: int) -> "Polynomial":
         """Forget an unused variable slot, producing an (n-1)-variable polynomial."""
@@ -456,15 +452,12 @@ def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
     the degree in z_i, lift = rep_scale^top and the row of z_i^k is lifted
     by rep_scale^(top-k), so every Horner step stays in Z[x].
     """
-    rows: dict[int, dict] = {}
-    for mono, c in table.items():
-        rows.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1 :]] = c
-    top = max(rows, default=0)
-    acc, lift = rows.get(top, {}), 1
-    for k in range(top - 1, -1, -1):
+    rows = _table_rows(table, i)
+    acc, lift = rows[-1] if rows else {}, 1
+    for row in reversed(rows[:-1]):
         lift *= rep_scale
         acc = _int_product(acc, rep)
-        for mono, c in rows.get(k, {}).items():
+        for mono, c in row.items():
             v = acc.get(mono, 0) + c * lift
             if v:
                 acc[mono] = v
@@ -498,6 +491,85 @@ def _exact_quotient(rem: dict, divisor: dict) -> dict:
             else:
                 del rem[mono]
     return quotient
+
+
+def _table_rows(table: dict, i: int) -> list[dict]:
+    """An integer table split by the exponent of z_i (0-based): entry k is the
+    table of z_i^k's coefficient, z_i's exponent zeroed; [] for the empty table."""
+    rows: dict[int, dict] = {}
+    for mono, c in table.items():
+        rows.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1 :]] = c
+    return [rows.get(k, {}) for k in range(max(rows, default=-1) + 1)]
+
+
+def _integer_rows(p: Polynomial, j: int) -> tuple[int, list[dict]]:
+    """(den, rows) with p = sum_k rows[k] * z_j^k / den, rows as in `_table_rows`."""
+    _check_var(j, p.n)
+    return p._den, _table_rows(p._terms, j - 1)
+
+
+def _subresultant_prs(a: list, b: list) -> tuple[dict, list | None]:
+    """Res_z(A, B) over Z[x'] by the subresultant PRS (Collins, J. ACM 14, 1967; Brown &
+    Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7 without the content step).
+
+    A and B are lists of integer tables, the coefficients of z^0, z^1, ... with a
+    nonzero last entry, both of degree >= 1 in z.  Returns (resultant table, None),
+    or, when the resultant is zero, ({}, S) with S the last nonzero remainder of the
+    sequence: gcd(A, B) times a nonzero element of Z[x'], as a coefficient list.
+    """
+    one = {(0,) * len(next(iter(a[-1]))): 1}
+    sign = -1 if len(a) < len(b) and (len(a) - 1) * (len(b) - 1) % 2 else 1
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = one
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b, delta)
+        if not r:
+            return {}, b
+        divisor = _int_product(g, _table_power(h, delta)) if delta else g
+        a, b = b, r if divisor == one else [_exact_quotient(c, divisor) for c in r]
+        g = a[-1]
+        h = h if delta == 0 else g if delta == 1 else _exact_quotient(
+            _table_power(g, delta), _table_power(h, delta - 1))
+    d = len(a) - 1
+    last = b[0] if d == 1 else _exact_quotient(_table_power(b[0], d), _table_power(h, d - 1))
+    return {m: sign * c for m, c in last.items()}, None
+
+
+def _pseudo_remainder(a: list, b: list, delta: int) -> list:
+    """lc(B)^(delta+1) * A mod B over Z[x'], coefficient lists as in `_subresultant_prs`,
+    delta = deg A - deg B >= 0; the result has a nonzero last entry, or is []."""
+    lead, db = b[-1], len(b) - 1
+    r, e = a, delta + 1
+    while len(r) > db:
+        top, shift = r[-1], len(r) - 1 - db
+        r = [_int_product(lead, c) for c in r[:-1]]
+        for k, c in enumerate(b[:-1]):
+            acc = r[k + shift]
+            for mono, v in _int_product(top, c).items():
+                v = acc.get(mono, 0) - v
+                if v:
+                    acc[mono] = v
+                else:
+                    del acc[mono]
+        while r and not r[-1]:
+            r.pop()
+        e -= 1
+    if e and r:
+        scale = _table_power(lead, e)
+        r = [_int_product(scale, c) for c in r]
+    return r
+
+
+def _table_power(t: dict, k: int) -> dict:
+    """t^k on an integer term table, k >= 1."""
+    out = t
+    for _ in range(k - 1):
+        out = _int_product(out, t)
+    return out
 
 
 def _check_var(var: int, n: int) -> None:

@@ -481,6 +481,19 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         ns = _build_parser().parse_args(argv)
         started = time.perf_counter()
         lines, result, *fixed_input = _HANDLERS[ns.command](ns)
+        if ns.json:
+            flags = {k: v for k, v in vars(ns).items() if k not in ("command", "json")}
+            envelope = {
+                "tool": "germkit",
+                "version": __version__,
+                "command": ns.command,
+                "input": fixed_input[0] if fixed_input else flags,
+                "result": result,
+                "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+            }
+            text = json.dumps(envelope, indent=2, default=_encode)
+        else:
+            text = "\n".join(lines)
     except SystemExit as exc:  # --help / --version print and exit themselves
         return int(exc.code or 0)
     except ParseError as exc:
@@ -490,23 +503,20 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         print(f"usage error: {exc}", file=err)
         return 1
     except (GermkitError, ValueError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {_error_message(exc)}", file=err)
         return 1
-
-    if ns.json:
-        flags = {k: v for k, v in vars(ns).items() if k not in ("command", "json")}
-        envelope = {
-            "tool": "germkit",
-            "version": __version__,
-            "command": ns.command,
-            "input": fixed_input[0] if fixed_input else flags,
-            "result": result,
-            "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-        }
-        print(json.dumps(envelope, indent=2, default=_encode), file=out)
-    else:
-        print("\n".join(lines), file=out)
+    print(text, file=out)
     return 0
+
+
+def _error_message(exc: Exception) -> str:
+    """exc's message, save that a number too long to print is named in germkit's terms."""
+    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+        limit = sys.get_int_max_str_digits()
+        return (f"the result holds a number of more than {limit} digits, over the "
+                f"interpreter's limit for printing an integer (sys.get_int_max_str_digits() "
+                f"= {limit}); it was computed but cannot be printed")
+    return str(exc)
 
 
 def main() -> None:

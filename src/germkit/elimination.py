@@ -1,17 +1,20 @@
-"""Resultants, discriminants, and the discreteness test they feed.
+"""Resultants, discriminants, and the coprimality and discreteness tests they feed.
 
 The resultant of two polynomials in a chosen variable is the determinant
 of their Sylvester matrix over the ring of polynomials in the remaining
 variables.  It vanishes identically exactly when the two share a factor of
-positive degree in that variable, which is what makes it a robust witness
-for coprimality of germs: a nonzero resultant certifies coprimality at the
-center point and at every nearby point at once.
+positive degree in that variable.  A nonzero resultant certifies
+coprimality of the germs at the center point and at every nearby point at
+once; a zero resultant does not mean "not coprime", since the common factor
+may be a unit at the point.
 
-Every determinant, whatever its size, takes one path: each row is lifted
-to one common denominator, fraction-free Bareiss elimination runs over Z[x]
-on the stored integer tables (every division in the schedule is exact
-there, and runs on the exact quotient kernel of `germkit.algebra`), and the
-product of the row denominators is divided out once at the end.
+No Sylvester matrix is built: each operand's denominator is cleared once,
+the subresultant sequence of `germkit.algebra` runs on the integer
+coefficient tables (every division in it is exact over Z[x]), and the
+denominators are divided out once at the end.  When the resultant is zero
+the same sequence ends in a multiple of gcd(f, g), which `coprime_at`
+evaluates at the point.  `sylvester_matrix` and the fraction-free Bareiss
+determinant `matrix_det` stay public for matrices of polynomials.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .algebra import Polynomial, _clear_denominators, _exact_quotient, _raw, as_point
+from .algebra import (
+    Polynomial,
+    _clear_denominators,
+    _exact_quotient,
+    _integer_rows,
+    _raw,
+    _subresultant_prs,
+    as_point,
+)
 from .errors import (
     DegreeTooSmallError,
     DegreeZeroError,
@@ -35,9 +46,12 @@ class CoprimeReport:
 
     `resultant_poly` lives in the base variables (the distinguished one is
     eliminated).  A nonzero resultant certifies that the two germs are
-    coprime at the point and remain so at every nearby point;
-    `vanishing_at_point` records whether the witness itself vanishes at the
-    base point, which is what the discreteness question hinges on.
+    coprime at the point and remain so at every nearby point.  A zero
+    resultant means only that g and h share a factor of positive degree;
+    the germs are still coprime when that factor is a unit at the point,
+    as `z2 - 1` is at the origin.  `vanishing_at_point` records whether
+    the witness itself vanishes at the base point, which is what the
+    discreteness question hinges on.
     `applied_change` is the shared shear used to make both inputs regular
     (None when no shear was needed).
     """
@@ -117,7 +131,7 @@ def resultant(f: Polynomial, g: Polynomial, j: int) -> Polynomial:
     eliminated; it is zero exactly when f and g share a factor of positive
     degree in variable j.
     """
-    return matrix_det(sylvester_matrix(f, g, j))
+    return _subresultants(f, g, j)[0]
 
 
 def discriminant(f: Polynomial, j: int) -> Polynomial:
@@ -146,7 +160,13 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     (found on the product g*h, so it serves both) makes them regular in
     variable j. The report's resultant lives in the base variables; when it
     is nonzero the germs are coprime at p and stay coprime at all nearby
-    points.
+    points.  When it is zero, let S = sum S_k z_j^k be the last nonzero
+    subresultant, a multiple c(x')*gcd(g, h) with c != 0.  The gcd divides
+    g*h, which is regular in z_j, so its content in x' is a unit at 0 and
+    its primitive part does not vanish on the z_j-axis; the germs are
+    coprime exactly when that primitive part is nonzero at 0, that is when
+    ord S_0 = min_k ord S_k (order = lowest total degree, additive over
+    products).
     """
     if g.n != h.n:
         raise ValueError("inputs live in different variable counts")
@@ -158,10 +178,12 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     if change is not None:
         gs = apply_shear(gs, j, change)
         hs = apply_shear(hs, j, change)
-    r = resultant(gs, hs, j).drop_variable(j)
+    r, last = _subresultants(gs, hs, j)
+    r = r.drop_variable(j)
     return CoprimeReport(
         resultant_poly=r,
-        coprime_germ_at_point=not r.is_zero(),
+        coprime_germ_at_point=last is None
+        or last[0].order() == min(c.order() for c in last),
         vanishing_at_point=r.constant_term() == 0,
         applied_change=change,
     )
@@ -183,6 +205,23 @@ def zero_set_discrete(R: Polynomial, p) -> bool:
     if R.evaluate(p) != 0:
         return True
     return R.n <= 1
+
+
+def _subresultants(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, list | None]:
+    """(Res_j(f, g), S): S is None when the resultant is nonzero; otherwise S lists
+    the coefficients in z_j of a nonzero multiple of gcd(f, g) by a polynomial in
+    the other variables (the last nonzero subresultant)."""
+    f._check_same_space(g)
+    (den_f, rows_f), (den_g, rows_g) = _integer_rows(f, j), _integer_rows(g, j)
+    df, dg = len(rows_f) - 1, len(rows_g) - 1
+    if df < 1:
+        raise DegreeZeroError(f"first polynomial has degree {max(df, 0)} in z{j}")
+    if dg < 1:
+        raise DegreeZeroError(f"second polynomial has degree {max(dg, 0)} in z{j}")
+    res, last = _subresultant_prs(rows_f, rows_g)
+    # Res is homogeneous of degree dg in f's coefficients and df in g's
+    r = _raw(f.n, res, den_f**dg * den_g**df)
+    return r, last and [_raw(f.n, c, 1) for c in last]
 
 
 def _swap_pivot(m: list, k: int) -> bool:

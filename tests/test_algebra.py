@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -364,6 +365,34 @@ def test_product_matches_the_fraction_double_loop():
         n = rng.randint(1, 4)
         a, b = operand(rng, n), operand(rng, n)
         assert_equal_with_fraction_coefficients(a * b, ref_mul(a, b))
+
+
+def test_power_equals_repeated_products():
+    # square-and-multiply must equal k plain products, whatever the
+    # constant term
+    rng = random.Random(115)
+    for case in range(40):
+        n = rng.randint(1, 3)
+        base = operand(rng, n)
+        if case % 2:  # a nonzero constant term: negative, fractional or large
+            base = base - base.constant_term() + rng.choice((-1, F(-7, 3), F(1, 2**61 - 1), 3**40))
+        k = rng.randint(0, 5)
+        want = Polynomial.constant(n, 1)
+        for _ in range(k):
+            want = want * base
+        got = base**k
+        assert_equal_with_fraction_coefficients(got, want)
+        assert repr(got) == repr(want)
+
+
+def test_sparse_power_of_high_degree_is_fast():
+    # 33 terms of degree up to 3072: a recurrence over every degree would
+    # take seconds here, square-and-multiply a few products of short tables
+    m = {(32, 32, 32): 1}
+    started = time.perf_counter()
+    got = (Polynomial.constant(3, 1) + Polynomial(3, m)) ** 32
+    assert time.perf_counter() - started < 1.0
+    assert got == Polynomial(3, {(32 * i,) * 3: math.comb(32, i) for i in range(33)})
 
 
 def test_shift_matches_synthetic_division():

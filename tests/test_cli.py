@@ -353,6 +353,18 @@ def test_oversized_literals_are_parse_errors(flag, value):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no integer-string limit")
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_result_over_the_integer_string_limit_is_a_germkit_error(json_flag):
+    # z1^32 + 1 at a 200-digit point is a value of about 6,400 digits
+    code, out, err = run("analyze", "--poly", "z1^32+1", "--point", "9" * 200, *json_flag)
+    assert code == 1 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(f"error: the result holds a number of more than {limit} digits")
+    assert "sys.get_int_max_str_digits()" in err and "Exceeds" not in err
+
+
 def test_curve_parse_errors_name_t():
     code, _, err = run("scan", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0",
                        "--curve", "t^t,0,0")

@@ -17,9 +17,17 @@ from germkit.elimination import (
 from germkit.errors import (
     DegreeTooSmallError,
     DegreeZeroError,
+    DimensionMismatchError,
     NonConstantLeadingCoefficientError,
+    VariableIndexError,
 )
-from helpers import random_fraction, random_point, random_poly
+from helpers import (
+    big_denominator_poly,
+    random_fraction,
+    random_monomial,
+    random_point,
+    random_poly,
+)
 
 F = Fraction
 
@@ -247,6 +255,111 @@ def test_planted_common_factor_kills_resultant():
         assert resultant(f, g, 2) == Polynomial.zero(2)
 
 
+def _poly_in(rng, n, j, degree, lead_degree, max_den=9):
+    """A polynomial of the given degree in z_j whose coefficients are random in
+    all variables: the top one of total degree up to lead_degree (so it is not
+    constant when lead_degree > 0 and n > 1), some lower ones zero (so steps of
+    the remainder sequence drop the degree by two or more)."""
+    terms = {}
+    for k in range(degree + 1):
+        if k < degree and rng.random() < 0.3:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            mono = list(random_monomial(rng, n, lead_degree if k == degree else 2))
+            mono[j - 1] = k
+            terms[tuple(mono)] = random_fraction(rng, -5, 5, max_den) or F(1)
+    return Polynomial(n, terms)
+
+
+def _with_lead(rng, n, j, d):
+    """The eliminate benchmark's shape: a constant times z_j^d plus, for each
+    k < d and base variable x, z_j^k times x^(d-k) and x^(d-1-k)."""
+    def mono(k, x=None, m=0):
+        e = [0] * n
+        if x is not None:
+            e[x - 1] = m
+        e[j - 1] = k
+        return tuple(e)
+
+    terms = {mono(d): F(rng.choice((1, -1, 2, -2, 3, -3)))}
+    for k in range(d):
+        for m in (d - k, d - 1 - k):
+            for x in (x for x in range(1, n + 1) if x != j):
+                terms[mono(k, x, m)] = F(rng.choice((1, -1, 2, -2, 3, -3)))
+    return Polynomial(n, terms)
+
+
+def _assert_resultant_matches_bareiss(f, g, j):
+    r = resultant(f, g, j)
+    assert r == matrix_det(sylvester_matrix(f, g, j)), (f, g, j)
+    return r
+
+
+def test_resultant_matches_bareiss_on_seeded_pairs():
+    rng = random.Random(407)
+    zeros = smaller_first = 0
+    for case in range(72):
+        n = rng.randint(1, 3)
+        j = rng.randint(1, n)
+        df, dg = rng.randint(1, 4), rng.randint(1, 4)
+        f = _poly_in(rng, n, j, df, rng.randint(0, 1))
+        g = _poly_in(rng, n, j, dg, rng.randint(0, 1))
+        if case % 4 == 1:  # a common factor of positive degree: a zero resultant
+            c = _poly_in(rng, n, j, 1, 1)
+            f, g = f * c, g * c
+        if case % 4 == 2:  # large denominators on both sides
+            f = f + big_denominator_poly(rng, n, 2, 3)
+            g = g * F(1, 2**61 - 1) + big_denominator_poly(rng, n, 2, 3)
+        if f.degree_in(j) < 1 or g.degree_in(j) < 1:
+            continue
+        smaller_first += f.degree_in(j) < g.degree_in(j)
+        zeros += _assert_resultant_matches_bareiss(f, g, j).is_zero()
+    assert zeros >= 15 and smaller_first >= 15
+
+
+def test_resultant_matches_bareiss_on_hand_picked_sequences():
+    x, z = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    # z^5 + (x+1)z + 1 mod z^4 + x leaves z + 1: the next step has delta = 3
+    _assert_resultant_matches_bareiss(z**5 + (x + 1) * z + 1, z**4 + x, 2)
+    # the same with non-constant leading coefficients, so h^delta divides
+    _assert_resultant_matches_bareiss(x * z**5 + (x + 1) * z + 1, (x - 1) * z**4 + x, 2)
+    _assert_resultant_matches_bareiss(z**4 + x, x * z**5 + z + 1, 2)  # deg f < deg g
+    _assert_resultant_matches_bareiss(z**6 + x, F(2, 3) * z + x**2, 2)  # first delta = 5
+    # an exact divisor: the sequence ends at g itself
+    assert _assert_resultant_matches_bareiss((z**2 + x) * (z - x), z**2 + x, 2).is_zero()
+
+
+def test_resultant_matches_bareiss_on_the_benchmark_shapes():
+    rng = random.Random(408)
+    for n, df, dg in ((2, 2, 1), (2, 3, 3), (2, 5, 4), (3, 2, 2), (3, 3, 2)):
+        f, g = _with_lead(rng, n, n, df), _with_lead(rng, n, n, dg)
+        _assert_resultant_matches_bareiss(f, g, n)
+        _assert_resultant_matches_bareiss(g, f, n)
+        if df >= 2:
+            assert discriminant(f, n) * f.coefficients_in(n)[df] == (
+                (-1) ** (df * (df - 1) // 2) * matrix_det(sylvester_matrix(f, f.derivative(n), n)))
+
+
+def test_resultant_degree_zero_errors_keep_their_messages():
+    z1 = Polynomial.variable(2, 1)
+    for first, second, which, degree in ((z1, CUSP, "first", 0), (CUSP, z1, "second", 0),
+                                         (Polynomial.zero(2), CUSP, "first", 0)):
+        with pytest.raises(DegreeZeroError) as err:
+            resultant(first, second, 2)
+        assert str(err.value) == f"{which} polynomial has degree {degree} in z2"
+
+
+def test_resultant_rejects_mismatched_spaces_and_variables():
+    z2_of_3 = Polynomial.variable(3, 2) + Polynomial.variable(3, 3)
+    with pytest.raises(DimensionMismatchError):
+        resultant(CUSP, z2_of_3, 2)
+    for j in (0, 3):
+        with pytest.raises(VariableIndexError):
+            resultant(CUSP, CUSP.derivative(2), j)
+        with pytest.raises(VariableIndexError):
+            discriminant(CUSP, j)
+
+
 # -- discriminants ----------------------------------------------------------------
 
 
@@ -302,16 +415,36 @@ def test_coprime_at_detects_shared_factor():
     assert rep.resultant_poly.is_zero()
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a zero resultant is read as a common factor even when it is a unit at p",
-)
 def test_common_factor_that_is_a_unit_at_the_point_leaves_the_germs_coprime():
     # z2 - 1 is a unit at the origin, so the germs there are those of z1 and z2
     unit = Polynomial(2, {(0, 1): 1, (0, 0): -1})  # z2 - 1
     g = unit * Polynomial.variable(2, 1)
     h = unit * Polynomial.variable(2, 2)
     assert coprime_at(g, h, (0, 0), 2).coprime_germ_at_point
+
+
+def test_coprime_with_a_common_factor_exactly_when_it_is_a_unit_at_the_point():
+    # a and b monic in z_n and coprime, so the germs of c*a and c*b at p are
+    # coprime exactly when c(p) != 0; the resultant is zero whenever c, after
+    # the regularizing shear, has positive degree in z_n
+    rng = random.Random(409)
+    zero_resultants = 0
+    for case in range(48):
+        n = rng.randint(1, 3)
+        p = random_point(rng, n, -2, 2, 2)
+        zn, zero = Polynomial.variable(n, n), Polynomial.zero(n)
+        while True:
+            a = zn ** rng.randint(1, 2) + random_poly(rng, n, 1, 3).substitute(n, zero)
+            b = zn ** rng.randint(1, 2) + random_poly(rng, n, 1, 3).substitute(n, zero)
+            if not resultant(a, b, n).is_zero():
+                break
+        c = random_poly(rng, n, 2, 3, nonzero=True)
+        if case % 2 and c.total_degree() > 0:
+            c = c - c.evaluate(p)  # a common factor through p
+        rep = coprime_at(c * a, c * b, p, n)
+        zero_resultants += rep.resultant_poly.is_zero()
+        assert rep.coprime_germ_at_point == (c.evaluate(p) != 0), (a, b, c, p)
+    assert zero_resultants >= 16
 
 
 def test_zero_set_discrete_conventions():

@@ -19,15 +19,15 @@ The public API speaks `fractions.Fraction`; the kernels compute on the
 stored integers, and every result is brought to canonical form by `_raw`.
 This is the only module that reads a Polynomial's term table.  Its kernels are
 `_int_product` (`*` and the series product), `_horner` (`substitute`,
-`shift`), `_exact_quotient` (`exact_div`, the subresultant sequence and
-`elimination.matrix_det`), `_unit_power` (`series.ts_inverse`,
+`shift`), `_exact_quotient` (`exact_div` and the subresultant sequence),
+`_table_power` (`**` and the subresultant sequence: repeated products,
+which beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
 `series.ts_sqrt`) and `_subresultant_prs` (`elimination.resultant`,
 `discriminant` and `coprime_at`: the subresultant sequence on integer
 coefficient tables in one variable, built on `_int_product` and
 `_exact_quotient`).  `_table_rows` splits a table by one variable's
-exponent for `_horner` and the subresultant sequence.
-One product loop stays outside: Bareiss's fused a*b - c*d on integer tables
-(`elimination._mul_sub`), which now serves only the public `matrix_det`.
+exponent for `_horner` and the subresultant sequence.  No other module
+multiplies term tables.
 """
 
 from __future__ import annotations
@@ -243,14 +243,9 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return Polynomial.constant(self.n, 1)
+        return _raw(self.n, _table_power(self._terms, k), self._den**k)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

@@ -13,20 +13,18 @@ the subresultant sequence of `germkit.algebra` runs on the integer
 coefficient tables (every division in it is exact over Z[x]), and the
 denominators are divided out once at the end.  When the resultant is zero
 the same sequence ends in a multiple of gcd(f, g), which `coprime_at`
-evaluates at the point.  `sylvester_matrix` and the fraction-free Bareiss
-determinant `matrix_det` stay public for matrices of polynomials.
+evaluates at the point.  `matrix_det`, a fraction-free Bareiss determinant
+on `Polynomial` arithmetic, stays public for matrices of polynomials; no
+resultant goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .algebra import (
     Polynomial,
-    _clear_denominators,
-    _exact_quotient,
     _integer_rows,
     _raw,
     _subresultant_prs,
@@ -62,66 +60,36 @@ class CoprimeReport:
     applied_change: tuple | None = None
 
 
-def sylvester_matrix(f: Polynomial, g: Polynomial, j: int) -> list:
-    """(df+dg) x (df+dg) Sylvester matrix of f and g in variable j.
-
-    Entries are polynomials in the same ambient space with variable j
-    absent.  Both inputs must have positive degree in variable j.
-    """
-    fc = f.coefficients_in(j)
-    gc = g.coefficients_in(j)
-    df, dg = len(fc) - 1, len(gc) - 1
-    if df < 1:
-        raise DegreeZeroError(f"first polynomial has degree {max(df, 0)} in z{j}")
-    if dg < 1:
-        raise DegreeZeroError(f"second polynomial has degree {max(dg, 0)} in z{j}")
-    n = f.n
-    zero = Polynomial.zero(n)
-    fdesc = fc[::-1]
-    gdesc = gc[::-1]
-    size = df + dg
-    rows = []
-    for shift in range(dg):
-        rows.append([zero] * shift + fdesc + [zero] * (size - df - 1 - shift))
-    for shift in range(df):
-        rows.append([zero] * shift + gdesc + [zero] * (size - dg - 1 - shift))
-    return rows
-
-
 def matrix_det(rows: list) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Each row's integer tables are lifted to the lcm of its denominators by
-    `algebra._clear_denominators`, so the elimination runs over Z[x]; the
-    product of the row denominators divides the determinant once, at the end.
+    Fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on
+    `Polynomial` arithmetic: each step's entries are 2x2 minors divided
+    exactly by the previous pivot.
     """
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
         raise ValueError("matrix must be square and non-empty")
-    n = rows[0][0].n
-    scale = 1
-    m = []
-    for row in rows:
-        row_scale, tables = _clear_denominators(row)
-        scale *= row_scale
-        m.append(tables)
+    m = [list(row) for row in rows]
     sign = 1
     prev = None
     for k in range(size - 1):
-        if not m[k][k]:
-            if not _swap_pivot(m, k):
-                return Polynomial.zero(n)
+        if m[k][k].is_zero():
+            r = next((r for r in range(k + 1, size) if not m[r][k].is_zero()), None)
+            if r is None:
+                return Polynomial.zero(m[0][0].n)
+            m[k], m[r] = m[r], m[k]
             sign = -sign
         top = m[k]
         pivot = top[k]
         for i in range(k + 1, size):
             row = m[i]
             for jj in range(k + 1, size):
-                num = _mul_sub(row[jj], pivot, row[k], top[jj])
+                num = row[jj] * pivot - row[k] * top[jj]
                 # Bareiss guarantee: the previous pivot divides exactly
-                row[jj] = num if prev is None else _exact_quotient(num, prev)
+                row[jj] = num if prev is None else num.exact_div(prev)
         prev = pivot
-    return _raw(n, m[-1][-1], sign * scale)
+    return m[-1][-1] * sign
 
 
 def resultant(f: Polynomial, g: Polynomial, j: int) -> Polynomial:
@@ -168,8 +136,7 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     ord S_0 = min_k ord S_k (order = lowest total degree, additive over
     products).
     """
-    if g.n != h.n:
-        raise ValueError("inputs live in different variable counts")
+    g._check_same_space(h)
     p = as_point(p, g.n)
     gs = g.shift(p)
     hs = h.shift(p)
@@ -222,26 +189,3 @@ def _subresultants(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, li
     # Res is homogeneous of degree dg in f's coefficients and df in g's
     r = _raw(f.n, res, den_f**dg * den_g**df)
     return r, last and [_raw(f.n, c, 1) for c in last]
-
-
-def _swap_pivot(m: list, k: int) -> bool:
-    """Swap a row with a nonzero column-k entry into row k; False if none."""
-    r = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
-    if r is None:
-        return False
-    m[k], m[r] = m[r], m[k]
-    return True
-
-
-def _mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
-    """a*b - c*d on integer term tables."""
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(map(add, ma, mb))
-            out[mono] = out.get(mono, 0) + ca * cb
-    for mc, cc in c.items():
-        for md, cd in d.items():
-            mono = tuple(map(add, mc, md))
-            out[mono] = out.get(mono, 0) - cc * cd
-    return {mono: v for mono, v in out.items() if v}

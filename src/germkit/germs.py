@@ -42,7 +42,12 @@ from fractions import Fraction
 from typing import ClassVar, Optional
 
 from .algebra import Polynomial, _linear_factors, _monomial_multiple, as_point, as_rational
-from .errors import DimensionMismatchError, DistinguishedVarDividesError, NotRegularError
+from .errors import (
+    DimensionMismatchError,
+    DistinguishedVarDividesError,
+    NotRegularError,
+    ZeroPolynomialError,
+)
 from .series import TruncatedSeries, ts_sqrt
 from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
 
@@ -217,6 +222,9 @@ class GermQuery:
     order: int = 8
 
     def __post_init__(self):
+        if self.f.is_zero():
+            raise ZeroPolynomialError(
+                "the germ of 0 is zero at every point, so it is neither a unit nor irreducible")
         object.__setattr__(self, "point", as_point(self.point, self.f.n))
         if not 2 <= self.order <= MAX_ORDER:
             raise ValueError(f"truncation order must be at least 2 and at most {MAX_ORDER}")

@@ -9,6 +9,7 @@ import pytest
 
 from germkit.algebra import Polynomial, as_point, as_rational, rational_sqrt
 from germkit.errors import DimensionMismatchError, ZeroPolynomialError
+from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
 from helpers import (
     big_denominator_poly,
@@ -368,7 +369,7 @@ def test_product_matches_the_fraction_double_loop():
 
 
 def test_power_equals_repeated_products():
-    # square-and-multiply must equal k plain products, whatever the
+    # base**k must equal k plain products of Polynomials, whatever the
     # constant term
     rng = random.Random(115)
     for case in range(40):
@@ -383,6 +384,25 @@ def test_power_equals_repeated_products():
         got = base**k
         assert_equal_with_fraction_coefficients(got, want)
         assert repr(got) == repr(want)
+
+
+def test_powers_of_zero():
+    for n in (0, 1, 3):
+        zero = Polynomial.zero(n)
+        assert zero**0 == Polynomial.constant(n, 1)
+        for k in (1, 2, 5):
+            assert zero**k == zero
+
+
+def test_largest_dense_power_the_parser_accepts_matches_the_multinomial_formula():
+    # (1+z1+z2+z3)^32 has every monomial of degree <= 32 in three variables;
+    # the coefficient of z1^a z2^b z3^c is 32! / (a! b! c! (32-a-b-c)!)
+    got = parse_poly("(1+z1+z2+z3)^32")
+    f = math.factorial
+    want = {(a, b, c): f(32) // (f(a) * f(b) * f(c) * f(32 - a - b - c))
+            for a in range(33) for b in range(33 - a) for c in range(33 - a - b)}
+    assert len(want) == got.term_count() == 6545
+    assert got == Polynomial(3, want)
 
 
 def test_sparse_power_of_high_degree_is_fast():

@@ -294,6 +294,18 @@ def test_exit_code_1_on_usage_error():
     assert code == 1 and "at least 2" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_the_zero_polynomial_is_an_error_about_the_germ(json_flag):
+    message = "error: the germ of 0 is zero at every point, so it is neither a unit nor irreducible\n"
+    for argv in (("analyze", "--poly", "0", "--point", "0"),
+                 ("scan", "--poly", "0", "--point", "0,0", "--curve", "t,0")):
+        assert run(*argv, *json_flag) == (1, "", message)
+    # prepare asks for the preparation itself, and keeps its regularity message
+    code, out, err = run("prepare", "--poly", "0", "--point", "0", *json_flag)
+    assert (code, out) == (1, "")
+    assert err == "error: regularity is undefined for the zero polynomial\n"
+
+
 def test_analyze_and_scan_take_no_distinguished_variable():
     # they always distinguish the last variable; prepare still takes --var
     code, out, err = run(
@@ -503,6 +515,18 @@ def test_importing_the_library_leaves_the_cli_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves_on_import():
+    # `from germkit import *` fails on any name in __all__ the package lacks
+    proc = python_with_src(
+        "-c", "import germkit; from germkit import *; "
+        "print(len(germkit.__all__), len(set(germkit.__all__)))",
+        stdout=subprocess.PIPE,
+    )
+    assert proc.returncode == 0, proc.stderr
+    listed, distinct = proc.stdout.split()
+    assert listed == distinct
 
 
 if __name__ == "__main__":

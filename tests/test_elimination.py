@@ -1,4 +1,5 @@
-"""Sylvester matrices, fraction-free determinants, resultants, discriminants."""
+"""Fraction-free determinants, resultants against their Sylvester-matrix
+reference, discriminants, coprimality and discreteness."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from germkit.elimination import (
     discriminant,
     matrix_det,
     resultant,
-    sylvester_matrix,
     zero_set_discrete,
 )
 from germkit.errors import (
@@ -36,6 +36,20 @@ COUNTEREXAMPLE = Polynomial(3, {(0, 0, 2): 1, (1, 2, 0): -1})  # z3^2 - z1*z2^2
 
 
 # -- Sylvester matrix and determinants -------------------------------------------
+
+
+def sylvester_matrix(f, g, j):
+    """Reference (df+dg) x (df+dg) Sylvester matrix of f and g in variable j:
+    dg rows of f's coefficients in z_j and df rows of g's, highest first."""
+    fdesc, gdesc = f.coefficients_in(j)[::-1], g.coefficients_in(j)[::-1]
+    df, dg = len(fdesc) - 1, len(gdesc) - 1
+    if df < 1:
+        raise DegreeZeroError(f"first polynomial has degree {max(df, 0)} in z{j}")
+    if dg < 1:
+        raise DegreeZeroError(f"second polynomial has degree {max(dg, 0)} in z{j}")
+    zero, size = Polynomial.zero(f.n), df + dg
+    return ([[zero] * s + fdesc + [zero] * (size - df - 1 - s) for s in range(dg)]
+            + [[zero] * s + gdesc + [zero] * (size - dg - 1 - s) for s in range(df)])
 
 
 def test_sylvester_matrix_shape_and_content():
@@ -351,8 +365,11 @@ def test_resultant_degree_zero_errors_keep_their_messages():
 
 def test_resultant_rejects_mismatched_spaces_and_variables():
     z2_of_3 = Polynomial.variable(3, 2) + Polynomial.variable(3, 3)
-    with pytest.raises(DimensionMismatchError):
+    message = "polynomials live in 2 and 3 variables"
+    with pytest.raises(DimensionMismatchError, match=message):
         resultant(CUSP, z2_of_3, 2)
+    with pytest.raises(DimensionMismatchError, match=message):
+        coprime_at(CUSP, z2_of_3, (0, 0), 2)
     for j in (0, 3):
         with pytest.raises(VariableIndexError):
             resultant(CUSP, CUSP.derivative(2), j)

@@ -9,7 +9,12 @@ import pytest
 
 from germkit.algebra import Polynomial
 from germkit import germs
-from germkit.errors import DimensionMismatchError, DistinguishedVarDividesError, NotRegularError
+from germkit.errors import (
+    DimensionMismatchError,
+    DistinguishedVarDividesError,
+    NotRegularError,
+    ZeroPolynomialError,
+)
 from germkit.germs import (
     BinomialCoprimeEdge,
     BinomialNoncoprimeEdge,
@@ -798,6 +803,14 @@ def test_order_above_the_cap_is_rejected_at_once():
         GermQuery(COUNTEREXAMPLE, (0, 0, 0), MAX_ORDER + 1)
     with pytest.raises(ValueError, match=message):
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (1,), MAX_ORDER + 1)
+
+
+def test_the_zero_polynomial_is_rejected_as_a_germ():
+    message = "the germ of 0 is zero at every point, so it is neither a unit nor irreducible"
+    with pytest.raises(ZeroPolynomialError, match=message):
+        GermQuery(Polynomial.zero(3), (0, 0, 0))
+    with pytest.raises(ZeroPolynomialError, match=message):
+        scan_stability(Polynomial.zero(3), (0, 0, 0), T_LINE, (1,), 8)
 
 
 def test_scan_on_locus_is_exact_vanishing():

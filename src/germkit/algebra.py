@@ -26,8 +26,9 @@ which beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
 `discriminant` and `coprime_at`: the subresultant sequence on integer
 coefficient tables in one variable, built on `_int_product` and
 `_exact_quotient`).  `_table_rows` splits a table by one variable's
-exponent for `_horner` and the subresultant sequence.  No other module
-multiplies term tables.
+exponent for `_horner` and the subresultant sequence, and `_levels` a
+polynomial by its degree in the other variables for `weierstrass_prepare`.
+No other module multiplies term tables.
 """
 
 from __future__ import annotations
@@ -90,13 +91,7 @@ class Polynomial:
             raise ValueError("variable count must be non-negative")
         table: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if len(mono) != n:
-                raise DimensionMismatchError(
-                    f"monomial {mono} has length {len(mono)}, expected {n}"
-                )
-            if any(type(e) is not int or e < 0 for e in mono):
-                raise ValueError(f"exponents must be non-negative ints: {mono}")
+            mono = _check_monomial(mono, n)
             c = as_rational(coeff)
             table[mono] = table[mono] + c if mono in table else c
         # lowest terms lifted to the lcm of their denominators are already canonical
@@ -107,26 +102,29 @@ class Polynomial:
         object.__setattr__(self, "_den", den)
 
     # -- constructors ------------------------------------------------------
+    # one term each, straight to canonical form through `_raw`
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
-        return cls(n, {})
+        return cls.constant(n, 0)
 
     @classmethod
     def constant(cls, n: int, value: Scalar) -> "Polynomial":
-        return cls(n, {(0,) * n: as_rational(value)})
+        if n < 0:
+            raise ValueError("variable count must be non-negative")
+        c = as_rational(value)
+        return _raw(n, {(0,) * n: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, n: int, var: int) -> "Polynomial":
         """The polynomial z_var (1-based index)."""
         _check_var(var, n)
-        expo = [0] * n
-        expo[var - 1] = 1
-        return cls(n, {tuple(expo): Fraction(1)})
+        return _raw(n, {(0,) * (var - 1) + (1,) + (0,) * (n - var): 1}, 1)
 
     @classmethod
     def monomial(cls, n: int, expo: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        return cls(n, {tuple(expo): as_rational(coeff)})
+        c = as_rational(coeff)
+        return _raw(n, {_check_monomial(expo, n): c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
 
@@ -503,6 +501,17 @@ def _integer_rows(p: Polynomial, j: int) -> tuple[int, list[dict]]:
     return p._den, _table_rows(p._terms, j - 1)
 
 
+def _levels(p: Polynomial, j: int, top: int) -> list[Polynomial]:
+    """p split by level, the total degree in the variables other than z_j (1-based):
+    entry L holds p's terms of level L, for L = 0..top; higher levels are dropped."""
+    tables: list[dict] = [{} for _ in range(top + 1)]
+    for mono, c in p._terms.items():
+        level = sum(mono) - mono[j - 1]
+        if level <= top:
+            tables[level][mono] = c
+    return [_raw(p.n, table, p._den) for table in tables]
+
+
 def _subresultant_prs(a: list, b: list) -> tuple[dict, list | None]:
     """Res_z(A, B) over Z[x'] by the subresultant PRS (Collins, J. ACM 14, 1967; Brown &
     Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7 without the content step).
@@ -565,6 +574,16 @@ def _table_power(t: dict, k: int) -> dict:
     for _ in range(k - 1):
         out = _int_product(out, t)
     return out
+
+
+def _check_monomial(mono: Sequence[int], n: int) -> Monomial:
+    """mono as an exponent tuple, checked to hold n non-negative ints."""
+    mono = tuple(mono)
+    if len(mono) != n:
+        raise DimensionMismatchError(f"monomial {mono} has length {len(mono)}, expected {n}")
+    if any(type(e) is not int or e < 0 for e in mono):
+        raise ValueError(f"exponents must be non-negative ints: {mono}")
+    return mono
 
 
 def _check_var(var: int, n: int) -> None:

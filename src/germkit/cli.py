@@ -6,27 +6,33 @@ Text output is deterministic; --json switches to a machine-readable envelope
 "num/den" string and polynomials are [[exponents, coefficient], ...] term
 lists.  Exit codes: 0 success (an Undetermined analysis is a success), 1
 usage or domain error, 2 syntax error in an input expression.
+
+Each subcommand loads only the modules it runs: the germ cascade
+(`germkit.germs`) for analyze, scan and demo, the resultants
+(`germkit.elimination`) for resultant, discriminant and coprime, and `json`
+under --json alone; the parser, the algebra and Weierstrass preparation are
+loaded for every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .algebra import Polynomial, as_point
-from .elimination import coprime_at, discriminant, resultant, zero_set_discrete
 from .errors import GermkitError, ParseError, VariableIndexError
-from .germs import GermQuery, GermStatus, ScanReport, analyze_germ, scan_stability
-from .germs import _format_point
-from .parsing import format_poly, parse_curve, parse_poly, parse_rationals
+from .parsing import _format_point, format_poly, parse_curve, parse_poly, parse_rationals
 from .series import TruncatedSeries
 from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
+
+if TYPE_CHECKING:
+    from .germs import GermStatus, ScanReport
 
 DEMO_POLY = "z3^2 - z1*z2^2"
 DEMO_CURVE = "t,0,0"
@@ -206,6 +212,8 @@ def _parse_inputs(ns, *poly_texts):
 
 
 def _cmd_analyze(ns):
+    from .germs import GermQuery, analyze_germ
+
     (f,), point, _ = _parse_inputs(ns, ns.poly)
     status = analyze_germ(GermQuery(f, point, ns.order))
     lines = [
@@ -218,6 +226,8 @@ def _cmd_analyze(ns):
 
 
 def _cmd_scan(ns):
+    from .germs import scan_stability
+
     (f,), point, _ = _parse_inputs(ns, ns.poly)
     curve = parse_curve(ns.curve, f.n)
     t_values = parse_rationals(ns.t)
@@ -282,6 +292,8 @@ def _cmd_prepare(ns):
 
 def _cmd_eliminate(ns):
     """resultant of --f and --g, or discriminant of --poly, in --var."""
+    from .elimination import discriminant, resultant
+
     if ns.command == "resultant":
         (f, g), _, j = _parse_inputs(ns, ns.f, ns.g)
         r = resultant(f, g, j)
@@ -292,6 +304,8 @@ def _cmd_eliminate(ns):
 
 
 def _cmd_coprime(ns):
+    from .elimination import coprime_at, zero_set_discrete
+
     (g, h), point, j = _parse_inputs(ns, ns.g, ns.h)
     rep = coprime_at(g, h, point, j)
     r = rep.resultant_poly
@@ -326,6 +340,8 @@ def _cmd_coprime(ns):
 
 
 def _cmd_demo(ns):
+    from .germs import scan_stability
+
     if ns.topic != "counterexample":
         raise _UsageError(f"unknown demo topic {ns.topic!r}")
     N = ns.order
@@ -482,6 +498,8 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         started = time.perf_counter()
         lines, result, *fixed_input = _HANDLERS[ns.command](ns)
         if ns.json:
+            import json
+
             flags = {k: v for k, v in vars(ns).items() if k not in ("command", "json")}
             envelope = {
                 "tool": "germkit",

@@ -48,6 +48,7 @@ from .errors import (
     NotRegularError,
     ZeroPolynomialError,
 )
+from .parsing import _format_point
 from .series import TruncatedSeries, ts_sqrt
 from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
 
@@ -611,7 +612,3 @@ def scan_stability(
         witness=witness,
         reason=reason,
     )
-
-
-def _format_point(p: tuple) -> str:
-    return "(" + ", ".join(str(c) for c in p) + ")"

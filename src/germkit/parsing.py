@@ -283,3 +283,7 @@ def format_poly(f: Polynomial) -> str:
         else:
             parts.append((" - " if coeff < 0 else " + ") + body)
     return "".join(parts)
+
+
+def _format_point(p: tuple) -> str:
+    return "(" + ", ".join(str(c) for c in p) + ")"

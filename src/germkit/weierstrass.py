@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf
 
-from .algebra import Monomial, Polynomial, _check_var, _truncated_product, as_rational
+from .algebra import Polynomial, _check_var, _levels, _truncated_product, as_rational
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from .series import TruncatedSeries, ts_inverse
 
@@ -181,22 +181,17 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
             f"truncation order {N} is below the regularity order {d}"
         )
     n = f.n
-    t_d = Polynomial.variable(n, j) ** d
+    t_d = Polynomial.monomial(n, (0,) * (j - 1) + (d,) + (0,) * (n - j))
 
-    # f_L: the terms of level L, the total degree in the variables other than t
-    f_levels: list[dict[Monomial, Fraction]] = [{} for _ in range(N + 1)]
-    for mono, coeff in f.terms():
-        level = sum(mono) - mono[j - 1]
-        if level <= N:
-            f_levels[level][mono] = coeff
-    u0 = Polynomial(n, f_levels[0]).exact_div(t_d)
+    f_levels = _levels(f, j, N)  # f_L: the terms of level L
+    u0 = f_levels[0].exact_div(t_d)
     u0_inv = ts_inverse(TruncatedSeries(u0, d)).body  # exact below t^d
 
     # only nonzero levels are kept, so no product has a zero factor
     u_levels = {0: u0}
     w_levels: dict[int, Polynomial] = {}
     for level in range(1, N + 1):
-        rest = Polynomial(n, f_levels[level])
+        rest = f_levels[level]
         for a, u_a in u_levels.items():  # w_L is not in w_levels yet, so a > 0
             if level - a in w_levels:
                 rest = rest - u_a * w_levels[level - a]

@@ -1,5 +1,6 @@
 """CLI subcommands: text output, JSON envelope, exit codes, golden demo bytes."""
 
+import importlib
 import io
 import json
 import os
@@ -527,6 +528,52 @@ def test_every_exported_name_resolves_on_import():
     assert proc.returncode == 0, proc.stderr
     listed, distinct = proc.stdout.split()
     assert listed == distinct
+
+
+# A fresh interpreter runs one command through run_cli and prints its exit code
+# and every module the import and the run loaded, one word each.
+FOOTPRINT = """
+import io, sys
+before = set(sys.modules)
+from germkit.cli import run_cli
+code = run_cli(sys.argv[1:], io.StringIO(), io.StringIO())
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (("discriminant", "--poly", "z2^2 - z1", "--var", "z2"), {"germkit.germs", "json"}),
+    (("resultant", "--f", "z2^2 - z1", "--g", "z2 - z1", "--var", "z2"),
+     {"germkit.germs", "json"}),
+    (("coprime", "--g", "z3^2 - z1*z2^2", "--h", "z3 - z1"), {"germkit.germs", "json"}),
+    (("prepare", "--poly", "z3^2 - z1*z2^2 + z3^3"),
+     {"germkit.germs", "germkit.elimination", "json"}),
+    (("analyze", "--poly", "z3^2 - z1*z2^2", "--point", "1,0,0"),
+     {"germkit.elimination", "json"}),
+    (("scan", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0", "--curve", "t,0,0"),
+     {"germkit.elimination", "json"}),
+    (("demo",), {"germkit.elimination", "json"}),
+    (("demo", "--json"), {"germkit.elimination"}),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, unloaded):
+    proc = python_with_src("-c", FOOTPRINT, *argv, stdout=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert "germkit.weierstrass" in loaded  # the probe sees what the run imports
+    assert not unloaded & set(loaded)
+    assert ("json" in loaded) == ("--json" in argv)
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    import germkit
+
+    for name in germkit.__all__[1:]:  # after __version__, which the package defines
+        value = getattr(germkit, name)
+        assert getattr(germkit, name) is value, name  # the first use, then the kept name
+        owner = "germkit.algebra" if name == "Point" else value.__module__  # Point is tuple
+        assert vars(importlib.import_module(owner))[name] is value, name
+    assert set(germkit.__all__) <= set(dir(germkit))
 
 
 if __name__ == "__main__":

@@ -25,10 +25,10 @@ _OWNERS = {name: module for module, names in {
                     "zero_set_discrete"),
     "germs": ("BinomialCoprimeEdge", "BinomialNoncoprimeEdge", "DistinguishedVarDivides",
               "EdgePolynomialSplits", "GermQuery", "GermStatus", "LowestFormNotASquare",
-              "MonomialUnitSquare", "MultiEdgePolygon", "NewtonPolygon", "NonzeroValue",
-              "OddVariableOrder", "PolygonEdge", "ScanReport", "ScanSample", "SmoothPoint",
-              "analyze_germ", "is_local_square", "newton_polygon", "polygon_verdict",
-              "quadratic_germ_test", "scan_stability"),
+              "MonomialUnitSquare", "MultiEdgePolygon", "NonzeroValue", "OddVariableOrder",
+              "PolygonEdge", "ScanReport", "ScanSample", "SmoothPoint", "analyze_germ",
+              "is_local_square", "newton_polygon", "polygon_verdict", "quadratic_germ_test",
+              "scan_stability"),
     "parsing": ("format_poly", "parse_curve", "parse_point", "parse_poly", "parse_rationals"),
     "errors": ("GermkitError", "DimensionMismatchError", "VariableIndexError",
                "ZeroPolynomialError", "NotAUnitError", "NotRegularError", "OrderTooSmallError",

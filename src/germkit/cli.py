@@ -350,12 +350,10 @@ def _cmd_demo(ns):
     curve = parse_curve(DEMO_CURVE, 3)
     report = scan_stability(f, origin, curve, parse_rationals(DEMO_T_VALUES), N)
     near = next(s for s in report.samples if s.t == 1)  # the sample at (1, 0, 0)
-
-    multiply_back = None
-    if near.status.factors is not None:
-        target, _ = make_regular(f.shift(near.point), 3)
-        a, b = near.status.factors
-        multiply_back = a * b == TruncatedSeries(target, N)
+    # U(0) = 4 there has a rational square root, so the factors exist at every order
+    a, b = near.status.factors
+    target, _ = make_regular(f.shift(near.point), 3)
+    multiply_back = a * b == TruncatedSeries(target, N)
 
     lines = [
         "counterexample: local irreducibility is not stable in three variables",
@@ -367,14 +365,9 @@ def _cmd_demo(ns):
         "",
         f"[2] analyze at {_format_point(near.point)}",
         *_status_lines(near.status, 3),
-    ]
-    if multiply_back is not None:
-        lines.append(
-            f"factors multiply back to f at {_format_point(near.point)}: "
-            + ("yes" if multiply_back else "NO")
-            + f" (through total degree {N})"
-        )
-    lines += [
+        f"factors multiply back to f at {_format_point(near.point)}: "
+        + ("yes" if multiply_back else "NO")
+        + f" (through total degree {N})",
         "",
         "[3] scan along (t, 0, 0) with t in {" + DEMO_T_VALUES.replace(",", ", ") + "}",
     ]

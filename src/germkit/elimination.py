@@ -177,14 +177,17 @@ def zero_set_discrete(R: Polynomial, p) -> bool:
 def _subresultants(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, list | None]:
     """(Res_j(f, g), S): S is None when the resultant is nonzero; otherwise S lists
     the coefficients in z_j of a nonzero multiple of gcd(f, g) by a polynomial in
-    the other variables (the last nonzero subresultant)."""
+    the other variables (the last nonzero subresultant).  An operand free of z_j
+    makes the Sylvester matrix diagonal: Res = f^dg, or g^df."""
     f._check_same_space(g)
     (den_f, rows_f), (den_g, rows_g) = _integer_rows(f, j), _integer_rows(g, j)
     df, dg = len(rows_f) - 1, len(rows_g) - 1
-    if df < 1:
-        raise DegreeZeroError(f"first polynomial has degree {max(df, 0)} in z{j}")
-    if dg < 1:
-        raise DegreeZeroError(f"second polynomial has degree {max(dg, 0)} in z{j}")
+    if df < 0:
+        raise DegreeZeroError(f"first polynomial has degree 0 in z{j}")
+    if dg < 0:
+        raise DegreeZeroError(f"second polynomial has degree 0 in z{j}")
+    if df == 0 or dg == 0:
+        return (f ** dg if df == 0 else g ** df), None
     res, last = _subresultant_prs(rows_f, rows_g)
     # Res is homogeneous of degree dg in f's coefficients and df in g's
     r = _raw(f.n, res, den_f**dg * den_g**df)

@@ -32,7 +32,7 @@ class OrderTooSmallError(GermkitError):
 
 
 class DegreeZeroError(GermkitError):
-    """A resultant operand has degree zero in the chosen variable."""
+    """A resultant operand is the zero polynomial."""
 
 
 class DegreeTooSmallError(GermkitError):

@@ -28,10 +28,10 @@ reads):
 All certificates are statements over the complex numbers; rational
 arithmetic is only the computation substrate.  The two questions over C
 that these need, whether a form is a square and whether an edge
-polynomial has a single distinct root, are each one exact Polynomial
-identity over Q: a form F is a square exactly when F / lc(F) is the
-square of a rational polynomial, and E of degree g has one root exactly
-when E = lc * (x - c)^g with c = -E_(g-1) / (g * lc).
+polynomial E of degree g is lc * (x - c)^g (one distinct root), both ask
+whether a polynomial is a k-th power over C, k = 2 or k = g.  A k-th root
+with leading coefficient 1 is unique, so it is rational whenever it
+exists, and `_exact_root` finds it, or its absence, exactly over Q.
 """
 
 from __future__ import annotations
@@ -263,44 +263,50 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
         root = TruncatedSeries(_monomial_multiple(unit_root.body, half), N)
         return MonomialUnitSquare(root=root, half_exponents=half, unit_root=unit_root)
     form, degree = D.lowest_homogeneous_form()
-    if not _is_square_form(form):
+    if _exact_root(form, 2) is None:
         return LowestFormNotASquare(form=form, degree=degree)
     return None
 
 
-def _is_square_form(form: Polynomial) -> bool:
-    """Whether a nonzero form is the square of a form over C.
+def _exact_root(F: Polynomial, k: int) -> Polynomial | None:
+    """R with R^k = F / lc(F) and leading coefficient 1, or None; F is nonzero.
 
-    Over C, F is a square exactly when F / lc(F) is the square of a
-    polynomial over Q: the Q-irreducible factors of F stay squarefree and
-    pairwise coprime over C.  The root is found term by term from the
-    graded-lex leading term, as in exact division; an odd leading exponent,
-    or a remainder term that the first root term does not divide, rules a
-    square out.  Every remainder term is below the leading term of F, so
-    each new root term is below the first and the remainder's leading term
-    falls strictly: the loop ends.
+    Such an R is unique (two differ by a k-th root of unity, fixed by the
+    leading coefficient), so it is Galois-fixed, hence rational, whenever F
+    is a k-th power over C.  R is found term by term from its leading term
+    top, as in exact division: the remainder F / lc(F) - R^k leads with
+    k * top^(k-1) * t for the next root term t, so an exponent of F's
+    leading term that k does not divide, or a remainder term that
+    top^(k-1) does not divide, rules a power out.  Each t is below top, so
+    the remainder's leading term falls strictly and the loop ends.  The
+    powers R^0 .. R^(k-1) are kept, and the binomial theorem updates them
+    and the remainder by products with single terms.
     """
-    lead, lc = form.leading_term()
-    if any(e % 2 for e in lead):
-        return False
-    top = tuple(e // 2 for e in lead)
-    root = Polynomial.monomial(form.n, top)
-    rem = form * (1 / lc) - root * root
+    lead, lc = F.leading_term()
+    if any(e % k for e in lead):
+        return None
+    top = tuple(e // k for e in lead)
+    # R^0 .. R^(k-1), and R itself when k = 1
+    powers = [Polynomial.monomial(F.n, tuple(e * i for e in top)) for i in range(max(k, 2))]
+    rem = F * (1 / lc) - Polynomial.monomial(F.n, lead)
     while not rem.is_zero():
         mono, c = rem.leading_term()
-        step = tuple(a - b for a, b in zip(mono, top))
+        step = tuple(a - (k - 1) * b for a, b in zip(mono, top))
         if min(step) < 0:
-            return False
-        term = Polynomial.monomial(form.n, step, c / 2)
-        rem = rem - term * (root + root + term)
-        root = root + term
-    return True
+            return None
+        # t^i for t = (c / k) * x^step; (R + t)^m = R^m + sum_i C(m, i) * R^(m-i) * t^i
+        t = [Polynomial.monomial(F.n, tuple(e * i for e in step), (c / k) ** i)
+             for i in range(k + 1)]
+        rem = rem - sum(powers[k - i] * (t[i] * math.comb(k, i)) for i in range(1, k + 1))
+        powers = [p + sum(powers[m - i] * (t[i] * math.comb(m, i)) for i in range(1, m + 1))
+                  for m, p in enumerate(powers)]
+    return powers[1]
 
 
-def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus:
+def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus | None:
     """Classify the germ f = a*t^2 + b*t + c, t = z_j, by its exact discriminant.
 
-    Requires a to be a nonzero rational constant and b(0) = c(0) = 0.  Then
+    None unless a is a nonzero rational constant and b(0) = c(0) = 0.  Then
     f / a = t^2 + e1*t + e2 is exactly the germ's Weierstrass polynomial,
     and it splits into two monic linear factors exactly when the polynomial
     D = e1^2 - 4*e2 is a square germ; the factors are then t + (e1 -+ r)/2
@@ -308,14 +314,12 @@ def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus:
     C but has no rational representation the verdict is still reducible,
     with factors omitted (the symbolic case).
     """
-    coefficients = _monic_quadratic(f, j)
-    if coefficients is None:
-        raise ValueError(f"quadratic test needs a*z{j}^2 + b*z{j} + c, a constant, b(0) = c(0) = 0")
-    return _quadratic_verdict(*coefficients, j, N)
-
-
-def _quadratic_verdict(e1: Polynomial, e2: Polynomial, j: int, N: int) -> GermStatus:
-    """quadratic_germ_test on the germ's coefficients (e1, e2) from _monic_quadratic."""
+    coeffs = f.coefficients_in(j)
+    if len(coeffs) != 3 or coeffs[2].total_degree() != 0:
+        return None
+    e2, e1 = (c.drop_variable(j) * (1 / coeffs[2].constant_term()) for c in coeffs[:2])
+    if e1.constant_term() != 0 or e2.constant_term() != 0:
+        return None
     D = e1 * e1 - 4 * e2
     cert = is_local_square(D, N)
     if cert is None:
@@ -326,16 +330,6 @@ def _quadratic_verdict(e1: Polynomial, e2: Polynomial, j: int, N: int) -> GermSt
         return GermStatus(cert)
     lo, hi = _linear_factors(e1, cert.root.body, j)
     return GermStatus(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
-
-
-def _monic_quadratic(f: Polynomial, j: int) -> tuple | None:
-    """(e1, e2), in the variables other than z_j, when f = a*(z_j^2 + e1*z_j + e2)
-    with a a nonzero constant and e1(0) = e2(0) = 0; otherwise None."""
-    coeffs = f.coefficients_in(j)
-    if len(coeffs) == 3 and coeffs[2].total_degree() == 0:
-        e2, e1 = (c.drop_variable(j) * (1 / coeffs[2].constant_term()) for c in coeffs[:2])
-        if e1.constant_term() == e2.constant_term() == 0:
-            return e1, e2
 
 
 # -- Newton polygon -----------------------------------------------------------
@@ -357,22 +351,14 @@ class PolygonEdge:
     edge_polynomial: Polynomial
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull of a bivariate germ's support, from (0, degree) down."""
+def newton_polygon(f: Polynomial, j: int) -> tuple:
+    """The edges of the Newton polygon of a bivariate germ at the origin, regular in z_j.
 
-    support_points: frozenset
-    edges: tuple
-    degree: int
-
-
-def newton_polygon(f: Polynomial, j: int) -> NewtonPolygon:
-    """Newton polygon of a bivariate germ at the origin, regular in z_j.
-
-    The hull is read from the exact polynomial.  By preparation f = u * w
-    with u a unit, whose Newton polygon is the whole quadrant, so f and its
-    Weierstrass polynomial w have the same edges, and f's edge polynomials
-    are u(0) times w's.  Dividing them by the coefficient at (0, d), which
+    The polygon is the lower convex hull of the support; its PolygonEdges
+    come in order from (0, d) down.  The hull is read from the exact
+    polynomial.  By preparation f = u * w with u a unit, whose Newton
+    polygon is the whole quadrant, so f and its Weierstrass polynomial w
+    have the same edges, and f's edge polynomials are u(0) times w's.  Dividing them by the coefficient at (0, d), which
     is u(0) since w is monic, gives w's.  Requires f(0) = 0, f regular of
     order d in z_j, and f(z', 0) != 0 (otherwise z_j divides f and the
     polygon never reaches the base axis: DistinguishedVarDividesError).
@@ -381,17 +367,16 @@ def newton_polygon(f: Polynomial, j: int) -> NewtonPolygon:
         raise DimensionMismatchError("Newton polygon is defined for bivariate germs")
     x = 1 if j == 2 else 2
     coeffs = {(m[x - 1], m[j - 1]): c for m, c in f.terms()}
-    support = frozenset(coeffs)
-    d = min((jj for (i, jj) in support if i == 0), default=0)
+    d = min((jj for (i, jj) in coeffs if i == 0), default=0)
     if d == 0:
         raise NotRegularError(f"the germ is a unit or not regular in z{j}")
-    m0 = min((i for (i, jj) in support if jj == 0), default=None)
+    m0 = min((i for (i, jj) in coeffs if jj == 0), default=None)
     if m0 is None:
         raise DistinguishedVarDividesError(f"z{j} divides the germ")
     u0 = coeffs[(0, d)]
 
     best: dict[int, int] = {}
-    for (i, jj) in support:
+    for (i, jj) in coeffs:
         if i <= m0 and (i not in best or jj < best[i]):
             best[i] = jj
     pts = sorted(best.items())
@@ -419,24 +404,23 @@ def newton_polygon(f: Polynomial, j: int) -> NewtonPolygon:
                 edge_polynomial=Polynomial(1, terms),
             )
         )
-    return NewtonPolygon(support_points=support, edges=tuple(edges), degree=d)
+    return tuple(edges)
 
 
 def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def polygon_verdict(polygon: NewtonPolygon) -> GermStatus:
-    """Branch-structure verdict from the polygon's edge data.
+def polygon_verdict(edges: tuple) -> GermStatus:
+    """Branch-structure verdict from the edges that `newton_polygon` returns.
 
     Several edges mean several branches.  A single binomial edge from
     (0,d) to (m,0) is one quasi-homogeneous branch when gcd(d,m)=1 and g
     conjugate branches when g = gcd(d,m) > 1.  A single non-binomial edge
-    splits unless its edge polynomial E, of degree g, is a pure power
-    lc * (x - c)^g; then c = -E_(g-1) / (g * lc) is rational, and that one
-    repeated edge root is beyond this oracle: Undetermined.
+    splits unless its edge polynomial E, of degree g, is a g-th power
+    lc * (x - c)^g (`_exact_root(E, g)` decides it; c is then rational),
+    and that one repeated edge root is beyond this oracle: Undetermined.
     """
-    edges = polygon.edges
     if len(edges) >= 2:
         return GermStatus(MultiEdgePolygon(edge_count=len(edges)))
     edge = edges[0]
@@ -446,9 +430,7 @@ def polygon_verdict(polygon: NewtonPolygon) -> GermStatus:
         if g == 1:
             return GermStatus(BinomialCoprimeEdge(d=d, m=m))
         return GermStatus(BinomialNoncoprimeEdge(gcd=g))
-    lc = E.coefficient((g,))
-    c = -E.coefficient((g - 1,)) / (g * lc)
-    if E != lc * (Polynomial.variable(1, 1) - c) ** g:
+    if _exact_root(E, g) is None:
         return GermStatus(EdgePolynomialSplits(edge_polynomial=E))
     return GermStatus(
         reason="single Newton polygon edge with one repeated edge root; deeper expansion needed"
@@ -495,15 +477,13 @@ def analyze_germ(query: GermQuery) -> GermStatus:
             factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
         cert = DistinguishedVarDivides(variable=j, multiplicity=k)
         status = GermStatus(cert, factors=factors)
-    elif (coefficients := _monic_quadratic(sheared, j)) is not None:
-        status = _quadratic_verdict(*coefficients, j, N)
-    elif n == 2:
-        status = polygon_verdict(newton_polygon(sheared, j))
-    else:
-        shape = f"2 (but not a*z{j}^2 + b*z{j} + c, a constant)" if d == 2 else ">= 3"
-        status = GermStatus(
-            reason=f"Weierstrass degree {shape} in dimension >= 3 is outside the decidable fragment"
-        )
+    elif (status := quadratic_germ_test(sheared, j, N)) is None:
+        if n == 2:
+            status = polygon_verdict(newton_polygon(sheared, j))
+        else:
+            shape = f"2 (but not a*z{j}^2 + b*z{j} + c, a constant)" if d == 2 else ">= 3"
+            status = GermStatus(reason=f"Weierstrass degree {shape} in dimension >= 3 is "
+                                "outside the decidable fragment")
     return replace(status, applied_change=report.applied_change)
 
 

@@ -30,14 +30,6 @@ from typing import NamedTuple
 from .algebra import Point, Polynomial, as_point
 from .errors import DimensionMismatchError, ParseError, UnknownVariableError
 
-__all__ = [
-    "parse_poly",
-    "parse_point",
-    "parse_curve",
-    "parse_rationals",
-    "format_poly",
-]
-
 # The largest exponent literal accepted: powers expand in full, and
 # (1+z1+z2+z3)^32 takes about a second to expand, ^48 about seven.
 MAX_EXPONENT = 32

@@ -355,12 +355,12 @@ def test_resultant_matches_bareiss_on_the_benchmark_shapes():
 
 
 def test_resultant_degree_zero_errors_keep_their_messages():
+    # an operand free of z2 makes the Sylvester matrix diagonal: Res = z1^deg(CUSP)
     z1 = Polynomial.variable(2, 1)
-    for first, second, which, degree in ((z1, CUSP, "first", 0), (CUSP, z1, "second", 0),
-                                         (Polynomial.zero(2), CUSP, "first", 0)):
-        with pytest.raises(DegreeZeroError) as err:
-            resultant(first, second, 2)
-        assert str(err.value) == f"{which} polynomial has degree {degree} in z2"
+    assert resultant(z1, CUSP, 2) == resultant(CUSP, z1, 2) == z1 * z1
+    with pytest.raises(DegreeZeroError) as err:
+        resultant(Polynomial.zero(2), CUSP, 2)
+    assert str(err.value) == "first polynomial has degree 0 in z2"
 
 
 def test_resultant_rejects_mismatched_spaces_and_variables():
@@ -438,6 +438,13 @@ def test_common_factor_that_is_a_unit_at_the_point_leaves_the_germs_coprime():
     g = unit * Polynomial.variable(2, 1)
     h = unit * Polynomial.variable(2, 2)
     assert coprime_at(g, h, (0, 0), 2).coprime_germ_at_point
+
+
+def test_unit_germ_is_coprime_to_every_germ():
+    # 1 + z1 is free of z2: its resultant with z2 is (1 + z1)^1, nonzero at 0
+    rep = coprime_at(Polynomial(2, {(0, 0): 1, (1, 0): 1}), Polynomial.variable(2, 2), (0, 0), 2)
+    assert rep.coprime_germ_at_point and not rep.vanishing_at_point
+    assert rep.resultant_poly == Polynomial(1, {(0,): 1, (1,): 1})
 
 
 def test_coprime_with_a_common_factor_exactly_when_it_is_a_unit_at_the_point():

@@ -18,17 +18,18 @@ the z1..zn naming used by the expression grammar in `germkit.parsing`.
 The public API speaks `fractions.Fraction`; the kernels compute on the
 stored integers, and every result is brought to canonical form by `_raw`.
 This is the only module that reads a Polynomial's term table.  Its kernels are
-`_int_product` (`*` and the series product), `_horner` (`substitute`,
-`shift`), `_exact_quotient` (`exact_div` and the subresultant sequence),
-`_table_power` (`**` and the subresultant sequence: repeated products,
-which beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
-`series.ts_sqrt`) and `_subresultant_prs` (`elimination.resultant`,
-`discriminant` and `coprime_at`: the subresultant sequence on integer
-coefficient tables in one variable, built on `_int_product` and
-`_exact_quotient`).  `_table_rows` splits a table by one variable's
-exponent for `_horner` and the subresultant sequence, and `_levels` a
-polynomial by its degree in the other variables for `weierstrass_prepare`.
-No other module multiplies term tables.
+`_int_product` (`*` and the series product), `_horner` (`substitute`),
+`_taylor_shift` (`shift`: the dense Taylor shift on int rows, one row per
+exponent tuple of the other variables), `_exact_quotient` (`exact_div` and
+the subresultant sequence), `_table_power` (`**` and the subresultant
+sequence: repeated products, which beat squaring on dense tables),
+`_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and `_subresultant_prs`
+(`elimination.resultant`, `discriminant` and `coprime_at`: the subresultant
+sequence on integer coefficient tables in one variable, built on
+`_int_product` and `_exact_quotient`).  `_table_rows` splits a table by one
+variable's exponent for `_horner` and the subresultant sequence, and
+`_levels` a polynomial by its degree in the other variables for
+`weierstrass_prepare`.  No other module multiplies term tables.
 """
 
 from __future__ import annotations
@@ -138,6 +139,10 @@ class Polynomial:
         """Iterate (monomial, coefficient) pairs in canonical graded order."""
         for mono in sorted(self._terms, key=grlex_key):
             yield mono, Fraction(self._terms[mono], self._den)
+
+    def support(self) -> Iterator[Monomial]:
+        """Iterate the exponent tuples of the nonzero terms, in no set order."""
+        return iter(self._terms)
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
         return Fraction(self._terms.get(tuple(expo), 0), self._den)
@@ -279,16 +284,13 @@ class Polynomial:
     def shift(self, point: Sequence) -> "Polynomial":
         """Recenter at a point: returns g with g(x) = f(point + x) exactly.
 
-        Each nonzero c_i = a/b is one integer Horner pass z_i <- (b*z_i + a)/b.
+        Each nonzero c_i = a/b is one dense Taylor shift z_i <- (b*z_i + a)/b.
         """
         pt = as_point(point, self.n)
         table, scale = self._terms, self._den
-        origin = (0,) * self.n
         for i, c in enumerate(pt):
             if c != 0:
-                axis = origin[:i] + (1,) + origin[i + 1 :]
-                rep = {axis: c.denominator, origin: c.numerator}
-                table, lift = _horner(table, i, rep, c.denominator)
+                table, lift = _taylor_shift(table, i, c.numerator, c.denominator)
                 scale *= lift
         return _raw(self.n, table, scale)
 
@@ -457,6 +459,35 @@ def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
             else:
                 del acc[mono]
     return acc, lift
+
+
+def _taylor_shift(table: dict, i: int, a: int, b: int) -> tuple[dict, int]:
+    """Substitute z_i <- (b*z_i + a)/b into an integer table (0-based i, b > 0).
+
+    Returns (result, lift) as `_horner` does, lift = b^top for top the degree
+    in z_i.  The terms are grouped by their other exponents; each group is a
+    dense row c_0..c_d in z_i, and b^d * row((b*z + a)/b) is found on plain
+    ints: c_k lifted by b^(d-k), shifted by a with the O(d^2) synthetic-division
+    recurrence (von zur Gathen & Gerhard, ISSAC 1997), and its z^k entry lifted
+    by b^(k+top-d), so every group lands over the one denominator b^top.
+    """
+    groups: dict = {}
+    for mono, c in table.items():
+        groups.setdefault(mono[:i] + mono[i + 1 :], {})[mono[i]] = c
+    top = max((mono[i] for mono in table), default=0)
+    powers = [b**k for k in range(top + 1)]
+    out = {}
+    for rest, entries in groups.items():
+        d = max(entries)
+        row = [entries.get(e, 0) * powers[d - e] for e in range(d + 1)]
+        for j in range(d):
+            for k in range(d - 1, j - 1, -1):
+                row[k] += a * row[k + 1]
+        head, tail, lift = rest[:i], rest[i:], top - d
+        for k, c in enumerate(row):
+            if c:
+                out[head + (k,) + tail] = c * powers[k + lift]
+    return out, powers[top]
 
 
 def _exact_quotient(rem: dict, divisor: dict) -> dict:

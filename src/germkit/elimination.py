@@ -183,9 +183,9 @@ def _subresultants(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, li
     (den_f, rows_f), (den_g, rows_g) = _integer_rows(f, j), _integer_rows(g, j)
     df, dg = len(rows_f) - 1, len(rows_g) - 1
     if df < 0:
-        raise DegreeZeroError(f"first polynomial has degree 0 in z{j}")
+        raise DegreeZeroError("first polynomial is zero")
     if dg < 0:
-        raise DegreeZeroError(f"second polynomial has degree 0 in z{j}")
+        raise DegreeZeroError("second polynomial is zero")
     if df == 0 or dg == 0:
         return (f ** dg if df == 0 else g ** df), None
     res, last = _subresultant_prs(rows_f, rows_g)

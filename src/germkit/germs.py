@@ -547,6 +547,11 @@ def scan_stability(
     locus samples come back Unit); membership in the zero locus is exact
     rational equality.  Samples appear in input order and the report is a
     pure function of the inputs.
+
+    f is shifted to p once; the base germ is classified at the origin of
+    that shifted polynomial, and each sample q at the step q - p from it,
+    which is the germ of f at q exactly.  A sample thus pays one Taylor
+    shift per coordinate the curve moves, on the shifted germ.
     """
     p = as_point(p, f.n)
     coords = tuple(curve)
@@ -557,18 +562,20 @@ def scan_stability(
     t_values = tuple(as_rational(t) for t in t_values)
     if not t_values:
         raise ValueError("t_values must be non-empty")
-    start = tuple(c.evaluate((Fraction(0),)) for c in coords)
+    start = tuple(c.constant_term() for c in coords)
     if start != p:
         raise ValueError(
             f"curve(0) = {_format_point(start)} does not pass through the base point "
             f"{_format_point(p)}"
         )
 
-    base_status = analyze_germ(GermQuery(f, p, N))
+    base = f.shift(p)
+    base_status = analyze_germ(GermQuery(base, (0,) * f.n, N))
     samples = []
     for t in t_values:
         q = tuple(c.evaluate((t,)) for c in coords)
-        samples.append(ScanSample(t=t, point=q, status=analyze_germ(GermQuery(f, q, N))))
+        step = tuple(x - y for x, y in zip(q, p))
+        samples.append(ScanSample(t=t, point=q, status=analyze_germ(GermQuery(base, step, N))))
     samples = tuple(samples)
 
     on_locus = [s for s in samples if s.on_locus and s.t != 0]

@@ -105,7 +105,7 @@ def regular_order(f: Polynomial, j: int) -> RegularityReport:
     if f.is_zero():
         raise ZeroPolynomialError("regularity is undefined for the zero polynomial")
     _check_var(j, f.n)
-    axis = (mono[j - 1] for mono, _ in f.terms() if sum(mono) == mono[j - 1])
+    axis = (mono[j - 1] for mono in f.support() if sum(mono) == mono[j - 1])
     return RegularityReport(order=min(axis, default=inf))
 
 

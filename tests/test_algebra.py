@@ -447,6 +447,41 @@ def test_shift_matches_synthetic_division():
         f = operand(rng, n)
         p = tuple(rng.choice(COORDINATES) for _ in range(n))
         assert_equal_with_fraction_coefficients(f.shift(p), ref_shift(f, p))
+    # rows the operands above do not reach.  z1^9 + z1^2*z2: in z1 a row of
+    # one top entry and a row with a gap; rows of uneven degree in one table,
+    # each lifted to the one denominator; degree 12 to 16 in one variable
+    cases = [(parse_poly("z1^9 + z1^2*z2"), (a, b)) for a in COORDINATES[2:] for b in COORDINATES]
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        terms = {(e,) + rest: random_fraction(rng)
+                 for rest in (random_monomial(rng, n - 1, 3) for _ in range(rng.randint(2, 5)))
+                 for e in rng.sample(range(9), rng.randint(1, 3))}
+        p = (rng.choice(COORDINATES[2:]),) + tuple(rng.choice(COORDINATES) for _ in range(n - 1))
+        cases.append((Polynomial(n, terms), p))
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        f = big_denominator_poly(rng, n, 3, 4)
+        var = rng.randrange(n)
+        for _ in range(3):
+            mono = list(random_monomial(rng, n, 3))
+            mono[var] = rng.randint(12, 16)
+            f = f + Polynomial.monomial(n, mono, random_fraction(rng))
+        cases.append((f, tuple(rng.choice(COORDINATES[4:]) for _ in range(n))))
+    for f, p in cases:
+        assert_equal_with_fraction_coefficients(f.shift(p), ref_shift(f, p))
+
+
+def test_dense_shift_is_fast():
+    # 2925 terms of degree 24 in three variables with three non-integer
+    # coordinates: one dense row shift per exponent pair of the other two
+    # variables takes tens of milliseconds, so only integer growth inside
+    # the rows could reach the bound
+    f = parse_poly("(1+z1+z2+z3)^24")
+    p = (F(1, 3), F(-2, 5), F(7, 11))
+    started = time.perf_counter()
+    got = f.shift(p)
+    assert time.perf_counter() - started < 1.0
+    assert got == parse_poly(f"({1 + sum(p)}+z1+z2+z3)^24")
 
 
 def test_substitute_matches_fraction_horner():

@@ -360,7 +360,10 @@ def test_resultant_degree_zero_errors_keep_their_messages():
     assert resultant(z1, CUSP, 2) == resultant(CUSP, z1, 2) == z1 * z1
     with pytest.raises(DegreeZeroError) as err:
         resultant(Polynomial.zero(2), CUSP, 2)
-    assert str(err.value) == "first polynomial has degree 0 in z2"
+    assert str(err.value) == "first polynomial is zero"
+    with pytest.raises(DegreeZeroError) as err:
+        resultant(CUSP, Polynomial.zero(2), 2)
+    assert str(err.value) == "second polynomial is zero"
 
 
 def test_resultant_rejects_mismatched_spaces_and_variables():

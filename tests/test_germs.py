@@ -892,6 +892,45 @@ def test_scan_on_locus_is_exact_vanishing():
     assert flags == {True, False}
 
 
+def test_scan_samples_equal_a_fresh_analysis_at_each_point():
+    # the scan shifts f to p once and moves each sample by q - p from there;
+    # every status must be the one analyze_germ gives at q from f itself
+    rng = random.Random(505)
+    z1, z2, z3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+    kinds, sheared = set(), 0
+    for case in range(18):
+        ts = (0, *(random_fraction(rng, -3, 3, 4) for _ in range(3)))
+        if case % 3 < 2:
+            # along a line, where only z1 moves: the paper's family, and a
+            # family whose germs are not regular in z3 until sheared
+            u = 1 + random_poly(rng, 3, 2, 3) * Polynomial.variable(3, rng.randint(1, 3))
+            f = z3**2 - z1 * z2**2 * u if case % 3 == 0 else z2 * z3 * u + z1 * z2**2
+            p = (0, 0, 0)
+            coords = curve({(1,): rng.randint(1, 3)}, {}, {})
+        else:
+            # a cusp through a random point, with z3 tied to z1: every coordinate moves
+            p = random_point(rng, 3, -2, 2, 3)
+            a, c = random_fraction(rng, 1, 3, 2), random_fraction(rng)
+            x = [z - v for z, v in zip((z1, z2, z3), p)]
+            f = x[1] ** 2 - x[0] ** 3 + (x[2] - c * x[0]) * random_poly(rng, 3, 2, 3, nonzero=True)
+            coords = curve({(0,): p[0], (2,): a**2}, {(0,): p[1], (3,): a**3},
+                           {(0,): p[2], (2,): c * a**2})
+        N = rng.choice((4, 8))
+        report = scan_stability(f, p, coords, ts, N)
+        want = analyze_germ(GermQuery(f, p, N))
+        assert report.base_status == want
+        for s in report.samples:
+            want = analyze_germ(GermQuery(f, s.point, N))
+            assert s.status.certificate == want.certificate
+            assert s.status.factors == want.factors
+            assert s.status.reason == want.reason
+            assert s.status.applied_change == want.applied_change
+            kinds.add(s.status.kind)
+            sheared += s.status.applied_change is not None
+    assert {"SingularIrreducible", "SingularReducible", "SmoothIrreducible"} <= kinds
+    assert sheared
+
+
 def test_scan_determinism_and_sample_order():
     ts = (1, F(1, 2), F(1, 4))
     a = scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, ts, 8)

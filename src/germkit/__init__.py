@@ -32,7 +32,7 @@ _OWNERS = {name: module for module, names in {
     "parsing": ("format_poly", "parse_curve", "parse_point", "parse_poly", "parse_rationals"),
     "errors": ("GermkitError", "DimensionMismatchError", "VariableIndexError",
                "ZeroPolynomialError", "NotAUnitError", "NotRegularError", "OrderTooSmallError",
-               "DegreeZeroError", "DegreeTooSmallError", "NonConstantLeadingCoefficientError",
+               "DegreeTooSmallError", "NonConstantLeadingCoefficientError",
                "DistinguishedVarDividesError", "ParseError", "UnknownVariableError"),
 }.items() for name in names}
 

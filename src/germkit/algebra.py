@@ -25,10 +25,11 @@ the subresultant sequence), `_table_power` (`**` and the subresultant
 sequence: repeated products, which beat squaring on dense tables),
 `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and `_subresultant_prs`
 (`elimination.resultant`, `discriminant` and `coprime_at`: the subresultant
-sequence on integer coefficient tables in one variable, built on
-`_int_product` and `_exact_quotient`).  `_table_rows` splits a table by one
-variable's exponent for `_horner` and the subresultant sequence, and
-`_levels` a polynomial by its degree in the other variables for
+sequence on the integer coefficient tables in one variable, built on
+`_int_product` and `_exact_quotient`; it clears the operands' denominators and
+takes and returns Polynomials).  `_table_rows` splits a table by one
+variable's exponent for `coefficients_in`, `_horner` and the subresultant
+sequence, and `_levels` a polynomial by its degree in the other variables for
 `weierstrass_prepare`.  No other module multiplies term tables.
 """
 
@@ -210,9 +211,11 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_same_space(other)
-        den, (out, tb) = _clear_denominators((self, other))
-        for mono, c in tb.items():
-            out[mono] = out.get(mono, 0) + c
+        den = math.lcm(self._den, other._den)
+        lift_self, lift_other = den // self._den, den // other._den
+        out = {m: c * lift_self for m, c in self._terms.items()}
+        for mono, c in other._terms.items():
+            out[mono] = out.get(mono, 0) + c * lift_other
         return _raw(self.n, out, den)
 
     def __radd__(self, other) -> "Polynomial":
@@ -341,8 +344,8 @@ class Polynomial:
         variable's exponent zeroed out.  The list has length degree+1 and is
         empty for the zero polynomial.
         """
-        den, rows = _integer_rows(self, var)
-        return [_raw(self.n, row, den) for row in rows]
+        _check_var(var, self.n)
+        return [_raw(self.n, row, self._den) for row in _table_rows(self._terms, var - 1)]
 
     def drop_variable(self, var: int) -> "Polynomial":
         """Forget an unused variable slot, producing an (n-1)-variable polynomial."""
@@ -372,12 +375,6 @@ def _raw(n: int, table: dict, den: int) -> Polynomial:
     object.__setattr__(p, "_terms", table if g == 1 else {m: c // g for m, c in table.items()})
     object.__setattr__(p, "_den", den // g)
     return p
-
-
-def _clear_denominators(polys) -> tuple[int, list[dict]]:
-    """(den, tables): the lcm of the polynomials' denominators, and each table lifted to it."""
-    den = math.lcm(*(p._den for p in polys))
-    return den, [{m: c * (den // p._den) for m, c in p._terms.items()} for p in polys]
 
 
 def _truncated_product(a: Polynomial, b: Polynomial, order=math.inf) -> Polynomial:
@@ -428,16 +425,6 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:
     """x^expo * a, by shifting exponents; expo may be negative where a's support allows."""
     return _raw(a.n, {tuple(map(add, m, expo)): c for m, c in a._terms.items()}, a._den)
-
-
-def _linear_factors(e1: Polynomial, r: Polynomial, j: int) -> tuple[Polynomial, ...]:
-    """z_j + (e1 - r)/2 and z_j + (e1 + r)/2, z_j new at 1-based j; one integer pass each."""
-    scale, (te, tr) = _clear_denominators((e1, r))
-    i = j - 1
-    axis = {(0,) * i + (1,) + (0,) * (e1.n - i): 2 * scale}
-    return tuple(_raw(e1.n + 1, axis | {
-        m[:i] + (0,) + m[i:]: te.get(m, 0) + sign * tr.get(m, 0) for m in te | tr}, 2 * scale)
-        for sign in (-1, 1))
 
 
 def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
@@ -526,12 +513,6 @@ def _table_rows(table: dict, i: int) -> list[dict]:
     return [rows.get(k, {}) for k in range(max(rows, default=-1) + 1)]
 
 
-def _integer_rows(p: Polynomial, j: int) -> tuple[int, list[dict]]:
-    """(den, rows) with p = sum_k rows[k] * z_j^k / den, rows as in `_table_rows`."""
-    _check_var(j, p.n)
-    return p._den, _table_rows(p._terms, j - 1)
-
-
 def _levels(p: Polynomial, j: int, top: int) -> list[Polynomial]:
     """p split by level, the total degree in the variables other than z_j (1-based):
     entry L holds p's terms of level L, for L = 0..top; higher levels are dropped."""
@@ -543,35 +524,49 @@ def _levels(p: Polynomial, j: int, top: int) -> list[Polynomial]:
     return [_raw(p.n, table, p._den) for table in tables]
 
 
-def _subresultant_prs(a: list, b: list) -> tuple[dict, list | None]:
-    """Res_z(A, B) over Z[x'] by the subresultant PRS (Collins, J. ACM 14, 1967; Brown &
+def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, list | None]:
+    """(Res_j(f, g), S) by the subresultant PRS (Collins, J. ACM 14, 1967; Brown &
     Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7 without the content step).
 
-    A and B are lists of integer tables, the coefficients of z^0, z^1, ... with a
-    nonzero last entry, both of degree >= 1 in z.  Returns (resultant table, None),
-    or, when the resultant is zero, ({}, S) with S the last nonzero remainder of the
-    sequence: gcd(A, B) times a nonzero element of Z[x'], as a coefficient list.
+    S is None when the resultant is nonzero; otherwise S lists the coefficients in
+    z_j of the last nonzero remainder, gcd(f, g) times a nonzero polynomial in the
+    other variables.  The sequence runs on the integer tables of f's and g's
+    coefficients in z_j (1-based j), and the denominators, cleared once, are divided
+    out at the end.  An operand free of z_j makes the Sylvester matrix diagonal:
+    Res = f^dg, or g^df.
     """
-    one = {(0,) * len(next(iter(a[-1]))): 1}
-    sign = -1 if len(a) < len(b) and (len(a) - 1) * (len(b) - 1) % 2 else 1
-    if len(a) < len(b):
+    f._check_same_space(g)
+    _check_var(j, f.n)
+    a, b = _table_rows(f._terms, j - 1), _table_rows(g._terms, j - 1)
+    df, dg = len(a) - 1, len(b) - 1
+    if df < 0:
+        raise ZeroPolynomialError("first polynomial is zero")
+    if dg < 0:
+        raise ZeroPolynomialError("second polynomial is zero")
+    if df == 0 or dg == 0:
+        return (f ** dg if df == 0 else g ** df), None
+    # Res is homogeneous of degree dg in f's coefficients and df in g's
+    den = f._den**dg * g._den**df
+    one = {(0,) * f.n: 1}
+    sign = -1 if df < dg and df * dg % 2 else 1
+    if df < dg:
         a, b = b, a
-    g = h = one
+    lc = h = one
     while len(b) > 1:
         delta = len(a) - len(b)
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
         r = _pseudo_remainder(a, b, delta)
         if not r:
-            return {}, b
-        divisor = _int_product(g, _table_power(h, delta)) if delta else g
+            return Polynomial.zero(f.n), [_raw(f.n, c, 1) for c in b]
+        divisor = _int_product(lc, _table_power(h, delta)) if delta else lc
         a, b = b, r if divisor == one else [_exact_quotient(c, divisor) for c in r]
-        g = a[-1]
-        h = h if delta == 0 else g if delta == 1 else _exact_quotient(
-            _table_power(g, delta), _table_power(h, delta - 1))
+        lc = a[-1]
+        h = h if delta == 0 else lc if delta == 1 else _exact_quotient(
+            _table_power(lc, delta), _table_power(h, delta - 1))
     d = len(a) - 1
     last = b[0] if d == 1 else _exact_quotient(_table_power(b[0], d), _table_power(h, d - 1))
-    return {m: sign * c for m, c in last.items()}, None
+    return _raw(f.n, last, sign * den), None
 
 
 def _pseudo_remainder(a: list, b: list, delta: int) -> list:

@@ -8,14 +8,13 @@ coprimality of the germs at the center point and at every nearby point at
 once; a zero resultant does not mean "not coprime", since the common factor
 may be a unit at the point.
 
-No Sylvester matrix is built: each operand's denominator is cleared once,
-the subresultant sequence of `germkit.algebra` runs on the integer
-coefficient tables (every division in it is exact over Z[x]), and the
-denominators are divided out once at the end.  When the resultant is zero
-the same sequence ends in a multiple of gcd(f, g), which `coprime_at`
-evaluates at the point.  `matrix_det`, a fraction-free Bareiss determinant
-on `Polynomial` arithmetic, stays public for matrices of polynomials; no
-resultant goes through it.
+No Sylvester matrix is built: every resultant here comes from
+`germkit.algebra._subresultant_prs`, which runs the subresultant sequence on
+the operands' integer coefficient tables (every division in it is exact over
+Z[x]) and returns Polynomials.  When the resultant is zero the same sequence
+ends in a multiple of gcd(f, g), which `coprime_at` evaluates at the point.
+`matrix_det`, a fraction-free Bareiss determinant on `Polynomial` arithmetic,
+stays public for matrices of polynomials; no resultant goes through it.
 """
 
 from __future__ import annotations
@@ -25,15 +24,13 @@ from fractions import Fraction
 
 from .algebra import (
     Polynomial,
-    _integer_rows,
-    _raw,
     _subresultant_prs,
     as_point,
 )
 from .errors import (
     DegreeTooSmallError,
-    DegreeZeroError,
     NonConstantLeadingCoefficientError,
+    ZeroPolynomialError,
 )
 from .weierstrass import apply_shear, make_regular
 
@@ -99,7 +96,7 @@ def resultant(f: Polynomial, g: Polynomial, j: int) -> Polynomial:
     eliminated; it is zero exactly when f and g share a factor of positive
     degree in variable j.
     """
-    return _subresultants(f, g, j)[0]
+    return _subresultant_prs(f, g, j)[0]
 
 
 def discriminant(f: Polynomial, j: int) -> Polynomial:
@@ -137,6 +134,8 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     products).
     """
     g._check_same_space(h)
+    if g.is_zero() or h.is_zero():
+        raise ZeroPolynomialError(f"{'first' if g.is_zero() else 'second'} polynomial is zero")
     p = as_point(p, g.n)
     gs = g.shift(p)
     hs = h.shift(p)
@@ -145,7 +144,7 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     if change is not None:
         gs = apply_shear(gs, j, change)
         hs = apply_shear(hs, j, change)
-    r, last = _subresultants(gs, hs, j)
+    r, last = _subresultant_prs(gs, hs, j)
     r = r.drop_variable(j)
     return CoprimeReport(
         resultant_poly=r,
@@ -172,23 +171,3 @@ def zero_set_discrete(R: Polynomial, p) -> bool:
     if R.evaluate(p) != 0:
         return True
     return R.n <= 1
-
-
-def _subresultants(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, list | None]:
-    """(Res_j(f, g), S): S is None when the resultant is nonzero; otherwise S lists
-    the coefficients in z_j of a nonzero multiple of gcd(f, g) by a polynomial in
-    the other variables (the last nonzero subresultant).  An operand free of z_j
-    makes the Sylvester matrix diagonal: Res = f^dg, or g^df."""
-    f._check_same_space(g)
-    (den_f, rows_f), (den_g, rows_g) = _integer_rows(f, j), _integer_rows(g, j)
-    df, dg = len(rows_f) - 1, len(rows_g) - 1
-    if df < 0:
-        raise DegreeZeroError("first polynomial is zero")
-    if dg < 0:
-        raise DegreeZeroError("second polynomial is zero")
-    if df == 0 or dg == 0:
-        return (f ** dg if df == 0 else g ** df), None
-    res, last = _subresultant_prs(rows_f, rows_g)
-    # Res is homogeneous of degree dg in f's coefficients and df in g's
-    r = _raw(f.n, res, den_f**dg * den_g**df)
-    return r, last and [_raw(f.n, c, 1) for c in last]

@@ -31,10 +31,6 @@ class OrderTooSmallError(GermkitError):
     """The requested truncation order is below the regularity order."""
 
 
-class DegreeZeroError(GermkitError):
-    """A resultant operand is the zero polynomial."""
-
-
 class DegreeTooSmallError(GermkitError):
     """The discriminant needs degree at least two in the chosen variable."""
 

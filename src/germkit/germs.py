@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar, Optional
 
-from .algebra import Polynomial, _linear_factors, _monomial_multiple, as_point, as_rational
+from .algebra import Polynomial, _monomial_multiple, as_point, as_rational
 from .errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
@@ -328,7 +328,10 @@ def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus | None:
         return GermStatus(reason="the discriminant " + why)
     if not isinstance(cert, MonomialUnitSquare) or cert.symbolic:
         return GermStatus(cert)
-    lo, hi = _linear_factors(e1, cert.root.body, j)
+    # t + (e1 -+ r)/2 as mid -+ step: each term table is scaled and embedded once
+    mid = Polynomial.variable(f.n, j) + (e1 * Fraction(1, 2)).insert_variable(j)
+    step = (cert.root.body * Fraction(1, 2)).insert_variable(j)
+    lo, hi = mid - step, mid + step
     return GermStatus(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
 
 

@@ -26,7 +26,7 @@ arithmetic runs on the integer kernels of `germkit.algebra`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
@@ -154,7 +154,7 @@ def make_regular(f: Polynomial, j: int) -> tuple[Polynomial, RegularityReport]:
                     rest, coeffs[i - 1] = candidate, Fraction(c)
                     break
     sheared = apply_shear(f, j, coeffs)
-    return sheared, replace(regular_order(sheared, j), applied_change=tuple(coeffs))
+    return sheared, RegularityReport(order=m, applied_change=tuple(coeffs))
 
 
 def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from germkit.algebra import Polynomial, as_point, as_rational, rational_sqrt
-from germkit.errors import DimensionMismatchError, ZeroPolynomialError
+from germkit.errors import DimensionMismatchError, VariableIndexError, ZeroPolynomialError
 from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
 from helpers import (
@@ -545,6 +545,15 @@ def test_lowest_homogeneous_form():
         form, degree = p.lowest_homogeneous_form()
         assert degree == p.order()
         assert all(sum(m) == degree for m, _ in form.terms())
+
+
+def test_coefficients_in_rejects_variables_outside_the_space():
+    f = Polynomial(3, {(1, 2, 0): 1, (0, 0, 2): -1})
+    for var in (0, 4):
+        with pytest.raises(VariableIndexError, match=f"variable index {var} outside 1..3"):
+            f.coefficients_in(var)
+    with pytest.raises(VariableIndexError):
+        Polynomial.zero(2).coefficients_in(3)
 
 
 def test_coefficients_in_reconstructs():

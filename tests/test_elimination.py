@@ -1,12 +1,14 @@
 """Fraction-free determinants, resultants against their Sylvester-matrix
 reference, discriminants, coprimality and discreteness."""
 
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from germkit.algebra import Polynomial, _exact_quotient
+from germkit.cli import run_cli
 from germkit.elimination import (
     coprime_at,
     discriminant,
@@ -16,10 +18,10 @@ from germkit.elimination import (
 )
 from germkit.errors import (
     DegreeTooSmallError,
-    DegreeZeroError,
     DimensionMismatchError,
     NonConstantLeadingCoefficientError,
     VariableIndexError,
+    ZeroPolynomialError,
 )
 from helpers import (
     big_denominator_poly,
@@ -44,9 +46,9 @@ def sylvester_matrix(f, g, j):
     fdesc, gdesc = f.coefficients_in(j)[::-1], g.coefficients_in(j)[::-1]
     df, dg = len(fdesc) - 1, len(gdesc) - 1
     if df < 1:
-        raise DegreeZeroError(f"first polynomial has degree {max(df, 0)} in z{j}")
+        raise ValueError(f"first polynomial has degree {max(df, 0)} in z{j}")
     if dg < 1:
-        raise DegreeZeroError(f"second polynomial has degree {max(dg, 0)} in z{j}")
+        raise ValueError(f"second polynomial has degree {max(dg, 0)} in z{j}")
     zero, size = Polynomial.zero(f.n), df + dg
     return ([[zero] * s + fdesc + [zero] * (size - df - 1 - s) for s in range(dg)]
             + [[zero] * s + gdesc + [zero] * (size - dg - 1 - s) for s in range(df)])
@@ -67,7 +69,7 @@ def test_sylvester_matrix_shape_and_content():
 
 
 def test_sylvester_requires_positive_degree():
-    with pytest.raises(DegreeZeroError):
+    with pytest.raises(ValueError, match="second polynomial has degree 0 in z2"):
         sylvester_matrix(CUSP, Polynomial.constant(2, 3), 2)
 
 
@@ -358,10 +360,10 @@ def test_resultant_degree_zero_errors_keep_their_messages():
     # an operand free of z2 makes the Sylvester matrix diagonal: Res = z1^deg(CUSP)
     z1 = Polynomial.variable(2, 1)
     assert resultant(z1, CUSP, 2) == resultant(CUSP, z1, 2) == z1 * z1
-    with pytest.raises(DegreeZeroError) as err:
+    with pytest.raises(ZeroPolynomialError) as err:
         resultant(Polynomial.zero(2), CUSP, 2)
     assert str(err.value) == "first polynomial is zero"
-    with pytest.raises(DegreeZeroError) as err:
+    with pytest.raises(ZeroPolynomialError) as err:
         resultant(CUSP, Polynomial.zero(2), 2)
     assert str(err.value) == "second polynomial is zero"
 
@@ -448,6 +450,21 @@ def test_unit_germ_is_coprime_to_every_germ():
     rep = coprime_at(Polynomial(2, {(0, 0): 1, (1, 0): 1}), Polynomial.variable(2, 2), (0, 0), 2)
     assert rep.coprime_germ_at_point and not rep.vanishing_at_point
     assert rep.resultant_poly == Polynomial(1, {(0,): 1, (1,): 1})
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_coprime_names_a_zero_operand(json_flag):
+    # the zero check comes before the product g*h is regularized, so the
+    # error names the operand, with the text the resultant uses
+    z1 = Polynomial.variable(2, 1)
+    for g, h, which in ((Polynomial.zero(2), z1, "first"), (z1, Polynomial.zero(2), "second")):
+        with pytest.raises(ZeroPolynomialError) as err:
+            coprime_at(g, h, (0, 0), 2)
+        assert str(err.value) == f"{which} polynomial is zero"
+    for argv, which in ((("--g", "0", "--h", "z1"), "first"), (("--g", "z1", "--h", "0"), "second")):
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(["coprime", *argv, *json_flag], out, err) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: {which} polynomial is zero\n")
 
 
 def test_coprime_with_a_common_factor_exactly_when_it_is_a_unit_at_the_point():

@@ -156,6 +156,28 @@ def test_make_regular_reaches_the_lowest_degree_on_germs_not_regular():
     assert sum(c >= 2 for c in largest) >= 20
 
 
+
+def test_make_regular_reports_the_order_of_the_sheared_germ():
+    # after a shear the report's order is the lowest degree m, by the
+    # L(c) * t^m argument, with no second probe; a probe of the sheared germ
+    # agrees, also when terms above degree m land on the axis (then no shear)
+    rng = random.Random(305)
+    sheared = 0
+    for _ in range(150):
+        n, m = rng.randint(2, 4), rng.randint(1, 4)
+        j = rng.randint(1, n)
+        f = _form_vanishing_at_axis(rng, n, j, m)
+        for _ in range(rng.randint(0, 4)):
+            mono = random_monomial(rng, n, m + 3)
+            if sum(mono) > m:
+                f = f + Polynomial.monomial(n, mono, random_fraction(rng, -3, 3, 3))
+        g, rep = make_regular(f, j)
+        assert rep.order == regular_order(g, j).order
+        if rep.applied_change is not None:
+            assert rep.order == m
+            sheared += 1
+    assert sheared >= 100
+
 # -- preparation: pinned examples ------------------------------------------------
 
 

@@ -17,17 +17,17 @@ the z1..zn naming used by the expression grammar in `germkit.parsing`.
 
 The public API speaks `fractions.Fraction`; the kernels compute on the
 stored integers, and every result is brought to canonical form by `_raw`.
-This is the only module that reads a Polynomial's term table.  Its kernels are
-`_int_product` (`*` and the series product), `_horner` (`substitute`),
-`_taylor_shift` (`shift`: the dense Taylor shift on int rows, one row per
-exponent tuple of the other variables), `_exact_quotient` (`exact_div` and
-the subresultant sequence), `_table_power` (`**` and the subresultant
-sequence: repeated products, which beat squaring on dense tables),
+This is the only module that reads a Polynomial's term table.  Its one product
+loop is `_mul_add` (acc += scale * ta * tb in place); `_truncated_product` (`*`,
+the series product) runs it on the pairs of homogeneous parts from `_graded`.
+Built on it are `_horner` (`substitute`), `_exact_quotient` (`exact_div`),
+`_table_power` (`**`: repeated products, which beat squaring on dense tables),
 `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and `_subresultant_prs`
 (`elimination.resultant`, `discriminant` and `coprime_at`: the subresultant
-sequence on the integer coefficient tables in one variable, built on
-`_int_product` and `_exact_quotient`; it clears the operands' denominators and
-takes and returns Polynomials).  `_table_rows` splits a table by one
+sequence with `_pseudo_remainder`, `_exact_quotient` and `_table_power` on the
+integer coefficient tables in one variable; it takes and returns Polynomials).
+`_taylor_shift` (`shift`) is the dense Taylor shift on int rows, one row per
+exponent tuple of the other variables.  `_table_rows` splits a table by one
 variable's exponent for `coefficients_in`, `_horner` and the subresultant
 sequence, and `_levels` a polynomial by its degree in the other variables for
 `weierstrass_prepare`.  No other module multiplies term tables.
@@ -146,10 +146,10 @@ class Polynomial:
         return iter(self._terms)
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return Fraction(self._terms.get(tuple(expo), 0), self._den)
+        return Fraction(self._terms.get(_check_monomial(expo, self.n), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.n)
+        return Fraction(self._terms.get((0,) * self.n, 0), self._den)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -185,7 +185,7 @@ class Polynomial:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         mono = max(self._terms, key=lambda m: (sum(m), m))
-        return mono, self.coefficient(mono)
+        return mono, Fraction(self._terms[mono], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -379,43 +379,55 @@ def _raw(n: int, table: dict, den: int) -> Polynomial:
 
 def _truncated_product(a: Polynomial, b: Polynomial, order=math.inf) -> Polynomial:
     """a * b with no term of total degree above the order, on integer tables."""
-    return _raw(a.n, _int_product(a._terms, b._terms, order), a._den * b._den)
+    if order == math.inf:  # splitting into parts only slows a full product down
+        return _raw(a.n, _mul_add({}, a._terms, b._terms), a._den * b._den)
+    acc: dict = {}
+    parts_b = _graded(b._terms)
+    for da, pa in _graded(a._terms).items():
+        for db, pb in parts_b.items():
+            if da + db <= order:
+                _mul_add(acc, pa, pb)
+    return _raw(a.n, acc, a._den * b._den)
 
 
-def _int_product(ta: dict, tb: dict, order=math.inf) -> dict:
-    """ta * tb on integer term tables, no term of total degree above the order."""
-    graded = sorted((sum(m), m, c) for m, c in tb.items())
-    out: dict = {}
+def _graded(table: dict) -> dict[int, dict]:
+    """An integer table split into its homogeneous parts, keyed by total degree."""
+    parts: dict[int, dict] = {}
+    for mono, c in table.items():
+        parts.setdefault(sum(mono), {})[mono] = c
+    return parts
+
+
+def _mul_add(acc: dict, ta: dict, tb: dict, scale: int = 1) -> dict:
+    """acc += scale * ta * tb on integer term tables, in place; entries that
+    cancel are deleted, so acc stays a term table.  Returns acc."""
     for ma, ca in ta.items():
-        room = order - sum(ma)
-        for db, mb, cb in graded:
-            if db > room:
-                break
+        ca *= scale
+        for mb, cb in tb.items():
             mono = tuple(map(add, ma, mb))
-            out[mono] = out.get(mono, 0) + ca * cb
-    return {mono: c for mono, c in out.items() if c}
+            v = acc.get(mono, 0) + ca * cb
+            if v:
+                acc[mono] = v
+            else:
+                del acc[mono]
+    return acc
 
 
 def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> Polynomial:
     """factor * (a/a(0))^(p/q) through total degree `order`, a(0) != 0, by J. C. P. Miller's
     recurrence q*k*y_k = sum_(i=1..k) (p*i - q*(k-i)) * b_i * y_(k-i) on the homogeneous parts
     of b = a/a(0) = B/beta and y; in Z[x] as y_k = Y_k/s_k, s_k = s_(k-1)*q*k*beta, y_0 = factor."""
-    parts: dict[int, dict] = {}  # the homogeneous parts B_i; a's denominator cancels in b
-    for mono, c in a._terms.items():
-        parts.setdefault(sum(mono), {})[mono] = c
+    parts = _graded(a._terms)  # the homogeneous parts B_i; a's denominator cancels in b
     qb = q * a._terms[(0,) * a.n]
     ys, scales = [{(0,) * a.n: factor.numerator}], [factor.denominator]
     for k in range(1, order + 1):
         acc, weight = {}, 1  # weight = (q*beta)^(i-1) * (k-1)!/(k-i)!
         for i in range(1, k + 1):
             lam = (p * i - q * (k - i)) * weight
-            for ma, ca in parts.get(i, {}).items() if lam else ():
-                ca *= lam
-                for mb, cb in ys[k - i].items():
-                    mono = tuple(map(add, ma, mb))
-                    acc[mono] = acc.get(mono, 0) + ca * cb
+            if lam and i in parts:
+                _mul_add(acc, parts[i], ys[k - i], lam)
             weight *= qb * (k - i)
-        ys.append({mono: c for mono, c in acc.items() if c})
+        ys.append(acc)
         scales.append(scales[-1] * qb * k)  # so each s_k divides s_order
     top = scales[-1]
     table = {mono: c * (top // s) for y, s in zip(ys, scales) for mono, c in y.items()}
@@ -438,13 +450,7 @@ def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
     acc, lift = rows[-1] if rows else {}, 1
     for row in reversed(rows[:-1]):
         lift *= rep_scale
-        acc = _int_product(acc, rep)
-        for mono, c in row.items():
-            v = acc.get(mono, 0) + c * lift
-            if v:
-                acc[mono] = v
-            else:
-                del acc[mono]
+        acc = _mul_add({m: c * lift for m, c in row.items()}, acc, rep)
     return acc, lift
 
 
@@ -494,13 +500,7 @@ def _exact_quotient(rem: dict, divisor: dict) -> dict:
         if r or any(e < 0 for e in qmono):
             raise ValueError("division is not exact")
         quotient[qmono] = q
-        for mono, c in divisor.items():
-            mono = tuple(map(add, qmono, mono))
-            v = rem.get(mono, 0) - q * c
-            if v:
-                rem[mono] = v
-            else:
-                del rem[mono]
+        _mul_add(rem, {qmono: q}, divisor, -1)
     return quotient
 
 
@@ -559,7 +559,7 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
         r = _pseudo_remainder(a, b, delta)
         if not r:
             return Polynomial.zero(f.n), [_raw(f.n, c, 1) for c in b]
-        divisor = _int_product(lc, _table_power(h, delta)) if delta else lc
+        divisor = _mul_add({}, lc, _table_power(h, delta)) if delta else lc
         a, b = b, r if divisor == one else [_exact_quotient(c, divisor) for c in r]
         lc = a[-1]
         h = h if delta == 0 else lc if delta == 1 else _exact_quotient(
@@ -576,21 +576,15 @@ def _pseudo_remainder(a: list, b: list, delta: int) -> list:
     r, e = a, delta + 1
     while len(r) > db:
         top, shift = r[-1], len(r) - 1 - db
-        r = [_int_product(lead, c) for c in r[:-1]]
+        r = [_mul_add({}, lead, c) for c in r[:-1]]
         for k, c in enumerate(b[:-1]):
-            acc = r[k + shift]
-            for mono, v in _int_product(top, c).items():
-                v = acc.get(mono, 0) - v
-                if v:
-                    acc[mono] = v
-                else:
-                    del acc[mono]
+            _mul_add(r[k + shift], top, c, -1)
         while r and not r[-1]:
             r.pop()
         e -= 1
     if e and r:
         scale = _table_power(lead, e)
-        r = [_int_product(scale, c) for c in r]
+        r = [_mul_add({}, scale, c) for c in r]
     return r
 
 
@@ -598,7 +592,7 @@ def _table_power(t: dict, k: int) -> dict:
     """t^k on an integer term table, k >= 1."""
     out = t
     for _ in range(k - 1):
-        out = _int_product(out, t)
+        out = _mul_add({}, out, t)
     return out
 
 

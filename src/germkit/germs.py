@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar, Optional
 
-from .algebra import Polynomial, _monomial_multiple, as_point, as_rational
+from .algebra import Polynomial, _check_var, _monomial_multiple, as_point, as_rational
 from .errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
@@ -368,6 +368,7 @@ def newton_polygon(f: Polynomial, j: int) -> tuple:
     """
     if f.n != 2:
         raise DimensionMismatchError("Newton polygon is defined for bivariate germs")
+    _check_var(j, f.n)
     x = 1 if j == 2 else 2
     coeffs = {(m[x - 1], m[j - 1]): c for m, c in f.terms()}
     d = min((jj for (i, jj) in coeffs if i == 0), default=0)

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from germkit.algebra import Polynomial, as_point, as_rational, rational_sqrt
+from germkit.algebra import (
+    Polynomial,
+    _mul_add,
+    _truncated_product,
+    as_point,
+    as_rational,
+    rational_sqrt,
+)
 from germkit.errors import DimensionMismatchError, VariableIndexError, ZeroPolynomialError
 from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
@@ -43,6 +50,18 @@ def test_constructor_rejects_negative_exponents():
 def test_constructor_rejects_wrong_arity_monomials():
     with pytest.raises(DimensionMismatchError):
         Polynomial(2, {(1,): 1})
+
+
+def test_coefficient_checks_its_monomial():
+    p = Polynomial(2, {(1, 0): F(1, 2), (0, 3): -4})
+    assert p.coefficient((1, 0)) == F(1, 2) and p.coefficient([0, 3]) == -4
+    assert p.coefficient((2, 2)) == 0
+    for expo in ((0,), (0, 2, 0)):
+        with pytest.raises(DimensionMismatchError):
+            p.coefficient(expo)
+    for expo in ((-1, 0), (0, 1.0)):
+        with pytest.raises(ValueError):
+            p.coefficient(expo)
 
 
 def test_polynomials_are_immutable():
@@ -390,6 +409,60 @@ def test_product_matches_the_fraction_double_loop():
         n = rng.randint(1, 4)
         a, b = operand(rng, n), operand(rng, n)
         assert_equal_with_fraction_coefficients(a * b, ref_mul(a, b))
+
+
+def naive_table_product(ta, tb):
+    out = {}
+    for ma, ca in ta.items():
+        for mb, cb in tb.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return out
+
+
+def without_zeros(table):
+    return {m: c for m, c in table.items() if c}
+
+
+def test_mul_add_equals_the_naive_product():
+    rng = random.Random(116)
+    for case in range(120):
+        n = rng.randint(1, 4)
+        ta, tb, start = (operand(rng, n)._terms for _ in range(3))
+        scale = (1, -1, 7)[case % 3]
+        acc = dict(start)
+        want = dict(start)
+        for mono, c in naive_table_product(ta, tb).items():
+            want[mono] = want.get(mono, 0) + scale * c
+        assert _mul_add(acc, ta, tb, scale) is acc
+        assert acc == without_zeros(want)
+        assert 0 not in acc.values()
+
+
+def test_mul_add_deletes_what_cancels():
+    rng = random.Random(117)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        ta, tb = random_poly(rng, n, 3, 5)._terms, big_denominator_poly(rng, n, 3, 5)._terms
+        acc = _mul_add({}, ta, tb, 7)
+        assert 0 not in acc.values()
+        assert _mul_add(acc, tb, ta, -7) == {}
+        # cancel every other product term through the accumulator's start value
+        product = naive_table_product(ta, tb)
+        start = {m: -c for i, (m, c) in enumerate(product.items()) if c and i % 2}
+        acc = _mul_add(dict(start), ta, tb)
+        assert acc == without_zeros({m: c + start.get(m, 0) for m, c in product.items()})
+        assert 0 not in acc.values()
+
+
+def test_truncated_product_equals_the_truncated_full_product():
+    rng = random.Random(118)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        a, b = operand(rng, n), operand(rng, n)
+        top = max(a.total_degree() + b.total_degree(), 0)
+        for k in range(-1, top + 2):
+            assert _truncated_product(a, b, k) == (a * b).truncate(k)
 
 
 def test_power_equals_repeated_products():

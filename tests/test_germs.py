@@ -13,6 +13,7 @@ from germkit.errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
     NotRegularError,
+    VariableIndexError,
     ZeroPolynomialError,
 )
 from germkit.germs import (
@@ -335,6 +336,12 @@ def test_polygon_requires_bivariate_and_nonzero_tail():
         newton_polygon(w, 2)
     with pytest.raises(NotRegularError):
         newton_polygon(Polynomial(2, {(1, 1): 1, (3, 0): 1}), 2)  # z1*z2 + z1^3
+
+
+def test_polygon_checks_the_variable_index():
+    for j in (3, -1, 0):
+        with pytest.raises(VariableIndexError, match=f"variable index {j} outside 1..2"):
+            newton_polygon(CUSP, j)
 
 
 def test_polygon_edges_are_those_of_the_weierstrass_polynomial():

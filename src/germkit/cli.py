@@ -17,6 +17,7 @@ loaded for every subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -342,8 +343,6 @@ def _cmd_coprime(ns):
 def _cmd_demo(ns):
     from .germs import scan_stability
 
-    if ns.topic != "counterexample":
-        raise _UsageError(f"unknown demo topic {ns.topic!r}")
     N = ns.order
     f = parse_poly(DEMO_POLY)
     origin = (Fraction(0),) * 3
@@ -402,26 +401,16 @@ def _cmd_demo(ns):
     return lines, result, inputs
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "scan": _cmd_scan,
-    "prepare": _cmd_prepare,
-    "resultant": _cmd_eliminate,
-    "discriminant": _cmd_eliminate,
-    "coprime": _cmd_coprime,
-    "demo": _cmd_demo,
-}
-
-
 # -- parser and entry points --------------------------------------------------
 
 
-def _add_common(sub, order=True):
+def _add_common(sub, run, order=True):
     if order:
         sub.add_argument("--order", type=int, default=8,
                          help=f"series truncation order N, at most {MAX_ORDER} (default 8)")
     sub.add_argument("--json", action="store_true",
                      help="emit a JSON report instead of text")
+    sub.set_defaults(run=run)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -437,7 +426,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("analyze", help="classify the germ of a polynomial at a point")
     p.add_argument("--poly", required=True, help="polynomial in z1, z2, ...")
     p.add_argument("--point", required=True, help="comma-separated rationals")
-    _add_common(p)
+    _add_common(p, _cmd_analyze)
 
     p = sub.add_parser("scan", help="classify germs along a parametric curve")
     p.add_argument("--poly", required=True, help="polynomial in z1, z2, ...")
@@ -446,26 +435,26 @@ def _build_parser() -> _ArgumentParser:
                    help="curve through the base point, e.g. \"t,0,0\"")
     p.add_argument("--t", default=DEMO_T_VALUES,
                    help=f"parameter samples (default {DEMO_T_VALUES})")
-    _add_common(p)
+    _add_common(p, _cmd_scan)
 
     p = sub.add_parser("prepare",
                        help="Weierstrass preparation at a point (default: origin)")
     p.add_argument("--poly", required=True, help="polynomial in z1, z2, ...")
     p.add_argument("--point", help="expansion point (default: origin)")
     p.add_argument("--var", help="distinguished variable (default: last)")
-    _add_common(p)
+    _add_common(p, _cmd_prepare)
 
     p = sub.add_parser("resultant", help="eliminate one variable from two polynomials")
     p.add_argument("--f", required=True, help="first polynomial")
     p.add_argument("--g", required=True, help="second polynomial")
     p.add_argument("--var", required=True, help="variable to eliminate, e.g. z2")
-    _add_common(p, order=False)
+    _add_common(p, _cmd_eliminate, order=False)
 
     p = sub.add_parser("discriminant",
                        help="discriminant with respect to one variable")
     p.add_argument("--poly", required=True, help="polynomial in z1, z2, ...")
     p.add_argument("--var", required=True, help="variable, e.g. z2")
-    _add_common(p, order=False)
+    _add_common(p, _cmd_eliminate, order=False)
 
     p = sub.add_parser("coprime",
                        help="test two germs for a common factor at a point")
@@ -473,12 +462,12 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--h", required=True, help="second polynomial")
     p.add_argument("--point", help="base point (default: origin)")
     p.add_argument("--var", help="variable to eliminate (default: last)")
-    _add_common(p, order=False)
+    _add_common(p, _cmd_coprime, order=False)
 
     p = sub.add_parser("demo", help="run a built-in worked example")
-    p.add_argument("topic", nargs="?", default="counterexample",
-                   help="demo name (counterexample)")
-    _add_common(p)
+    p.add_argument("topic", nargs="?", default="counterexample", choices=["counterexample"],
+                   help="demo name")
+    _add_common(p, _cmd_demo)
 
     return parser
 
@@ -487,13 +476,14 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        ns = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help and --version print here
+            ns = _build_parser().parse_args(argv)
         started = time.perf_counter()
-        lines, result, *fixed_input = _HANDLERS[ns.command](ns)
+        lines, result, *fixed_input = ns.run(ns)
         if ns.json:
             import json
 
-            flags = {k: v for k, v in vars(ns).items() if k not in ("command", "json")}
+            flags = {k: v for k, v in vars(ns).items() if k not in ("command", "json", "run")}
             envelope = {
                 "tool": "germkit",
                 "version": __version__,

@@ -6,9 +6,9 @@ nonzero constant a in any dimension, and bivariate germs caught by the
 Newton polygon criteria; everything else comes back Undetermined with a
 reason.  No verdict depends on the truncation order, the precision of
 printed series.  Every decisive answer carries a certificate holding
-exactly the data needed to re-verify it independently, and its class
-names the verdict (its `verdict` attribute, which GermStatus.kind
-reads):
+exactly the data needed to re-verify it independently.  Its class line
+names the verdict (its `verdict` attribute, which GermStatus.kind reads),
+and its class name is its `kind`:
 
   NonzeroValue          f(p) != 0, the germ is a unit
   SmoothPoint           gradient nonzero, the zero set is locally a graph
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Optional
+from typing import Optional
 
 from .algebra import Polynomial, _check_var, _monomial_multiple, as_point, as_rational
 from .errors import (
@@ -61,40 +61,42 @@ SINGULAR_REDUCIBLE = "SingularReducible"
 UNDETERMINED = "Undetermined"
 
 
+class _Certificate:
+    """Gives each certificate its `verdict`, from its class line, and `kind`, its class name."""
+
+    def __init_subclass__(cls, verdict: str):
+        cls.kind = cls.__name__  # class attributes, so not dataclass fields
+        cls.verdict = verdict
+
+
 @dataclass(frozen=True)
-class NonzeroValue:
+class NonzeroValue(_Certificate, verdict=UNIT):
     """f(p) != 0: the germ is a unit in the local ring."""
 
-    kind: ClassVar[str] = "NonzeroValue"
-    verdict: ClassVar[str] = UNIT
     value: Fraction
 
 
 @dataclass(frozen=True)
-class SmoothPoint:
+class SmoothPoint(_Certificate, verdict=SMOOTH_IRREDUCIBLE):
     """Nonzero gradient at the point: the zero set is locally smooth."""
 
-    kind: ClassVar[str] = "SmoothPoint"
-    verdict: ClassVar[str] = SMOOTH_IRREDUCIBLE
     gradient: tuple
 
 
 @dataclass(frozen=True)
-class OddVariableOrder:
+class OddVariableOrder(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     """variable_order(D, variable) = order, an odd number.
 
     In a power series domain the minimal exponent of any variable in a
     square is even (lowest slices cannot cancel), so D is not a square.
     """
 
-    kind: ClassVar[str] = "OddVariableOrder"
-    verdict: ClassVar[str] = SINGULAR_IRREDUCIBLE
     variable: int
     order: int
 
 
 @dataclass(frozen=True)
-class MonomialUnitSquare:
+class MonomialUnitSquare(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """D = x^(2*half_exponents) * (unit_root)^2, certified square.
 
     `root` is the square root of D itself when one with rational
@@ -103,8 +105,6 @@ class MonomialUnitSquare:
     representable, and both series fields are None (the symbolic case).
     """
 
-    kind: ClassVar[str] = "MonomialUnitSquare"
-    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     root: Optional[TruncatedSeries]
     half_exponents: Optional[tuple] = None
     unit_root: Optional[TruncatedSeries] = None
@@ -115,7 +115,7 @@ class MonomialUnitSquare:
 
 
 @dataclass(frozen=True)
-class LowestFormNotASquare:
+class LowestFormNotASquare(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     """The lowest homogeneous form of D is not the square of a form.
 
     Squares have square lowest forms (lowest forms multiply without
@@ -123,52 +123,42 @@ class LowestFormNotASquare:
     form / lc(form) is not the square of a rational polynomial.
     """
 
-    kind: ClassVar[str] = "LowestFormNotASquare"
-    verdict: ClassVar[str] = SINGULAR_IRREDUCIBLE
     form: Polynomial
     degree: int
 
 
 @dataclass(frozen=True)
-class DistinguishedVarDivides:
+class DistinguishedVarDivides(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """z_variable^multiplicity is the highest power of z_variable dividing the germ."""
 
-    kind: ClassVar[str] = "DistinguishedVarDivides"
-    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     variable: int
     multiplicity: int
 
 
 @dataclass(frozen=True)
-class MultiEdgePolygon:
+class MultiEdgePolygon(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """The Newton polygon has several edges; each carries its own branches."""
 
-    kind: ClassVar[str] = "MultiEdgePolygon"
-    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     edge_count: int
 
 
 @dataclass(frozen=True)
-class BinomialCoprimeEdge:
+class BinomialCoprimeEdge(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     """Single binomial edge (0,d)-(m,0) with gcd(d,m)=1: one branch, irreducible."""
 
-    kind: ClassVar[str] = "BinomialCoprimeEdge"
-    verdict: ClassVar[str] = SINGULAR_IRREDUCIBLE
     d: int
     m: int
 
 
 @dataclass(frozen=True)
-class BinomialNoncoprimeEdge:
+class BinomialNoncoprimeEdge(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """Single binomial edge with gcd g > 1: the initial part splits into g branches."""
 
-    kind: ClassVar[str] = "BinomialNoncoprimeEdge"
-    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     gcd: int
 
 
 @dataclass(frozen=True)
-class EdgePolynomialSplits:
+class EdgePolynomialSplits(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """The single edge's polynomial has several distinct complex roots.
 
     Distinct edge roots belong to distinct factors, so the germ is
@@ -178,8 +168,6 @@ class EdgePolynomialSplits:
     candidate for a single root.
     """
 
-    kind: ClassVar[str] = "EdgePolynomialSplits"
-    verdict: ClassVar[str] = SINGULAR_REDUCIBLE
     edge_polynomial: Polynomial
 
 
@@ -227,6 +215,8 @@ class GermQuery:
             raise ZeroPolynomialError(
                 "the germ of 0 is zero at every point, so it is neither a unit nor irreducible")
         object.__setattr__(self, "point", as_point(self.point, self.f.n))
+        if type(self.order) is not int:
+            raise TypeError(f"truncation order must be an int, got {self.order!r}")
         if not 2 <= self.order <= MAX_ORDER:
             raise ValueError(f"truncation order must be at least 2 and at most {MAX_ORDER}")
 

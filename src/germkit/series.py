@@ -31,6 +31,8 @@ class TruncatedSeries:
     __slots__ = ("body", "order")
 
     def __init__(self, body: Polynomial, order: int):
+        if type(order) is not int:
+            raise TypeError(f"truncation order must be an int, got {order!r}")
         if order < 1:
             raise ValueError("truncation order must be a positive integer")
         object.__setattr__(self, "body", body.truncate(order))

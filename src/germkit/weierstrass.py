@@ -164,6 +164,8 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
     d <= N <= MAX_ORDER.  The unit and the coefficient series e_i are
     exact in every term of total degree <= N; terms beyond N are discarded.
     """
+    if type(N) is not int:
+        raise TypeError(f"truncation order must be an int, got {N!r}")
     if N > MAX_ORDER:
         raise ValueError(f"truncation order must be at most {MAX_ORDER}")
     report = regular_order(f, j)

@@ -293,6 +293,10 @@ def test_exit_code_1_on_usage_error():
     assert code == 1 and "out of range" in err
     code, _, err = run("analyze", "--poly", "z1^2", "--point", "0", "--order", "1")
     assert code == 1 and "at least 2" in err
+    # argparse's own wording of an invalid choice differs across Python versions
+    code, out, err = run("demo", "other")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "counterexample" in err
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
@@ -333,6 +337,23 @@ def test_order_above_the_cap_is_an_error(argv):
     assert code == 1 and out == ""
     assert err.startswith("error: truncation order must be")
     assert err.endswith(f"at most {MAX_ORDER}\n")
+
+
+SUBCOMMANDS = ("analyze", "scan", "prepare", "resultant", "discriminant", "coprime", "demo")
+
+
+@pytest.mark.parametrize("argv", [(), *((name,) for name in SUBCOMMANDS)],
+                         ids=["germkit", *SUBCOMMANDS])
+def test_help_goes_to_the_given_stdout(argv):
+    code, out, err = run(*argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(("usage: germkit", *argv)) + " ")
+    if not argv:  # the top-level help lists every subcommand
+        assert all(name in out for name in SUBCOMMANDS)
+
+
+def test_version_goes_to_the_given_stdout():
+    assert run("--version") == (0, f"germkit {__version__}\n", "")
 
 
 def test_exponent_above_the_cap_is_a_parse_error():

@@ -2,7 +2,8 @@
 
 import math
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from germkit.germs import (
 )
 from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries
-from germkit.weierstrass import MAX_ORDER, apply_shear
+from germkit.weierstrass import MAX_ORDER, apply_shear, weierstrass_prepare
 from helpers import random_fraction, random_monomial, random_point, random_poly
 
 F = Fraction
@@ -431,7 +432,16 @@ def test_polygon_verdict_on_edge_polynomials_of_known_roots():
 def test_the_verdict_is_read_from_the_certificate(poly, point, certificate, kind):
     cert = analyze_germ(GermQuery(parse_poly(poly), point, 8)).certificate
     assert cert.kind == certificate
+    assert type(cert).__name__ == cert.kind
     assert germs.GermStatus(cert).kind == cert.verdict == kind
+    # class attributes, so the JSON certificate {"kind", **fields} names neither twice
+    assert not {"kind", "verdict"} & {f.name for f in fields(cert)}
+
+
+def test_a_certificate_without_a_verdict_is_not_declared():
+    with pytest.raises(TypeError):
+        class NoVerdict(germs._Certificate):
+            pass
 
 
 def test_a_status_without_certificate_is_undetermined():
@@ -867,6 +877,22 @@ def test_order_above_the_cap_is_rejected_at_once():
         GermQuery(COUNTEREXAMPLE, (0, 0, 0), MAX_ORDER + 1)
     with pytest.raises(ValueError, match=message):
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (1,), MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("order", [8.5, 8.0, True])
+def test_a_non_int_order_is_a_type_error(order):
+    # the origin and (1, 0, 0) take different cascade stages; only the
+    # second reaches the series kernels, so each entry point checks first
+    message = re.escape(f"truncation order must be an int, got {order!r}") + "$"
+    for call in (
+        lambda: analyze_germ(GermQuery(COUNTEREXAMPLE, (1, 0, 0), order)),
+        lambda: analyze_germ(GermQuery(COUNTEREXAMPLE, (0, 0, 0), order)),
+        lambda: TruncatedSeries(COUNTEREXAMPLE, order),
+        lambda: weierstrass_prepare(COUNTEREXAMPLE, 3, order),
+        lambda: scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (1,), order),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 def test_the_zero_polynomial_is_rejected_as_a_germ():

@@ -607,5 +607,7 @@ def _check_monomial(mono: Sequence[int], n: int) -> Monomial:
 
 
 def _check_var(var: int, n: int) -> None:
+    if type(var) is not int:  # True would pass below as z1, and 3.0 fail as a tuple index
+        raise TypeError(f"variable index must be an int, got {var!r}")
     if not 1 <= var <= n:
         raise VariableIndexError(f"variable index {var} outside 1..{n}")

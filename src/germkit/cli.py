@@ -7,6 +7,10 @@ Text output is deterministic; --json switches to a machine-readable envelope
 lists.  Exit codes: 0 success (an Undetermined analysis is a success), 1
 usage or domain error, 2 syntax error in an input expression.
 
+Every text line and every `result` field come from one list of rows per
+subcommand, each row a (text label, JSON key, value): `_lines` renders the
+text and `_payload` the result, so the two cannot state a fact differently.
+
 Each subcommand loads only the modules it runs: the germ cascade
 (`germkit.germs`) for analyze, scan and demo, the resultants
 (`germkit.elimination`) for resultant, discriminant and coprime, and `json`
@@ -57,7 +61,53 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-# -- JSON payloads ------------------------------------------------------------
+# -- rows: the one serializer ------------------------------------------------
+# A subcommand's output is one list of rows (text label, JSON key, value).  The
+# text is label + _text(value) per row, one line per item of a list value; the
+# JSON result maps each key to its value.  A row without a key is text only,
+# one without a label JSON only, and the text skips a row whose value is None.
+
+
+class _Rows(list):
+    """A nested row list: its lines inline in the text, a dict in the JSON;
+    as an item of a list value, one line of its labelled values."""
+
+
+def _lines(rows):
+    for label, _, value in rows:
+        if label is None or value is None:
+            continue
+        if isinstance(value, _Rows):
+            yield from _lines(value)
+        else:
+            for item in value if isinstance(value, list) else [value]:
+                yield label + _text(item)
+
+
+def _payload(rows) -> dict:
+    def encode(value):
+        if isinstance(value, _Rows):
+            return _payload(value)
+        return [encode(v) for v in value] if isinstance(value, list) else value
+
+    return {key: encode(value) for _, key, value in rows if key is not None}
+
+
+def _text(value) -> str:
+    """How a value reads in the text output."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, Polynomial):
+        return format_poly(value)
+    if isinstance(value, TruncatedSeries):
+        return format_poly(value.body)
+    if isinstance(value, tuple):
+        return _format_point(value)
+    if isinstance(value, _Rows):
+        return "".join(_lines(value))
+    if dataclasses.is_dataclass(value):
+        return _describe_certificate(value)
+    return str(value)
 
 
 def _encode(value):
@@ -74,47 +124,9 @@ def _encode(value):
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
-def _status_payload(status: GermStatus) -> dict:
-    factors = None
-    if status.factors is not None:
-        factors = [fac.body for fac in status.factors]
-    return {
-        "status": status.kind,
-        "certificate": status.certificate,
-        "factors": factors,
-        "reason": status.reason,
-        "applied_change": status.applied_change,
-    }
-
-
-def _scan_payload(report: ScanReport) -> dict:
-    return {
-        "base_point": report.base_point,
-        "base_status": _status_payload(report.base_status),
-        "curve": [_format_curve_coord(c) for c in report.curve],
-        "samples": [
-            {
-                "t": s.t,
-                "point": s.point,
-                "on_locus": s.on_locus,
-                "status": s.status.kind,
-            }
-            for s in report.samples
-        ],
-        "verdict": report.verdict,
-        "witness_t": report.witness.t if report.witness is not None else None,
-        "reason": report.reason,
-    }
-
-
-# -- text rendering -----------------------------------------------------------
-
-
-def _format_curve_coord(c: Polynomial) -> str:
-    return format_poly(c).replace("z1", "t")
-
-
-def _describe_shear(change, j: int) -> str:
+def _describe_shear(change, j: int) -> str | None:
+    if change is None:
+        return None
     steps = []
     for i, c in enumerate(change, start=1):
         if c != 0:
@@ -130,39 +142,46 @@ def _describe_certificate(cert) -> str:
         # are data for checkers, not for the reader
         if cert.symbolic:
             return "MonomialUnitSquare(square root exists but is not rational)"
-        return f"MonomialUnitSquare(root = {format_poly(cert.root.body)})"
+        return f"MonomialUnitSquare(root = {_text(cert.root)})"
     parts = []
     for field in dataclasses.fields(cert):
         value = getattr(cert, field.name)
-        if field.name == "variable":
-            text = f"z{value}"  # a 1-based index; the reader knows it as z<k>
-        elif isinstance(value, Polynomial):
-            text = format_poly(value)
-        elif isinstance(value, tuple):
-            text = _format_point(value)
-        else:
-            text = str(value)
+        # a variable is a 1-based index; the reader knows it as z<k>
+        text = f"z{value}" if field.name == "variable" else _text(value)
         parts.append(f"{field.name} = {text}")
     return f"{cert.kind}(" + ", ".join(parts) + ")"
 
 
-def _status_lines(status: GermStatus, j: int) -> list[str]:
-    lines = [f"status: {status.kind}"]
-    if status.applied_change is not None:
-        lines.append(f"shear: {_describe_shear(status.applied_change, j)}")
-    if status.certificate is not None:
-        lines.append(f"certificate: {_describe_certificate(status.certificate)}")
-    if status.factors is not None:
-        for fac in status.factors:
-            lines.append(f"factor: {format_poly(fac.body)}")
-    if status.reason is not None:
-        lines.append(f"reason: {status.reason}")
-    return lines
+def _status_rows(status: GermStatus, j: int, label: str = "status: ") -> _Rows:
+    factors = None if status.factors is None else [fac.body for fac in status.factors]
+    return _Rows([
+        (label, "status", status.kind),
+        ("shear: ", None, _describe_shear(status.applied_change, j)),
+        ("certificate: ", "certificate", status.certificate),
+        ("factor: ", "factors", factors),
+        ("reason: ", "reason", status.reason),
+        (None, "applied_change", status.applied_change),
+    ])
 
 
-def _sample_line(s) -> str:
-    where = "on locus" if s.on_locus else "off locus"
-    return f"t = {s.t}: point {_format_point(s.point)}, {where}, {s.status.kind}"
+def _scan_rows(report: ScanReport, n: int, order: int) -> _Rows:
+    witness_t = None if report.witness is None else report.witness.t
+    return _Rows([
+        ("base point = ", "base_point", report.base_point),
+        ("", "base_status", _status_rows(report.base_status, n, "base status: ")),
+        ("curve = ", "curve", tuple(format_poly(c).replace("z1", "t") for c in report.curve)),
+        ("order = ", None, order),
+        ("", "samples", [_Rows([
+            ("t = ", "t", s.t),
+            (": point ", "point", s.point),
+            (", ", None, "on locus" if s.on_locus else "off locus"),
+            (None, "on_locus", s.on_locus),
+            (", ", "status", s.status.kind),
+        ]) for s in report.samples]),
+        ("verdict: ", "verdict", report.verdict),
+        ("witness: t = ", "witness_t", witness_t),
+        ("reason: ", "reason", report.reason),
+    ])
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -174,7 +193,7 @@ def _parse_var_flag(text: str | None, n: int) -> int:
         return n
     raw = text.strip()
     digits = raw[1:] if raw.startswith("z") else raw
-    if not digits.isdigit() or int(digits) == 0:
+    if not digits.isdecimal() or int(digits) == 0:  # decimal digits, as in parse_poly
         raise _UsageError(f"--var expects a variable like z2, got {text!r}")
     j = int(digits)
     if j > n:
@@ -207,9 +226,9 @@ def _parse_inputs(ns, *poly_texts):
 
 
 # -- subcommand handlers ------------------------------------------------------
-# Each returns (text lines, result payload); the JSON input echo is every
-# flag in argparse order, with --point and --var as parsed.  demo has no
-# input flags and returns the input it runs on as a third item.
+# Each returns its rows.  The JSON input echo is every flag in argparse order,
+# with --point and --var as parsed; demo has no input flags and puts the input
+# it runs on in their place.
 
 
 def _cmd_analyze(ns):
@@ -217,13 +236,12 @@ def _cmd_analyze(ns):
 
     (f,), point, _ = _parse_inputs(ns, ns.poly)
     status = analyze_germ(GermQuery(f, point, ns.order))
-    lines = [
-        f"f = {format_poly(f)}",
-        f"point = {_format_point(point)}",
-        f"order = {ns.order}",
-        *_status_lines(status, f.n),
+    return [
+        ("f = ", None, f),
+        ("point = ", None, point),
+        ("order = ", None, ns.order),
+        *_status_rows(status, f.n),
     ]
-    return lines, _status_payload(status)
 
 
 def _cmd_scan(ns):
@@ -231,64 +249,32 @@ def _cmd_scan(ns):
 
     (f,), point, _ = _parse_inputs(ns, ns.poly)
     curve = parse_curve(ns.curve, f.n)
-    t_values = parse_rationals(ns.t)
-    report = scan_stability(f, point, curve, t_values, ns.order)
-    curve_text = "(" + ", ".join(_format_curve_coord(c) for c in curve) + ")"
-    base = _status_lines(report.base_status, f.n)
-    lines = [
-        f"f = {format_poly(f)}",
-        f"base point = {_format_point(point)}",
-        "base " + base[0],
-        *base[1:],
-        f"curve = {curve_text}",
-        f"order = {ns.order}",
-    ]
-    lines += [_sample_line(s) for s in report.samples]
-    lines.append(f"verdict: {report.verdict}")
-    if report.witness is not None:
-        lines.append(f"witness: t = {report.witness.t}")
-    if report.reason is not None:
-        lines.append(f"reason: {report.reason}")
-    return lines, _scan_payload(report)
+    report = scan_stability(f, point, curve, parse_rationals(ns.t), ns.order)
+    return [("f = ", None, f), *_scan_rows(report, f.n, ns.order)]
 
 
 def _cmd_prepare(ns):
     (f,), point, j = _parse_inputs(ns, ns.poly)
-    shifted = f.shift(point)
-    sheared, report = make_regular(shifted, j)
-    change = report.applied_change
+    sheared, regularity = make_regular(f.shift(point), j)
+    change = regularity.applied_change
     wd = weierstrass_prepare(sheared, j, ns.order)
-    w = wd.weierstrass_polynomial()
-    ok = wd.multiply_back() == TruncatedSeries(sheared, ns.order)
-
-    lines = [
-        f"f = {format_poly(f)}",
-        f"point = {_format_point(point)}",
-        f"distinguished variable: z{j}",
-        f"order = {ns.order}",
-    ]
-    if change is not None:
-        lines.append(f"shear: {_describe_shear(change, j)}")
-    lines.append(f"degree d = {wd.degree}")
-    lines.append(f"w = {format_poly(w)}")
     embedded = [e.body.insert_variable(j) for e in wd.coefficients]
-    for i, e in enumerate(embedded, start=1):
-        lines.append(f"e_{i} = {format_poly(e)}")
-    lines.append(f"unit = {format_poly(wd.unit.body)}")
-    lines.append(f"u*w agrees with f through total degree {ns.order}: "
-                 + ("yes" if ok else "NO"))
-
-    result = {
-        "degree": wd.degree,
-        "distinguished_var": j,
-        "order": ns.order,
-        "applied_change": change,
-        "weierstrass_polynomial": w,
-        "coefficients": embedded,
-        "unit": wd.unit,
-        "multiply_back_ok": ok,
-    }
-    return lines, result
+    return [
+        ("f = ", None, f),
+        ("point = ", None, point),
+        (None, "degree", wd.degree),
+        ("distinguished variable: z", "distinguished_var", j),
+        ("order = ", "order", ns.order),
+        ("shear: ", None, _describe_shear(change, j)),
+        (None, "applied_change", change),
+        ("degree d = ", None, wd.degree),
+        ("w = ", "weierstrass_polynomial", wd.weierstrass_polynomial()),
+        *((f"e_{i} = ", None, e) for i, e in enumerate(embedded, start=1)),
+        (None, "coefficients", embedded),
+        ("unit = ", "unit", wd.unit),
+        (f"u*w agrees with f through total degree {ns.order}: ", "multiply_back_ok",
+         wd.multiply_back() == TruncatedSeries(sheared, ns.order)),
+    ]
 
 
 def _cmd_eliminate(ns):
@@ -301,7 +287,7 @@ def _cmd_eliminate(ns):
     else:
         (f,), _, j = _parse_inputs(ns, ns.poly)
         r = discriminant(f, j)
-    return [format_poly(r)], {ns.command: format_poly(r), "terms": r, "var": j}
+    return [("", ns.command, format_poly(r)), (None, "terms", r), (None, "var", j)]
 
 
 def _cmd_coprime(ns):
@@ -310,34 +296,21 @@ def _cmd_coprime(ns):
     (g, h), point, j = _parse_inputs(ns, ns.g, ns.h)
     rep = coprime_at(g, h, point, j)
     r = rep.resultant_poly
-    discrete = zero_set_discrete(r, tuple(Fraction(0) for _ in range(r.n)))
-
-    lines = [
-        f"g = {format_poly(g)}",
-        f"h = {format_poly(h)}",
-        f"point = {_format_point(point)}",
-        f"eliminated variable: z{j}",
+    return [
+        ("g = ", None, g),
+        ("h = ", None, h),
+        ("point = ", None, point),
+        ("eliminated variable: z", None, j),
+        ("shear: ", None, _describe_shear(rep.applied_change, j)),
+        ("resultant (remaining variables renumbered): ", "resultant", format_poly(r)),
+        (None, "terms", r),
+        (None, "var", j),
+        (None, "applied_change", rep.applied_change),
+        ("germs coprime at the point: ", "coprime", rep.coprime_germ_at_point),
+        ("resultant vanishes at the point: ", "vanishes_at_point", rep.vanishing_at_point),
+        ("resultant zero set discrete near the point: ", "zero_set_discrete",
+         zero_set_discrete(r, tuple(Fraction(0) for _ in range(r.n)))),
     ]
-    if rep.applied_change is not None:
-        lines.append(f"shear: {_describe_shear(rep.applied_change, j)}")
-    lines.append(f"resultant (remaining variables renumbered): {format_poly(r)}")
-    lines.append("germs coprime at the point: "
-                 + ("yes" if rep.coprime_germ_at_point else "no"))
-    lines.append("resultant vanishes at the point: "
-                 + ("yes" if rep.vanishing_at_point else "no"))
-    lines.append("resultant zero set discrete near the point: "
-                 + ("yes" if discrete else "no"))
-
-    result = {
-        "resultant": format_poly(r),
-        "terms": r,
-        "var": j,
-        "applied_change": rep.applied_change,
-        "coprime": rep.coprime_germ_at_point,
-        "vanishes_at_point": rep.vanishing_at_point,
-        "zero_set_discrete": discrete,
-    }
-    return lines, result
 
 
 def _cmd_demo(ns):
@@ -353,52 +326,36 @@ def _cmd_demo(ns):
     a, b = near.status.factors
     target, _ = make_regular(f.shift(near.point), 3)
     multiply_back = a * b == TruncatedSeries(target, N)
+    del ns.topic, ns.order  # the echo is the input the demo runs on
+    vars(ns).update(poly=DEMO_POLY, point=origin, curve=DEMO_CURVE, t=DEMO_T_VALUES, order=N)
 
-    lines = [
-        "counterexample: local irreducibility is not stable in three variables",
-        "",
-        f"f = {format_poly(f)}",
-        "",
-        "[1] analyze at the origin",
-        *_status_lines(report.base_status, 3),
-        "",
-        f"[2] analyze at {_format_point(near.point)}",
-        *_status_lines(near.status, 3),
-        f"factors multiply back to f at {_format_point(near.point)}: "
-        + ("yes" if multiply_back else "NO")
-        + f" (through total degree {N})",
-        "",
-        "[3] scan along (t, 0, 0) with t in {" + DEMO_T_VALUES.replace(",", ", ") + "}",
+    # the scan's text is its samples and verdict alone; its JSON is all of it
+    scan = _Rows((label if key in ("samples", "verdict") else None, key, value)
+                 for label, key, value in _scan_rows(report, 3, N))
+    return [
+        ("counterexample: local irreducibility is not stable in three variables", None, ""),
+        ("", None, ""),
+        ("f = ", "poly", DEMO_POLY),
+        ("", None, ""),
+        ("[1] analyze at the origin", None, ""),
+        ("", "origin", _Rows([(None, "point", origin),
+                              *_status_rows(report.base_status, 3)])),
+        ("", None, ""),
+        ("", "nearby", _Rows([
+            ("[2] analyze at ", "point", near.point),
+            *_status_rows(near.status, 3),
+            (f"factors multiply back to f at {_text(near.point)}: ", None,
+             f"{_text(multiply_back)} (through total degree {N})"),
+            (None, "factors_multiply_back", multiply_back),
+        ])),
+        ("", None, ""),
+        ("[3] scan along (t, 0, 0) with t in {" + DEMO_T_VALUES.replace(",", ", ") + "}",
+         None, ""),
+        ("", "scan", scan),
+        ("", None, ""),
+        ("f is irreducible at the origin yet reducible at (t, 0, 0) for every", None, ""),
+        ("sampled t != 0, so irreducibility fails arbitrarily close to the origin.", None, ""),
     ]
-    lines += [_sample_line(s) for s in report.samples]
-    lines += [
-        f"verdict: {report.verdict}",
-        "",
-        "f is irreducible at the origin yet reducible at (t, 0, 0) for every",
-        "sampled t != 0, so irreducibility fails arbitrarily close to the origin.",
-    ]
-
-    inputs = {
-        "poly": DEMO_POLY,
-        "point": origin,
-        "curve": DEMO_CURVE,
-        "t": DEMO_T_VALUES,
-        "order": N,
-    }
-    result = {
-        "poly": DEMO_POLY,
-        "origin": {
-            "point": origin,
-            **_status_payload(report.base_status),
-        },
-        "nearby": {
-            "point": near.point,
-            **_status_payload(near.status),
-            "factors_multiply_back": multiply_back,
-        },
-        "scan": _scan_payload(report),
-    }
-    return lines, result, inputs
 
 
 # -- parser and entry points --------------------------------------------------
@@ -479,22 +436,22 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         with contextlib.redirect_stdout(out):  # --help and --version print here
             ns = _build_parser().parse_args(argv)
         started = time.perf_counter()
-        lines, result, *fixed_input = ns.run(ns)
+        rows = ns.run(ns)
         if ns.json:
             import json
 
-            flags = {k: v for k, v in vars(ns).items() if k not in ("command", "json", "run")}
             envelope = {
                 "tool": "germkit",
                 "version": __version__,
                 "command": ns.command,
-                "input": fixed_input[0] if fixed_input else flags,
-                "result": result,
+                "input": {k: v for k, v in vars(ns).items()
+                          if k not in ("command", "json", "run")},
+                "result": _payload(rows),
                 "timing_ms": round((time.perf_counter() - started) * 1000, 3),
             }
             text = json.dumps(envelope, indent=2, default=_encode)
         else:
-            text = "\n".join(lines)
+            text = "\n".join(_lines(rows))
     except SystemExit as exc:  # --help / --version print and exit themselves
         return int(exc.code or 0)
     except ParseError as exc:

@@ -299,6 +299,14 @@ def test_exit_code_1_on_usage_error():
     assert err.startswith("usage error:") and "counterexample" in err
 
 
+@pytest.mark.parametrize("var", ["¹", "z²"])
+def test_var_takes_decimal_digits_only(var):
+    # superscripts are digits to str.isdigit but not to int(), nor to parse_poly
+    code, out, err = run("prepare", "--poly", "z3^2 - z1*z2^2", "--var", var)
+    assert code == 1 and out == ""
+    assert err == f"usage error: --var expects a variable like z2, got {var!r}\n"
+
+
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
 def test_the_zero_polynomial_is_an_error_about_the_germ(json_flag):
     message = "error: the germ of 0 is zero at every point, so it is neither a unit nor irreducible\n"
@@ -498,6 +506,52 @@ def test_shear_invariant_kernel_is_regularized_by_every_command():
     code, out, err = run("coprime", "--g", poly, "--h", "z3 - z1", "--point", "0,0,0")
     assert code == 0 and err == ""
     assert "shear: z2 <- z2 + 1*z3\n" in out
+
+
+def test_scan_reports_off_locus_samples_in_text_and_json():
+    # (t, t, 0) leaves the zero locus of z3^2 - z1*z2^2 at every t != 0
+    scan = ("scan", "--poly", "z3^2 - z1*z2^2", "--point", "0,0,0",
+            "--curve", "t,t,0", "--t", "1,-1/3")
+    code, out, err = run(*scan)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-4:] == [
+        "t = 1: point (1, 1, 0), off locus, Unit",
+        "t = -1/3: point (-1/3, -1/3, 0), off locus, Unit",
+        "verdict: Inconclusive",
+        "reason: no sample with t != 0 lies on the zero locus",
+    ]
+    code, out, err = run(*scan, "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["samples"] == [
+        {"t": "1", "point": ["1", "1", "0"], "on_locus": False, "status": "Unit"},
+        {"t": "-1/3", "point": ["-1/3", "-1/3", "0"], "on_locus": False, "status": "Unit"},
+    ]
+    assert result["verdict"] == "Inconclusive" and result["witness_t"] is None
+    assert result["reason"] == "no sample with t != 0 lies on the zero locus"
+
+
+def test_prepare_reports_its_shear_in_text_and_json():
+    prepare = ("prepare", "--poly", "z1^2*z3 - z2*z3^2", "--point", "0,0,0")
+    code, out, err = run(*prepare)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:7] == [
+        "distinguished variable: z3",
+        "order = 8",
+        "shear: z2 <- z2 + 1*z3",
+        "degree d = 3",
+        "w = -1*z1^2*z3 + z2*z3^2 + z3^3",
+    ]
+    code, out, err = run(*prepare, "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert list(result) == [
+        "degree", "distinguished_var", "order", "applied_change", "weierstrass_polynomial",
+        "coefficients", "unit", "multiply_back_ok",
+    ]
+    assert result["applied_change"] == ["0", "1", "0"]
+    assert result["degree"] == 3 and result["distinguished_var"] == 3
+    assert result["multiply_back_ok"] is True
 
 
 # -- flag values and streams ---------------------------------------------------------

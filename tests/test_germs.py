@@ -34,7 +34,8 @@ from germkit.germs import (
 )
 from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries
-from germkit.weierstrass import MAX_ORDER, apply_shear, weierstrass_prepare
+from germkit.elimination import resultant
+from germkit.weierstrass import MAX_ORDER, apply_shear, make_regular, weierstrass_prepare
 from helpers import random_fraction, random_monomial, random_point, random_poly
 
 F = Fraction
@@ -894,6 +895,21 @@ def test_a_non_int_order_is_a_type_error(order):
         with pytest.raises(TypeError, match=message):
             call()
 
+
+
+@pytest.mark.parametrize("var", [3.0, True])
+def test_a_non_int_variable_index_is_a_type_error(var):
+    # 3.0 failed to index a tuple, and True passed the range check as z1
+    message = re.escape(f"variable index must be an int, got {var!r}") + "$"
+    for call in (
+        lambda: make_regular(COUNTEREXAMPLE, var),
+        lambda: weierstrass_prepare(COUNTEREXAMPLE, var, 8),
+        lambda: resultant(COUNTEREXAMPLE, COUNTEREXAMPLE, var),
+        lambda: COUNTEREXAMPLE.degree_in(var),
+        lambda: newton_polygon(CUSP, var),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 def test_the_zero_polynomial_is_rejected_as_a_germ():
     message = "the germ of 0 is zero at every point, so it is neither a unit nor irreducible"

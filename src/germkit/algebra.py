@@ -247,6 +247,8 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, k: int) -> "Polynomial":
+        if type(k) is not int:  # True would pass as 1, and 2.0 fail inside range()
+            raise TypeError(f"polynomial exponent must be an int, got {k!r}")
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if k == 0:
@@ -358,6 +360,8 @@ class Polynomial:
 
     def insert_variable(self, position: int) -> "Polynomial":
         """Embed into n+1 variables with a fresh unused slot at a 1-based position."""
+        if type(position) is not int:  # True would pass as 1, and 1.0 fail as a slice index
+            raise TypeError(f"insert position must be an int, got {position!r}")
         if not 1 <= position <= self.n + 1:
             raise VariableIndexError(f"insert position {position} outside 1..{self.n + 1}")
         i = position - 1

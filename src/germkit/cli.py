@@ -33,8 +33,8 @@ from . import __version__
 from .algebra import Polynomial, as_point
 from .errors import GermkitError, ParseError, VariableIndexError
 from .parsing import _format_point, format_poly, parse_curve, parse_poly, parse_rationals
-from .series import TruncatedSeries
-from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
+from .series import DEFAULT_ORDER, MAX_ORDER, TruncatedSeries
+from .weierstrass import make_regular, weierstrass_prepare
 
 if TYPE_CHECKING:
     from .germs import GermStatus, ScanReport
@@ -363,8 +363,9 @@ def _cmd_demo(ns):
 
 def _add_common(sub, run, order=True):
     if order:
-        sub.add_argument("--order", type=int, default=8,
-                         help=f"series truncation order N, at most {MAX_ORDER} (default 8)")
+        sub.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                         help=f"series truncation order N, at most {MAX_ORDER} "
+                              f"(default {DEFAULT_ORDER})")
     sub.add_argument("--json", action="store_true",
                      help="emit a JSON report instead of text")
     sub.set_defaults(run=run)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Polynomial, _check_var, _monomial_multiple, as_point, as_rational
+from .algebra import Polynomial, _monomial_multiple, as_point, as_rational
 from .errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
@@ -49,8 +49,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .parsing import _format_point
-from .series import TruncatedSeries, ts_sqrt
-from .weierstrass import MAX_ORDER, make_regular, weierstrass_prepare
+from .series import DEFAULT_ORDER, TruncatedSeries, _check_order, ts_sqrt
+from .weierstrass import make_regular, weierstrass_prepare
 
 # -- certificates -----------------------------------------------------------
 
@@ -208,17 +208,14 @@ class GermQuery:
 
     f: Polynomial
     point: tuple
-    order: int = 8
+    order: int = DEFAULT_ORDER
 
     def __post_init__(self):
         if self.f.is_zero():
             raise ZeroPolynomialError(
                 "the germ of 0 is zero at every point, so it is neither a unit nor irreducible")
         object.__setattr__(self, "point", as_point(self.point, self.f.n))
-        if type(self.order) is not int:
-            raise TypeError(f"truncation order must be an int, got {self.order!r}")
-        if not 2 <= self.order <= MAX_ORDER:
-            raise ValueError(f"truncation order must be at least 2 and at most {MAX_ORDER}")
+        _check_order(self.order, low=2)
 
 
 # -- local square test --------------------------------------------------------
@@ -259,7 +256,7 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
 
 
 def _exact_root(F: Polynomial, k: int) -> Polynomial | None:
-    """R with R^k = F / lc(F) and leading coefficient 1, or None; F is nonzero.
+    """R with R^k = F / lc(F) and leading coefficient 1, or None; F is nonzero, k >= 2.
 
     Such an R is unique (two differ by a k-th root of unity, fixed by the
     leading coefficient), so it is Galois-fixed, hence rational, whenever F
@@ -276,8 +273,8 @@ def _exact_root(F: Polynomial, k: int) -> Polynomial | None:
     if any(e % k for e in lead):
         return None
     top = tuple(e // k for e in lead)
-    # R^0 .. R^(k-1), and R itself when k = 1
-    powers = [Polynomial.monomial(F.n, tuple(e * i for e in top)) for i in range(max(k, 2))]
+    # R^0 .. R^(k-1)
+    powers = [Polynomial.monomial(F.n, tuple(e * i for e in top)) for i in range(k)]
     rem = F * (1 / lc) - Polynomial.monomial(F.n, lead)
     while not rem.is_zero():
         mono, c = rem.leading_term()
@@ -293,8 +290,8 @@ def _exact_root(F: Polynomial, k: int) -> Polynomial | None:
     return powers[1]
 
 
-def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus | None:
-    """Classify the germ f = a*t^2 + b*t + c, t = z_j, by its exact discriminant.
+def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
+    """Classify the germ f = a*t^2 + b*t + c, t = z_n, by its exact discriminant.
 
     None unless a is a nonzero rational constant and b(0) = c(0) = 0.  Then
     f / a = t^2 + e1*t + e2 is exactly the germ's Weierstrass polynomial,
@@ -304,6 +301,7 @@ def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus | None:
     C but has no rational representation the verdict is still reducible,
     with factors omitted (the symbolic case).
     """
+    j = f.n
     coeffs = f.coefficients_in(j)
     if len(coeffs) != 3 or coeffs[2].total_degree() != 0:
         return None
@@ -332,8 +330,8 @@ def quadratic_germ_test(f: Polynomial, j: int, N: int) -> GermStatus | None:
 class PolygonEdge:
     """One edge of the lower hull, with its lattice data and edge polynomial.
 
-    Coordinates are (i, j) = (exponent of the base variable, exponent of
-    the distinguished variable).  The edge polynomial collects the
+    Coordinates are (i, j) = (exponent of z1, the base variable, exponent
+    of z2, the distinguished variable).  The edge polynomial collects the
     coefficients at the gcd(di,dj)+1 lattice points along the edge, as a
     univariate polynomial in the edge parameter.
     """
@@ -344,29 +342,28 @@ class PolygonEdge:
     edge_polynomial: Polynomial
 
 
-def newton_polygon(f: Polynomial, j: int) -> tuple:
-    """The edges of the Newton polygon of a bivariate germ at the origin, regular in z_j.
+def newton_polygon(f: Polynomial) -> tuple:
+    """The edges of the Newton polygon of a bivariate germ at the origin, regular in z2.
 
     The polygon is the lower convex hull of the support; its PolygonEdges
     come in order from (0, d) down.  The hull is read from the exact
     polynomial.  By preparation f = u * w with u a unit, whose Newton
     polygon is the whole quadrant, so f and its Weierstrass polynomial w
-    have the same edges, and f's edge polynomials are u(0) times w's.  Dividing them by the coefficient at (0, d), which
-    is u(0) since w is monic, gives w's.  Requires f(0) = 0, f regular of
-    order d in z_j, and f(z', 0) != 0 (otherwise z_j divides f and the
-    polygon never reaches the base axis: DistinguishedVarDividesError).
+    have the same edges, and f's edge polynomials are u(0) times w's.
+    Dividing them by the coefficient at (0, d), which is u(0) since w is
+    monic, gives w's.  Requires f(0) = 0, f regular of order d in z2, and
+    f(z1, 0) != 0 (otherwise z2 divides f and the polygon never reaches
+    the base axis: DistinguishedVarDividesError).
     """
     if f.n != 2:
         raise DimensionMismatchError("Newton polygon is defined for bivariate germs")
-    _check_var(j, f.n)
-    x = 1 if j == 2 else 2
-    coeffs = {(m[x - 1], m[j - 1]): c for m, c in f.terms()}
+    coeffs = dict(f.terms())
     d = min((jj for (i, jj) in coeffs if i == 0), default=0)
     if d == 0:
-        raise NotRegularError(f"the germ is a unit or not regular in z{j}")
+        raise NotRegularError("the germ is a unit or not regular in z2")
     m0 = min((i for (i, jj) in coeffs if jj == 0), default=None)
     if m0 is None:
-        raise DistinguishedVarDividesError(f"z{j} divides the germ")
+        raise DistinguishedVarDividesError("z2 divides the germ")
     u0 = coeffs[(0, d)]
 
     best: dict[int, int] = {}
@@ -471,9 +468,9 @@ def analyze_germ(query: GermQuery) -> GermStatus:
             factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
         cert = DistinguishedVarDivides(variable=j, multiplicity=k)
         status = GermStatus(cert, factors=factors)
-    elif (status := quadratic_germ_test(sheared, j, N)) is None:
+    elif (status := quadratic_germ_test(sheared, N)) is None:
         if n == 2:
-            status = polygon_verdict(newton_polygon(sheared, j))
+            status = polygon_verdict(newton_polygon(sheared))
         else:
             shape = f"2 (but not a*z{j}^2 + b*z{j} + c, a constant)" if d == 2 else ">= 3"
             status = GermStatus(reason=f"Weierstrass degree {shape} in dimension >= 3 is "
@@ -527,13 +524,7 @@ class ScanReport:
         return "Stable-evidence" if self.witness is None else "Unstable"
 
 
-def scan_stability(
-    f: Polynomial,
-    p,
-    curve,
-    t_values,
-    N: int = 8,
-) -> ScanReport:
+def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) -> ScanReport:
     """Classify f along a rational curve and judge stability of irreducibility.
 
     `curve` is one univariate coordinate polynomial per variable of f, in

@@ -88,7 +88,7 @@ def test_criterion_3_dimension_two_stability_evidence():
     assert origin.kind == "SingularIrreducible"
 
     # polygon certificate for the same germ, read from the exact polynomial
-    verdict = polygon_verdict(newton_polygon(CUSP, 2))
+    verdict = polygon_verdict(newton_polygon(CUSP))
     assert verdict.kind == "SingularIrreducible"
     assert verdict.certificate.kind == "BinomialCoprimeEdge"
     assert (verdict.certificate.d, verdict.certificate.m) == (2, 3)

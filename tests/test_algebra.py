@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -639,6 +640,17 @@ def test_coefficients_in_reconstructs():
         for k, c in enumerate(coeffs):
             rebuilt = rebuilt + c * z2**k
         assert rebuilt == f
+
+
+@pytest.mark.parametrize("value", [True, 2.0, F(2)])
+def test_a_non_int_exponent_or_insert_position_is_a_type_error(value):
+    # True passed as 1, and 2.0 failed with a bare "cannot be interpreted as an integer"
+    f = Polynomial(3, {(1, 0, 2): 1, (0, 0, 1): -2})
+    got = re.escape(f" must be an int, got {value!r}") + "$"
+    with pytest.raises(TypeError, match="polynomial exponent" + got):
+        f ** value
+    with pytest.raises(TypeError, match="insert position" + got):
+        f.insert_variable(value)
 
 
 def test_drop_and_insert_variable_are_inverse():

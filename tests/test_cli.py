@@ -17,8 +17,7 @@ from germkit import __version__
 from germkit.algebra import Polynomial
 from germkit.cli import run_cli
 from germkit.parsing import MAX_EXPONENT, MAX_TERMS
-from germkit.series import TruncatedSeries
-from germkit.weierstrass import MAX_ORDER
+from germkit.series import MAX_ORDER, TruncatedSeries
 
 GOLDEN = Path(__file__).parent / "data" / "demo_counterexample.txt"
 README_CLI = Path(__file__).parent / "data" / "readme_cli"

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from germkit.errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
     NotRegularError,
-    VariableIndexError,
     ZeroPolynomialError,
 )
 from germkit.germs import (
@@ -33,15 +33,17 @@ from germkit.germs import (
     scan_stability,
 )
 from germkit.parsing import parse_poly
-from germkit.series import TruncatedSeries
+from germkit.series import MAX_ORDER, TruncatedSeries, ts_inverse, ts_sqrt
 from germkit.elimination import resultant
-from germkit.weierstrass import MAX_ORDER, apply_shear, make_regular, weierstrass_prepare
+from germkit.weierstrass import apply_shear, make_regular, weierstrass_prepare
 from helpers import random_fraction, random_monomial, random_point, random_poly
 
 F = Fraction
 
 COUNTEREXAMPLE = Polynomial(3, {(0, 0, 2): 1, (1, 2, 0): -1})  # z3^2 - z1*z2^2
 CUSP = Polynomial(2, {(0, 2): 1, (3, 0): -1})  # z2^2 - z1^3
+ONE_PLUS_Z1 = Polynomial(1, {(0,): 1, (1,): 1})
+MONOMIAL_TIMES_UNIT = Polynomial(2, {(2, 0): 1, (2, 1): 1})  # z1^2*(1 + z2)
 
 
 # -- is_local_square --------------------------------------------------------------
@@ -168,11 +170,11 @@ def _monic(p):
 
 
 def test_exact_root_recovers_seeded_powers():
-    # F = a * R^k for R in 1-4 variables, not only forms: the root with
-    # leading coefficient 1 is R / lc(R), and lc(F) * root^k is F again
+    # F = a * R^k, k >= 2, for R in 1-4 variables, not only forms: the root
+    # with leading coefficient 1 is R / lc(R), and lc(F) * root^k is F again
     rng = random.Random(1301)
     for _ in range(150):
-        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        n, k = rng.randint(1, 4), rng.randint(2, 4)
         r = _monic(random_poly(rng, n, 3, 4, nonzero=True))
         f = r ** k * _nonzero_fraction(rng)
         root = germs._exact_root(f, k)
@@ -226,7 +228,7 @@ def test_exact_root_decides_edge_polynomials_by_their_closed_form():
 
 
 def test_quadratic_counterexample_at_origin_is_irreducible():
-    status = quadratic_germ_test(COUNTEREXAMPLE, 3, 8)
+    status = quadratic_germ_test(COUNTEREXAMPLE, 8)
     assert status.kind == "SingularIrreducible"
     assert status.certificate.kind == "OddVariableOrder"
     assert status.certificate.variable == 1 and status.certificate.order == 1
@@ -234,7 +236,7 @@ def test_quadratic_counterexample_at_origin_is_irreducible():
 
 def test_quadratic_shifted_counterexample_splits():
     shifted = COUNTEREXAMPLE.shift((1, 0, 0))
-    status = quadratic_germ_test(shifted, 3, 8)
+    status = quadratic_germ_test(shifted, 8)
     assert status.kind == "SingularReducible"
     a, b = status.factors
     # factors z3 -/+ z2*(1 + z1/2 - z1^2/8 + ...)
@@ -263,7 +265,7 @@ def test_quadratic_double_root():
     # z2^2: e1 = e2 = 0, so D = 0, which no certificate states
     # (analyze_germ certifies this germ by DistinguishedVarDivides instead)
     w = Polynomial(2, {(0, 2): 1})
-    status = quadratic_germ_test(w, 2, 8)
+    status = quadratic_germ_test(w, 8)
     assert status.kind == "Undetermined" and status.factors is None
 
 
@@ -272,7 +274,7 @@ def test_quadratic_discriminant_is_exact():
     # discriminant of an order-8 preparation would keep 8*z1^4*z2^5 + 4*z2^10
     r = Polynomial(3, {(0, 0, 1): 1, (4, 0, 0): 1, (0, 5, 0): 1})
     for N in (2, 8, MAX_ORDER):
-        status = quadratic_germ_test(r * r, 3, N)
+        status = quadratic_germ_test(r * r, N)
         assert status.kind == "Undetermined"
         assert status.reason == "the discriminant is zero: the germ is a constant times a square"
 
@@ -289,7 +291,7 @@ def test_analyze_discriminant_above_the_order_is_decided():
 def test_quadratic_symbolic_split_omits_factors():
     # shifted to (1/2, 0, 0): discriminant constant 4*(1/2) has no rational root
     shifted = COUNTEREXAMPLE.shift((F(1, 2), 0, 0))
-    status = quadratic_germ_test(shifted, 3, 8)
+    status = quadratic_germ_test(shifted, 8)
     assert status.kind == "SingularReducible"
     assert status.factors is None
     assert status.certificate.kind == "MonomialUnitSquare"
@@ -304,21 +306,21 @@ def test_quadratic_requires_degree_two():
         "z2^2 + z2 - z1^3",  # b(0) != 0: regular of order 1, not 2
         "z2^2 + 1",  # c(0) != 0: a unit
     ):
-        assert quadratic_germ_test(parse_poly(poly), 2, 8) is None
+        assert quadratic_germ_test(parse_poly(poly), 8) is None
 
 
 # -- Newton polygon ------------------------------------------------------------------
 
 
 def test_polygon_of_cusp():
-    (edge,) = newton_polygon(CUSP, 2)
+    (edge,) = newton_polygon(CUSP)
     assert edge.start == (0, 2) and edge.end == (3, 0)
     assert edge.lattice_gcd == 1
 
 
 def test_polygon_of_even_binomial():
     w = Polynomial(2, {(0, 2): 1, (2, 0): -1})  # z2^2 - z1^2
-    (edge,) = newton_polygon(w, 2)
+    (edge,) = newton_polygon(w)
     assert edge.start == (0, 2) and edge.end == (2, 0)
     assert edge.lattice_gcd == 2
 
@@ -326,24 +328,18 @@ def test_polygon_of_even_binomial():
 def test_polygon_with_two_edges():
     # (z2^2 - z1^3)(z2 - z1) expanded
     w = Polynomial(2, {(0, 3): 1, (1, 2): -1, (3, 1): -1, (4, 0): 1})
-    edges = newton_polygon(w, 2)
+    edges = newton_polygon(w)
     assert [(e.start, e.end) for e in edges] == [((0, 3), (1, 2)), ((1, 2), (4, 0))]
 
 
 def test_polygon_requires_bivariate_and_nonzero_tail():
     with pytest.raises(DimensionMismatchError):
-        newton_polygon(COUNTEREXAMPLE, 3)
+        newton_polygon(COUNTEREXAMPLE)
     w = Polynomial(2, {(0, 2): 1, (1, 1): 1})  # z2^2 + z1*z2: z2 divides it
     with pytest.raises(DistinguishedVarDividesError):
-        newton_polygon(w, 2)
+        newton_polygon(w)
     with pytest.raises(NotRegularError):
-        newton_polygon(Polynomial(2, {(1, 1): 1, (3, 0): 1}), 2)  # z1*z2 + z1^3
-
-
-def test_polygon_checks_the_variable_index():
-    for j in (3, -1, 0):
-        with pytest.raises(VariableIndexError, match=f"variable index {j} outside 1..2"):
-            newton_polygon(CUSP, j)
+        newton_polygon(Polynomial(2, {(1, 1): 1, (3, 0): 1}))  # z1*z2 + z1^3
 
 
 def test_polygon_edges_are_those_of_the_weierstrass_polynomial():
@@ -351,38 +347,38 @@ def test_polygon_edges_are_those_of_the_weierstrass_polynomial():
     # read from f equal those read from w, whose (0, d) coefficient is 1
     w = Polynomial(2, {(0, 3): 1, (1, 2): -1, (3, 1): -1, (4, 0): 1})
     u = Polynomial(2, {(0, 0): 3, (1, 0): 1, (0, 1): -2, (2, 1): 5})
-    from_f, from_w = newton_polygon(u * w, 2), newton_polygon(w, 2)
+    from_f, from_w = newton_polygon(u * w), newton_polygon(w)
     assert from_f == from_w and from_w[0].start == (0, 3)
 
 
 def test_polygon_verdicts():
-    cusp_status = polygon_verdict(newton_polygon(CUSP, 2))
+    cusp_status = polygon_verdict(newton_polygon(CUSP))
     assert cusp_status.kind == "SingularIrreducible"
     assert cusp_status.certificate.kind == "BinomialCoprimeEdge"
     assert (cusp_status.certificate.d, cusp_status.certificate.m) == (2, 3)
 
     even = Polynomial(2, {(0, 2): 1, (2, 0): -1})
-    even_status = polygon_verdict(newton_polygon(even, 2))
+    even_status = polygon_verdict(newton_polygon(even))
     assert even_status.kind == "SingularReducible"
     assert even_status.certificate.kind == "BinomialNoncoprimeEdge"
     assert even_status.certificate.gcd == 2
 
     two_edge = Polynomial(2, {(0, 3): 1, (1, 2): -1, (3, 1): -1, (4, 0): 1})
-    te_status = polygon_verdict(newton_polygon(two_edge, 2))
+    te_status = polygon_verdict(newton_polygon(two_edge))
     assert te_status.kind == "SingularReducible"
     assert te_status.certificate.kind == "MultiEdgePolygon"
     assert te_status.certificate.edge_count == 2
     assert te_status.factors is None  # polygon verdicts carry no explicit factors
 
     splits = Polynomial(2, {(0, 2): 1, (1, 1): -3, (2, 0): 2})  # (z2-z1)(z2-2z1)
-    sp_status = polygon_verdict(newton_polygon(splits, 2))
+    sp_status = polygon_verdict(newton_polygon(splits))
     assert sp_status.kind == "SingularReducible"
     assert sp_status.certificate.kind == "EdgePolynomialSplits"
     # edge polynomial 1 - 3*z1 + 2*z1^2 = (1 - z1)(1 - 2*z1)
     assert sp_status.certificate.edge_polynomial == Polynomial(1, {(0,): 1, (1,): -3, (2,): 2})
 
     power = Polynomial(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})  # (z2 - z1)^2
-    pw_status = polygon_verdict(newton_polygon(power, 2))
+    pw_status = polygon_verdict(newton_polygon(power))
     assert pw_status.kind == "Undetermined"
 
 
@@ -405,7 +401,7 @@ def test_polygon_verdict_on_edge_polynomials_of_known_roots():
         if edge.term_count() == 2:
             continue  # binomial edges have their own certificates
         f = Polynomial(2, {(m[0], g - m[0]): c for m, c in edge.terms()})
-        status = polygon_verdict(newton_polygon(f, 2))
+        status = polygon_verdict(newton_polygon(f))
         if len(roots) == 1:
             assert status.kind == "Undetermined", edge
         else:
@@ -686,9 +682,9 @@ def test_quadratic_and_polygon_verdicts_agree_when_both_decide():
         w = z2 * z2 + e1.insert_variable(2) * z2 + e2.insert_variable(2)
         if w.evaluate((F(0), F(0))) != 0 or w.gradient_at((F(0), F(0))) != (0, 0):
             continue  # not singular at the origin; analyzers disagree by design
-        quad = quadratic_germ_test(w, 2, 8)
+        quad = quadratic_germ_test(w, 8)
         try:
-            poly_status = polygon_verdict(newton_polygon(w, 2))
+            poly_status = polygon_verdict(newton_polygon(w))
         except DistinguishedVarDividesError:
             continue
         if "Undetermined" in (quad.kind, poly_status.kind):
@@ -873,11 +869,24 @@ def test_scan_requires_curve_through_base_point():
 
 
 def test_order_above_the_cap_is_rejected_at_once():
-    message = f"truncation order must be at least 2 and at most {MAX_ORDER}"
-    with pytest.raises(ValueError, match=message):
-        GermQuery(COUNTEREXAMPLE, (0, 0, 0), MAX_ORDER + 1)
-    with pytest.raises(ValueError, match=message):
-        scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (1,), MAX_ORDER + 1)
+    # every series checks its order, so each call below fails before any
+    # series work, as GermQuery and weierstrass_prepare do
+    big = MAX_ORDER + 1
+    for low, call in (
+        (1, lambda: TruncatedSeries(ONE_PLUS_Z1, big)),
+        (1, lambda: ts_inverse(TruncatedSeries(ONE_PLUS_Z1, big))),
+        (1, lambda: ts_sqrt(TruncatedSeries(ONE_PLUS_Z1, big))),
+        (1, lambda: is_local_square(MONOMIAL_TIMES_UNIT, big)),
+        (1, lambda: quadratic_germ_test(COUNTEREXAMPLE.shift((1, 0, 0)), big)),
+        (1, lambda: weierstrass_prepare(COUNTEREXAMPLE, 3, big)),
+        (2, lambda: GermQuery(COUNTEREXAMPLE, (0, 0, 0), big)),
+        (2, lambda: scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (1,), big)),
+    ):
+        message = f"truncation order must be at least {low} and at most {MAX_ORDER}$"
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("order", [8.5, 8.0, True])
@@ -889,6 +898,8 @@ def test_a_non_int_order_is_a_type_error(order):
         lambda: analyze_germ(GermQuery(COUNTEREXAMPLE, (1, 0, 0), order)),
         lambda: analyze_germ(GermQuery(COUNTEREXAMPLE, (0, 0, 0), order)),
         lambda: TruncatedSeries(COUNTEREXAMPLE, order),
+        lambda: ts_sqrt(TruncatedSeries(ONE_PLUS_Z1, order)),
+        lambda: is_local_square(MONOMIAL_TIMES_UNIT, order),
         lambda: weierstrass_prepare(COUNTEREXAMPLE, 3, order),
         lambda: scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (1,), order),
     ):
@@ -906,7 +917,6 @@ def test_a_non_int_variable_index_is_a_type_error(var):
         lambda: weierstrass_prepare(COUNTEREXAMPLE, var, 8),
         lambda: resultant(COUNTEREXAMPLE, COUNTEREXAMPLE, var),
         lambda: COUNTEREXAMPLE.degree_in(var),
-        lambda: newton_polygon(CUSP, var),
     ):
         with pytest.raises(TypeError, match=message):
             call()

@@ -8,8 +8,7 @@ import pytest
 from germkit.algebra import Polynomial, _truncated_product, rational_sqrt
 from germkit.errors import NotAUnitError
 from germkit.parsing import parse_poly
-from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
-from germkit.weierstrass import MAX_ORDER
+from germkit.series import MAX_ORDER, TruncatedSeries, ts_inverse, ts_sqrt
 from helpers import big_denominator_poly, random_fraction, random_monomial, random_poly
 
 F = Fraction

@@ -14,9 +14,8 @@ from germkit.errors import (
     VariableIndexError,
     ZeroPolynomialError,
 )
-from germkit.series import TruncatedSeries
+from germkit.series import MAX_ORDER, TruncatedSeries
 from germkit.weierstrass import (
-    MAX_ORDER,
     WeierstrassData,
     apply_shear,
     make_regular,
@@ -68,6 +67,14 @@ def test_apply_shear_substitutes_multiples_of_the_distinguished_var():
     f = Polynomial(2, {(1, 1): 1})  # z1*z2
     g = apply_shear(f, 2, (F(1), F(0)))  # z1 <- z1 + z2
     assert g == Polynomial(2, {(1, 1): 1, (0, 2): 1})
+
+
+def test_apply_shear_rejects_a_coefficient_on_the_distinguished_var():
+    # z_j <- z_j + c*z_j is no shear: the 5 used to be dropped without a word
+    message = "shear coefficient 3, on z3 itself, must be 0, got 5$"
+    with pytest.raises(ValueError, match=message):
+        apply_shear(COUNTEREXAMPLE, 3, (0, 0, 5))
+    assert apply_shear(COUNTEREXAMPLE, 3, (0, 0, 0)) == COUNTEREXAMPLE
 
 
 def test_make_regular_identity_when_already_regular():
@@ -224,7 +231,8 @@ def test_prepare_errors():
         weierstrass_prepare(Polynomial.constant(2, 5), 2, 8)  # unit, order 0
     with pytest.raises(OrderTooSmallError):
         weierstrass_prepare(COUNTEREXAMPLE, 3, 1)  # N < d
-    with pytest.raises(ValueError, match=f"truncation order must be at most {MAX_ORDER}"):
+    message = f"truncation order must be at least 1 and at most {MAX_ORDER}"
+    with pytest.raises(ValueError, match=message):
         weierstrass_prepare(COUNTEREXAMPLE, 3, MAX_ORDER + 1)
 
 

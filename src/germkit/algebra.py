@@ -1,25 +1,36 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial in n variables z1..zn is an integer term table, a mapping
-from exponent tuples to nonzero ints, over one positive denominator:
+from packed monomial keys to nonzero ints, over one positive denominator.
+The key of z^e packs the total degree and the exponents into one int of
+n + 1 fields of _FIELD_BITS bits each, the degree in the top field:
 
-    z3^2/2 - z1*z2^2   (n=3)   ->   {(0, 0, 2): 1, (1, 2, 0): -2} over 2
+    key(z^e) = deg(e) << n*W | e1 << (n-1)*W | ... | en      (W = _FIELD_BITS)
+    z3^2/2 - z1*z2^2   (n=3)   ->   {key(0, 0, 2): 1, key(1, 2, 0): -2} over 2
+
+So a monomial product is one int addition, the key of the constant term is
+0, and integer order on keys is graded-lex order with z1 > z2 > ...  Every
+total degree is at most MAX_DEGREE, which leaves each field's top bit clear:
+no sum of two keys overflows a field, and a field that goes negative in a
+difference of keys sets its top bit, the guard bit `_exact_quotient` tests.
+Each kernel that can raise the degree checks its operands' degrees against
+the cap first.
 
 The representation is canonical, as FLINT's fmpq_poly: zero coefficients
-are never stored, every exponent tuple has length n, and the denominator
-is coprime to the table's content, so two polynomials are equal exactly
-when their tables and denominators are.  All values are immutable after
-construction and every operation is a pure function, so unrestricted
-concurrent use is safe.
+are never stored and the denominator is coprime to the table's content, so
+two polynomials are equal exactly when their tables and denominators are.
+All values are immutable after construction and every operation is a pure
+function, so unrestricted concurrent use is safe.
 
 Variable indices in the public API are 1-based (`var=3` means z3), matching
 the z1..zn naming used by the expression grammar in `germkit.parsing`.
 
-The public API speaks `fractions.Fraction`; the kernels compute on the
-stored integers, and every result is brought to canonical form by `_raw`.
-This is the only module that reads a Polynomial's term table.  Its one product
-loop is `_mul_add` (acc += scale * ta * tb in place); `_truncated_product` (`*`,
-the series product) runs it on the pairs of homogeneous parts from `_graded`.
+The public API speaks exponent tuples and `fractions.Fraction`; it packs and
+unpacks keys at that boundary.  The kernels compute on the stored integers,
+and every result is brought to canonical form by `_raw`.  This is the only
+module that reads a Polynomial's term table.  Its one product loop is
+`_mul_add` (acc += scale * ta * tb in place); `_truncated_product` (`*`, the
+series product) runs it on the pairs of homogeneous parts from `_graded`.
 Built on it are `_horner` (`substitute`), `_exact_quotient` (`exact_div`),
 `_table_power` (`**`: repeated products, which beat squaring on dense tables),
 `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and `_subresultant_prs`
@@ -27,7 +38,7 @@ Built on it are `_horner` (`substitute`), `_exact_quotient` (`exact_div`),
 sequence with `_pseudo_remainder`, `_exact_quotient` and `_table_power` on the
 integer coefficient tables in one variable; it takes and returns Polynomials).
 `_taylor_shift` (`shift`) is the dense Taylor shift on int rows, one row per
-exponent tuple of the other variables.  `_table_rows` splits a table by one
+monomial in the other variables.  `_table_rows` splits a table by one
 variable's exponent for `coefficients_in`, `_horner` and the subresultant
 sequence, and `_levels` a polynomial by its degree in the other variables for
 `weierstrass_prepare`.  No other module multiplies term tables.
@@ -36,9 +47,9 @@ sequence, and `_levels` a polynomial by its degree in the other variables for
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
-from operator import add, sub
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -49,6 +60,14 @@ from .errors import (
 Monomial = tuple  # exponent tuple, one non-negative int per variable
 Point = tuple  # coordinate tuple of Fractions
 Scalar = Union[int, Fraction]
+
+# bits per field of a monomial key: 32, so `_unpack` reads the fields as struct's
+# big-endian "L" words; 16-bit fields ran within noise of these, and their cap,
+# 32767, is below the resultant bound of two degree-32 parser inputs
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# the largest total degree a polynomial holds: each field's top bit, a guard bit, stays clear
+MAX_DEGREE = (1 << _FIELD_BITS - 1) - 1
 
 
 def as_rational(value) -> Fraction:
@@ -91,11 +110,12 @@ class Polynomial:
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         if n < 0:
             raise ValueError("variable count must be non-negative")
-        table: dict[Monomial, Fraction] = {}
+        table: dict[int, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            mono = _check_monomial(mono, n)
+            key = _monomial_key(mono, n)
             c = as_rational(coeff)
-            table[mono] = table[mono] + c if mono in table else c
+            table[key] = table[key] + c if key in table else c
+        _check_degree(max(table, default=0) >> _FIELD_BITS * n)  # a key past the cap is largest
         # lowest terms lifted to the lcm of their denominators are already canonical
         den = math.lcm(*(c.denominator for c in table.values()))
         object.__setattr__(self, "n", n)
@@ -115,18 +135,20 @@ class Polynomial:
         if n < 0:
             raise ValueError("variable count must be non-negative")
         c = as_rational(value)
-        return _raw(n, {(0,) * n: c.numerator}, c.denominator)
+        return _raw(n, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, n: int, var: int) -> "Polynomial":
         """The polynomial z_var (1-based index)."""
         _check_var(var, n)
-        return _raw(n, {(0,) * (var - 1) + (1,) + (0,) * (n - var): 1}, 1)
+        return _raw(n, {_var_key(n, var - 1): 1}, 1)
 
     @classmethod
     def monomial(cls, n: int, expo: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
+        key = _monomial_key(expo, n)
+        _check_degree(key >> _FIELD_BITS * n)
         c = as_rational(coeff)
-        return _raw(n, {_check_monomial(expo, n): c.numerator}, c.denominator)
+        return _raw(n, {key: c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
 
@@ -138,18 +160,22 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Iterate (monomial, coefficient) pairs in canonical graded order."""
-        for mono in sorted(self._terms, key=grlex_key):
-            yield mono, Fraction(self._terms[mono], self._den)
+        # flipping the exponent fields turns ascending lex into z1-heaviest first
+        flip = (1 << _FIELD_BITS * self.n) - 1
+        keys = sorted(self._terms, key=flip.__xor__)
+        for mono, key in zip(_unpack(keys, self.n), keys):
+            yield mono, Fraction(self._terms[key], self._den)
 
     def support(self) -> Iterator[Monomial]:
         """Iterate the exponent tuples of the nonzero terms, in no set order."""
-        return iter(self._terms)
+        return iter(_unpack(self._terms, self.n))
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return Fraction(self._terms.get(_check_monomial(expo, self.n), 0), self._den)
+        # a key past the degree cap is above every stored key, so it finds 0
+        return Fraction(self._terms.get(_monomial_key(expo, self.n), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get((0,) * self.n, 0), self._den)
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -158,34 +184,36 @@ class Polynomial:
         """Maximal total degree; -inf for the zero polynomial."""
         if not self._terms:
             return -math.inf
-        return max(sum(m) for m in self._terms)
+        return _degree_of(self)
 
     def degree_in(self, var: int) -> int | float:
         """Maximal exponent of z_var; -inf for the zero polynomial."""
         _check_var(var, self.n)
         if not self._terms:
             return -math.inf
-        return max(m[var - 1] for m in self._terms)
+        off = _FIELD_BITS * (self.n - var)
+        return max(m >> off & _FIELD_MASK for m in self._terms)
 
     def variable_order(self, var: int) -> int | float:
         """Minimal exponent of z_var over all terms; +inf for the zero polynomial."""
         _check_var(var, self.n)
         if not self._terms:
             return math.inf
-        return min(m[var - 1] for m in self._terms)
+        off = _FIELD_BITS * (self.n - var)
+        return min(m >> off & _FIELD_MASK for m in self._terms)
 
     def order(self) -> int | float:
         """Minimal total degree over all terms; +inf for the zero polynomial."""
         if not self._terms:
             return math.inf
-        return min(sum(m) for m in self._terms)
+        return min(self._terms) >> _FIELD_BITS * self.n
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Greatest term in graded-lex order (z1 > z2 > ... within a degree)."""
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        mono = max(self._terms, key=lambda m: (sum(m), m))
-        return mono, Fraction(self._terms[mono], self._den)
+        key = max(self._terms)
+        return _unpack([key], self.n)[0], Fraction(self._terms[key], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -253,6 +281,7 @@ class Polynomial:
             raise ValueError("negative power of a polynomial")
         if k == 0:
             return Polynomial.constant(self.n, 1)
+        _check_degree(_degree_of(self) * k)
         return _raw(self.n, _table_power(self._terms, k), self._den**k)
 
     def _coerce(self, other):
@@ -267,10 +296,11 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point of matching dimension."""
         pt = as_point(point, self.n)
+        fields = list(zip(range(_FIELD_BITS * (self.n - 1), -1, -_FIELD_BITS), pt))
         total = Fraction(0)
-        for mono, term in self._terms.items():
-            for e, v in zip(mono, pt):
-                if e:
+        for key, term in self._terms.items():
+            for off, v in fields:
+                if e := key >> off & _FIELD_MASK:
                     term *= v**e
             total += term
         return total / self._den
@@ -278,9 +308,9 @@ class Polynomial:
     def derivative(self, var: int) -> "Polynomial":
         """Exact partial derivative with respect to z_var (1-based)."""
         _check_var(var, self.n)
-        i = var - 1
-        return _raw(self.n, {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i]
-                             for m, c in self._terms.items() if m[i]}, self._den)
+        off, unit = _FIELD_BITS * (self.n - var), _var_key(self.n, var - 1)
+        return _raw(self.n, {m - unit: c * e for m, c in self._terms.items()
+                             if (e := m >> off & _FIELD_MASK)}, self._den)
 
     def gradient_at(self, point: Sequence) -> tuple[Fraction, ...]:
         """All first partials evaluated at a point."""
@@ -295,7 +325,7 @@ class Polynomial:
         table, scale = self._terms, self._den
         for i, c in enumerate(pt):
             if c != 0:
-                table, lift = _taylor_shift(table, i, c.numerator, c.denominator)
+                table, lift = _taylor_shift(table, self.n, i, c.numerator, c.denominator)
                 scale *= lift
         return _raw(self.n, table, scale)
 
@@ -303,23 +333,23 @@ class Polynomial:
         """Replace z_var by an arbitrary polynomial (Horner on integer tables)."""
         _check_var(var, self.n)
         self._check_same_space(replacement)
-        table, lift = _horner(self._terms, var - 1, replacement._terms, replacement._den)
+        _check_degree(_degree_of(self) * max(1, _degree_of(replacement)))
+        table, lift = _horner(self._terms, self.n, var - 1, replacement._terms, replacement._den)
         return _raw(self.n, table, self._den * lift)
 
     def truncate(self, max_total_degree: int) -> "Polynomial":
         """Drop every term of total degree above the bound."""
-        return _raw(
-            self.n,
-            {m: c for m, c in self._terms.items() if sum(m) <= max_total_degree},
-            self._den,
-        )
+        s = _FIELD_BITS * self.n
+        return _raw(self.n, {m: c for m, c in self._terms.items() if m >> s <= max_total_degree},
+                    self._den)
 
     def lowest_homogeneous_form(self) -> tuple["Polynomial", int]:
         """All terms of minimal total degree, together with that degree."""
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no lowest form")
-        low = min(sum(m) for m in self._terms)
-        form = {m: c for m, c in self._terms.items() if sum(m) == low}
+        s = _FIELD_BITS * self.n
+        low = min(self._terms) >> s
+        form = {m: c for m, c in self._terms.items() if m >> s == low}
         return _raw(self.n, form, self._den), low
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
@@ -333,7 +363,7 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         content = math.gcd(*divisor._terms.values())
         quotient = _exact_quotient(
-            dict(self._terms), {m: c // content for m, c in divisor._terms.items()})
+            dict(self._terms), {m: c // content for m, c in divisor._terms.items()}, self.n)
         return _raw(self.n, {m: c * divisor._den for m, c in quotient.items()},
                     self._den * content)
 
@@ -347,15 +377,17 @@ class Polynomial:
         empty for the zero polynomial.
         """
         _check_var(var, self.n)
-        return [_raw(self.n, row, self._den) for row in _table_rows(self._terms, var - 1)]
+        return [_raw(self.n, row, self._den)
+                for row in _table_rows(self._terms, self.n, var - 1)]
 
     def drop_variable(self, var: int) -> "Polynomial":
         """Forget an unused variable slot, producing an (n-1)-variable polynomial."""
         _check_var(var, self.n)
-        i = var - 1
-        if any(m[i] for m in self._terms):
+        off = _FIELD_BITS * (self.n - var)
+        if any(m >> off & _FIELD_MASK for m in self._terms):
             raise ValueError(f"variable z{var} occurs; cannot drop it")
-        table = {m[:i] + m[i + 1 :]: c for m, c in self._terms.items()}
+        low = (1 << off) - 1  # the fields of z_(var+1)..z_n stay, the ones above move down
+        table = {m >> _FIELD_BITS & ~low | m & low: c for m, c in self._terms.items()}
         return _raw(self.n - 1, table, self._den)
 
     def insert_variable(self, position: int) -> "Polynomial":
@@ -364,8 +396,8 @@ class Polynomial:
             raise TypeError(f"insert position must be an int, got {position!r}")
         if not 1 <= position <= self.n + 1:
             raise VariableIndexError(f"insert position {position} outside 1..{self.n + 1}")
-        i = position - 1
-        table = {m[:i] + (0,) + m[i:]: c for m, c in self._terms.items()}
+        low = (1 << _FIELD_BITS * (self.n + 1 - position)) - 1  # z_position..z_n stay
+        table = {(m & ~low) << _FIELD_BITS | m & low: c for m, c in self._terms.items()}
         return _raw(self.n + 1, table, self._den)
 
 
@@ -383,22 +415,25 @@ def _raw(n: int, table: dict, den: int) -> Polynomial:
 
 def _truncated_product(a: Polynomial, b: Polynomial, order=math.inf) -> Polynomial:
     """a * b with no term of total degree above the order, on integer tables."""
+    if order > MAX_DEGREE:  # the order alone does not keep the product under the cap
+        _check_degree(_degree_of(a) + _degree_of(b))
     if order == math.inf:  # splitting into parts only slows a full product down
         return _raw(a.n, _mul_add({}, a._terms, b._terms), a._den * b._den)
     acc: dict = {}
-    parts_b = _graded(b._terms)
-    for da, pa in _graded(a._terms).items():
+    parts_b = _graded(b._terms, b.n)
+    for da, pa in _graded(a._terms, a.n).items():
         for db, pb in parts_b.items():
             if da + db <= order:
                 _mul_add(acc, pa, pb)
     return _raw(a.n, acc, a._den * b._den)
 
 
-def _graded(table: dict) -> dict[int, dict]:
+def _graded(table: dict, n: int) -> dict[int, dict]:
     """An integer table split into its homogeneous parts, keyed by total degree."""
+    s = _FIELD_BITS * n
     parts: dict[int, dict] = {}
     for mono, c in table.items():
-        parts.setdefault(sum(mono), {})[mono] = c
+        parts.setdefault(mono >> s, {})[mono] = c
     return parts
 
 
@@ -408,7 +443,7 @@ def _mul_add(acc: dict, ta: dict, tb: dict, scale: int = 1) -> dict:
     for ma, ca in ta.items():
         ca *= scale
         for mb, cb in tb.items():
-            mono = tuple(map(add, ma, mb))
+            mono = ma + mb
             v = acc.get(mono, 0) + ca * cb
             if v:
                 acc[mono] = v
@@ -421,9 +456,9 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
     """factor * (a/a(0))^(p/q) through total degree `order`, a(0) != 0, by J. C. P. Miller's
     recurrence q*k*y_k = sum_(i=1..k) (p*i - q*(k-i)) * b_i * y_(k-i) on the homogeneous parts
     of b = a/a(0) = B/beta and y; in Z[x] as y_k = Y_k/s_k, s_k = s_(k-1)*q*k*beta, y_0 = factor."""
-    parts = _graded(a._terms)  # the homogeneous parts B_i; a's denominator cancels in b
-    qb = q * a._terms[(0,) * a.n]
-    ys, scales = [{(0,) * a.n: factor.numerator}], [factor.denominator]
+    parts = _graded(a._terms, a.n)  # the homogeneous parts B_i; a's denominator cancels in b
+    qb = q * a._terms[0]
+    ys, scales = [{0: factor.numerator}], [factor.denominator]
     for k in range(1, order + 1):
         acc, weight = {}, 1  # weight = (q*beta)^(i-1) * (k-1)!/(k-i)!
         for i in range(1, k + 1):
@@ -440,17 +475,19 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:
     """x^expo * a, by shifting exponents; expo may be negative where a's support allows."""
-    return _raw(a.n, {tuple(map(add, m, expo)): c for m, c in a._terms.items()}, a._den)
+    _check_degree(_degree_of(a) + sum(expo))
+    shift = _pack(expo)  # packing is linear, so a negative exponent shifts down
+    return _raw(a.n, {m + shift: c for m, c in a._terms.items()}, a._den)
 
 
-def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
+def _horner(table: dict, n: int, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
     """Substitute z_i <- rep / rep_scale into an integer table (0-based i).
 
     Returns (result, lift), the substitution being result / lift: with top
     the degree in z_i, lift = rep_scale^top and the row of z_i^k is lifted
     by rep_scale^(top-k), so every Horner step stays in Z[x].
     """
-    rows = _table_rows(table, i)
+    rows = _table_rows(table, n, i)
     acc, lift = rows[-1] if rows else {}, 1
     for row in reversed(rows[:-1]):
         lift *= rep_scale
@@ -458,7 +495,7 @@ def _horner(table: dict, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
     return acc, lift
 
 
-def _taylor_shift(table: dict, i: int, a: int, b: int) -> tuple[dict, int]:
+def _taylor_shift(table: dict, n: int, i: int, a: int, b: int) -> tuple[dict, int]:
     """Substitute z_i <- (b*z_i + a)/b into an integer table (0-based i, b > 0).
 
     Returns (result, lift) as `_horner` does, lift = b^top for top the degree
@@ -468,61 +505,69 @@ def _taylor_shift(table: dict, i: int, a: int, b: int) -> tuple[dict, int]:
     recurrence (von zur Gathen & Gerhard, ISSAC 1997), and its z^k entry lifted
     by b^(k+top-d), so every group lands over the one denominator b^top.
     """
-    groups: dict = {}
+    off, unit = _FIELD_BITS * (n - 1 - i), _var_key(n, i)
+    groups: dict = {}  # rest -> {e: c} for the term rest * z_i^e
     for mono, c in table.items():
-        groups.setdefault(mono[:i] + mono[i + 1 :], {})[mono[i]] = c
-    top = max((mono[i] for mono in table), default=0)
+        e = mono >> off & _FIELD_MASK
+        groups.setdefault(mono - e * unit, {})[e] = c
+    degrees = [max(entries) for entries in groups.values()]
+    top = max(degrees, default=0)
     powers = [b**k for k in range(top + 1)]
     out = {}
-    for rest, entries in groups.items():
-        d = max(entries)
+    for (rest, entries), d in zip(groups.items(), degrees):
         row = [entries.get(e, 0) * powers[d - e] for e in range(d + 1)]
         for j in range(d):
             for k in range(d - 1, j - 1, -1):
                 row[k] += a * row[k + 1]
-        head, tail, lift = rest[:i], rest[i:], top - d
+        lift = top - d
         for k, c in enumerate(row):
             if c:
-                out[head + (k,) + tail] = c * powers[k + lift]
+                out[rest + k * unit] = c * powers[k + lift]
     return out, powers[top]
 
 
-def _exact_quotient(rem: dict, divisor: dict) -> dict:
-    """rem / divisor over Z[x], consuming rem; ValueError unless exact.
+def _exact_quotient(rem: dict, divisor: dict, n: int) -> dict:
+    """rem / divisor over Z[x] in n variables, consuming rem; ValueError unless exact.
 
-    Leading terms are taken in lex order, a monomial order, so every
-    quotient term is found once and an exact quotient over Z[x] never
-    needs a fraction.
+    Leading terms are the largest keys, in graded-lex order, a monomial
+    order, so every quotient term is found once, no product leaves the
+    degree of the dividend, and an exact quotient over Z[x] never needs a
+    fraction.  A quotient monomial is top - lead: a field that goes negative
+    borrows from the one above and sets its own guard bit.
     """
     lead = max(divisor)
     lead_coeff = divisor[lead]
+    guards = ((1 << _FIELD_BITS * (n + 1)) - 1) // _FIELD_MASK << _FIELD_BITS - 1  # field tops
     quotient = {}
     while rem:
         top = max(rem)
-        qmono = tuple(map(sub, top, lead))
+        qmono = top - lead
         q, r = divmod(rem[top], lead_coeff)
-        if r or any(e < 0 for e in qmono):
+        if r or qmono & guards:
             raise ValueError("division is not exact")
         quotient[qmono] = q
         _mul_add(rem, {qmono: q}, divisor, -1)
     return quotient
 
 
-def _table_rows(table: dict, i: int) -> list[dict]:
+def _table_rows(table: dict, n: int, i: int) -> list[dict]:
     """An integer table split by the exponent of z_i (0-based): entry k is the
     table of z_i^k's coefficient, z_i's exponent zeroed; [] for the empty table."""
+    off, unit = _FIELD_BITS * (n - 1 - i), _var_key(n, i)
     rows: dict[int, dict] = {}
     for mono, c in table.items():
-        rows.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1 :]] = c
+        e = mono >> off & _FIELD_MASK
+        rows.setdefault(e, {})[mono - e * unit] = c
     return [rows.get(k, {}) for k in range(max(rows, default=-1) + 1)]
 
 
 def _levels(p: Polynomial, j: int, top: int) -> list[Polynomial]:
     """p split by level, the total degree in the variables other than z_j (1-based):
     entry L holds p's terms of level L, for L = 0..top; higher levels are dropped."""
+    s, off = _FIELD_BITS * p.n, _FIELD_BITS * (p.n - j)
     tables: list[dict] = [{} for _ in range(top + 1)]
     for mono, c in p._terms.items():
-        level = sum(mono) - mono[j - 1]
+        level = (mono >> s) - (mono >> off & _FIELD_MASK)
         if level <= top:
             tables[level][mono] = c
     return [_raw(p.n, table, p._den) for table in tables]
@@ -541,7 +586,7 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
     """
     f._check_same_space(g)
     _check_var(j, f.n)
-    a, b = _table_rows(f._terms, j - 1), _table_rows(g._terms, j - 1)
+    a, b = _table_rows(f._terms, f.n, j - 1), _table_rows(g._terms, g.n, j - 1)
     df, dg = len(a) - 1, len(b) - 1
     if df < 0:
         raise ZeroPolynomialError("first polynomial is zero")
@@ -549,9 +594,12 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
         raise ZeroPolynomialError("second polynomial is zero")
     if df == 0 or dg == 0:
         return (f ** dg if df == 0 else g ** df), None
+    # every entry of the sequence is a minor of the Sylvester matrix, of degree at most
+    # dg*deg(f) + df*deg(g), and no product below holds more than max(df, dg) + 1 of them
+    _check_degree((max(df, dg) + 1) * (dg * _degree_of(f) + df * _degree_of(g)))
     # Res is homogeneous of degree dg in f's coefficients and df in g's
     den = f._den**dg * g._den**df
-    one = {(0,) * f.n: 1}
+    one = {0: 1}
     sign = -1 if df < dg and df * dg % 2 else 1
     if df < dg:
         a, b = b, a
@@ -564,12 +612,13 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
         if not r:
             return Polynomial.zero(f.n), [_raw(f.n, c, 1) for c in b]
         divisor = _mul_add({}, lc, _table_power(h, delta)) if delta else lc
-        a, b = b, r if divisor == one else [_exact_quotient(c, divisor) for c in r]
+        a, b = b, r if divisor == one else [_exact_quotient(c, divisor, f.n) for c in r]
         lc = a[-1]
         h = h if delta == 0 else lc if delta == 1 else _exact_quotient(
-            _table_power(lc, delta), _table_power(h, delta - 1))
+            _table_power(lc, delta), _table_power(h, delta - 1), f.n)
     d = len(a) - 1
-    last = b[0] if d == 1 else _exact_quotient(_table_power(b[0], d), _table_power(h, d - 1))
+    last = b[0] if d == 1 else _exact_quotient(
+        _table_power(b[0], d), _table_power(h, d - 1), f.n)
     return _raw(f.n, last, sign * den), None
 
 
@@ -600,14 +649,48 @@ def _table_power(t: dict, k: int) -> dict:
     return out
 
 
-def _check_monomial(mono: Sequence[int], n: int) -> Monomial:
-    """mono as an exponent tuple, checked to hold n non-negative ints."""
-    mono = tuple(mono)
+def _monomial_key(expo: Sequence[int], n: int) -> int:
+    """The key of z^expo, checked to hold n non-negative ints.  An exponent too
+    large for its field is past the degree cap, and so is the key."""
+    mono = tuple(expo)
     if len(mono) != n:
         raise DimensionMismatchError(f"monomial {mono} has length {len(mono)}, expected {n}")
     if any(type(e) is not int or e < 0 for e in mono):
         raise ValueError(f"exponents must be non-negative ints: {mono}")
-    return mono
+    return _pack(mono)
+
+
+def _pack(expo: Sequence[int]) -> int:
+    """The key of z^expo; linear in expo, so a negative entry subtracts its field."""
+    key = sum(expo)
+    for e in expo:
+        key = (key << _FIELD_BITS) + e
+    return key
+
+
+def _unpack(keys: Iterable[int], n: int) -> list[Monomial]:
+    """The exponent tuples of n-variable keys, in order: a key's bytes are n + 1
+    big-endian unsigned 32-bit words, the degree first."""
+    word = _FIELD_BITS // 8
+    size, fields = word * (n + 1), f">{n}L"
+    return [struct.unpack_from(fields, key.to_bytes(size, "big"), word) for key in keys]
+
+
+def _var_key(n: int, i: int) -> int:
+    """The key of z_i (0-based) in n variables: adding it raises that exponent by 1."""
+    return 1 << _FIELD_BITS * n | 1 << _FIELD_BITS * (n - 1 - i)
+
+
+def _degree_of(p: Polynomial) -> int:
+    """p's total degree, read off its largest key; 0 for the zero polynomial."""
+    return max(p._terms, default=0) >> _FIELD_BITS * p.n
+
+
+def _check_degree(degree) -> None:
+    """Refuse a result whose total degree could pass MAX_DEGREE and overflow a field."""
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"total degree {degree} is above {MAX_DEGREE}, the largest a polynomial holds")
 
 
 def _check_var(var: int, n: int) -> None:

@@ -235,6 +235,7 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
     rational square; (4) a lowest homogeneous form that is not the square of
     a form rules a square out; (5) otherwise undetermined.
     """
+    _check_order(N)
     if D.is_zero():
         return None
     alpha = tuple(D.variable_order(i) for i in range(1, D.n + 1))
@@ -301,6 +302,7 @@ def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
     C but has no rational representation the verdict is still reducible,
     with factors omitted (the symbolic case).
     """
+    _check_order(N)
     j = f.n
     coeffs = f.coefficients_in(j)
     if len(coeffs) != 3 or coeffs[2].total_degree() != 0:

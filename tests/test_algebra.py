@@ -11,7 +11,9 @@ import pytest
 from germkit.algebra import (
     Polynomial,
     _mul_add,
+    _pack,
     _truncated_product,
+    _unpack,
     as_point,
     as_rational,
     rational_sqrt,
@@ -412,11 +414,12 @@ def test_product_matches_the_fraction_double_loop():
         assert_equal_with_fraction_coefficients(a * b, ref_mul(a, b))
 
 
-def naive_table_product(ta, tb):
+def naive_table_product(ta, tb, n):
+    """The product of two packed term tables, its exponents summed as tuples."""
     out = {}
-    for ma, ca in ta.items():
-        for mb, cb in tb.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
+    for ma, ca in zip(_unpack(ta, n), ta.values()):
+        for mb, cb in zip(_unpack(tb, n), tb.values()):
+            mono = _pack(tuple(x + y for x, y in zip(ma, mb)))
             out[mono] = out.get(mono, 0) + ca * cb
     return out
 
@@ -433,7 +436,7 @@ def test_mul_add_equals_the_naive_product():
         scale = (1, -1, 7)[case % 3]
         acc = dict(start)
         want = dict(start)
-        for mono, c in naive_table_product(ta, tb).items():
+        for mono, c in naive_table_product(ta, tb, n).items():
             want[mono] = want.get(mono, 0) + scale * c
         assert _mul_add(acc, ta, tb, scale) is acc
         assert acc == without_zeros(want)
@@ -449,7 +452,7 @@ def test_mul_add_deletes_what_cancels():
         assert 0 not in acc.values()
         assert _mul_add(acc, tb, ta, -7) == {}
         # cancel every other product term through the accumulator's start value
-        product = naive_table_product(ta, tb)
+        product = naive_table_product(ta, tb, n)
         start = {m: -c for i, (m, c) in enumerate(product.items()) if c and i % 2}
         acc = _mul_add(dict(start), ta, tb)
         assert acc == without_zeros({m: c + start.get(m, 0) for m, c in product.items()})

@@ -1,0 +1,356 @@
+"""Every public Polynomial operation, and resultants, against plain tuple dicts.
+
+A Polynomial stores packed monomial keys; the reference here is the plain
+representation, a dict from exponent tuples to nonzero Fractions, with the
+textbook algorithm for each operation.  Seeded operands in 0-4 variables.
+The last tests pin the degree cap: a result exactly at MAX_DEGREE is built,
+and one past it is refused before any product is formed.
+"""
+
+import math
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from germkit import algebra
+from germkit.algebra import MAX_DEGREE, Polynomial, _monomial_multiple, _truncated_product
+from germkit.elimination import discriminant, resultant
+from helpers import BIG_DENOMINATORS, random_monomial
+
+F = Fraction
+
+
+# -- the reference: {exponent tuple: Fraction}, zeros dropped ---------------------
+
+
+def clean(d):
+    return {m: F(c) for m, c in d.items() if c}
+
+
+def d_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return clean(out)
+
+
+def d_scale(a, s):
+    return clean({m: c * s for m, c in a.items()})
+
+
+def d_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return clean(out)
+
+
+def d_one(n):
+    return {(0,) * n: F(1)}
+
+
+def d_pow(a, k, n):
+    out = d_one(n)
+    for _ in range(k):
+        out = d_mul(out, a)
+    return out
+
+
+def d_var(n, i, c=0):
+    """z_(i+1) + c, for a 0-based i."""
+    return clean({tuple(int(k == i) for k in range(n)): F(1), (0,) * n: c})
+
+
+def d_evaluate(a, point):
+    return sum((c * math.prod(v**e for v, e in zip(point, m)) for m, c in a.items()), F(0))
+
+
+def d_derivative(a, i):
+    return clean({m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in a.items() if m[i]})
+
+
+def d_substitute(a, i, rep, n):
+    """z_(i+1) <- rep, term by term."""
+    out = {}
+    for m, c in a.items():
+        rest = {m[:i] + (0,) + m[i + 1 :]: c}
+        out = d_add(out, d_mul(rest, d_pow(rep, m[i], n)))
+    return out
+
+
+def d_shift(a, point, n):
+    out = a
+    for i, c in enumerate(point):
+        out = d_substitute(out, i, d_var(n, i, c), n)
+    return out
+
+
+def d_degree(a):
+    return max((sum(m) for m in a), default=-math.inf)
+
+
+def d_coefficients_in(a, i):
+    rows = {}
+    for m, c in a.items():
+        rows.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
+    return [rows.get(k, {}) for k in range(max(rows, default=-1) + 1)]
+
+
+def grlex_order(a):
+    """Ascending total degree, then z1-heaviest first."""
+    return sorted(a, key=lambda m: (sum(m), tuple(-e for e in m)))
+
+
+def d_det(rows, n):
+    """Laplace expansion along the first remaining row, memoised on the columns left."""
+    size, memo = len(rows), {}
+
+    def minor(cols):
+        if not cols:
+            return d_one(n)
+        if cols not in memo:
+            row, total = rows[size - len(cols)], {}
+            for k, col in enumerate(sorted(cols)):
+                if row[col]:
+                    total = d_add(total, d_scale(d_mul(row[col], minor(cols - {col})), (-1) ** k))
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(frozenset(range(size)))
+
+
+def d_resultant(f, g, i, n):
+    """det of the Sylvester matrix in z_(i+1): dg rows of f's coefficients, df of g's."""
+    fdesc, gdesc = d_coefficients_in(f, i)[::-1], d_coefficients_in(g, i)[::-1]
+    df, dg = len(fdesc) - 1, len(gdesc) - 1
+    size = df + dg
+    rows = ([[{}] * s + fdesc + [{}] * (size - df - 1 - s) for s in range(dg)]
+            + [[{}] * s + gdesc + [{}] * (size - dg - 1 - s) for s in range(df)])
+    return d_det(rows, n)
+
+
+# -- operands --------------------------------------------------------------------
+
+
+def coefficient(rng):
+    if rng.random() < 0.2:
+        return F(rng.randint(-10**12, 10**12), rng.choice(BIG_DENOMINATORS))
+    return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+
+def operand(rng, n, max_degree=3, max_terms=5):
+    return clean({random_monomial(rng, n, max_degree): coefficient(rng)
+                  for _ in range(rng.randint(0, max_terms))})
+
+
+def assert_matches(p, want, n):
+    """p holds exactly the reference terms, in canonical graded order."""
+    assert p.n == n
+    assert list(p.terms()) == [(m, want[m]) for m in grlex_order(want)]
+    assert p == Polynomial(n, want)
+
+
+# -- the differential tests --------------------------------------------------------
+
+
+def test_every_polynomial_operation_matches_the_tuple_dict_reference():
+    rng = random.Random(2801)
+    for case in range(150):
+        n = case % 5
+        a, b = operand(rng, n), operand(rng, n)
+        pa, pb = Polynomial(n, a), Polynomial(n, b)
+        s = coefficient(rng)
+
+        # constructors and inspection
+        assert_matches(pa, a, n)
+        assert_matches(Polynomial.zero(n), {}, n)
+        assert_matches(Polynomial.constant(n, s), {(0,) * n: s}, n)
+        mono = random_monomial(rng, n, 4)
+        assert_matches(Polynomial.monomial(n, mono, s), {mono: s}, n)
+        assert set(pa.support()) == set(a)
+        assert pa.term_count() == len(a) and pa.is_zero() == (not a)
+        assert pa.constant_term() == a.get((0,) * n, 0)
+        for m in list(a) + [mono]:
+            assert pa.coefficient(m) == a.get(m, 0)
+        assert pa.total_degree() == d_degree(a)
+        assert pa.order() == min((sum(m) for m in a), default=math.inf)
+        if a:
+            lead = max(a, key=lambda m: (sum(m), m))
+            assert pa.leading_term() == (lead, a[lead])
+            low = min(sum(m) for m in a)
+            form, degree = pa.lowest_homogeneous_form()
+            assert degree == low
+            assert_matches(form, {m: c for m, c in a.items() if sum(m) == low}, n)
+        exps = ", ".join(f"{m}: {a[m]}" for m in grlex_order(a))
+        assert repr(pa) == f"Polynomial({n}, {{{exps}}})"
+        assert (pa == pb) == (a == b)
+
+        # ring arithmetic
+        assert_matches(pa + pb, d_add(a, b), n)
+        assert_matches(pa - pb, d_add(a, d_scale(b, -1)), n)
+        assert_matches(-pa, d_scale(a, -1), n)
+        assert_matches(pa * pb, d_mul(a, b), n)
+        assert_matches(pa * s, d_scale(a, s), n)
+        assert_matches(3 - pa, d_add({(0,) * n: F(3)}, d_scale(a, -1)), n)
+        k = rng.randint(0, 3)
+        assert_matches(pa**k, d_pow(a, k, n), n)
+        for top in (-1, 0, 2, 5):
+            assert_matches(pa.truncate(top), {m: c for m, c in a.items() if sum(m) <= top}, n)
+            assert_matches(_truncated_product(pa, pb, top),
+                           {m: c for m, c in d_mul(a, b).items() if sum(m) <= top}, n)
+
+        # exact division: a*b / b is a, and (a*b + z^m) / b with m outside is not exact
+        if b:
+            assert_matches((pa * pb).exact_div(pb), a, n)
+
+        # point operations
+        point = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        assert pa.evaluate(point) == d_evaluate(a, point)
+        assert_matches(pa.shift(point), d_shift(a, point, n), n)
+        assert pa.gradient_at(point) == tuple(
+            d_evaluate(d_derivative(a, i), point) for i in range(n))
+
+        # one variable at a time
+        for i in range(n):
+            var = i + 1
+            assert pa.degree_in(var) == max((m[i] for m in a), default=-math.inf)
+            assert pa.variable_order(var) == min((m[i] for m in a), default=math.inf)
+            assert_matches(pa.derivative(var), d_derivative(a, i), n)
+            rows = pa.coefficients_in(var)
+            want_rows = d_coefficients_in(a, i)
+            assert len(rows) == len(want_rows)
+            for row, want in zip(rows, want_rows):
+                assert_matches(row, want, n)
+            assert_matches(pa.substitute(var, pb), d_substitute(a, i, b, n), n)
+            free = {m[:i] + m[i + 1 :]: c for m, c in a.items() if not m[i]}
+            assert_matches(pa.substitute(var, Polynomial.zero(n)).drop_variable(var), free, n - 1)
+            if any(m[i] for m in a):
+                with pytest.raises(ValueError, match=f"variable z{var} occurs"):
+                    pa.drop_variable(var)
+        for position in range(1, n + 2):
+            i = position - 1
+            assert_matches(pa.insert_variable(position),
+                           {m[:i] + (0,) + m[i:]: c for m, c in a.items()}, n + 1)
+
+
+def test_inexact_divisions_are_refused_like_the_reference_says():
+    rng = random.Random(2802)
+    refused = 0
+    for case in range(120):
+        n = 1 + case % 4
+        a, b = operand(rng, n), operand(rng, n)
+        if not b or d_degree(b) < 1:
+            continue
+        extra = {random_monomial(rng, n, 5): F(1)}
+        dividend = d_add(d_mul(a, b), extra)
+        # b divides a*b + x^m exactly only if it divides x^m: b = c*x^e, e <= m
+        divides = len(b) == 1 and all(x <= y for x, y in zip(next(iter(b)), next(iter(extra))))
+        got = Polynomial(n, dividend)
+        if divides:
+            assert got.exact_div(Polynomial(n, b)) * Polynomial(n, b) == got
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="division is not exact"):
+                got.exact_div(Polynomial(n, b))
+    assert refused >= 50
+
+
+def test_monomial_multiple_shifts_by_signed_offsets_the_support_allows():
+    rng = random.Random(2803)
+    for case in range(150):
+        n = case % 5
+        a = operand(rng, n, 5)
+        floor = tuple(min((m[i] for m in a), default=0) for i in range(n))
+        # from -floor (divide out the largest monomial factor) to +3 per variable
+        offset = tuple(rng.randint(-f, 3) for f in floor)
+        want = {tuple(x + y for x, y in zip(m, offset)): c for m, c in a.items()}
+        assert_matches(_monomial_multiple(Polynomial(n, a), offset), want, n)
+    z = Polynomial.monomial(3, (2, 0, 5), F(-3, 7))
+    assert _monomial_multiple(z, (-2, 1, -5)) == Polynomial.monomial(3, (0, 1, 0), F(-3, 7))
+
+
+def test_resultants_and_discriminants_match_the_sylvester_determinant():
+    rng = random.Random(2804)
+    for case in range(80):
+        n = 1 + case % 4
+        j = rng.randint(1, n)
+        f, g = operand(rng, n, 3, 4), operand(rng, n, 3, 4)
+        if d_degree(f) < 1 or d_degree(g) < 1:
+            continue
+        pf, pg = Polynomial(n, f), Polynomial(n, g)
+        df, dg = len(d_coefficients_in(f, j - 1)) - 1, len(d_coefficients_in(g, j - 1)) - 1
+        if df >= 1 and dg >= 1:
+            assert_matches(resultant(pf, pg, j), d_resultant(f, g, j - 1, n), n)
+        lead = d_coefficients_in(f, j - 1)[-1] if f else {}
+        if df >= 2 and set(lead) == {(0,) * n}:
+            want = d_scale(d_resultant(f, d_derivative(f, j - 1), j - 1, n),
+                           F((-1) ** (df * (df - 1) // 2)) / lead[(0,) * n])
+            assert_matches(discriminant(pf, j), want, n)
+
+
+# -- the degree cap --------------------------------------------------------------------
+
+
+# operands, built at import: `nothing_computed` disarms `_raw`, which builds every result
+Z1, Z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+ONE_PLUS_Z1, Z1_Z2 = 1 + Z1, Z1 * Z2
+HALF = Polynomial.monomial(2, (MAX_DEGREE // 2 + 1, 0))  # its square is past the cap
+HALF_PLUS_Z2_SQUARED, Z2_PLUS_Z1 = HALF + Z2 * Z2, Z2 + Z1
+
+
+@pytest.fixture
+def nothing_computed(monkeypatch):
+    """Any product or canonical-form step from here on fails the test."""
+    def refuse(*args):
+        raise AssertionError("a kernel ran past the degree cap check")
+    monkeypatch.setattr(algebra, "_mul_add", refuse)
+    monkeypatch.setattr(algebra, "_raw", refuse)
+
+
+def past_the_cap(call):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"above {MAX_DEGREE}, the largest a polynomial holds"):
+        call()
+    assert time.perf_counter() - started < 1.0
+
+
+def test_results_exactly_at_the_degree_cap_are_built():
+    top = Polynomial.monomial(2, (MAX_DEGREE, 0), 3)
+    below = Polynomial.monomial(2, (MAX_DEGREE // 2, 0))
+    assert Polynomial(2, {(MAX_DEGREE - 5, 5): 1}).total_degree() == MAX_DEGREE
+    assert top.leading_term() == ((MAX_DEGREE, 0), 3)
+    assert top.coefficient((MAX_DEGREE, 0)) == 3
+    assert list((below * (below * Z2)).terms()) == [((MAX_DEGREE - 1, 1), 1)]
+    assert top**1 == top
+    # z2 <- z2 + 1 in z1^(cap-1)*z2: substitute splits by z2, whose degree is 1
+    corner = Polynomial.monomial(2, (MAX_DEGREE - 1, 1))
+    assert corner.substitute(2, Z2 + 1) == corner + Polynomial.monomial(2, (MAX_DEGREE - 1, 0))
+    assert _monomial_multiple(below, (MAX_DEGREE - MAX_DEGREE // 2, 0)) == top * F(1, 3)
+    assert _monomial_multiple(top, (-MAX_DEGREE, 0)) == Polynomial.constant(2, 3)
+    assert (top + Z1).derivative(1) == Polynomial.monomial(
+        2, (MAX_DEGREE - 1, 0), 3 * MAX_DEGREE) + 1
+    # a key past the cap is above every stored key: no coefficient, no error
+    assert top.coefficient((MAX_DEGREE + 1, 0)) == 0
+
+
+# each call would hold a term of total degree past the cap
+PAST_THE_CAP = {
+    "constructor": lambda: Polynomial(2, {(MAX_DEGREE + 1, 0): 1}),
+    "monomial": lambda: Polynomial.monomial(2, (MAX_DEGREE, 1)),
+    "product": lambda: HALF * HALF,
+    "truncated product": lambda: _truncated_product(HALF, HALF, MAX_DEGREE + 5),
+    "power": lambda: ONE_PLUS_Z1 ** (MAX_DEGREE + 1),
+    "substitute": lambda: HALF.substitute(1, Z1_Z2),
+    "monomial multiple": lambda: _monomial_multiple(HALF, (MAX_DEGREE // 2 + 1, 0)),
+    # (2 + 1) * (1 * deg f + 2 * deg g) is past the cap for f = HALF + z2^2, g = z2 + z1
+    "resultant": lambda: resultant(HALF_PLUS_Z2_SQUARED, Z2_PLUS_Z1, 2),
+}
+
+
+@pytest.mark.parametrize("call", PAST_THE_CAP.values(), ids=PAST_THE_CAP.keys())
+def test_results_past_the_degree_cap_are_refused_before_any_product(call, nothing_computed):
+    past_the_cap(call)

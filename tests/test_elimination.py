@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from germkit.algebra import Polynomial, _exact_quotient
+from germkit.algebra import Polynomial, _exact_quotient, _pack
 from germkit.cli import run_cli
 from germkit.elimination import (
     coprime_at,
@@ -175,12 +175,15 @@ def test_matrix_det_matches_laplace_expansion_on_rational_matrices():
 
 
 def test_exact_quotient_rejects_an_inexact_division():
-    x2_plus_1, x = {(2,): 1, (0,): 1}, {(1,): 1}
+    def table(terms):  # a term table in one variable, from exponents to ints
+        return {_pack((e,)): c for e, c in terms.items()}
+
+    x2_plus_1, x = table({2: 1, 0: 1}), table({1: 1})
     with pytest.raises(ValueError):
-        _exact_quotient(x2_plus_1, x)  # leaves the remainder 1
+        _exact_quotient(x2_plus_1, x, 1)  # leaves the remainder 1
     with pytest.raises(ValueError):
-        _exact_quotient({(1,): 3}, {(1,): 2})  # 3/2 is not an integer
-    assert _exact_quotient({(2,): 1, (0,): -1}, {(1,): 1, (0,): -1}) == {(1,): 1, (0,): 1}
+        _exact_quotient(table({1: 3}), table({1: 2}), 1)  # 3/2 is not an integer
+    assert _exact_quotient(table({2: 1, 0: -1}), table({1: 1, 0: -1}), 1) == table({1: 1, 0: 1})
 
 
 def test_det_of_singular_matrix_is_zero():

@@ -907,6 +907,20 @@ def test_a_non_int_order_is_a_type_error(order):
             call()
 
 
+def test_a_bad_order_raises_on_the_paths_that_build_no_series():
+    # z3^2 - z1*z2^2 at the origin is decided by an odd variable order, and
+    # z1^2 + z2^2 by its lowest form: neither builds a series, yet both check N
+    message = f"truncation order must be at least 1 and at most {MAX_ORDER}$"
+    with pytest.raises(ValueError, match=message):
+        quadratic_germ_test(COUNTEREXAMPLE, 10**6)
+    z1, z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    with pytest.raises(TypeError, match=re.escape("must be an int, got 8.5") + "$"):
+        is_local_square(z1**2 + z2**2, 8.5)
+    # the same calls at a good order decide without a series
+    assert isinstance(quadratic_germ_test(COUNTEREXAMPLE, 8).certificate, OddVariableOrder)
+    assert isinstance(is_local_square(z1**2 + z2**2, 8), LowestFormNotASquare)
+
+
 
 @pytest.mark.parametrize("var", [3.0, True])
 def test_a_non_int_variable_index_is_a_type_error(var):

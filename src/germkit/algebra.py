@@ -41,7 +41,9 @@ integer coefficient tables in one variable; it takes and returns Polynomials).
 monomial in the other variables.  `_table_rows` splits a table by one
 variable's exponent for `coefficients_in`, `_horner` and the subresultant
 sequence, and `_levels` a polynomial by its degree in the other variables for
-`weierstrass_prepare`.  No other module multiplies term tables.
+`weierstrass_prepare`.  `_quadratic_parts` (e1, e2 and the discriminant of
+a*z_n^2 + b*z_n + c), `_axis_order` (`regular_order`) and `_linear_part` (the
+gradient) read keys for the cascade.  No other module multiplies term tables.
 """
 
 from __future__ import annotations
@@ -282,6 +284,8 @@ class Polynomial:
         if k == 0:
             return Polynomial.constant(self.n, 1)
         _check_degree(_degree_of(self) * k)
+        if len(self._terms) <= 1:  # c*z^e or 0: one key multiply, however large k is
+            return _raw(self.n, {key * k: c**k for key, c in self._terms.items()}, self._den**k)
         return _raw(self.n, _table_power(self._terms, k), self._den**k)
 
     def _coerce(self, other):
@@ -471,6 +475,33 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
     top = scales[-1]
     table = {mono: c * (top // s) for y, s in zip(ys, scales) for mono, c in y.items()}
     return _raw(a.n, table, top)
+
+
+def _linear_part(p: Polynomial) -> tuple[Fraction, ...]:
+    """The coefficients of z1..zn in p, read off the keys of its degree-1 terms."""
+    return tuple(Fraction(p._terms.get(_var_key(p.n, i), 0), p._den) for i in range(p.n))
+
+
+def _axis_order(p: Polynomial, j: int) -> int | float:
+    """Least e with z_j^e a term of p (1-based j; +inf if none): z_j's field is the degree field."""
+    s, off = _FIELD_BITS * p.n, _FIELD_BITS * (p.n - j)
+    return min((e for m in p._terms if (e := m >> s) == m >> off & _FIELD_MASK), default=math.inf)
+
+
+def _quadratic_parts(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial] | None:
+    """(e1, e2, D) in z1..z(n-1) for f = a*z_n^2 + b*z_n + c, a a nonzero constant, else None:
+    e1 = b/a, e2 = c/a and D = e1^2 - 4*e2 = (b*b - 4*a*c)/a^2, read off f's integer rows
+    (f's denominator cancels) with one product."""
+    _check_var(f.n, f.n)
+    rows = _table_rows(f._terms, f.n, f.n - 1)
+    if len(rows) != 3 or rows[2].keys() != {0}:
+        return None
+    a = rows[2][0]
+    _check_degree(2 * (max(rows[1], default=0) >> _FIELD_BITS * f.n))  # deg(b*b)
+    # a row's z_n field is 0, so one right shift drops it
+    c, b = ({m >> _FIELD_BITS: k for m, k in row.items()} for row in rows[:2])
+    D = _mul_add({m: -4 * a * k for m, k in c.items()}, b, b)
+    return _raw(f.n - 1, b, a), _raw(f.n - 1, c, a), _raw(f.n - 1, D, a * a)
 
 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:

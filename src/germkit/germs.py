@@ -41,7 +41,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Polynomial, _monomial_multiple, as_point, as_rational
+from .algebra import (Polynomial, _linear_part, _monomial_multiple, _quadratic_parts, as_point,
+                      as_rational, rational_sqrt)
 from .errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
@@ -242,12 +243,12 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
     for i, a in enumerate(alpha, 1):
         if a % 2 == 1:
             return OddVariableOrder(variable=i, order=a)
-    if D.coefficient(alpha) != 0:
+    if (u0 := D.coefficient(alpha)) != 0:
         half = tuple(a // 2 for a in alpha)
+        if rational_sqrt(u0) is None:  # U(0) = u0: U has a square root, not a rational one
+            return MonomialUnitSquare(root=None, half_exponents=half)
         U = _monomial_multiple(D, tuple(-a for a in alpha))
         unit_root = ts_sqrt(TruncatedSeries(U, N))
-        if unit_root is None:
-            return MonomialUnitSquare(root=None, half_exponents=half)
         root = TruncatedSeries(_monomial_multiple(unit_root.body, half), N)
         return MonomialUnitSquare(root=root, half_exponents=half, unit_root=unit_root)
     form, degree = D.lowest_homogeneous_form()
@@ -300,17 +301,16 @@ def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
     D = e1^2 - 4*e2 is a square germ; the factors are then t + (e1 -+ r)/2
     for a square root r of D, cut at order N.  When the square exists over
     C but has no rational representation the verdict is still reducible,
-    with factors omitted (the symbolic case).
+    with factors omitted (the symbolic case).  e1, e2 and D = (b*b - 4*a*c)/a^2
+    are read off f's integer rows in t with one product (`_quadratic_parts`).
     """
     _check_order(N)
     j = f.n
-    coeffs = f.coefficients_in(j)
-    if len(coeffs) != 3 or coeffs[2].total_degree() != 0:
+    if (parts := _quadratic_parts(f)) is None:
         return None
-    e2, e1 = (c.drop_variable(j) * (1 / coeffs[2].constant_term()) for c in coeffs[:2])
+    e1, e2, D = parts
     if e1.constant_term() != 0 or e2.constant_term() != 0:
         return None
-    D = e1 * e1 - 4 * e2
     cert = is_local_square(D, N)
     if cert is None:
         why = ("is zero: the germ is a constant times a square" if D.is_zero()
@@ -456,7 +456,7 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     if value != 0:
         return GermStatus(NonzeroValue(value=value))
     n = f.n
-    gradient = tuple(shifted.coefficient([int(i == k) for i in range(n)]) for k in range(n))
+    gradient = _linear_part(shifted)
     if any(c != 0 for c in gradient):
         return GermStatus(SmoothPoint(gradient=gradient))
     j = n  # any other choice asks about the same germ with variables renamed

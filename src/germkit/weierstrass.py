@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .algebra import Polynomial, _check_var, _levels, _truncated_product, as_rational
+from .algebra import Polynomial, _axis_order, _check_var, _levels, _truncated_product, as_rational
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from .series import TruncatedSeries, _check_order, ts_inverse
 
@@ -101,8 +101,7 @@ def regular_order(f: Polynomial, j: int) -> RegularityReport:
     if f.is_zero():
         raise ZeroPolynomialError("regularity is undefined for the zero polynomial")
     _check_var(j, f.n)
-    axis = (mono[j - 1] for mono in f.support() if sum(mono) == mono[j - 1])
-    return RegularityReport(order=min(axis, default=inf))
+    return RegularityReport(order=_axis_order(f, j))
 
 
 def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:

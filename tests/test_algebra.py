@@ -487,6 +487,34 @@ def test_power_equals_repeated_products():
         assert repr(got) == repr(want)
 
 
+def test_one_term_powers_equal_repeated_products():
+    # a constant or monomial base is raised by one key multiply and one
+    # coefficient power; it must equal k plain products all the same
+    rng = random.Random(2901)
+    for case in range(40):
+        n = rng.randint(0, 4)
+        c = rng.choice((-1, F(-7, 3), F(1, 2**61 - 1), 3**40, random_fraction(rng, 1, 9)))
+        base = (Polynomial.constant(n, c) if case % 2 else
+                Polynomial.monomial(n, random_monomial(rng, n, 4), c))
+        k = rng.randint(0, 6)
+        want = Polynomial.constant(n, 1)
+        for _ in range(k):
+            want = want * base
+        got = base**k
+        assert_equal_with_fraction_coefficients(got, want)
+        assert repr(got) == repr(want)
+
+
+def test_a_huge_power_of_one_term_or_zero_answers_at_once():
+    started = time.perf_counter()
+    assert Polynomial.constant(1, 3) ** 10**5 == Polynomial.constant(1, 3 ** 10**5)
+    assert Polynomial.constant(3, F(-1, 2)) ** 10**5 == Polynomial.constant(3, F(1, 2**10**5))
+    z = Polynomial.monomial(2, (1, 2), -1) ** (10**5 + 1)
+    assert z == Polynomial.monomial(2, (10**5 + 1, 2 * 10**5 + 2), -1)
+    assert Polynomial.zero(2) ** 10**9 == Polynomial.zero(2)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_powers_of_zero():
     for n in (0, 1, 3):
         zero = Polynomial.zero(n)

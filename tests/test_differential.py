@@ -15,7 +15,15 @@ from fractions import Fraction
 import pytest
 
 from germkit import algebra
-from germkit.algebra import MAX_DEGREE, Polynomial, _monomial_multiple, _truncated_product
+from germkit.algebra import (
+    MAX_DEGREE,
+    Polynomial,
+    _axis_order,
+    _linear_part,
+    _monomial_multiple,
+    _quadratic_parts,
+    _truncated_product,
+)
 from germkit.elimination import discriminant, resultant
 from helpers import BIG_DENOMINATORS, random_monomial
 
@@ -292,6 +300,74 @@ def test_resultants_and_discriminants_match_the_sylvester_determinant():
             assert_matches(discriminant(pf, j), want, n)
 
 
+# -- the quadratic-stage helpers against the Polynomial-level chains they replace ---------
+
+
+def chained_quadratic_parts(f):
+    """(e1, e2, D) by coefficients_in, drop_variable, a scale by 1/a and e1*e1 - 4*e2."""
+    rows = f.coefficients_in(f.n)
+    if len(rows) != 3 or rows[2].total_degree() != 0:
+        return None
+    e2, e1 = (r.drop_variable(f.n) * (1 / rows[2].constant_term()) for r in rows[:2])
+    return e1, e2, e1 * e1 - 4 * e2
+
+
+def test_quadratic_parts_match_the_polynomial_chain():
+    rng = random.Random(2901)
+    decided = 0
+    for case in range(200):
+        n = 1 + case % 4
+        zn = Polynomial.variable(n, n)
+        b, c = (Polynomial(n - 1, operand(rng, n - 1)).insert_variable(n) for _ in range(2))
+        # a negative, a rational or a large-denominator leading coefficient, so f's
+        # own denominator is rarely 1; every other f has a shape that gives None
+        a = rng.choice((-1, -3, F(2, 7), F(-5, 3), coefficient(rng)))
+        f = a * zn * zn + b * zn + c
+        shape = case % 8
+        if shape == 1 and n > 1:  # a leading coefficient that is not constant
+            f = f + Polynomial.monomial(n, (1,) * (n - 1) + (2,))
+        elif shape in (1, 3):  # z_n-degree at most 1
+            f = (b + 1) * zn + c
+        elif shape == 5:  # z_n-degree 3
+            f = f + zn * zn * zn * coefficient(rng)
+        elif shape == 7:  # z_n-degree 0, or the zero polynomial
+            f = c if case % 16 == 7 else Polynomial.zero(n)
+        got, want = _quadratic_parts(f), chained_quadratic_parts(f)
+        if shape % 2:
+            assert got is None and want is None
+            continue
+        decided += 1
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+    assert decided == 100
+
+
+def test_quadratic_parts_cancel_the_denominator_of_f():
+    # f = (z2^2 - 3/2*z1*z2 + z1^2/4) * 2/3: a = 2/3, b = -z1, c = z1^2/6
+    z1, z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    f = (z2 * z2 - F(3, 2) * z1 * z2 + F(1, 4) * z1 * z1) * F(2, 3)
+    x = Polynomial.variable(1, 1)
+    want = (F(-3, 2) * x, F(1, 4) * x * x, F(5, 4) * x * x)  # D = 9/4*x^2 - x^2
+    assert _quadratic_parts(f) == want
+    assert _quadratic_parts(f * F(-1, 5)) == want
+
+
+def test_axis_order_and_linear_part_match_their_tuple_readings():
+    rng = random.Random(2902)
+    for case in range(200):
+        n = 1 + case % 4
+        p = Polynomial(n, operand(rng, n, 3, 6))
+        if case % 3 == 0:  # a pure power of every variable, or the constant term
+            for i in range(n):
+                e = rng.randint(0, 4)
+                p = p + Polynomial.monomial(n, tuple(e * (k == i) for k in range(n)),
+                                            coefficient(rng))
+        for j in range(1, n + 1):
+            want = min((e[j - 1] for e in p.support() if sum(e) == e[j - 1]), default=math.inf)
+            assert _axis_order(p, j) == want
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        assert _linear_part(p) == tuple(p.coefficient(u) for u in units)
+
+
 # -- the degree cap --------------------------------------------------------------------
 
 
@@ -300,6 +376,7 @@ Z1, Z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
 ONE_PLUS_Z1, Z1_Z2 = 1 + Z1, Z1 * Z2
 HALF = Polynomial.monomial(2, (MAX_DEGREE // 2 + 1, 0))  # its square is past the cap
 HALF_PLUS_Z2_SQUARED, Z2_PLUS_Z1 = HALF + Z2 * Z2, Z2 + Z1
+HALF_Z2_PLUS_Z2_SQUARED = HALF * Z2 + Z2 * Z2
 
 
 @pytest.fixture
@@ -344,6 +421,9 @@ PAST_THE_CAP = {
     "product": lambda: HALF * HALF,
     "truncated product": lambda: _truncated_product(HALF, HALF, MAX_DEGREE + 5),
     "power": lambda: ONE_PLUS_Z1 ** (MAX_DEGREE + 1),
+    "monomial power": lambda: Z1_Z2 ** (MAX_DEGREE // 2 + 1),
+    # b*b is past the cap for f = z2^2 + HALF*z2, so D is refused before it is formed
+    "quadratic parts": lambda: _quadratic_parts(HALF_Z2_PLUS_Z2_SQUARED),
     "substitute": lambda: HALF.substitute(1, Z1_Z2),
     "monomial multiple": lambda: _monomial_multiple(HALF, (MAX_DEGREE // 2 + 1, 0)),
     # (2 + 1) * (1 * deg f + 2 * deg g) is past the cap for f = HALF + z2^2, g = z2 + z1

@@ -87,6 +87,38 @@ def test_square_test_symbolic_when_constant_is_not_a_rational_square():
     assert cert.symbolic and cert.root is None
 
 
+def test_square_certificate_reads_the_unit_constant_before_any_series(monkeypatch):
+    # D = x^(2*half) * U: when U(0) is not a rational square the certificate is
+    # symbolic and no series is built; when it is, root and unit_root are the
+    # series that sqrt(U) at order N gives, as before the shortcut
+    def refuse(*args):
+        raise AssertionError("a series was built for a symbolic certificate")
+
+    rng = random.Random(2903)
+    seen = {True: 0, False: 0}
+    for case in range(60):
+        n = 1 + case % 3
+        half = tuple(rng.randint(0, 2) for _ in range(n))
+        u0 = rng.choice((1, 4, F(9, 25), 2, -1, F(-4, 9), F(5, 7)))
+        U = Polynomial.constant(n, u0) + _vanishing(rng, n, 1, 4, 4)
+        D = Polynomial.monomial(n, tuple(2 * h for h in half)) * U
+        N = rng.choice((1, 4, 8))
+        unit_root = ts_sqrt(TruncatedSeries(U, N))
+        if unit_root is None:
+            want = MonomialUnitSquare(root=None, half_exponents=half)
+        else:
+            root = TruncatedSeries(Polynomial.monomial(n, half) * unit_root.body, N)
+            want = MonomialUnitSquare(root=root, half_exponents=half, unit_root=unit_root)
+        with monkeypatch.context() as m:
+            if unit_root is None:
+                m.setattr(germs, "ts_sqrt", refuse)
+                m.setattr(germs, "TruncatedSeries", refuse)
+            got = is_local_square(D, N)
+        assert got == want and repr(got) == repr(want)
+        seen[got.symbolic] += 1
+    assert min(seen.values()) >= 15
+
+
 def test_square_test_odd_lowest_degree():
     d = Polynomial(2, {(1, 1): 1, (0, 3): 1})  # order 2 but z1-order 1
     cert = is_local_square(d, 8)

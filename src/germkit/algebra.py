@@ -27,10 +27,13 @@ the z1..zn naming used by the expression grammar in `germkit.parsing`.
 
 The public API speaks exponent tuples and `fractions.Fraction`; it packs and
 unpacks keys at that boundary.  The kernels compute on the stored integers,
-and every result is brought to canonical form by `_raw`.  This is the only
-module that reads a Polynomial's term table.  Its one product loop is
-`_mul_add` (acc += scale * ta * tb in place); `_truncated_product` (`*`, the
-series product) runs it on the pairs of homogeneous parts from `_graded`.
+and every result is brought to canonical form by `_raw`, or built by
+`_canonical` when its table is canonical already (a negation, a move of the
+keys; `truncate` and `shift` at the zero point return self when nothing
+changes).  This is the only module that reads a Polynomial's term table.
+Its one product loop is `_mul_add` (acc += scale * ta * tb in place);
+`_truncated_product` (`*`, the series product) runs it on the pairs of
+homogeneous parts from `_graded`.
 Built on it are `_horner` (`substitute`), `_exact_quotient` (`exact_div`),
 `_table_power` (`**`: repeated products, which beat squaring on dense tables),
 `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and `_subresultant_prs`
@@ -42,8 +45,9 @@ monomial in the other variables.  `_table_rows` splits a table by one
 variable's exponent for `coefficients_in`, `_horner` and the subresultant
 sequence, and `_levels` a polynomial by its degree in the other variables for
 `weierstrass_prepare`.  `_quadratic_parts` (e1, e2 and the discriminant of
-a*z_n^2 + b*z_n + c), `_axis_order` (`regular_order`) and `_linear_part` (the
-gradient) read keys for the cascade.  No other module multiplies term tables.
+a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
+`_axis_order` (`regular_order`) and `_linear_part` (the gradient) read keys for
+the cascade.  No other module multiplies term tables.
 """
 
 from __future__ import annotations
@@ -261,7 +265,7 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return _raw(self.n, {m: -c for m, c in self._terms.items()}, self._den)
+        return _canonical(self.n, {m: -c for m, c in self._terms.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -323,9 +327,12 @@ class Polynomial:
     def shift(self, point: Sequence) -> "Polynomial":
         """Recenter at a point: returns g with g(x) = f(point + x) exactly.
 
-        Each nonzero c_i = a/b is one dense Taylor shift z_i <- (b*z_i + a)/b.
+        Each nonzero c_i = a/b is one dense Taylor shift z_i <- (b*z_i + a)/b;
+        at the zero point the polynomial is returned as it is.
         """
         pt = as_point(point, self.n)
+        if not any(pt):
+            return self
         table, scale = self._terms, self._den
         for i, c in enumerate(pt):
             if c != 0:
@@ -342,7 +349,9 @@ class Polynomial:
         return _raw(self.n, table, self._den * lift)
 
     def truncate(self, max_total_degree: int) -> "Polynomial":
-        """Drop every term of total degree above the bound."""
+        """Drop every term of total degree above the bound; with none above it, this is self."""
+        if self.total_degree() <= max_total_degree:
+            return self
         s = _FIELD_BITS * self.n
         return _raw(self.n, {m: c for m, c in self._terms.items() if m >> s <= max_total_degree},
                     self._den)
@@ -392,7 +401,7 @@ class Polynomial:
             raise ValueError(f"variable z{var} occurs; cannot drop it")
         low = (1 << off) - 1  # the fields of z_(var+1)..z_n stay, the ones above move down
         table = {m >> _FIELD_BITS & ~low | m & low: c for m, c in self._terms.items()}
-        return _raw(self.n - 1, table, self._den)
+        return _canonical(self.n - 1, table, self._den)
 
     def insert_variable(self, position: int) -> "Polynomial":
         """Embed into n+1 variables with a fresh unused slot at a 1-based position."""
@@ -402,7 +411,7 @@ class Polynomial:
             raise VariableIndexError(f"insert position {position} outside 1..{self.n + 1}")
         low = (1 << _FIELD_BITS * (self.n + 1 - position)) - 1  # z_position..z_n stay
         table = {(m & ~low) << _FIELD_BITS | m & low: c for m, c in self._terms.items()}
-        return _raw(self.n + 1, table, self._den)
+        return _canonical(self.n + 1, table, self._den)
 
 
 def _raw(n: int, table: dict, den: int) -> Polynomial:
@@ -410,10 +419,18 @@ def _raw(n: int, table: dict, den: int) -> Polynomial:
     zero entries dropped, the common gcd divided out, the denominator positive."""
     table = {mono: c for mono, c in table.items() if c}
     g = math.gcd(den, *table.values()) * (1 if den > 0 else -1)
+    if g != 1:
+        table, den = {m: c // g for m, c in table.items()}, den // g
+    return _canonical(n, table, den)
+
+
+def _canonical(n: int, table: dict, den: int) -> Polynomial:
+    """The polynomial table / den in n variables, the table already canonical: no zero
+    entry, den > 0 and coprime to the entries' content.  It is taken as it is, not copied."""
     p = object.__new__(Polynomial)
     object.__setattr__(p, "n", n)
-    object.__setattr__(p, "_terms", table if g == 1 else {m: c // g for m, c in table.items()})
-    object.__setattr__(p, "_den", den // g)
+    object.__setattr__(p, "_terms", table)
+    object.__setattr__(p, "_den", den)
     return p
 
 
@@ -477,9 +494,13 @@ def _unit_power(a: Polynomial, order: int, p: int, q: int, factor: Fraction) -> 
     return _raw(a.n, table, top)
 
 
-def _linear_part(p: Polynomial) -> tuple[Fraction, ...]:
-    """The coefficients of z1..zn in p, read off the keys of its degree-1 terms."""
-    return tuple(Fraction(p._terms.get(_var_key(p.n, i), 0), p._den) for i in range(p.n))
+def _linear_part(p: Polynomial) -> tuple[Fraction, ...] | None:
+    """The coefficients of z1..zn in p, read off the keys of its degree-1 terms; None when
+    p has no degree-1 term, so every coefficient would be 0."""
+    keys = [_var_key(p.n, i) for i in range(p.n)]
+    if not any(key in p._terms for key in keys):
+        return None
+    return tuple(Fraction(p._terms.get(key, 0), p._den) for key in keys)
 
 
 def _axis_order(p: Polynomial, j: int) -> int | float:
@@ -508,7 +529,27 @@ def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:
     """x^expo * a, by shifting exponents; expo may be negative where a's support allows."""
     _check_degree(_degree_of(a) + sum(expo))
     shift = _pack(expo)  # packing is linear, so a negative exponent shifts down
-    return _raw(a.n, {m + shift: c for m, c in a._terms.items()}, a._den)
+    return _canonical(a.n, {m + shift: c for m, c in a._terms.items()}, a._den)
+
+
+def _linear_factors(e1: Polynomial, r: Polynomial, order: int) -> tuple[Polynomial, Polynomial]:
+    """t + (e1 - r)/2 and t + (e1 + r)/2, t = z_n, for e1 and r in z1..z(n-1), each cut at
+    total degree order >= 1: one pass over e1's and r's tables, over one denominator 2*lcm."""
+    n, s = e1.n + 1, _FIELD_BITS * e1.n
+    den = math.lcm(e1._den, r._den)
+    t = _var_key(n, n - 1)
+    lo, hi = {t: 2 * den}, {t: 2 * den}
+    # a key of z1..z(n-1) shifted up one field is the same monomial with z_n's field 0
+    lift = den // e1._den
+    for m, c in e1._terms.items():
+        if m >> s <= order:
+            lo[m << _FIELD_BITS] = hi[m << _FIELD_BITS] = c * lift
+    lift = den // r._den
+    for m, c in r._terms.items():
+        if m >> s <= order:
+            key, c = m << _FIELD_BITS, c * lift
+            lo[key], hi[key] = lo.get(key, 0) - c, hi.get(key, 0) + c
+    return _raw(n, lo, 2 * den), _raw(n, hi, 2 * den)
 
 
 def _horner(table: dict, n: int, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:

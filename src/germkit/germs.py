@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (Polynomial, _linear_part, _monomial_multiple, _quadratic_parts, as_point,
-                      as_rational, rational_sqrt)
+from .algebra import (Polynomial, _linear_factors, _linear_part, _monomial_multiple,
+                      _quadratic_parts, as_point, as_rational, rational_sqrt)
 from .errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
@@ -302,10 +302,10 @@ def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
     for a square root r of D, cut at order N.  When the square exists over
     C but has no rational representation the verdict is still reducible,
     with factors omitted (the symbolic case).  e1, e2 and D = (b*b - 4*a*c)/a^2
-    are read off f's integer rows in t with one product (`_quadratic_parts`).
+    are read off f's integer rows in t with one product (`_quadratic_parts`),
+    and both factors are built in one pass over e1 and r (`_linear_factors`).
     """
     _check_order(N)
-    j = f.n
     if (parts := _quadratic_parts(f)) is None:
         return None
     e1, e2, D = parts
@@ -318,10 +318,7 @@ def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
         return GermStatus(reason="the discriminant " + why)
     if not isinstance(cert, MonomialUnitSquare) or cert.symbolic:
         return GermStatus(cert)
-    # t + (e1 -+ r)/2 as mid -+ step: each term table is scaled and embedded once
-    mid = Polynomial.variable(f.n, j) + (e1 * Fraction(1, 2)).insert_variable(j)
-    step = (cert.root.body * Fraction(1, 2)).insert_variable(j)
-    lo, hi = mid - step, mid + step
+    lo, hi = _linear_factors(e1, cert.root.body, N)
     return GermStatus(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
 
 
@@ -456,8 +453,7 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     if value != 0:
         return GermStatus(NonzeroValue(value=value))
     n = f.n
-    gradient = _linear_part(shifted)
-    if any(c != 0 for c in gradient):
+    if (gradient := _linear_part(shifted)) is not None:
         return GermStatus(SmoothPoint(gradient=gradient))
     j = n  # any other choice asks about the same germ with variables renamed
     sheared, report = make_regular(shifted, j)
@@ -477,6 +473,8 @@ def analyze_germ(query: GermQuery) -> GermStatus:
             shape = f"2 (but not a*z{j}^2 + b*z{j} + c, a constant)" if d == 2 else ">= 3"
             status = GermStatus(reason=f"Weierstrass degree {shape} in dimension >= 3 is "
                                 "outside the decidable fragment")
+    if report.applied_change is None:
+        return status
     return replace(status, applied_change=report.applied_change)
 
 
@@ -537,8 +535,10 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
 
     f is shifted to p once; the base germ is classified at the origin of
     that shifted polynomial, and each sample q at the step q - p from it,
-    which is the germ of f at q exactly.  A sample thus pays one Taylor
-    shift per coordinate the curve moves, on the shifted germ.
+    which is the germ of f at q exactly.  A sample evaluates only the
+    coordinates the curve moves (those of positive degree; a fixed one stays
+    at p_i, a step of 0) and pays one Taylor shift per coordinate that moves
+    at that t, on the shifted germ.
     """
     p = as_point(p, f.n)
     coords = tuple(curve)
@@ -559,9 +559,10 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
     base = f.shift(p)
     base_status = analyze_germ(GermQuery(base, (0,) * f.n, N))
     samples = []
+    moves = [c.total_degree() > 0 for c in coords]
     for t in t_values:
-        q = tuple(c.evaluate((t,)) for c in coords)
-        step = tuple(x - y for x, y in zip(q, p))
+        q = tuple(c.evaluate((t,)) if m else x for c, x, m in zip(coords, p, moves))
+        step = tuple(y - x if m else 0 for y, x, m in zip(q, p, moves))
         samples.append(ScanSample(t=t, point=q, status=analyze_germ(GermQuery(base, step, N))))
     samples = tuple(samples)
 

@@ -10,6 +10,8 @@ import pytest
 
 from germkit.algebra import (
     Polynomial,
+    _linear_factors,
+    _monomial_multiple,
     _mul_add,
     _pack,
     _truncated_product,
@@ -285,13 +287,18 @@ def test_every_operation_returns_the_canonical_form():
         root = rng.choice((1, F(2, 3), F(-1, 2**61 - 1)))
         square = a - a.constant_term() + root * root
         order = rng.randint(1, 4)
+        # down to the largest monomial factor, or up by up to 2 per variable
+        offsets = (tuple(-a.variable_order(i) for i in range(1, n + 1)),
+                   tuple(rng.randint(0, 2) for _ in range(n)))
         results = [
             a + b, a - b, a * b, -a, a.derivative(var), a.truncate(2),
-            a.lowest_homogeneous_form()[0], a.shift(point), a.substitute(var, b),
-            a.insert_variable(var), a.insert_variable(var).drop_variable(var),
+            a.lowest_homogeneous_form()[0], a.shift(point), a.shift((0,) * n),
+            a.substitute(var, b), a.insert_variable(var), a.insert_variable(var).drop_variable(var),
             *(row.drop_variable(var) for row in a.coefficients_in(var)),
             *(a * k for k in (0, -1, 1, F(-3, 2**61 - 1), 3**40)),
             *(k * a for k in (0, -2, F(5, 7))),
+            *(_monomial_multiple(a, offset) for offset in offsets),
+            *_linear_factors(a, b, order),
             ts_inverse(TruncatedSeries(unit, order)).body,
             ts_sqrt(TruncatedSeries(square, order)).body,
         ]
@@ -299,6 +306,9 @@ def test_every_operation_returns_the_canonical_form():
             results.append((a * b).exact_div(b))
         for p in results:
             assert_canonical(p)
+        # nothing to drop and nothing to move: the polynomial itself comes back
+        assert a.truncate(a.total_degree()) is a
+        assert a.shift((0,) * n) is a
         assert a - a == Polynomial.zero(n)
         assert repr(a - a) == repr(Polynomial.zero(n))
 

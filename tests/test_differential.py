@@ -19,6 +19,7 @@ from germkit.algebra import (
     MAX_DEGREE,
     Polynomial,
     _axis_order,
+    _linear_factors,
     _linear_part,
     _monomial_multiple,
     _quadratic_parts,
@@ -353,6 +354,7 @@ def test_quadratic_parts_cancel_the_denominator_of_f():
 
 def test_axis_order_and_linear_part_match_their_tuple_readings():
     rng = random.Random(2902)
+    linear = 0
     for case in range(200):
         n = 1 + case % 4
         p = Polynomial(n, operand(rng, n, 3, 6))
@@ -365,13 +367,34 @@ def test_axis_order_and_linear_part_match_their_tuple_readings():
             want = min((e[j - 1] for e in p.support() if sum(e) == e[j - 1]), default=math.inf)
             assert _axis_order(p, j) == want
         units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        assert _linear_part(p) == tuple(p.coefficient(u) for u in units)
+        want = tuple(p.coefficient(u) for u in units)
+        # None, not n zeros, when p has no degree-1 term
+        assert _linear_part(p) == (want if any(want) else None)
+        linear += any(want)
+    assert 0 < linear < 200
+
+
+def test_linear_factors_match_the_polynomial_arithmetic():
+    # t + (e1 -+ r)/2 built with public arithmetic and cut at N; e1 keeps terms above N
+    rng = random.Random(3001)
+    for case in range(200):
+        n = 1 + case % 3
+        N = rng.randint(1, 4)
+        e1 = Polynomial(n, operand(rng, n, N + 3, 6))
+        r = Polynomial(n, operand(rng, n, N, 5))
+        if case % 4 == 0:  # e1 = r cancels in one factor, and e1 = -r in the other
+            e1 = rng.choice((r, -r))
+        t = Polynomial.variable(n + 1, n + 1)
+        mid, step = (e1 * F(1, 2)).insert_variable(n + 1), (r * F(1, 2)).insert_variable(n + 1)
+        want = ((t + mid - step).truncate(N), (t + mid + step).truncate(N))
+        assert [repr(p) for p in _linear_factors(e1, r, N)] == [repr(p) for p in want]
 
 
 # -- the degree cap --------------------------------------------------------------------
 
 
-# operands, built at import: `nothing_computed` disarms `_raw`, which builds every result
+# operands, built at import: `nothing_computed` disarms `_raw` and `_canonical`, which
+# build every result
 Z1, Z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
 ONE_PLUS_Z1, Z1_Z2 = 1 + Z1, Z1 * Z2
 HALF = Polynomial.monomial(2, (MAX_DEGREE // 2 + 1, 0))  # its square is past the cap
@@ -386,6 +409,7 @@ def nothing_computed(monkeypatch):
         raise AssertionError("a kernel ran past the degree cap check")
     monkeypatch.setattr(algebra, "_mul_add", refuse)
     monkeypatch.setattr(algebra, "_raw", refuse)
+    monkeypatch.setattr(algebra, "_canonical", refuse)
 
 
 def past_the_cap(call):

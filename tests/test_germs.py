@@ -998,21 +998,23 @@ def test_scan_on_locus_is_exact_vanishing():
 
 
 def test_scan_samples_equal_a_fresh_analysis_at_each_point():
-    # the scan shifts f to p once and moves each sample by q - p from there;
-    # every status must be the one analyze_germ gives at q from f itself
+    # the scan shifts f to p once and moves each sample by q - p from there,
+    # evaluating only the coordinates the curve moves; every point must be the
+    # curve's value at t and every status the one analyze_germ gives at q from f
     rng = random.Random(505)
     z1, z2, z3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
     kinds, sheared = set(), 0
-    for case in range(18):
+    for case in range(30):
         ts = (0, *(random_fraction(rng, -3, 3, 4) for _ in range(3)))
-        if case % 3 < 2:
+        shape = case % 5
+        u = 1 + random_poly(rng, 3, 2, 3) * Polynomial.variable(3, rng.randint(1, 3))
+        if shape < 2:
             # along a line, where only z1 moves: the paper's family, and a
             # family whose germs are not regular in z3 until sheared
-            u = 1 + random_poly(rng, 3, 2, 3) * Polynomial.variable(3, rng.randint(1, 3))
-            f = z3**2 - z1 * z2**2 * u if case % 3 == 0 else z2 * z3 * u + z1 * z2**2
+            f = z3**2 - z1 * z2**2 * u if shape == 0 else z2 * z3 * u + z1 * z2**2
             p = (0, 0, 0)
             coords = curve({(1,): rng.randint(1, 3)}, {}, {})
-        else:
+        elif shape == 2:
             # a cusp through a random point, with z3 tied to z1: every coordinate moves
             p = random_point(rng, 3, -2, 2, 3)
             a, c = random_fraction(rng, 1, 3, 2), random_fraction(rng)
@@ -1020,11 +1022,25 @@ def test_scan_samples_equal_a_fresh_analysis_at_each_point():
             f = x[1] ** 2 - x[0] ** 3 + (x[2] - c * x[0]) * random_poly(rng, 3, 2, 3, nonzero=True)
             coords = curve({(0,): p[0], (2,): a**2}, {(0,): p[1], (3,): a**3},
                            {(0,): p[2], (2,): c * a**2})
+        elif shape == 3:
+            # the paper's family moved to a point whose fixed coordinates are nonzero
+            p = (random_fraction(rng), *(random_fraction(rng, 1, 9) for _ in range(2)))
+            x = [z - v for z, v in zip((z1, z2, z3), p)]
+            f = x[2] ** 2 - x[0] * x[1] ** 2 * u
+            coords = curve({(0,): p[0], (1,): rng.randint(1, 3)}, {(0,): p[1]}, {(0,): p[2]})
+        else:
+            # a cusp in z2, z3 on the plane z1 = 0, the curve's z1 the zero polynomial
+            p = (0, *random_point(rng, 2, -2, 2, 3))
+            a = random_fraction(rng, 1, 3, 2)
+            f = (z2 - p[1]) ** 2 - (z3 - p[2]) ** 3 + z1 * random_poly(rng, 3, 2, 3)
+            coords = curve({}, {(0,): p[1], (3,): a**3}, {(0,): p[2], (2,): a**2})
         N = rng.choice((4, 8))
         report = scan_stability(f, p, coords, ts, N)
         want = analyze_germ(GermQuery(f, p, N))
         assert report.base_status == want
         for s in report.samples:
+            q = tuple(c.evaluate((s.t,)) for c in coords)
+            assert s.point == q and all(type(x) is Fraction for x in s.point)
             want = analyze_germ(GermQuery(f, s.point, N))
             assert s.status.certificate == want.certificate
             assert s.status.factors == want.factors

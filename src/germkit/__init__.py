@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # every public name, by the module that defines it
 _OWNERS = {name: module for module, names in {
-    "algebra": ("Point", "Polynomial", "as_point", "as_rational", "grlex_key", "rational_sqrt"),
+    "algebra": ("Point", "Polynomial", "as_point", "as_rational", "rational_sqrt"),
     "series": ("TruncatedSeries", "ts_inverse", "ts_sqrt"),
     "weierstrass": ("RegularityReport", "WeierstrassData", "apply_shear", "make_regular",
                     "regular_order", "weierstrass_prepare"),
@@ -26,9 +26,9 @@ _OWNERS = {name: module for module, names in {
     "germs": ("BinomialCoprimeEdge", "BinomialNoncoprimeEdge", "DistinguishedVarDivides",
               "EdgePolynomialSplits", "GermQuery", "GermStatus", "LowestFormNotASquare",
               "MonomialUnitSquare", "MultiEdgePolygon", "NonzeroValue", "OddVariableOrder",
-              "PolygonEdge", "ScanReport", "ScanSample", "SmoothPoint", "analyze_germ",
-              "is_local_square", "newton_polygon", "polygon_verdict", "quadratic_germ_test",
-              "scan_stability"),
+              "PolygonEdge", "PolynomialSquare", "ScanReport", "ScanSample", "SmoothPoint",
+              "analyze_germ", "is_local_square", "newton_polygon", "polygon_verdict",
+              "quadratic_germ_test", "scan_stability"),
     "parsing": ("format_poly", "parse_curve", "parse_point", "parse_poly", "parse_rationals"),
     "errors": ("GermkitError", "DimensionMismatchError", "VariableIndexError",
                "ZeroPolynomialError", "NotAUnitError", "NotRegularError", "OrderTooSmallError",

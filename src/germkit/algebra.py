@@ -103,11 +103,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def grlex_key(mono: Monomial):
-    """Sort key: ascending total degree, then z1-heaviest term first."""
-    return (sum(mono), tuple(-e for e in mono))
-
-
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 

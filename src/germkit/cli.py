@@ -15,14 +15,15 @@ Each subcommand loads only the modules it runs: the germ cascade
 (`germkit.germs`) for analyze, scan and demo, the resultants
 (`germkit.elimination`) for resultant, discriminant and coprime, and `json`
 under --json alone; the parser, the algebra and Weierstrass preparation are
-loaded for every subcommand.
+loaded for every subcommand.  Results are germkit records (`germkit._record`),
+so a certificate's fields are read from its `_fields`, and no subcommand
+imports `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import sys
 import time
@@ -30,6 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
+from ._record import Record
 from .algebra import Polynomial, as_point
 from .errors import GermkitError, ParseError, VariableIndexError
 from .parsing import _format_point, format_poly, parse_curve, parse_poly, parse_rationals
@@ -105,7 +107,7 @@ def _text(value) -> str:
         return _format_point(value)
     if isinstance(value, _Rows):
         return "".join(_lines(value))
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, Record):  # a certificate, the one record a row holds
         return _describe_certificate(value)
     return str(value)
 
@@ -118,9 +120,8 @@ def _encode(value):
         return [[list(mono), str(coeff)] for mono, coeff in value.terms()]
     if isinstance(value, TruncatedSeries):
         return {"order": value.order, "terms": value.body}
-    if dataclasses.is_dataclass(value):
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-        return {"kind": value.kind, **fields}
+    if isinstance(value, Record):  # a certificate
+        return {"kind": value.kind, **{name: getattr(value, name) for name in value._fields}}
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
@@ -144,11 +145,11 @@ def _describe_certificate(cert) -> str:
             return "MonomialUnitSquare(square root exists but is not rational)"
         return f"MonomialUnitSquare(root = {_text(cert.root)})"
     parts = []
-    for field in dataclasses.fields(cert):
-        value = getattr(cert, field.name)
+    for name in cert._fields:
+        value = getattr(cert, name)
         # a variable is a 1-based index; the reader knows it as z<k>
-        text = f"z{value}" if field.name == "variable" else _text(value)
-        parts.append(f"{field.name} = {text}")
+        text = f"z{value}" if name == "variable" else _text(value)
+        parts.append(f"{name} = {text}")
     return f"{cert.kind}(" + ", ".join(parts) + ")"
 
 

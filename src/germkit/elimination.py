@@ -19,9 +19,9 @@ stays public for matrices of polynomials; no resultant goes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .algebra import (
     Polynomial,
     _subresultant_prs,
@@ -35,8 +35,7 @@ from .errors import (
 from .weierstrass import apply_shear, make_regular
 
 
-@dataclass(frozen=True)
-class CoprimeReport:
+class CoprimeReport(Record):
     """Resultant-based coprimality verdict for two germs at a point.
 
     `resultant_poly` lives in the base variables (the distinguished one is

@@ -17,6 +17,8 @@ and its class name is its `kind`:
   MonomialUnitSquare    the discriminant is monomial * unit with even
                         exponents; carries the square root when it is
                         rationally representable
+  PolynomialSquare      the discriminant is a constant times the square of
+                        a polynomial, or zero
   LowestFormNotASquare  the lowest homogeneous form of the discriminant is
                         not a square of a form (decided in any number of
                         variables)
@@ -37,10 +39,10 @@ exists, and `_exact_root` finds it, or its absence, exactly over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .algebra import (Polynomial, _linear_factors, _linear_part, _monomial_multiple,
                       _quadratic_parts, as_point, as_rational, rational_sqrt)
 from .errors import (
@@ -62,29 +64,27 @@ SINGULAR_REDUCIBLE = "SingularReducible"
 UNDETERMINED = "Undetermined"
 
 
-class _Certificate:
+class _Certificate(Record):
     """Gives each certificate its `verdict`, from its class line, and `kind`, its class name."""
 
-    def __init_subclass__(cls, verdict: str):
-        cls.kind = cls.__name__  # class attributes, so not dataclass fields
+    def __init_subclass__(cls, verdict: str, **kwargs):
+        cls.kind = cls.__name__  # class attributes, so not record fields
         cls.verdict = verdict
+        super().__init_subclass__(**kwargs)
 
 
-@dataclass(frozen=True)
 class NonzeroValue(_Certificate, verdict=UNIT):
     """f(p) != 0: the germ is a unit in the local ring."""
 
     value: Fraction
 
 
-@dataclass(frozen=True)
 class SmoothPoint(_Certificate, verdict=SMOOTH_IRREDUCIBLE):
     """Nonzero gradient at the point: the zero set is locally smooth."""
 
     gradient: tuple
 
 
-@dataclass(frozen=True)
 class OddVariableOrder(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     """variable_order(D, variable) = order, an odd number.
 
@@ -96,7 +96,6 @@ class OddVariableOrder(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     order: int
 
 
-@dataclass(frozen=True)
 class MonomialUnitSquare(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """D = x^(2*half_exponents) * (unit_root)^2, certified square.
 
@@ -115,7 +114,26 @@ class MonomialUnitSquare(_Certificate, verdict=SINGULAR_REDUCIBLE):
         return self.root is None
 
 
-@dataclass(frozen=True)
+class PolynomialSquare(_Certificate, verdict=SINGULAR_REDUCIBLE):
+    """D = lc * root^2 exactly, for a polynomial root with leading coefficient 1.
+
+    `lc` is D's leading coefficient and `root` its monic square root as
+    `_exact_root` finds it; both are 0 when D = 0, the germ being a times
+    the square (t + e1/2)^2.  D(0) = 0, so root(0) = 0, and f / a =
+    (t + e1/2)^2 - D/4 is the product of the two non-unit factors
+    t + (e1 -+ sqrt(lc)*root)/2 over C.  A checker re-verifies D == lc * root^2
+    and root(0) = 0.  When lc is not a rational square the factors are not
+    rational and are omitted (the symbolic case).
+    """
+
+    lc: Fraction
+    root: Polynomial
+
+    @property
+    def symbolic(self) -> bool:
+        return rational_sqrt(self.lc) is None
+
+
 class LowestFormNotASquare(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     """The lowest homogeneous form of D is not the square of a form.
 
@@ -128,7 +146,6 @@ class LowestFormNotASquare(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     degree: int
 
 
-@dataclass(frozen=True)
 class DistinguishedVarDivides(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """z_variable^multiplicity is the highest power of z_variable dividing the germ."""
 
@@ -136,14 +153,12 @@ class DistinguishedVarDivides(_Certificate, verdict=SINGULAR_REDUCIBLE):
     multiplicity: int
 
 
-@dataclass(frozen=True)
 class MultiEdgePolygon(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """The Newton polygon has several edges; each carries its own branches."""
 
     edge_count: int
 
 
-@dataclass(frozen=True)
 class BinomialCoprimeEdge(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     """Single binomial edge (0,d)-(m,0) with gcd(d,m)=1: one branch, irreducible."""
 
@@ -151,14 +166,12 @@ class BinomialCoprimeEdge(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
     m: int
 
 
-@dataclass(frozen=True)
 class BinomialNoncoprimeEdge(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """Single binomial edge with gcd g > 1: the initial part splits into g branches."""
 
     gcd: int
 
 
-@dataclass(frozen=True)
 class EdgePolynomialSplits(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """The single edge's polynomial has several distinct complex roots.
 
@@ -175,8 +188,7 @@ class EdgePolynomialSplits(_Certificate, verdict=SINGULAR_REDUCIBLE):
 # -- status and query ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermStatus:
+class GermStatus(Record):
     """Classification of a germ, with certificate and optional factor pair.
 
     The certificate is the decision: `kind` is its verdict, and Undetermined
@@ -203,8 +215,7 @@ class GermStatus:
         return self.kind in (SMOOTH_IRREDUCIBLE, SINGULAR_IRREDUCIBLE)
 
 
-@dataclass(frozen=True)
-class GermQuery:
+class GermQuery(Record):
     """A germ-classification request: which polynomial, where, how precisely."""
 
     f: Polynomial
@@ -299,9 +310,11 @@ def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
     f / a = t^2 + e1*t + e2 is exactly the germ's Weierstrass polynomial,
     and it splits into two monic linear factors exactly when the polynomial
     D = e1^2 - 4*e2 is a square germ; the factors are then t + (e1 -+ r)/2
-    for a square root r of D, cut at order N.  When the square exists over
-    C but has no rational representation the verdict is still reducible,
-    with factors omitted (the symbolic case).  e1, e2 and D = (b*b - 4*a*c)/a^2
+    for a square root r of D, cut at order N.  When `is_local_square` does
+    not decide, D = 0 and D = lc * R^2 for a polynomial R (`_exact_root`)
+    are squares too (PolynomialSquare).  When the square exists over C but
+    has no rational representation the verdict is still reducible, with
+    factors omitted (the symbolic case).  e1, e2 and D = (b*b - 4*a*c)/a^2
     are read off f's integer rows in t with one product (`_quadratic_parts`),
     and both factors are built in one pass over e1 and r (`_linear_factors`).
     """
@@ -313,20 +326,27 @@ def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
         return None
     cert = is_local_square(D, N)
     if cert is None:
-        why = ("is zero: the germ is a constant times a square" if D.is_zero()
-               else "has a square lowest form but no monomial-unit split")
-        return GermStatus(reason="the discriminant " + why)
-    if not isinstance(cert, MonomialUnitSquare) or cert.symbolic:
+        if D.is_zero():
+            cert = PolynomialSquare(lc=Fraction(0), root=D)
+        elif (root := _exact_root(D, 2)) is not None:
+            cert = PolynomialSquare(lc=D.leading_term()[1], root=root)
+        else:
+            return GermStatus(reason="the discriminant has a square lowest form but is neither "
+                              "a monomial times a unit nor a constant times a square")
+    if isinstance(cert, PolynomialSquare) and not cert.symbolic:
+        r = cert.root * rational_sqrt(cert.lc)
+    elif isinstance(cert, MonomialUnitSquare) and not cert.symbolic:
+        r = cert.root.body
+    else:
         return GermStatus(cert)
-    lo, hi = _linear_factors(e1, cert.root.body, N)
+    lo, hi = _linear_factors(e1, r, N)
     return GermStatus(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
 
 
 # -- Newton polygon -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolygonEdge:
+class PolygonEdge(Record):
     """One edge of the lower hull, with its lattice data and edge polynomial.
 
     Coordinates are (i, j) = (exponent of z1, the base variable, exponent
@@ -475,14 +495,13 @@ def analyze_germ(query: GermQuery) -> GermStatus:
                                 "outside the decidable fragment")
     if report.applied_change is None:
         return status
-    return replace(status, applied_change=report.applied_change)
+    return status._replace(applied_change=report.applied_change)
 
 
 # -- stability scanner --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanSample:
+class ScanSample(Record):
     """One scanned point: parameter value, coordinates and status."""
 
     t: Fraction
@@ -495,8 +514,7 @@ class ScanSample:
         return self.status.kind != UNIT
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Per-sample classification along a parametric curve, plus a verdict.
 
     verdict, read from `reason` and `witness`, is "Unstable" (the base germ

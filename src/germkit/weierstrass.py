@@ -26,17 +26,16 @@ arithmetic runs on the integer kernels of `germkit.algebra`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
+from ._record import Record
 from .algebra import Polynomial, _axis_order, _check_var, _levels, _truncated_product, as_rational
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from .series import TruncatedSeries, _check_order, ts_inverse
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Record):
     """Outcome of a regularity probe in one distinguished variable.
 
     `order` is the vanishing order of the restriction to the distinguished
@@ -54,8 +53,7 @@ class RegularityReport:
         return self.order != inf
 
 
-@dataclass(frozen=True)
-class WeierstrassData:
+class WeierstrassData(Record):
     """Unit times Weierstrass polynomial decomposition at a fixed order.
 
     w = t^degree + coefficients[0]*t^(degree-1) + ... + coefficients[-1]

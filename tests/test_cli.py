@@ -134,14 +134,15 @@ def test_certificate_line_lists_the_fields_in_order(poly, point, line):
     assert f"certificate: {line}\n" in out
 
 
-def test_lowest_form_above_the_order_is_undetermined():
+def test_a_square_above_the_order_is_reducible():
     # (z3 + z1^4 + z2^5)^2 is a square, so its exact discriminant is 0; the
     # one of an order-8 preparation would have a degree-9 lowest form
     code, out, err = run("analyze", "--poly", "(z3 + z1^4 + z2^5)^2", "--point", "0,0,0,0")
     assert code == 0 and err == ""
-    assert "status: Undetermined\n" in out
-    assert "reason: the discriminant is zero: the germ is a constant times a square\n" in out
-    assert "certificate:" not in out
+    assert "status: SingularReducible\n" in out
+    assert "certificate: PolynomialSquare(lc = 0, root = 0)\n" in out
+    assert out.count("factor: z3 + z4 + z1^4 + z2^5\n") == 2
+    assert "reason:" not in out
 
 
 # -- golden demo -------------------------------------------------------------------
@@ -604,6 +605,16 @@ def test_every_exported_name_resolves_on_import():
     assert listed == distinct
 
 
+def test_the_whole_library_loads_neither_dataclasses_nor_inspect():
+    proc = python_with_src(
+        "-c", "import sys; from germkit import *; "
+        "print(*sorted({'dataclasses', 'inspect', 'germkit.germs'} & set(sys.modules)))",
+        stdout=subprocess.PIPE,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["germkit.germs"]  # every module was imported
+
+
 # A fresh interpreter runs one command through run_cli and prints its exit code
 # and every module the import and the run loaded, one word each.
 FOOTPRINT = """
@@ -635,7 +646,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, unloaded):
     code, *loaded = proc.stdout.split()
     assert code == "0"
     assert "germkit.weierstrass" in loaded  # the probe sees what the run imports
-    assert not unloaded & set(loaded)
+    # results are germkit records: no subcommand pays for importing dataclasses
+    assert not (unloaded | {"dataclasses", "inspect"}) & set(loaded)
     assert ("json" in loaded) == ("--json" in argv)
 
 

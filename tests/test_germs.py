@@ -4,7 +4,6 @@ import math
 import random
 import re
 import time
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +24,7 @@ from germkit.germs import (
     LowestFormNotASquare,
     MonomialUnitSquare,
     OddVariableOrder,
+    PolynomialSquare,
     analyze_germ,
     is_local_square,
     newton_polygon,
@@ -75,8 +75,8 @@ def test_square_test_squarefree_lowest_form():
 
 
 def test_square_test_leaves_zero_undecided():
-    # 0 = 0^2, but no certificate states it: a quadratic germ with D = 0 is
-    # a constant times a square, which the cascade leaves Undetermined
+    # 0 = 0^2, but no square-test certificate states it: the quadratic stage
+    # certifies a germ with D = 0 by PolynomialSquare
     assert is_local_square(Polynomial.zero(2), 8) is None
 
 
@@ -294,11 +294,13 @@ def test_quadratic_factors_multiply_back_through_max_order():
 
 
 def test_quadratic_double_root():
-    # z2^2: e1 = e2 = 0, so D = 0, which no certificate states
-    # (analyze_germ certifies this germ by DistinguishedVarDivides instead)
+    # z2^2: e1 = e2 = 0, so D = 0 and z2^2 is the square of z2
+    # (analyze_germ certifies this germ by DistinguishedVarDivides first)
     w = Polynomial(2, {(0, 2): 1})
     status = quadratic_germ_test(w, 8)
-    assert status.kind == "Undetermined" and status.factors is None
+    assert status.certificate == PolynomialSquare(lc=0, root=Polynomial.zero(1))
+    t = TruncatedSeries(Polynomial.variable(2, 2), 8)
+    assert status.factors == (t, t)
 
 
 def test_quadratic_discriminant_is_exact():
@@ -307,8 +309,9 @@ def test_quadratic_discriminant_is_exact():
     r = Polynomial(3, {(0, 0, 1): 1, (4, 0, 0): 1, (0, 5, 0): 1})
     for N in (2, 8, MAX_ORDER):
         status = quadratic_germ_test(r * r, N)
-        assert status.kind == "Undetermined"
-        assert status.reason == "the discriminant is zero: the germ is a constant times a square"
+        assert status.kind == "SingularReducible"
+        assert status.certificate == PolynomialSquare(lc=0, root=Polynomial.zero(2))
+        assert status.factors == (TruncatedSeries(r, N),) * 2
 
 
 def test_analyze_discriminant_above_the_order_is_decided():
@@ -464,7 +467,7 @@ def test_the_verdict_is_read_from_the_certificate(poly, point, certificate, kind
     assert type(cert).__name__ == cert.kind
     assert germs.GermStatus(cert).kind == cert.verdict == kind
     # class attributes, so the JSON certificate {"kind", **fields} names neither twice
-    assert not {"kind", "verdict"} & {f.name for f in fields(cert)}
+    assert not {"kind", "verdict"} & set(cert._fields)
 
 
 def test_a_certificate_without_a_verdict_is_not_declared():
@@ -765,9 +768,9 @@ def _cut_roots(status, N):
     """The status with the root of a MonomialUnitSquare cut back to order N."""
     cert = status.certificate
     if isinstance(cert, MonomialUnitSquare) and not cert.symbolic:
-        cert = replace(cert, root=TruncatedSeries(cert.root.body, N),
-                       unit_root=TruncatedSeries(cert.unit_root.body, N))
-    return replace(status, certificate=cert, factors=None)
+        cert = cert._replace(root=TruncatedSeries(cert.root.body, N),
+                             unit_root=TruncatedSeries(cert.unit_root.body, N))
+    return status._replace(certificate=cert, factors=None)
 
 
 def test_quadratic_verdicts_do_not_depend_on_the_order(monkeypatch):
@@ -819,9 +822,9 @@ def test_planted_split_quadratic_is_never_irreducible():
         f = g.shift(tuple(-c for c in p))  # f(p + x) = g(x)
         for N in (2, 8, 16):
             status = analyze_germ(GermQuery(f, p, N))
-            assert status.kind in ("SingularReducible", "Undetermined"), (g, N, status)
-            kinds[status.kind] = kinds.get(status.kind, 0) + 1
-    assert min(kinds.values()) >= 20 and len(kinds) == 2
+            assert status.kind == "SingularReducible", (g, N, status)
+            kinds[status.certificate.kind] = kinds.get(status.certificate.kind, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("MonomialUnitSquare", "PolynomialSquare")) >= 20
 
 
 @pytest.mark.parametrize("poly, point, kind", [
@@ -1077,19 +1080,44 @@ def test_unit_iff_nonvanishing_both_directions():
 
 # -- verdicts of the exact germ ----------------------------------------------------------
 # A square test on the discriminant cut at the order gave each of these germs
-# the wrong answer; on the exact discriminant each is Undetermined, since its
-# lowest form is a square and no other certificate applies.
+# the wrong answer.  On the exact discriminant the first is decided, since D is
+# a constant times a square; the others are Undetermined, since their lowest
+# forms are squares and no other certificate applies.
 
 
-@pytest.mark.parametrize("poly, wrong", [
+@pytest.mark.parametrize("poly, wrong, expected", [
     # (z3 - z1 - z2^5)*(z3 + z1 + z2^5): D = 4*(z1 + z2^5)^2 is a square
-    ("z3^2 - (z1 + z2^5)^2", "SingularIrreducible"),
+    ("z3^2 - (z1 + z2^5)^2", "SingularIrreducible", "SingularReducible"),
     # D = 4*(z1^2 + z2^9), and the plane germ z1^2 + z2^9 is not a square
-    ("z3^2 - z1^2 - z2^9", "SingularReducible"),
+    ("z3^2 - z1^2 - z2^9", "SingularReducible", "Undetermined"),
     # D = -4*(z2^2 + z1^9), not a square either
-    ("z1^9 + z2^2 + z3^2", "SingularReducible"),
+    ("z1^9 + z2^2 + z3^2", "SingularReducible", "Undetermined"),
 ])
-def test_quadratic_verdict_holds_for_the_exact_germ(poly, wrong):
+def test_quadratic_verdict_holds_for_the_exact_germ(poly, wrong, expected):
     status = analyze_germ(GermQuery(parse_poly(poly), (0, 0, 0)))
     assert status.kind != wrong
-    assert status.kind == "Undetermined"
+    assert status.kind == expected
+
+
+@pytest.mark.parametrize("poly, point, lc, root, factors", [
+    # D = 0: the germ is the square of z2 - z1
+    ("(z2 - z1)^2", (0, 0), 0, "0", ("z2 - z1", "z2 - z1")),
+    # D = 4*(z1 + z2^5)^2: the factors z3 -+ (z1 + z2^5)
+    ("z3^2 - (z1 + z2^5)^2", (0, 0, 0), 4, "z1 + z2^5", ("z3 - z1 - z2^5", "z3 + z1 + z2^5")),
+    # the same germ at (1, -1, 2), in the shifted coordinates
+    ("(z3 - 2)^2 - (z1 - 1 + (z2 + 1)^5)^2", (1, -1, 2), 4, "z1 + z2^5",
+     ("z3 - z1 - z2^5", "z3 + z1 + z2^5")),
+    # D = -8*(z1 + z2^2)^2: a square over C only, so no factors (the symbolic case)
+    ("3*z3^2 + 6*(z1 + z2^2)^2", (0, 0, 0), -8, "z1 + z2^2", None),
+])
+def test_a_constant_times_a_square_discriminant_is_reducible(poly, point, lc, root, factors):
+    f = parse_poly(poly)
+    status = analyze_germ(GermQuery(f, point))
+    assert status.kind == "SingularReducible" and status.reason is None
+    assert status.certificate == PolynomialSquare(lc=lc, root=parse_poly(root, var_count=f.n - 1))
+    assert status.certificate.symbolic == (factors is None)
+    if factors is None:
+        assert status.factors is None
+    else:
+        assert status.factors == tuple(TruncatedSeries(parse_poly(g, var_count=f.n), 8)
+                                       for g in factors)

@@ -1,0 +1,115 @@
+"""Result records: frozen, compared and hashed by class and fields, copied and pickled."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from germkit import (
+    GermQuery,
+    GermStatus,
+    MultiEdgePolygon,
+    NonzeroValue,
+    OddVariableOrder,
+    RegularityReport,
+    analyze_germ,
+    make_regular,
+    parse_poly,
+)
+from germkit._record import Record
+from germkit.germs import BinomialNoncoprimeEdge, DistinguishedVarDivides, MonomialUnitSquare
+
+F = Fraction
+
+
+def _records():
+    """Records of several classes, nested ones included, whose fields hold no
+    Polynomial (a Polynomial has no pickle support of its own)."""
+    _, regularity = make_regular(parse_poly("z1*z2"), 2)
+    status = analyze_germ(GermQuery(parse_poly("z3^2 - z1*z2^2"), (0, 0, 0)))
+    return [status, status.certificate, regularity, RegularityReport(2, (F(1), F(-1, 2))),
+            GermStatus(NonzeroValue(F(3, 2))), GermStatus(reason="no test applies")]
+
+
+def test_a_record_is_frozen():
+    cert = OddVariableOrder(variable=1, order=1)
+    with pytest.raises(AttributeError):
+        cert.order = 3
+    with pytest.raises(AttributeError):
+        cert.kind = "SmoothPoint"  # class attributes are not writable through a record
+    with pytest.raises(AttributeError):
+        del cert.variable
+    assert cert == OddVariableOrder(1, 1)
+
+
+def test_records_compare_by_class_then_fields():
+    assert OddVariableOrder(1, 1) != OddVariableOrder(1, 3)
+    # equal field values, different certificates
+    assert DistinguishedVarDivides(variable=1, multiplicity=1) != OddVariableOrder(1, 1)
+    assert MultiEdgePolygon(edge_count=2) != BinomialNoncoprimeEdge(gcd=2)
+    assert OddVariableOrder(1, 1) != (1, 1)
+    assert OddVariableOrder(1, 1).__eq__((1, 1)) is NotImplemented
+    assert hash(OddVariableOrder(1, 1)) == hash(OddVariableOrder(variable=1, order=1))
+    assert len({GermStatus(OddVariableOrder(1, 1)), GermStatus(OddVariableOrder(1, 1))}) == 1
+
+
+def test_fields_defaults_and_repr():
+    assert GermStatus._fields == ("certificate", "factors", "reason", "applied_change")
+    assert OddVariableOrder._fields == ("variable", "order")  # kind and verdict are not fields
+    assert GermStatus() == GermStatus(None, None, None, None)
+    assert MonomialUnitSquare(None, (1,)) == MonomialUnitSquare(root=None, half_exponents=(1,))
+    assert repr(MonomialUnitSquare(None)) == (
+        "MonomialUnitSquare(root=None, half_exponents=None, unit_root=None)")
+    assert repr(RegularityReport(2)) == "RegularityReport(order=2, applied_change=None)"
+    with pytest.raises(TypeError):
+        OddVariableOrder(1)
+    with pytest.raises(TypeError):
+        OddVariableOrder(1, 1, unknown=2)
+
+
+def test_replace_builds_a_new_record_through_init():
+    status = GermStatus(reason="no test applies")
+    changed = status._replace(applied_change=(F(1), F(0)))
+    assert changed == GermStatus(reason="no test applies", applied_change=(F(1), F(0)))
+    assert status.applied_change is None
+    query = GermQuery(parse_poly("z1*z2"), (0, 0))
+    assert query.order == 8
+    query = query._replace(point=(1, "1/2"))
+    assert query.point == (F(1), F(1, 2)) and all(type(c) is Fraction for c in query.point)
+    with pytest.raises(TypeError):
+        status._replace(kind="Unit")
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda r: pickle.loads(pickle.dumps(r))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_records_survive_copies_and_pickles(clone):
+    for record in _records():
+        twin = clone(record)
+        assert twin == record and repr(twin) == repr(record)
+        assert type(twin) is type(record) and isinstance(twin, Record)
+        with pytest.raises(AttributeError):
+            twin.anything = 1
+
+
+def test_readme_certificate_text_is_unchanged():
+    status = analyze_germ(GermQuery(parse_poly("z3^2 - z1*z2^2"), (0, 0, 0)))
+    assert str(status.certificate) == "OddVariableOrder(variable=1, order=1)"
+    assert repr(status) == ("GermStatus(certificate=OddVariableOrder(variable=1, order=1), "
+                            "factors=None, reason=None, applied_change=None)")
+
+
+def test_a_default_before_a_required_field_is_refused():
+    with pytest.raises(SyntaxError):
+        class Backwards(Record):
+            first: int = 0
+            second: int
+
+
+def test_annotations_kept_only_behind_annotate_are_refused():
+    # how Python 3.14 stores a class's annotations without the __future__ import
+    with pytest.raises(TypeError, match="from __future__ import annotations"):
+        type("Lazy", (Record,), {"__annotate__": lambda fmt: {"first": int}})

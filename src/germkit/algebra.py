@@ -44,7 +44,7 @@ integer coefficient tables in one variable; it takes and returns Polynomials).
 monomial in the other variables.  `_table_rows` splits a table by one
 variable's exponent for `coefficients_in`, `_horner` and the subresultant
 sequence, and `_levels` a polynomial by its degree in the other variables for
-`weierstrass_prepare`.  `_quadratic_parts` (e1, e2 and the discriminant of
+`weierstrass_prepare`.  `_quadratic_parts` (e1 and the discriminant of
 a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
 `_axis_order` (`regular_order`) and `_linear_part` (the gradient) read keys for
 the cascade.  No other module multiplies term tables.
@@ -155,6 +155,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):  # restoring slots would go through the refused __setattr__
+        return _canonical, (self.n, self._terms, self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -504,20 +507,22 @@ def _axis_order(p: Polynomial, j: int) -> int | float:
     return min((e for m in p._terms if (e := m >> s) == m >> off & _FIELD_MASK), default=math.inf)
 
 
-def _quadratic_parts(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial] | None:
-    """(e1, e2, D) in z1..z(n-1) for f = a*z_n^2 + b*z_n + c, a a nonzero constant, else None:
-    e1 = b/a, e2 = c/a and D = e1^2 - 4*e2 = (b*b - 4*a*c)/a^2, read off f's integer rows
-    (f's denominator cancels) with one product."""
+def _quadratic_parts(f: Polynomial) -> tuple[Polynomial | None, Polynomial] | None:
+    """(e1, D) in z1..z(n-1) for f = a*z_n^2 + b*z_n + c with a(0) != 0 = b(0) = c(0), else None.
+    For a constant a, e1 = b/a and D = (b*b - 4*a*c)/a^2, f's denominator cancelling; otherwise
+    e1 is None and D = b*b - 4*a*c.  D is read off f's integer rows with one product."""
     _check_var(f.n, f.n)
     rows = _table_rows(f._terms, f.n, f.n - 1)
-    if len(rows) != 3 or rows[2].keys() != {0}:
+    if len(rows) != 3 or 0 not in rows[2] or 0 in rows[1] or 0 in rows[0]:
         return None
-    a = rows[2][0]
-    _check_degree(2 * (max(rows[1], default=0) >> _FIELD_BITS * f.n))  # deg(b*b)
+    dc, db, da = (max(row, default=0) >> _FIELD_BITS * f.n for row in rows)
+    _check_degree(max(2 * db, da + dc))  # deg(b*b), deg(a*c)
     # a row's z_n field is 0, so one right shift drops it
-    c, b = ({m >> _FIELD_BITS: k for m, k in row.items()} for row in rows[:2])
-    D = _mul_add({m: -4 * a * k for m, k in c.items()}, b, b)
-    return _raw(f.n - 1, b, a), _raw(f.n - 1, c, a), _raw(f.n - 1, D, a * a)
+    c, b, a = ({m >> _FIELD_BITS: k for m, k in row.items()} for row in rows)
+    D = _mul_add(_mul_add({}, a, c, -4), b, b)
+    if a.keys() != {0}:
+        return None, _raw(f.n - 1, D, f._den**2)
+    return _raw(f.n - 1, b, a[0]), _raw(f.n - 1, D, a[0] ** 2)
 
 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:

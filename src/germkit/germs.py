@@ -1,11 +1,11 @@
 """Local classification of polynomial germs with machine-checkable certificates.
 
 The classifier is deliberately a partial decision procedure.  It is
-decisive on units, smooth points, germs a*z_n^2 + b*z_n + c with a
-nonzero constant a in any dimension, and bivariate germs caught by the
-Newton polygon criteria; everything else comes back Undetermined with a
-reason.  No verdict depends on the truncation order, the precision of
-printed series.  Every decisive answer carries a certificate holding
+decisive on units, smooth points, germs a*z_n^2 + b*z_n + c with a(0) != 0
+in any dimension whose discriminant the square test decides, and bivariate
+germs caught by the Newton polygon criteria; everything else comes back
+Undetermined with a reason.  No verdict depends on the truncation order,
+the precision of printed series.  Every decisive answer carries a certificate holding
 exactly the data needed to re-verify it independently.  Its class line
 names the verdict (its `verdict` attribute, which GermStatus.kind reads),
 and its class name is its `kind`:
@@ -24,8 +24,8 @@ and its class name is its `kind`:
                         variables)
   DistinguishedVarDivides  the distinguished variable divides the exact
                         germ, `multiplicity` times
-  MultiEdgePolygon / BinomialCoprimeEdge / BinomialNoncoprimeEdge /
-  EdgePolynomialSplits  Newton polygon criteria for bivariate germs
+  MultiEdgePolygon / BinomialCoprimeEdge / EdgePolynomialSplits
+                        Newton polygon criteria for bivariate germs
 
 All certificates are statements over the complex numbers; rational
 arithmetic is only the computation substrate.  The two questions over C
@@ -118,12 +118,10 @@ class PolynomialSquare(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """D = lc * root^2 exactly, for a polynomial root with leading coefficient 1.
 
     `lc` is D's leading coefficient and `root` its monic square root as
-    `_exact_root` finds it; both are 0 when D = 0, the germ being a times
-    the square (t + e1/2)^2.  D(0) = 0, so root(0) = 0, and f / a =
-    (t + e1/2)^2 - D/4 is the product of the two non-unit factors
-    t + (e1 -+ sqrt(lc)*root)/2 over C.  A checker re-verifies D == lc * root^2
-    and root(0) = 0.  When lc is not a rational square the factors are not
-    rational and are omitted (the symbolic case).
+    `_exact_root` finds it; both are 0 when D = 0.  D(0) = 0, so root(0) = 0
+    and sqrt(lc)*root is a square root of D over C.  A checker re-verifies
+    D == lc * root^2 and root(0) = 0.  When lc is not a rational square the
+    root is not rational (the symbolic case).
     """
 
     lc: Fraction
@@ -164,12 +162,6 @@ class BinomialCoprimeEdge(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
 
     d: int
     m: int
-
-
-class BinomialNoncoprimeEdge(_Certificate, verdict=SINGULAR_REDUCIBLE):
-    """Single binomial edge with gcd g > 1: the initial part splits into g branches."""
-
-    gcd: int
 
 
 class EdgePolynomialSplits(_Certificate, verdict=SINGULAR_REDUCIBLE):
@@ -236,20 +228,21 @@ class GermQuery(Record):
 def is_local_square(D: Polynomial, N: int) -> object | None:
     """Decide whether D, an exact polynomial, is a square germ at the origin (over C).
 
-    The certificate is the decision: a MonomialUnitSquare means yes (its
-    `root`, cut at order N, is None in the symbolic case), any other
-    certificate means no, and None means undetermined.
+    The certificate is the decision: a SingularReducible one (MonomialUnitSquare,
+    whose `root` is cut at order N, or PolynomialSquare) means yes, a
+    SingularIrreducible one means no, and None means undetermined.
 
     Decision cascade on alpha, the componentwise least exponent of D: (1)
-    zero decides nothing (no certificate states it); (2) an odd variable
-    order alpha_i rules a square out; (3) when x^alpha is a term of D, D is
-    x^alpha times a unit U, a square with explicit root when U(0) is a
-    rational square; (4) a lowest homogeneous form that is not the square of
-    a form rules a square out; (5) otherwise undetermined.
+    zero is the square of zero; (2) an odd variable order alpha_i rules a
+    square out; (3) when x^alpha is a term of D, D is x^alpha times a unit U,
+    a square with explicit root when U(0) is a rational square; (4) a lowest
+    homogeneous form that is not the square of a form rules a square out,
+    and when it is one, D = lc * R^2 for a polynomial R (`_exact_root`) is a
+    square; (5) otherwise undetermined.
     """
     _check_order(N)
     if D.is_zero():
-        return None
+        return PolynomialSquare(lc=Fraction(0), root=D)
     alpha = tuple(D.variable_order(i) for i in range(1, D.n + 1))
     for i, a in enumerate(alpha, 1):
         if a % 2 == 1:
@@ -265,6 +258,8 @@ def is_local_square(D: Polynomial, N: int) -> object | None:
     form, degree = D.lowest_homogeneous_form()
     if _exact_root(form, 2) is None:
         return LowestFormNotASquare(form=form, degree=degree)
+    if (root := _exact_root(D, 2)) is not None:
+        return PolynomialSquare(lc=D.leading_term()[1], root=root)
     return None
 
 
@@ -304,41 +299,29 @@ def _exact_root(F: Polynomial, k: int) -> Polynomial | None:
 
 
 def quadratic_germ_test(f: Polynomial, N: int) -> GermStatus | None:
-    """Classify the germ f = a*t^2 + b*t + c, t = z_n, by its exact discriminant.
+    """Classify the germ f = a*t^2 + b*t + c, t = z_n, by its exact discriminant D.
 
-    None unless a is a nonzero rational constant and b(0) = c(0) = 0.  Then
-    f / a = t^2 + e1*t + e2 is exactly the germ's Weierstrass polynomial,
-    and it splits into two monic linear factors exactly when the polynomial
-    D = e1^2 - 4*e2 is a square germ; the factors are then t + (e1 -+ r)/2
-    for a square root r of D, cut at order N.  When `is_local_square` does
-    not decide, D = 0 and D = lc * R^2 for a polynomial R (`_exact_root`)
-    are squares too (PolynomialSquare).  When the square exists over C but
-    has no rational representation the verdict is still reducible, with
-    factors omitted (the symbolic case).  e1, e2 and D = (b*b - 4*a*c)/a^2
-    are read off f's integer rows in t with one product (`_quadratic_parts`),
-    and both factors are built in one pass over e1 and r (`_linear_factors`).
+    None unless a(0) != 0 and b(0) = c(0) = 0.  Then f is the unit a times its
+    Weierstrass polynomial t^2 + e1*t + e2 (e1 = b/a, e2 = c/a), which splits
+    exactly when e1^2 - 4*e2 is a square germ, and `is_local_square` decides
+    that on D (`_quadratic_parts`): D = e1^2 - 4*e2 = (b*b - 4*a*c)/a^2 when a is
+    a constant, and D = b*b - 4*a*c, the unit square a^2 times it, otherwise.  A
+    checker re-derives D from f by that rule.  When a is a constant and D has a
+    rational square root r, the factors t + (e1 -+ r)/2, cut at order N, are
+    built in one pass (`_linear_factors`); otherwise the certificate alone is
+    the deliverable.
     """
     _check_order(N)
     if (parts := _quadratic_parts(f)) is None:
         return None
-    e1, e2, D = parts
-    if e1.constant_term() != 0 or e2.constant_term() != 0:
-        return None
-    cert = is_local_square(D, N)
-    if cert is None:
-        if D.is_zero():
-            cert = PolynomialSquare(lc=Fraction(0), root=D)
-        elif (root := _exact_root(D, 2)) is not None:
-            cert = PolynomialSquare(lc=D.leading_term()[1], root=root)
-        else:
-            return GermStatus(reason="the discriminant has a square lowest form but is neither "
-                              "a monomial times a unit nor a constant times a square")
-    if isinstance(cert, PolynomialSquare) and not cert.symbolic:
-        r = cert.root * rational_sqrt(cert.lc)
-    elif isinstance(cert, MonomialUnitSquare) and not cert.symbolic:
-        r = cert.root.body
-    else:
+    e1, D = parts
+    if (cert := is_local_square(D, N)) is None:
+        return GermStatus(reason="the discriminant has a square lowest form but is neither "
+                          "a monomial times a unit nor a constant times a square")
+    if e1 is None or cert.verdict != SINGULAR_REDUCIBLE or cert.symbolic:
         return GermStatus(cert)
+    r = (cert.root.body if isinstance(cert, MonomialUnitSquare)
+         else cert.root * rational_sqrt(cert.lc))
     lo, hi = _linear_factors(e1, r, N)
     return GermStatus(cert, factors=(TruncatedSeries(lo, N), TruncatedSeries(hi, N)))
 
@@ -424,22 +407,20 @@ def _cross(o, a, b) -> int:
 def polygon_verdict(edges: tuple) -> GermStatus:
     """Branch-structure verdict from the edges that `newton_polygon` returns.
 
-    Several edges mean several branches.  A single binomial edge from
-    (0,d) to (m,0) is one quasi-homogeneous branch when gcd(d,m)=1 and g
-    conjugate branches when g = gcd(d,m) > 1.  A single non-binomial edge
+    Several edges mean several branches.  A single edge from (0,d) to (m,0)
+    of lattice length g = gcd(d,m) = 1 has only its two end points, so it is
+    a binomial edge: one quasi-homogeneous branch.  Any other single edge
     splits unless its edge polynomial E, of degree g, is a g-th power
-    lc * (x - c)^g (`_exact_root(E, g)` decides it; c is then rational),
-    and that one repeated edge root is beyond this oracle: Undetermined.
+    lc * (x - c)^g (`_exact_root(E, g)` decides it; c is then rational), and
+    that one repeated edge root is beyond this oracle: Undetermined.  A
+    binomial c0 + c_g*x^g with g > 1 has g distinct roots, so it splits.
     """
     if len(edges) >= 2:
         return GermStatus(MultiEdgePolygon(edge_count=len(edges)))
     edge = edges[0]
-    d, m = edge.start[1], edge.end[0]
-    E, g = edge.edge_polynomial, edge.lattice_gcd  # g = gcd(d, m)
-    if E.term_count() == 2:
-        if g == 1:
-            return GermStatus(BinomialCoprimeEdge(d=d, m=m))
-        return GermStatus(BinomialNoncoprimeEdge(gcd=g))
+    E, g = edge.edge_polynomial, edge.lattice_gcd
+    if g == 1:
+        return GermStatus(BinomialCoprimeEdge(d=edge.start[1], m=edge.end[0]))
     if _exact_root(E, g) is None:
         return GermStatus(EdgePolynomialSplits(edge_polynomial=E))
     return GermStatus(
@@ -459,8 +440,8 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     variable), regularize the shifted germ in z_j, to order d >= 2 (the germ
     and its gradient vanish, and a linear shear keeps the order), and
     dispatch once on the exact sheared germ: z_j divides it -> the
-    distinguished variable splits off; a*z_j^2 + b*z_j + c with a nonzero
-    constant a -> the square test on its exact discriminant; bivariate ->
+    distinguished variable splits off; a*z_j^2 + b*z_j + c with a(0) != 0
+    -> the square test on its exact discriminant; bivariate ->
     Newton polygon; anything else is outside the decidable fragment.  No
     verdict depends on the order N, the precision of the factors, which are
     in the shifted coordinates (plus the recorded shear, if any); only the
@@ -490,7 +471,7 @@ def analyze_germ(query: GermQuery) -> GermStatus:
         if n == 2:
             status = polygon_verdict(newton_polygon(sheared))
         else:
-            shape = f"2 (but not a*z{j}^2 + b*z{j} + c, a constant)" if d == 2 else ">= 3"
+            shape = f"2 (but z{j}-degree above 2)" if d == 2 else ">= 3"
             status = GermStatus(reason=f"Weierstrass degree {shape} in dimension >= 3 is "
                                 "outside the decidable fragment")
     if report.applied_change is None:

@@ -4,8 +4,8 @@ The expression grammar, with no implicit multiplication:
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := base ('^' nat)?
-    base     := rational | var | '(' expr ')' | '-' base
+    factor   := '-' factor | base ('^' nat)?
+    base     := rational | var | '(' expr ')'
     var      := 'z' nat            (1-based; 't' instead in curve syntax)
     rational := int ('/' nat)?
 
@@ -138,6 +138,9 @@ class _Parser:
         return value
 
     def factor(self) -> Polynomial:
+        if self.peek().kind == "-":  # binds looser than '^', as in Python: -z1^2 = -(z1^2)
+            self.advance()
+            return -self.factor()
         value = self.base()
         if self.peek().kind == "^":
             self.advance()
@@ -154,9 +157,6 @@ class _Parser:
 
     def base(self) -> Polynomial:
         tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return -self.base()
         if tok.kind == "num":
             return Polynomial.constant(self.n, self.rational())
         if tok.kind == "var":
@@ -256,13 +256,7 @@ def format_poly(f: Polynomial) -> str:
         if not any(mono):
             factors.append(str(mag))
         else:
-            show_coeff = mag != 1
-            if index == 0 and coeff < 0 and not show_coeff:
-                # A leading "-z1^2" would re-parse as (-z1)^2; the explicit
-                # coefficient keeps the minus bound to the whole term.
-                first_exp = next(e for e in mono if e)
-                show_coeff = first_exp > 1
-            if show_coeff:
+            if mag != 1:
                 factors.append(str(mag))
             for var, exp in enumerate(mono, start=1):
                 if exp == 1:

@@ -51,6 +51,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        return _series, (self.body, self.order)
+
     @property
     def n(self) -> int:
         return self.body.n

@@ -119,7 +119,7 @@ def test_coprime_subcommand_reports_discreteness():
     ("z2^3 + z1*z2^2", "0,0", "DistinguishedVarDivides(variable = z2, multiplicity = 2)"),
     ("(z2 - z1)*(z2^2 - z1^3)", "0,0", "MultiEdgePolygon(edge_count = 2)"),
     ("z2^3 - z1^2", "0,0", "BinomialCoprimeEdge(d = 3, m = 2)"),
-    ("z2^3 - z1^3", "0,0", "BinomialNoncoprimeEdge(gcd = 3)"),
+    ("z2^3 - z1^3", "0,0", "EdgePolynomialSplits(edge_polynomial = 1 - z1^3)"),
     ("z2^3 + z1*z2^2 - 2*z1^3", "0,0",
      "EdgePolynomialSplits(edge_polynomial = 1 + z1 - 2*z1^3)"),
     # the edge polynomial is divided by the coefficient of z2^3
@@ -540,7 +540,7 @@ def test_prepare_reports_its_shear_in_text_and_json():
         "order = 8",
         "shear: z2 <- z2 + 1*z3",
         "degree d = 3",
-        "w = -1*z1^2*z3 + z2*z3^2 + z3^3",
+        "w = -z1^2*z3 + z2*z3^2 + z3^3",
     ]
     code, out, err = run(*prepare, "--json")
     assert code == 0 and err == ""

@@ -305,41 +305,49 @@ def test_resultants_and_discriminants_match_the_sylvester_determinant():
 
 
 def chained_quadratic_parts(f):
-    """(e1, e2, D) by coefficients_in, drop_variable, a scale by 1/a and e1*e1 - 4*e2."""
+    """(e1, D) by coefficients_in, drop_variable, and e1*e1 - 4*e2 for e_i scaled by 1/a when a
+    is a constant, or (None, b*b - 4*a*c) when it is not; None off the shape."""
     rows = f.coefficients_in(f.n)
-    if len(rows) != 3 or rows[2].total_degree() != 0:
+    if len(rows) != 3 or rows[2].constant_term() == 0 or any(
+            r.constant_term() for r in rows[:2]):
         return None
-    e2, e1 = (r.drop_variable(f.n) * (1 / rows[2].constant_term()) for r in rows[:2])
-    return e1, e2, e1 * e1 - 4 * e2
+    c, b, a = (r.drop_variable(f.n) for r in rows)
+    if a.total_degree() > 0:
+        return None, b * b - 4 * a * c
+    e2, e1 = (r * (1 / a.constant_term()) for r in (c, b))
+    return e1, e1 * e1 - 4 * e2
 
 
 def test_quadratic_parts_match_the_polynomial_chain():
     rng = random.Random(2901)
-    decided = 0
+    decided = unit_lc = 0
     for case in range(200):
         n = 1 + case % 4
         zn = Polynomial.variable(n, n)
-        b, c = (Polynomial(n - 1, operand(rng, n - 1)).insert_variable(n) for _ in range(2))
+        # b(0) = c(0) = 0, as the shape asks
+        b, c = (p - p.constant_term() for p in (
+            Polynomial(n - 1, operand(rng, n - 1)).insert_variable(n) for _ in range(2)))
         # a negative, a rational or a large-denominator leading coefficient, so f's
         # own denominator is rarely 1; every other f has a shape that gives None
         a = rng.choice((-1, -3, F(2, 7), F(-5, 3), coefficient(rng)))
         f = a * zn * zn + b * zn + c
-        shape = case % 8
-        if shape == 1 and n > 1:  # a leading coefficient that is not constant
-            f = f + Polynomial.monomial(n, (1,) * (n - 1) + (2,))
-        elif shape in (1, 3):  # z_n-degree at most 1
-            f = (b + 1) * zn + c
-        elif shape == 5:  # z_n-degree 3
-            f = f + zn * zn * zn * coefficient(rng)
+        shape, z1 = case % 8, Polynomial.variable(n, 1)
+        if shape == 1:  # a leading coefficient that is not constant, a(0) != 0 (n = 2)
+            f = f + z1 * zn * zn * coefficient(rng)
+        elif shape == 3:  # z_n-degree at most 1, or a(0) = 0
+            f = (b + 1) * zn + c if case % 16 == 3 else z1 * zn * zn + b * zn + c
+        elif shape == 5:  # z_n-degree 3, b(0) != 0 or c(0) != 0
+            f = (f + zn * zn * zn * coefficient(rng), f + zn, f + 1)[case // 8 % 3]
         elif shape == 7:  # z_n-degree 0, or the zero polynomial
             f = c if case % 16 == 7 else Polynomial.zero(n)
         got, want = _quadratic_parts(f), chained_quadratic_parts(f)
-        if shape % 2:
+        if shape % 4 == 3 or shape == 5:
             assert got is None and want is None
             continue
         decided += 1
+        unit_lc += got[0] is None
         assert [repr(p) for p in got] == [repr(p) for p in want]
-    assert decided == 100
+    assert (decided, unit_lc) == (125, 25)
 
 
 def test_quadratic_parts_cancel_the_denominator_of_f():
@@ -347,9 +355,12 @@ def test_quadratic_parts_cancel_the_denominator_of_f():
     z1, z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     f = (z2 * z2 - F(3, 2) * z1 * z2 + F(1, 4) * z1 * z1) * F(2, 3)
     x = Polynomial.variable(1, 1)
-    want = (F(-3, 2) * x, F(1, 4) * x * x, F(5, 4) * x * x)  # D = 9/4*x^2 - x^2
+    want = (F(-3, 2) * x, F(5, 4) * x * x)  # D = 9/4*x^2 - x^2
     assert _quadratic_parts(f) == want
     assert _quadratic_parts(f * F(-1, 5)) == want
+    # a = 2/3*(1 + z1) is not constant: D = b*b - 4*a*c keeps f's denominator
+    g = f * (1 + z1)
+    assert _quadratic_parts(g) == (None, F(5, 9) * x * x * (1 + x) ** 2)
 
 
 def test_axis_order_and_linear_part_match_their_tuple_readings():

@@ -18,8 +18,8 @@ from germkit.errors import (
 )
 from germkit.germs import (
     BinomialCoprimeEdge,
-    BinomialNoncoprimeEdge,
     DistinguishedVarDivides,
+    EdgePolynomialSplits,
     GermQuery,
     LowestFormNotASquare,
     MonomialUnitSquare,
@@ -74,10 +74,25 @@ def test_square_test_squarefree_lowest_form():
     assert cert.degree == 2
 
 
-def test_square_test_leaves_zero_undecided():
-    # 0 = 0^2, but no square-test certificate states it: the quadratic stage
-    # certifies a germ with D = 0 by PolynomialSquare
-    assert is_local_square(Polynomial.zero(2), 8) is None
+def test_square_test_certifies_zero_and_constant_times_squares():
+    # 0 = 0^2 with lc = root = 0; and D = lc * R^2 for R = a line in two or more
+    # variables plus higher terms: D(0) = 0 and no variable order is positive,
+    # so only the square lowest form and the exact root decide it
+    assert is_local_square(Polynomial.zero(2), 8) == PolynomialSquare(
+        lc=0, root=Polynomial.zero(2))
+    rng = random.Random(3201)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        r = sum((Polynomial.variable(n, k) * _nonzero_fraction(rng) for k in range(2, n + 1)),
+                Polynomial.variable(n, 1))
+        r = _monic(r + Polynomial.monomial(n, random_monomial(rng, n, 3), 1)
+                   * Polynomial.variable(n, rng.randint(1, n)) * Polynomial.variable(n, 1))
+        lc = rng.choice((1, F(9, 4), _nonzero_fraction(rng)))
+        cert = is_local_square(r * r * lc, 8)
+        assert cert == PolynomialSquare(lc=lc, root=r), (r, lc)
+        seen[cert.symbolic] += 1
+    assert min(seen.values()) >= 15
 
 
 def test_square_test_symbolic_when_constant_is_not_a_rational_square():
@@ -185,10 +200,9 @@ def test_square_test_on_forms_of_known_factorization():
             for line, m in zip(lines, multiplicities):
                 d = d * (line * _nonzero_fraction(rng)) ** m
             square = all(m % 2 == 0 for m in multiplicities)
-        # a square lowest form leaves D undecided (None) unless D is a monomial
+        # a form is its own lowest form, so the test always decides
         cert = is_local_square(d, d.total_degree())
-        ruled_out = cert is not None and not isinstance(cert, MonomialUnitSquare)
-        assert ruled_out == (not square), d
+        assert cert.verdict == ("SingularReducible" if square else "SingularIrreducible"), d
         seen[square] += 1
     assert min(seen.values()) >= 30
 
@@ -337,11 +351,52 @@ def test_quadratic_requires_degree_two():
     for poly in (
         "z2 + z1^2",  # degree 1 in z2
         "z2^2 + z2^3 - z1^3",  # degree 3 in z2
-        "(1 + z1)*z2^2 - z1^3",  # the coefficient of z2^2 is not constant
+        "z1*z2^2 - z1^3",  # the coefficient a of z2^2 has a(0) = 0
         "z2^2 + z2 - z1^3",  # b(0) != 0: regular of order 1, not 2
         "z2^2 + 1",  # c(0) != 0: a unit
     ):
         assert quadratic_germ_test(parse_poly(poly), 8) is None
+
+
+def test_quadratic_with_a_unit_leading_coefficient():
+    # a = 1 + z1 is a unit: D = b*b - 4*a*c = 4*(1 + z1)*z1*z2^2 has z1-order 1
+    status = quadratic_germ_test(parse_poly("(1 + z1)*z3^2 - z1*z2^2"), 8)
+    assert status.certificate == OddVariableOrder(variable=1, order=1)
+    assert status.kind == "SingularIrreducible"
+    # a = 1 - z1: D = (1 - z1)^2 * z1^2 is a square; its factors are not attached
+    status = quadratic_germ_test(parse_poly("(1 - z1)*(z2^2 - z1^2)"), 8)
+    assert status.kind == "SingularReducible" and status.factors is None
+
+
+def test_quadratic_unit_lc_fuzz_never_errs():
+    # u * (t + A) * (t + B) is reducible, and u * ((t + e)^2 - z1*s^2*w) with
+    # s(0) = 0 != w(0) is irreducible unless s = 0 (z1 has odd order in z1*s^2*w);
+    # u is a unit free of t = z_n, constant or not, and A(0) = B(0) = e(0) = 0
+    rng = random.Random(3202)
+    decided = 0
+    for case in range(200):
+        n = rng.randint(2, 4)
+        m, t = n - 1, Polynomial.variable(n, n)
+        u = (Polynomial.constant(m, _nonzero_fraction(rng))
+             + (_vanishing(rng, m, 1, 2, 3) if case % 4 else 0)).insert_variable(n)
+        if case % 2:
+            A, B = (_vanishing(rng, m, 1, 3, 3).insert_variable(n) for _ in range(2))
+            f, truth = u * (t + A) * (t + B), "SingularReducible"
+        else:
+            e, s = (_vanishing(rng, m, 1, 3, 3).insert_variable(n) for _ in range(2))
+            w = (Polynomial.constant(m, _nonzero_fraction(rng))
+                 + _vanishing(rng, m, 1, 2, 2)).insert_variable(n)
+            f = u * ((t + e) ** 2 - Polynomial.variable(n, 1) * s * s * w)
+            truth = "SingularReducible" if s.is_zero() else "SingularIrreducible"
+        status = analyze_germ(GermQuery(f, (0,) * n, 8))
+        assert status.kind in (truth, "Undetermined"), (f, status)
+        decided += status.kind == truth
+        if status.factors is not None and not isinstance(
+                status.certificate, DistinguishedVarDivides):
+            assert u.total_degree() == 0  # factors only for a constant a
+            lo, hi = status.factors
+            assert lo * hi == TruncatedSeries(f * (1 / u.constant_term()), 8), f
+    assert decided == 200
 
 
 # -- Newton polygon ------------------------------------------------------------------
@@ -392,11 +447,11 @@ def test_polygon_verdicts():
     assert cusp_status.certificate.kind == "BinomialCoprimeEdge"
     assert (cusp_status.certificate.d, cusp_status.certificate.m) == (2, 3)
 
-    even = Polynomial(2, {(0, 2): 1, (2, 0): -1})
+    even = Polynomial(2, {(0, 2): 1, (2, 0): -1})  # a binomial edge of lattice length 2
     even_status = polygon_verdict(newton_polygon(even))
     assert even_status.kind == "SingularReducible"
-    assert even_status.certificate.kind == "BinomialNoncoprimeEdge"
-    assert even_status.certificate.gcd == 2
+    assert even_status.certificate == EdgePolynomialSplits(
+        edge_polynomial=Polynomial(1, {(0,): 1, (2,): -1}))
 
     two_edge = Polynomial(2, {(0, 3): 1, (1, 2): -1, (3, 1): -1, (4, 0): 1})
     te_status = polygon_verdict(newton_polygon(two_edge))
@@ -417,6 +472,20 @@ def test_polygon_verdicts():
     assert pw_status.kind == "Undetermined"
 
 
+def test_binomial_edges_of_lattice_length_above_one_split():
+    # c0 + c_g*x^g with g > 1 has g distinct roots, so it is never a g-th power
+    rng = random.Random(3203)
+    for _ in range(60):
+        g, p, q = rng.randint(2, 5), rng.randint(1, 4), rng.randint(1, 4)
+        while math.gcd(p, q) != 1:
+            q += 1
+        c0, cg = _nonzero_fraction(rng), _nonzero_fraction(rng)
+        f = Polynomial(2, {(0, g * p): c0, (g * q, 0): cg})  # d = g*p, m = g*q
+        status = polygon_verdict(newton_polygon(f))
+        assert status.certificate == EdgePolynomialSplits(
+            edge_polynomial=Polynomial(1, {(0,): 1, (g,): cg / c0})), f
+
+
 def test_polygon_verdict_on_edge_polynomials_of_known_roots():
     # E = lc * prod (x - c_i)^(m_i) with distinct nonzero c_i is, divided by
     # E(0) (the coefficient at (0, g)), the edge polynomial of the germ
@@ -433,8 +502,8 @@ def test_polygon_verdict_on_edge_polynomials_of_known_roots():
         for root in roots:
             edge = edge * (x - root) ** rng.randint(1, 3)
         g = edge.degree_in(1)
-        if edge.term_count() == 2:
-            continue  # binomial edges have their own certificates
+        if g == 1:
+            continue  # an edge of lattice length 1 is BinomialCoprimeEdge
         f = Polynomial(2, {(m[0], g - m[0]): c for m, c in edge.terms()})
         status = polygon_verdict(newton_polygon(f))
         if len(roots) == 1:
@@ -458,7 +527,7 @@ def test_polygon_verdict_on_edge_polynomials_of_known_roots():
     ("z2*(z2 - z1^2)", (0, 0), "DistinguishedVarDivides", "SingularReducible"),
     ("(z2 - z1)*(z2^2 - z1^3)", (0, 0), "MultiEdgePolygon", "SingularReducible"),
     ("z2^3 - z1^2", (0, 0), "BinomialCoprimeEdge", "SingularIrreducible"),
-    ("z2^4 - z1^2", (0, 0), "BinomialNoncoprimeEdge", "SingularReducible"),
+    ("z2^4 - z1^2", (0, 0), "EdgePolynomialSplits", "SingularReducible"),
     ("(z2 - z1)*(z2 - 2*z1)*(z2 - 3*z1)", (0, 0), "EdgePolynomialSplits", "SingularReducible"),
 ])
 def test_the_verdict_is_read_from_the_certificate(poly, point, certificate, kind):
@@ -610,6 +679,13 @@ def test_analyze_regularity_order_above_truncation_is_undetermined(f, change, mo
     assert status.applied_change == change
 
 
+def test_analyze_names_a_quadratic_weierstrass_degree_with_a_higher_zn_degree():
+    # regular of order 2 in z3, but of z3-degree 3: not a*z3^2 + b*z3 + c
+    status = analyze_germ(GermQuery(parse_poly("z3^2 + z3^3 - z1*z2^2"), (0, 0, 0), 8))
+    assert status.reason == ("Weierstrass degree 2 (but z3-degree above 2) in dimension >= 3 "
+                             "is outside the decidable fragment")
+
+
 def _no_preparation(*args):
     raise AssertionError("weierstrass_prepare was called")
 
@@ -619,7 +695,8 @@ def _no_preparation(*args):
     [
         # z2^3 - z1^10 and z2^9 + z1^9: edges that reach past the order 8
         (Polynomial(2, {(0, 3): 1, (10, 0): -1}), BinomialCoprimeEdge(d=3, m=10)),
-        (Polynomial(2, {(0, 9): 1, (9, 0): 1}), BinomialNoncoprimeEdge(gcd=9)),
+        (Polynomial(2, {(0, 9): 1, (9, 0): 1}),
+         EdgePolynomialSplits(edge_polynomial=Polynomial(1, {(0,): 1, (9,): 1}))),
     ],
 )
 def test_analyze_plane_germs_by_the_exact_polygon(f, certificate, monkeypatch):

@@ -124,11 +124,16 @@ def test_parse_rejects_empty_input():
         parse_poly("")
 
 
-def test_parse_unary_minus_binds_to_the_base():
-    # per the grammar, -z1^2 is (-z1)^2
-    assert parse_poly("-z1^2") == Polynomial(1, {(2,): 1})
+def test_parse_unary_minus_binds_looser_than_powers():
+    # as in Python, -z1^2 is -(z1^2) and only a parenthesised base is negated first
+    assert parse_poly("-z1^2") == Polynomial(1, {(2,): -1})
+    assert parse_poly("(-z1)^2") == Polynomial(1, {(2,): 1})
     assert parse_poly("-1*z1^2") == Polynomial(1, {(2,): -1})
     assert parse_poly("0 - z1^2") == Polynomial(1, {(2,): -1})
+    assert parse_poly("-2^2") == Polynomial.constant(0, -4)
+    assert parse_poly("--z1^2") == Polynomial(1, {(2,): 1})
+    assert parse_poly("z1*-z2^3") == Polynomial(2, {(1, 3): -1})
+    assert parse_poly("-z1^2+z2^2") == Polynomial(2, {(2, 0): -1, (0, 2): 1})
 
 
 def test_parse_var_count_widens_and_bounds():
@@ -227,8 +232,8 @@ def test_format_is_ascending_graded_lex():
 
 
 def test_format_guards_leading_negative_powers():
-    # "-z1^2" would re-parse as (-z1)^2, so the coefficient is made explicit
-    assert format_poly(Polynomial(1, {(2,): -1})) == "-1*z1^2"
+    # "-z1^2" re-parses as -(z1^2), so no coefficient 1 is needed
+    assert format_poly(Polynomial(1, {(2,): -1})) == "-z1^2"
     assert format_poly(Polynomial(2, {(1, 1): -1})) == "-z1*z2"
     assert format_poly(Polynomial(1, {(3,): -4})) == "-4*z1^3"
     assert format_poly(Polynomial(2, {(0, 0): F(-5, 3)})) == "-5/3"

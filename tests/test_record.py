@@ -14,24 +14,36 @@ from germkit import (
     MultiEdgePolygon,
     NonzeroValue,
     OddVariableOrder,
+    Polynomial,
     RegularityReport,
     analyze_germ,
+    coprime_at,
     make_regular,
+    parse_curve,
     parse_poly,
+    scan_stability,
+    weierstrass_prepare,
 )
 from germkit._record import Record
-from germkit.germs import BinomialNoncoprimeEdge, DistinguishedVarDivides, MonomialUnitSquare
+from germkit.germs import DistinguishedVarDivides, MonomialUnitSquare
 
 F = Fraction
 
 
 def _records():
-    """Records of several classes, nested ones included, whose fields hold no
-    Polynomial (a Polynomial has no pickle support of its own)."""
+    """Records of several classes, nested ones and ones holding Polynomials and
+    TruncatedSeries included."""
+    f = parse_poly("z3^2 - z1*z2^2")
     _, regularity = make_regular(parse_poly("z1*z2"), 2)
-    status = analyze_germ(GermQuery(parse_poly("z3^2 - z1*z2^2"), (0, 0, 0)))
+    status = analyze_germ(GermQuery(f, (0, 0, 0)))
+    split = analyze_germ(GermQuery(f, (1, 0, 0)))
+    assert split.factors is not None
+    scan = scan_stability(f, (0, 0, 0), parse_curve("t,0,0"), (1, 4))
+    coprime = coprime_at(f, parse_poly("2*z3"), (0, 0, 0), 3)
+    prepared = weierstrass_prepare(f.shift((1, 0, 0)), 3, 8)
     return [status, status.certificate, regularity, RegularityReport(2, (F(1), F(-1, 2))),
-            GermStatus(NonzeroValue(F(3, 2))), GermStatus(reason="no test applies")]
+            GermStatus(NonzeroValue(F(3, 2))), GermStatus(reason="no test applies"),
+            split, scan, coprime, prepared]
 
 
 def test_a_record_is_frozen():
@@ -49,7 +61,7 @@ def test_records_compare_by_class_then_fields():
     assert OddVariableOrder(1, 1) != OddVariableOrder(1, 3)
     # equal field values, different certificates
     assert DistinguishedVarDivides(variable=1, multiplicity=1) != OddVariableOrder(1, 1)
-    assert MultiEdgePolygon(edge_count=2) != BinomialNoncoprimeEdge(gcd=2)
+    assert MultiEdgePolygon(edge_count=2) != NonzeroValue(value=2)
     assert OddVariableOrder(1, 1) != (1, 1)
     assert OddVariableOrder(1, 1).__eq__((1, 1)) is NotImplemented
     assert hash(OddVariableOrder(1, 1)) == hash(OddVariableOrder(variable=1, order=1))
@@ -93,6 +105,15 @@ def test_records_survive_copies_and_pickles(clone):
         assert type(twin) is type(record) and isinstance(twin, Record)
         with pytest.raises(AttributeError):
             twin.anything = 1
+
+
+def test_a_pickled_polynomial_is_equal_and_still_immutable():
+    p = parse_poly("3/2*z1^2*z2 - z2^5 + 7")
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert type(twin) is Polynomial and twin == p and repr(twin) == repr(p)
+        with pytest.raises(AttributeError):
+            twin.n = 3
+    assert pickle.loads(pickle.dumps(Polynomial.zero(2))) == Polynomial.zero(2)
 
 
 def test_readme_certificate_text_is_unchanged():

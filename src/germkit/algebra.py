@@ -14,7 +14,9 @@ total degree is at most MAX_DEGREE, which leaves each field's top bit clear:
 no sum of two keys overflows a field, and a field that goes negative in a
 difference of keys sets its top bit, the guard bit `_exact_quotient` tests.
 Each kernel that can raise the degree checks its operands' degrees against
-the cap first.
+the cap first.  A kernel that splits a table into dense rows, one per exponent
+of one variable, is refused a degree in that variable above MAX_VARIABLE_DEGREE
+by `_table_rows`, before any row is built.
 
 The representation is canonical, as FLINT's fmpq_poly: zero coefficients
 are never stored and the denominator is coprime to the table's content, so
@@ -34,15 +36,14 @@ changes).  This is the only module that reads a Polynomial's term table.
 Its one product loop is `_mul_add` (acc += scale * ta * tb in place);
 `_truncated_product` (`*`, the series product) runs it on the pairs of
 homogeneous parts from `_graded`.
-Built on it are `_horner` (`substitute`), `_exact_quotient` (`exact_div`),
-`_table_power` (`**`: repeated products, which beat squaring on dense tables),
-`_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and `_subresultant_prs`
-(`elimination.resultant`, `discriminant` and `coprime_at`: the subresultant
-sequence with `_pseudo_remainder`, `_exact_quotient` and `_table_power` on the
-integer coefficient tables in one variable; it takes and returns Polynomials).
-`_taylor_shift` (`shift`) is the dense Taylor shift on int rows, one row per
-monomial in the other variables.  `_table_rows` splits a table by one
-variable's exponent for `coefficients_in`, `_horner` and the subresultant
+Built on it are `_horner` (`substitute` and `shift`), `_exact_quotient`
+(`exact_div`), `_table_power` (`**`: repeated products, which beat squaring on
+dense tables), `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and
+`_subresultant_prs` (`elimination.resultant`, `discriminant` and `coprime_at`:
+the subresultant sequence with `_pseudo_remainder`, `_exact_quotient` and
+`_table_power` on the integer coefficient tables in one variable; it takes and
+returns Polynomials).  `_table_rows` splits a table by one variable's exponent
+for `coefficients_in`, `_horner`, `_quadratic_parts` and the subresultant
 sequence, and `_levels` a polynomial by its degree in the other variables for
 `weierstrass_prepare`.  `_quadratic_parts` (e1 and the discriminant of
 a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
@@ -74,6 +75,9 @@ _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 # the largest total degree a polynomial holds: each field's top bit, a guard bit, stays clear
 MAX_DEGREE = (1 << _FIELD_BITS - 1) - 1
+# the largest degree in one variable that `_table_rows` splits into dense rows, one per
+# exponent: the Horner and subresultant loops on those rows take O(d^2) products
+MAX_VARIABLE_DEGREE = 1024
 
 
 def as_rational(value) -> Fraction:
@@ -325,8 +329,8 @@ class Polynomial:
     def shift(self, point: Sequence) -> "Polynomial":
         """Recenter at a point: returns g with g(x) = f(point + x) exactly.
 
-        Each nonzero c_i = a/b is one dense Taylor shift z_i <- (b*z_i + a)/b;
-        at the zero point the polynomial is returned as it is.
+        Each nonzero c_i = a/b is one Horner substitution z_i <- (b*z_i + a)/b,
+        as `substitute` runs; at the zero point the polynomial is returned as it is.
         """
         pt = as_point(point, self.n)
         if not any(pt):
@@ -334,7 +338,8 @@ class Polynomial:
         table, scale = self._terms, self._den
         for i, c in enumerate(pt):
             if c != 0:
-                table, lift = _taylor_shift(table, self.n, i, c.numerator, c.denominator)
+                a, b = c.numerator, c.denominator
+                table, lift = _horner(table, self.n, i, {_var_key(self.n, i): b, 0: a}, b)
                 scale *= lift
         return _raw(self.n, table, scale)
 
@@ -511,9 +516,10 @@ def _quadratic_parts(f: Polynomial) -> tuple[Polynomial | None, Polynomial] | No
     """(e1, D) in z1..z(n-1) for f = a*z_n^2 + b*z_n + c with a(0) != 0 = b(0) = c(0), else None.
     For a constant a, e1 = b/a and D = (b*b - 4*a*c)/a^2, f's denominator cancelling; otherwise
     e1 is None and D = b*b - 4*a*c.  D is read off f's integer rows with one product."""
-    _check_var(f.n, f.n)
+    if f.degree_in(f.n) != 2:  # read before the split, which refuses a degree past the budget
+        return None
     rows = _table_rows(f._terms, f.n, f.n - 1)
-    if len(rows) != 3 or 0 not in rows[2] or 0 in rows[1] or 0 in rows[0]:
+    if 0 not in rows[2] or 0 in rows[1] or 0 in rows[0]:
         return None
     dc, db, da = (max(row, default=0) >> _FIELD_BITS * f.n for row in rows)
     _check_degree(max(2 * db, da + dc))  # deg(b*b), deg(a*c)
@@ -567,37 +573,6 @@ def _horner(table: dict, n: int, i: int, rep: dict, rep_scale: int) -> tuple[dic
     return acc, lift
 
 
-def _taylor_shift(table: dict, n: int, i: int, a: int, b: int) -> tuple[dict, int]:
-    """Substitute z_i <- (b*z_i + a)/b into an integer table (0-based i, b > 0).
-
-    Returns (result, lift) as `_horner` does, lift = b^top for top the degree
-    in z_i.  The terms are grouped by their other exponents; each group is a
-    dense row c_0..c_d in z_i, and b^d * row((b*z + a)/b) is found on plain
-    ints: c_k lifted by b^(d-k), shifted by a with the O(d^2) synthetic-division
-    recurrence (von zur Gathen & Gerhard, ISSAC 1997), and its z^k entry lifted
-    by b^(k+top-d), so every group lands over the one denominator b^top.
-    """
-    off, unit = _FIELD_BITS * (n - 1 - i), _var_key(n, i)
-    groups: dict = {}  # rest -> {e: c} for the term rest * z_i^e
-    for mono, c in table.items():
-        e = mono >> off & _FIELD_MASK
-        groups.setdefault(mono - e * unit, {})[e] = c
-    degrees = [max(entries) for entries in groups.values()]
-    top = max(degrees, default=0)
-    powers = [b**k for k in range(top + 1)]
-    out = {}
-    for (rest, entries), d in zip(groups.items(), degrees):
-        row = [entries.get(e, 0) * powers[d - e] for e in range(d + 1)]
-        for j in range(d):
-            for k in range(d - 1, j - 1, -1):
-                row[k] += a * row[k + 1]
-        lift = top - d
-        for k, c in enumerate(row):
-            if c:
-                out[rest + k * unit] = c * powers[k + lift]
-    return out, powers[top]
-
-
 def _exact_quotient(rem: dict, divisor: dict, n: int) -> dict:
     """rem / divisor over Z[x] in n variables, consuming rem; ValueError unless exact.
 
@@ -624,13 +599,18 @@ def _exact_quotient(rem: dict, divisor: dict, n: int) -> dict:
 
 def _table_rows(table: dict, n: int, i: int) -> list[dict]:
     """An integer table split by the exponent of z_i (0-based): entry k is the
-    table of z_i^k's coefficient, z_i's exponent zeroed; [] for the empty table."""
+    table of z_i^k's coefficient, z_i's exponent zeroed; [] for the empty table.
+    A degree in z_i above MAX_VARIABLE_DEGREE is refused before the dense list is built."""
     off, unit = _FIELD_BITS * (n - 1 - i), _var_key(n, i)
     rows: dict[int, dict] = {}
     for mono, c in table.items():
         e = mono >> off & _FIELD_MASK
         rows.setdefault(e, {})[mono - e * unit] = c
-    return [rows.get(k, {}) for k in range(max(rows, default=-1) + 1)]
+    top = max(rows, default=-1)
+    if top > MAX_VARIABLE_DEGREE:
+        raise ValueError(f"degree {top} in z{i + 1} is above {MAX_VARIABLE_DEGREE}, "
+                         "the largest degree in one variable a dense kernel takes")
+    return [rows.get(k, {}) for k in range(top + 1)]
 
 
 def _levels(p: Polynomial, j: int, top: int) -> list[Polynomial]:

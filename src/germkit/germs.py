@@ -536,8 +536,8 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
     that shifted polynomial, and each sample q at the step q - p from it,
     which is the germ of f at q exactly.  A sample evaluates only the
     coordinates the curve moves (those of positive degree; a fixed one stays
-    at p_i, a step of 0) and pays one Taylor shift per coordinate that moves
-    at that t, on the shifted germ.
+    at p_i, a step of 0) and pays one Horner substitution per coordinate that
+    moves at that t, on the shifted germ.
     """
     p = as_point(p, f.n)
     coords = tuple(curve)

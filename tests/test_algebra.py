@@ -582,6 +582,25 @@ def test_shift_matches_synthetic_division():
             mono[var] = rng.randint(12, 16)
             f = f + Polynomial.monomial(n, mono, random_fraction(rng))
         cases.append((f, tuple(rng.choice(COORDINATES[4:]) for _ in range(n))))
+    # the Horner loop of `substitute` runs every shift: one dense row of degree 40
+    # to 64 at a non-integer coordinate, and rows of degree 17 to 40 with gaps
+    # below their top entries, of uneven degree in one table
+    for _ in range(4):
+        n = rng.randint(1, 3)
+        var = rng.randrange(n)
+        dense = {tuple(k if j == var else 0 for j in range(n)):
+                 F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                 for k in range(rng.randint(40, 64) + 1)}
+        p = tuple(rng.choice(COORDINATES[4:] if j == var else COORDINATES) for j in range(n))
+        cases.append((Polynomial(n, dense), p))
+    for _ in range(6):
+        n, top = rng.randint(1, 3), rng.randint(17, 40)
+        terms = {(e,) + rest: random_fraction(rng)
+                 for rest in (random_monomial(rng, n - 1, 2) for _ in range(rng.randint(1, 3)))
+                 for e in [top - 1, *rng.sample(range(top - 2), 3)]}
+        terms[(top,) + (0,) * (n - 1)] = F(-3, 5)
+        p = (rng.choice(COORDINATES[4:]),) + tuple(rng.choice(COORDINATES) for _ in range(n - 1))
+        cases.append((Polynomial(n, terms), p))
     for f, p in cases:
         assert_equal_with_fraction_coefficients(f.shift(p), ref_shift(f, p))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from germkit import __version__
-from germkit.algebra import Polynomial
+from germkit.algebra import MAX_VARIABLE_DEGREE, Polynomial
 from germkit.cli import run_cli
 from germkit.parsing import MAX_EXPONENT, MAX_TERMS
 from germkit.series import MAX_ORDER, TruncatedSeries
@@ -393,6 +393,20 @@ def test_oversized_literals_are_parse_errors(flag, value):
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out == ""
     assert err.startswith("parse error: ")
+
+
+def test_a_degree_past_the_one_variable_budget_is_an_error_not_a_hang():
+    # each exponent literal is within the parser's cap, but z1 has degree 32768:
+    # the shift to z1 = 1 is refused before any dense row is built
+    poly = "((z1^32)^32)^32+z2^2"
+    started = time.perf_counter()
+    code, out, err = run("analyze", "--poly", poly, "--point", "1,0")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: degree 32768 in z1 is above {MAX_VARIABLE_DEGREE}, ")
+    # at the origin nothing is shifted, and the germ is still decided
+    code, out, _ = run("analyze", "--poly", poly, "--point", "0,0")
+    assert code == 0 and "status: SingularReducible" in out.splitlines()
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

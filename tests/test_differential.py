@@ -4,7 +4,8 @@ A Polynomial stores packed monomial keys; the reference here is the plain
 representation, a dict from exponent tuples to nonzero Fractions, with the
 textbook algorithm for each operation.  Seeded operands in 0-4 variables.
 The last tests pin the degree cap: a result exactly at MAX_DEGREE is built,
-and one past it is refused before any product is formed.
+and one past it is refused before any product is formed; and so is a degree
+past MAX_VARIABLE_DEGREE in the variable a dense kernel splits by.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 from germkit import algebra
 from germkit.algebra import (
     MAX_DEGREE,
+    MAX_VARIABLE_DEGREE,
     Polynomial,
     _axis_order,
     _linear_factors,
@@ -469,3 +471,59 @@ PAST_THE_CAP = {
 @pytest.mark.parametrize("call", PAST_THE_CAP.values(), ids=PAST_THE_CAP.keys())
 def test_results_past_the_degree_cap_are_refused_before_any_product(call, nothing_computed):
     past_the_cap(call)
+
+
+# -- the budget on the degree in one variable -------------------------------------------
+
+
+# the dense kernels take a degree of at most MAX_VARIABLE_DEGREE in the variable they
+# split by; operands are built at import, as above
+AT_BUDGET = Polynomial.monomial(2, (MAX_VARIABLE_DEGREE, 0))
+PAST_BUDGET = Polynomial.monomial(2, (MAX_VARIABLE_DEGREE + 1, 0))
+AT_BUDGET_PLUS_Z2, PAST_BUDGET_PLUS_Z2 = AT_BUDGET + Z2, PAST_BUDGET + Z2
+Z1_MINUS_Z2 = Z1 - Z2
+TOP = Polynomial.monomial(2, (MAX_DEGREE, 0), 3)  # degree MAX_DEGREE in z1, under the cap
+
+AT_THE_BUDGET = {
+    "shift": (lambda: AT_BUDGET.shift((1, 0)), lambda: Polynomial(2, {
+        (k, 0): math.comb(MAX_VARIABLE_DEGREE, k) for k in range(MAX_VARIABLE_DEGREE + 1)})),
+    "substitute": (lambda: AT_BUDGET.substitute(1, Z2),
+                   lambda: Polynomial.monomial(2, (0, MAX_VARIABLE_DEGREE))),
+    "coefficients_in": (lambda: AT_BUDGET.coefficients_in(1), lambda: [
+        Polynomial.zero(2)] * MAX_VARIABLE_DEGREE + [Polynomial.constant(2, 1)]),
+    # Res(f, z1 - z2) = f(z2) for f of even degree in z1
+    "resultant": (lambda: resultant(AT_BUDGET_PLUS_Z2, Z1_MINUS_Z2, 1),
+                  lambda: Polynomial.monomial(2, (0, MAX_VARIABLE_DEGREE)) + Z2),
+}
+
+PAST_THE_BUDGET = {
+    "shift": lambda: PAST_BUDGET.shift((1, 0)),
+    "substitute": lambda: PAST_BUDGET.substitute(1, Z2),
+    # z1^MAX_DEGREE is under the total-degree cap, but one dense row per exponent of z1
+    # once got the process killed for memory
+    "substitute at the degree cap": lambda: TOP.substitute(1, Z2),
+    "coefficients_in": lambda: PAST_BUDGET.coefficients_in(1),
+    "resultant": lambda: resultant(PAST_BUDGET_PLUS_Z2, Z1_MINUS_Z2, 1),
+}
+
+
+@pytest.mark.parametrize("call, want", AT_THE_BUDGET.values(), ids=AT_THE_BUDGET.keys())
+def test_degrees_at_the_one_variable_budget_are_computed(call, want):
+    started = time.perf_counter()
+    got = call()
+    assert time.perf_counter() - started < 1.0
+    assert got == want()
+
+
+@pytest.mark.parametrize("call", PAST_THE_BUDGET.values(), ids=PAST_THE_BUDGET.keys())
+def test_degrees_past_the_one_variable_budget_are_refused_before_any_row(call, nothing_computed):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^degree \d+ in z1 is above {MAX_VARIABLE_DEGREE}, "):
+        call()
+    assert time.perf_counter() - started < 1.0
+
+
+def test_the_quadratic_stage_reads_the_degree_before_it_splits():
+    # z2^(budget+1) + z1^2 is no quadratic in z2: the stage passes it on, and the
+    # budget is never reached
+    assert _quadratic_parts(Polynomial.monomial(2, (0, MAX_VARIABLE_DEGREE + 1)) + Z1 * Z1) is None

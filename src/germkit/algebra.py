@@ -304,16 +304,27 @@ class Polynomial:
     # -- core operations ---------------------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point of matching dimension."""
+        """Exact value at a rational point of matching dimension, always a Fraction.
+
+        The sum runs on the integer table over one denominator: a coordinate
+        a/b enters as a, the term of z_i^e is lifted by b^(top - e), top the
+        degree in z_i, and one Fraction over den * prod(b^top) is built at the end.
+        """
         pt = as_point(point, self.n)
-        fields = list(zip(range(_FIELD_BITS * (self.n - 1), -1, -_FIELD_BITS), pt))
-        total = Fraction(0)
-        for key, term in self._terms.items():
-            for off, v in fields:
-                if e := key >> off & _FIELD_MASK:
-                    term *= v**e
-            total += term
-        return total / self._den
+        fields, scale = [], self._den
+        for off, v in zip(range(_FIELD_BITS * (self.n - 1), -1, -_FIELD_BITS), pt):
+            top = max((m >> off & _FIELD_MASK for m in self._terms), default=0)
+            if top:  # a variable that does not occur lifts nothing
+                b = v.denominator
+                fields.append((off, v.numerator, b, top))
+                scale *= b**top
+        total = 0
+        for key, c in self._terms.items():
+            for off, a, b, top in fields:
+                e = key >> off & _FIELD_MASK
+                c *= a**e * b ** (top - e)
+            total += c
+        return Fraction(total, scale)
 
     def derivative(self, var: int) -> "Polynomial":
         """Exact partial derivative with respect to z_var (1-based)."""

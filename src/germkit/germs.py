@@ -434,9 +434,20 @@ def polygon_verdict(edges: tuple) -> GermStatus:
 def analyze_germ(query: GermQuery) -> GermStatus:
     """Classify the germ of query.f at query.point.
 
-    Cascade: one shift to the point, whose constant term is the value and
-    whose linear part is the gradient: nonvanishing value -> Unit; nonzero
-    gradient -> SmoothIrreducible; otherwise, with j = n (the last
+    The query has checked f, the point and the order; the germ is shifted
+    to the point once and `_classify` decides it at the origin.
+    """
+    return _classify(query.f.shift(query.point), query.order)
+
+
+def _classify(shifted: Polynomial, N: int) -> GermStatus:
+    """Classify the germ at the origin of shifted, a nonzero polynomial, at a checked order N.
+
+    The callers check f and N: `analyze_germ` through its GermQuery, and
+    `scan_stability` once, through the base germ's query, for all samples.
+    Cascade: the constant term is the value and the linear part the
+    gradient: nonvanishing value -> Unit; nonzero gradient ->
+    SmoothIrreducible; otherwise, with j = n (the last
     variable), regularize the shifted germ in z_j, to order d >= 2 (the germ
     and its gradient vanish, and a linear shear keeps the order), and
     dispatch once on the exact sheared germ: z_j divides it -> the
@@ -447,13 +458,11 @@ def analyze_germ(query: GermQuery) -> GermStatus:
     in the shifted coordinates (plus the recorded shear, if any); only the
     first branch prepares, for its factors, when d is at most N.
     """
-    f, p, N = query.f, query.point, query.order
-    shifted = f.shift(p)
     # f(p) is the constant term of f(p + x), and the gradient its linear part
     value = shifted.constant_term()
     if value != 0:
         return GermStatus(NonzeroValue(value=value))
-    n = f.n
+    n = shifted.n
     if (gradient := _linear_part(shifted)) is not None:
         return GermStatus(SmoothPoint(gradient=gradient))
     j = n  # any other choice asks about the same germ with variables renamed
@@ -532,12 +541,13 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
     rational equality.  Samples appear in input order and the report is a
     pure function of the inputs.
 
-    f is shifted to p once; the base germ is classified at the origin of
-    that shifted polynomial, and each sample q at the step q - p from it,
-    which is the germ of f at q exactly.  A sample evaluates only the
-    coordinates the curve moves (those of positive degree; a fixed one stays
-    at p_i, a step of 0) and pays one Horner substitution per coordinate that
-    moves at that t, on the shifted germ.
+    f is shifted to p once; the base germ's query is the one check of f, p
+    and N, and it is classified at the origin of that shifted polynomial.
+    Each sample q is classified by `_classify`, with no query of its own, at
+    the step q - p from it, which is the germ of f at q exactly.  A sample
+    evaluates only the coordinates the curve moves (those of positive
+    degree; a fixed one stays at p_i, a step of 0) and pays one Horner
+    substitution per coordinate that moves at that t, on the shifted germ.
     """
     p = as_point(p, f.n)
     coords = tuple(curve)
@@ -556,13 +566,15 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
         )
 
     base = f.shift(p)
+    # the one check of f and N; every sample shifts the same base at the same order
     base_status = analyze_germ(GermQuery(base, (0,) * f.n, N))
     samples = []
     moves = [c.total_degree() > 0 for c in coords]
+    zero = Fraction(0)
     for t in t_values:
         q = tuple(c.evaluate((t,)) if m else x for c, x, m in zip(coords, p, moves))
-        step = tuple(y - x if m else 0 for y, x, m in zip(q, p, moves))
-        samples.append(ScanSample(t=t, point=q, status=analyze_germ(GermQuery(base, step, N))))
+        step = [y - x if m else zero for y, x, m in zip(q, p, moves)]
+        samples.append(ScanSample(t=t, point=q, status=_classify(base.shift(step), N)))
     samples = tuple(samples)
 
     on_locus = [s for s in samples if s.on_locus and s.t != 0]

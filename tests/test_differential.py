@@ -170,6 +170,7 @@ def assert_matches(p, want, n):
 
 def test_every_polynomial_operation_matches_the_tuple_dict_reference():
     rng = random.Random(2801)
+    prng = random.Random(2802)  # the mixed points, apart from the operands' stream
     for case in range(150):
         n = case % 5
         a, b = operand(rng, n), operand(rng, n)
@@ -218,12 +219,19 @@ def test_every_polynomial_operation_matches_the_tuple_dict_reference():
         if b:
             assert_matches((pa * pb).exact_div(pb), a, n)
 
-        # point operations
+        # point operations, at a random point and at one that mixes 0, 1, -1, ints and
+        # fractions; every value is a Fraction, and so is the zero polynomial's
         point = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
-        assert pa.evaluate(point) == d_evaluate(a, point)
+        mixed = tuple(prng.choice((0, 1, -1, prng.randint(-9, 9),
+                                   F(prng.randint(-9, 9), prng.randint(2, 9)))) for _ in range(n))
+        for at in (point, mixed):
+            for p, d in ((pa, a), (Polynomial.zero(n), {})):
+                value = p.evaluate(at)
+                assert type(value) is Fraction and value == d_evaluate(d, at)
+                gradient = p.gradient_at(at)
+                assert all(type(g) is Fraction for g in gradient)
+                assert gradient == tuple(d_evaluate(d_derivative(d, i), at) for i in range(n))
         assert_matches(pa.shift(point), d_shift(a, point, n), n)
-        assert pa.gradient_at(point) == tuple(
-            d_evaluate(d_derivative(a, i), point) for i in range(n))
 
         # one variable at a time
         for i in range(n):
@@ -246,6 +254,17 @@ def test_every_polynomial_operation_matches_the_tuple_dict_reference():
             i = position - 1
             assert_matches(pa.insert_variable(position),
                            {m[:i] + (0,) + m[i:]: c for m, c in a.items()}, n + 1)
+
+
+@pytest.mark.parametrize("at", [F(1, 3), F(-2, 5)])
+def test_evaluate_at_the_one_variable_budget_matches_the_reference(at):
+    # evaluate lifts each term by b^(top - e); here top is 1024 and the low terms are lifted most
+    a = {(MAX_VARIABLE_DEGREE,): F(-5, 7), (3,): F(2, 9), (1,): F(1), (0,): F(-1, 2)}
+    p = Polynomial(1, a)
+    value = p.evaluate((at,))
+    assert type(value) is Fraction and value == d_evaluate(a, (at,))
+    gradient = p.gradient_at((at,))
+    assert type(gradient[0]) is Fraction and gradient == (d_evaluate(d_derivative(a, 0), (at,)),)
 
 
 def test_inexact_divisions_are_refused_like_the_reference_says():

@@ -980,6 +980,16 @@ def test_scan_requires_curve_through_base_point():
         scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (), 8)
 
 
+def test_scan_refuses_a_float_t(monkeypatch):
+    # the samples build no GermQuery, so t is checked before any germ is classified
+    def refuse(*args):
+        raise AssertionError("a germ was classified before t was checked")
+
+    monkeypatch.setattr(germs, "_classify", refuse)
+    with pytest.raises(TypeError, match=re.escape("inexact value 0.5")):
+        scan_stability(COUNTEREXAMPLE, (0, 0, 0), T_LINE, (0.5,), 8)
+
+
 def test_order_above_the_cap_is_rejected_at_once():
     # every series checks its order, so each call below fails before any
     # series work, as GermQuery and weierstrass_prepare do
@@ -1119,7 +1129,8 @@ def test_scan_samples_equal_a_fresh_analysis_at_each_point():
         want = analyze_germ(GermQuery(f, p, N))
         assert report.base_status == want
         for s in report.samples:
-            q = tuple(c.evaluate((s.t,)) for c in coords)
+            # the curve's value from its terms, not from evaluate, which the scan itself runs
+            q = tuple(sum((k * s.t ** e for (e,), k in c.terms()), Fraction(0)) for c in coords)
             assert s.point == q and all(type(x) is Fraction for x in s.point)
             want = analyze_germ(GermQuery(f, s.point, N))
             assert s.status.certificate == want.certificate

@@ -15,7 +15,8 @@ no sum of two keys overflows a field, and a field that goes negative in a
 difference of keys sets its top bit, the guard bit `_exact_quotient` tests.
 Each kernel that can raise the degree checks its operands' degrees against
 the cap first.  A kernel that splits a table into dense rows, one per exponent
-of one variable, is refused a degree in that variable above MAX_VARIABLE_DEGREE
+of one variable (so a shift, a substitution and an evaluation at a nonzero
+coordinate), is refused a degree in that variable above MAX_VARIABLE_DEGREE
 by `_table_rows`, before any row is built.
 
 The representation is canonical, as FLINT's fmpq_poly: zero coefficients
@@ -36,9 +37,10 @@ changes).  This is the only module that reads a Polynomial's term table.
 Its one product loop is `_mul_add` (acc += scale * ta * tb in place);
 `_truncated_product` (`*`, the series product) runs it on the pairs of
 homogeneous parts from `_graded`.
-Built on it are `_horner` (`substitute` and `shift`), `_exact_quotient`
-(`exact_div`), `_table_power` (`**`: repeated products, which beat squaring on
-dense tables), `_unit_power` (`series.ts_inverse`, `series.ts_sqrt`) and
+Built on it are `_horner` (`substitute`, `shift` and `evaluate`),
+`_exact_quotient` (`exact_div`), `_table_power` (`**`: repeated products, which
+beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
+`series.ts_sqrt`) and
 `_subresultant_prs` (`elimination.resultant`, `discriminant` and `coprime_at`:
 the subresultant sequence with `_pseudo_remainder`, `_exact_quotient` and
 `_table_power` on the integer coefficient tables in one variable; it takes and
@@ -306,25 +308,16 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point of matching dimension, always a Fraction.
 
-        The sum runs on the integer table over one denominator: a coordinate
-        a/b enters as a, the term of z_i^e is lifted by b^(top - e), top the
-        degree in z_i, and one Fraction over den * prod(b^top) is built at the end.
+        Each nonzero c_i = a/b is one Horner substitution z_i <- a/b, as `shift`
+        runs, so a degree in z_i above MAX_VARIABLE_DEGREE is refused; a zero
+        coordinate is skipped, and the constant term left is the value.
         """
-        pt = as_point(point, self.n)
-        fields, scale = [], self._den
-        for off, v in zip(range(_FIELD_BITS * (self.n - 1), -1, -_FIELD_BITS), pt):
-            top = max((m >> off & _FIELD_MASK for m in self._terms), default=0)
-            if top:  # a variable that does not occur lifts nothing
-                b = v.denominator
-                fields.append((off, v.numerator, b, top))
-                scale *= b**top
-        total = 0
-        for key, c in self._terms.items():
-            for off, a, b, top in fields:
-                e = key >> off & _FIELD_MASK
-                c *= a**e * b ** (top - e)
-            total += c
-        return Fraction(total, scale)
+        table, scale = self._terms, self._den
+        for i, c in enumerate(as_point(point, self.n)):
+            if c != 0:
+                table, lift = _horner(table, self.n, i, {0: c.numerator}, c.denominator)
+                scale *= lift
+        return Fraction(table.get(0, 0), scale)
 
     def derivative(self, var: int) -> "Polynomial":
         """Exact partial derivative with respect to z_var (1-based)."""

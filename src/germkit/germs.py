@@ -546,8 +546,10 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
     Each sample q is classified by `_classify`, with no query of its own, at
     the step q - p from it, which is the germ of f at q exactly.  A sample
     evaluates only the coordinates the curve moves (those of positive
-    degree; a fixed one stays at p_i, a step of 0) and pays one Horner
-    substitution per coordinate that moves at that t, on the shifted germ.
+    degree; a fixed one stays at p_i, a step of 0), each by Horner in t,
+    and pays one Horner substitution per coordinate that moves at that t,
+    on the shifted germ.  A moving coordinate of degree above 1024, the
+    budget algebra.MAX_VARIABLE_DEGREE, raises ValueError at t != 0.
     """
     p = as_point(p, f.n)
     coords = tuple(curve)

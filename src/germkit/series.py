@@ -52,7 +52,7 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     def __reduce__(self):
-        return _series, (self.body, self.order)
+        return TruncatedSeries, (self.body, self.order)
 
     @property
     def n(self) -> int:
@@ -77,15 +77,7 @@ class TruncatedSeries:
         if other.n != self.n:
             raise DimensionMismatchError(f"series live in {self.n} and {other.n} variables")
         order = min(self.order, other.order)
-        return _series(_truncated_product(self.body, other.body, order), order)
-
-
-def _series(body: Polynomial, order: int) -> TruncatedSeries:
-    """Wrap a body known to hold no term above the order (no re-truncation)."""
-    s = object.__new__(TruncatedSeries)
-    object.__setattr__(s, "body", body)
-    object.__setattr__(s, "order", order)
-    return s
+        return TruncatedSeries(_truncated_product(self.body, other.body, order), order)
 
 
 def ts_inverse(a: TruncatedSeries) -> TruncatedSeries:
@@ -96,7 +88,7 @@ def ts_inverse(a: TruncatedSeries) -> TruncatedSeries:
     c = a.constant_term()
     if c == 0:
         raise NotAUnitError("constant term is zero; the series has no inverse")
-    return _series(_unit_power(a.body, a.order, -1, 1, 1 / c), a.order)
+    return TruncatedSeries(_unit_power(a.body, a.order, -1, 1, 1 / c), a.order)
 
 
 def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
@@ -117,4 +109,4 @@ def ts_sqrt(a: TruncatedSeries) -> TruncatedSeries | None:
     root = rational_sqrt(c)
     if root is None:
         return None
-    return _series(_unit_power(a.body, a.order, 1, 2, root), a.order)
+    return TruncatedSeries(_unit_power(a.body, a.order, 1, 2, root), a.order)

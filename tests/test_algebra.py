@@ -80,6 +80,7 @@ def test_equality_is_structural():
     b = Polynomial(2, {(1, 1): F(1, 2)})
     assert a == b
     assert a != Polynomial(3, {(1, 1, 0): F(1, 2)})  # different ambient dimension
+    assert (Polynomial.variable(2, 1) == "z1") is False
 
 
 def test_terms_are_in_ascending_graded_lex_order():
@@ -749,3 +750,24 @@ def test_as_point_and_as_rational():
                     lambda: Polynomial(1, {(1,): 0.1})):
         with pytest.raises(TypeError, match="0.1"):
             inexact()
+
+
+# input checks, each case with the exception it raises
+Z1 = Polynomial.variable(2, 1)
+BAD_INPUTS = {
+    "negative variable count": (lambda: Polynomial(-1), ValueError),
+    "negative power": (lambda: Z1 ** -1, ValueError),
+    "lowest form of zero": (lambda: Polynomial.zero(2).lowest_homogeneous_form(),
+                            ZeroPolynomialError),
+    "insert below 1": (lambda: Z1.insert_variable(0), VariableIndexError),
+    "insert past n + 1": (lambda: Z1.insert_variable(4), VariableIndexError),
+    "sum with a string": (lambda: Z1 + "z1", TypeError),
+    "difference with a string": (lambda: Z1 - "z1", TypeError),
+    "product with a string": (lambda: Z1 * "z1", TypeError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_raise_their_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -409,6 +409,22 @@ def test_a_degree_past_the_one_variable_budget_is_an_error_not_a_hang():
     assert code == 0 and "status: SingularReducible" in out.splitlines()
 
 
+def test_a_curve_degree_past_the_one_variable_budget_is_an_error_not_a_hang():
+    # a sample with t != 0 evaluates the moving coordinate by Horner, under the budget
+    scan = ("scan", "--poly", "z3^2-z1*z2^2", "--point", "0,0,0", "--curve")
+    code, out, err = run(*scan, "((t^32)^32)^2,0,0", "--t", "1/2")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: degree 2048 in z1 is above {MAX_VARIABLE_DEGREE}, ")
+    # degree 2^25 is refused before any power of 3 is formed
+    started = time.perf_counter()
+    code, out, _ = run(*scan, "(((((t^32)^32)^32)^32)^32),0,0", "--t", "1/3")
+    assert time.perf_counter() - started < 2.0
+    assert code == 1 and out == ""
+    # at t = 0 nothing is substituted
+    code, out, _ = run(*scan, "((t^32)^32)^2,0,0", "--t", "0")
+    assert code == 0 and "verdict: Inconclusive" in out.splitlines()
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="the interpreter has no integer-string limit")
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])

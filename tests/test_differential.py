@@ -258,7 +258,7 @@ def test_every_polynomial_operation_matches_the_tuple_dict_reference():
 
 @pytest.mark.parametrize("at", [F(1, 3), F(-2, 5)])
 def test_evaluate_at_the_one_variable_budget_matches_the_reference(at):
-    # evaluate lifts each term by b^(top - e); here top is 1024 and the low terms are lifted most
+    # Horner lifts the row of z1^k by b^(top - k); here top is 1024 and the low rows are lifted most
     a = {(MAX_VARIABLE_DEGREE,): F(-5, 7), (3,): F(2, 9), (1,): F(1), (0,): F(-1, 2)}
     p = Polynomial(1, a)
     value = p.evaluate((at,))
@@ -513,6 +513,9 @@ AT_THE_BUDGET = {
     # Res(f, z1 - z2) = f(z2) for f of even degree in z1
     "resultant": (lambda: resultant(AT_BUDGET_PLUS_Z2, Z1_MINUS_Z2, 1),
                   lambda: Polynomial.monomial(2, (0, MAX_VARIABLE_DEGREE)) + Z2),
+    "evaluate": (lambda: AT_BUDGET.evaluate((F(1, 3), 5)), lambda: F(1, 3**MAX_VARIABLE_DEGREE)),
+    # evaluate skips a zero coordinate, as shift does, so z1 = 0 splits no rows
+    "evaluate past the budget at zero": (lambda: (PAST_BUDGET + 3).evaluate((0, 5)), lambda: 3),
 }
 
 PAST_THE_BUDGET = {
@@ -523,6 +526,8 @@ PAST_THE_BUDGET = {
     "substitute at the degree cap": lambda: TOP.substitute(1, Z2),
     "coefficients_in": lambda: PAST_BUDGET.coefficients_in(1),
     "resultant": lambda: resultant(PAST_BUDGET_PLUS_Z2, Z1_MINUS_Z2, 1),
+    "evaluate": lambda: PAST_BUDGET.evaluate((F(1, 3), 0)),
+    "evaluate at the degree cap": lambda: TOP.evaluate((F(1, 3), 0)),
 }
 
 

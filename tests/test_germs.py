@@ -1209,3 +1209,17 @@ def test_a_constant_times_a_square_discriminant_is_reducible(poly, point, lc, ro
     else:
         assert status.factors == tuple(TruncatedSeries(parse_poly(g, var_count=f.n), 8)
                                        for g in factors)
+
+
+# input checks, each case with the exception it raises
+BAD_INPUTS = {
+    "two-variable curve coordinate": (lambda: scan_stability(
+        COUNTEREXAMPLE, (0, 0, 0), (Polynomial.variable(2, 1),) + T_LINE[1:], (1,), 8),
+        DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_raise_their_error(call, error):
+    with pytest.raises(error):
+        call()

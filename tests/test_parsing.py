@@ -248,3 +248,15 @@ def test_parse_format_round_trip():
             terms[random_monomial(rng, n, 6)] = random_fraction(rng)
         p = Polynomial(n, terms)
         assert parse_poly(format_poly(p), var_count=n) == p
+
+
+# input checks, each case with the exception it raises
+BAD_INPUTS = {
+    "curve of the wrong length": (lambda: parse_curve("t,0", 3), DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_raise_their_error(call, error):
+    with pytest.raises(error):
+        call()

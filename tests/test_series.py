@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from germkit.algebra import Polynomial, _truncated_product, rational_sqrt
-from germkit.errors import NotAUnitError
+from germkit.errors import DimensionMismatchError, NotAUnitError
 from germkit.parsing import parse_poly
 from germkit.series import MAX_ORDER, TruncatedSeries, ts_inverse, ts_sqrt
 from helpers import big_denominator_poly, random_fraction, random_monomial, random_poly
@@ -104,6 +104,7 @@ def test_equality_needs_same_order():
     one = Polynomial.constant(1, 1)
     assert TruncatedSeries(one, 4) != TruncatedSeries(one, 5)
     assert TruncatedSeries(one, 4) == TruncatedSeries(one, 4)
+    assert (TruncatedSeries(one, 4) == 1) is False
 
 
 @pytest.mark.parametrize("n, order", EXACTNESS_CASES)
@@ -259,3 +260,17 @@ def test_sqrt_signals_non_rational_square_constant():
     assert ts_sqrt(series({(0,): 2, (1,): 1}, order=4)) is None
     assert ts_sqrt(series({(0,): -4, (1,): 1}, order=MAX_ORDER)) is None  # negative
     assert ts_sqrt(series({(0,): F(4, 3), (1,): 1}, order=MAX_ORDER)) is None
+
+
+# input checks, each case with the exception it raises
+ONE = series({(0,): 1})
+BAD_INPUTS = {
+    "product across dimensions": (lambda: ONE * series({(0, 0): 1}, n=2), DimensionMismatchError),
+    "attribute assignment": (lambda: setattr(ONE, "order", 4), AttributeError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_raise_their_error(call, error):
+    with pytest.raises(error):
+        call()

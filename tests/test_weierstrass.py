@@ -478,3 +478,15 @@ def test_level_lifting_matches_the_slice_reference():
             N = rng.randint(d, 16)
             f = _reference_germ(rng, n, j, d, sparse=n > 1 and rng.random() < 0.5)
             assert repr(weierstrass_prepare(f, j, N)) == repr(ref_prepare(f, j, N))
+
+
+# input checks, each case with the exception it raises
+BAD_INPUTS = {
+    "shear of the wrong length": (lambda: apply_shear(COUNTEREXAMPLE, 3, (1, 0)), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_raise_their_error(call, error):
+    with pytest.raises(error):
+        call()

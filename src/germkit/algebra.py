@@ -37,7 +37,8 @@ changes).  This is the only module that reads a Polynomial's term table.
 Its one product loop is `_mul_add` (acc += scale * ta * tb in place);
 `_truncated_product` (`*`, the series product) runs it on the pairs of
 homogeneous parts from `_graded`.
-Built on it are `_horner` (`substitute`, `shift` and `evaluate`),
+Built on it are `_horner` (`substitute`, `shift` and `evaluate`: each Horner
+step lifts a fresh row of `_table_rows` in place and accumulates into it),
 `_exact_quotient` (`exact_div`), `_table_power` (`**`: repeated products, which
 beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
 `series.ts_sqrt`) and
@@ -51,6 +52,11 @@ sequence, and `_levels` a polynomial by its degree in the other variables for
 a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
 `_axis_order` (`regular_order`) and `_linear_part` (the gradient) read keys for
 the cascade.  No other module multiplies term tables.
+
+Ownership is one rule: a kernel writes only into a table it created; `_raw`
+and `_canonical` adopt the table they are given; no kernel ever writes into a
+Polynomial's table.  So two values may share one table (`p ** 1` and p, the
+empty levels of `_levels`), which is safe because none of them is ever written.
 """
 
 from __future__ import annotations
@@ -125,10 +131,9 @@ class Polynomial:
         _check_degree(max(table, default=0) >> _FIELD_BITS * n)  # a key past the cap is largest
         # lowest terms lifted to the lcm of their denominators are already canonical
         den = math.lcm(*(c.denominator for c in table.values()))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", {
-            m: c.numerator * (den // c.denominator) for m, c in table.items() if c})
-        object.__setattr__(self, "_den", den)
+        _set_n(self, n)
+        _set_terms(self, {m: c.numerator * (den // c.denominator) for m, c in table.items() if c})
+        _set_den(self, den)
 
     # -- constructors ------------------------------------------------------
     # one term each, straight to canonical form through `_raw`
@@ -248,13 +253,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_same_space(other)
-        den = math.lcm(self._den, other._den)
-        lift_self, lift_other = den // self._den, den // other._den
-        out = {m: c * lift_self for m, c in self._terms.items()}
-        for mono, c in other._terms.items():
-            out[mono] = out.get(mono, 0) + c * lift_other
-        return _raw(self.n, out, den)
+        return _sum(self, other, 1)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
@@ -263,10 +262,13 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.__add__(-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self).__add__(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _sum(other, self, -1)
 
     def __neg__(self) -> "Polynomial":
         return _canonical(self.n, {m: -c for m, c in self._terms.items()}, self._den)
@@ -421,10 +423,17 @@ class Polynomial:
         return _canonical(self.n + 1, table, self._den)
 
 
+# the slots' own setters, which write past the refused __setattr__
+_set_n, _set_terms, _set_den = (Polynomial.n.__set__, Polynomial._terms.__set__,
+                                 Polynomial._den.__set__)
+
+
 def _raw(n: int, table: dict, den: int) -> Polynomial:
     """The polynomial table / den in n variables (den != 0), in canonical form:
-    zero entries dropped, the common gcd divided out, the denominator positive."""
-    table = {mono: c for mono, c in table.items() if c}
+    zero entries dropped, the common gcd divided out, the denominator positive.
+    The table is adopted, and copied only to drop a zero or divide a gcd out."""
+    if 0 in table.values():
+        table = {mono: c for mono, c in table.items() if c}
     g = math.gcd(den, *table.values()) * (1 if den > 0 else -1)
     if g != 1:
         table, den = {m: c // g for m, c in table.items()}, den // g
@@ -433,12 +442,23 @@ def _raw(n: int, table: dict, den: int) -> Polynomial:
 
 def _canonical(n: int, table: dict, den: int) -> Polynomial:
     """The polynomial table / den in n variables, the table already canonical: no zero
-    entry, den > 0 and coprime to the entries' content.  It is taken as it is, not copied."""
+    entry, den > 0 and coprime to the entries' content.  It is adopted, not copied."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "_terms", table)
-    object.__setattr__(p, "_den", den)
+    _set_n(p, n)
+    _set_terms(p, table)
+    _set_den(p, den)
     return p
+
+
+def _sum(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """a + sign * b (sign = 1 or -1) in one pass over both integer tables."""
+    a._check_same_space(b)
+    den = math.lcm(a._den, b._den)
+    lift_a, lift_b = den // a._den, sign * (den // b._den)
+    out = {m: c * lift_a for m, c in a._terms.items()}
+    for mono, c in b._terms.items():
+        out[mono] = out.get(mono, 0) + c * lift_b
+    return _raw(a.n, out, den)
 
 
 def _truncated_product(a: Polynomial, b: Polynomial, order=math.inf) -> Polynomial:
@@ -567,13 +587,19 @@ def _horner(table: dict, n: int, i: int, rep: dict, rep_scale: int) -> tuple[dic
 
     Returns (result, lift), the substitution being result / lift: with top
     the degree in z_i, lift = rep_scale^top and the row of z_i^k is lifted
-    by rep_scale^(top-k), so every Horner step stays in Z[x].
+    by rep_scale^(top-k), so every Horner step stays in Z[x].  Each row, a fresh
+    table of `_table_rows`, is lifted in place (rep_scale 1 leaves it as it is) and
+    takes acc * rep in place: neither table nor rep is written.
     """
     rows = _table_rows(table, n, i)
-    acc, lift = rows[-1] if rows else {}, 1
-    for row in reversed(rows[:-1]):
-        lift *= rep_scale
-        acc = _mul_add({m: c * lift for m, c in row.items()}, acc, rep)
+    acc, lift = rows.pop() if rows else {}, 1
+    while rows:
+        row = rows.pop()
+        if rep_scale != 1:
+            lift *= rep_scale
+            for m in row:
+                row[m] *= lift
+        acc = _mul_add(row, acc, rep)
     return acc, lift
 
 
@@ -626,7 +652,8 @@ def _levels(p: Polynomial, j: int, top: int) -> list[Polynomial]:
         level = (mono >> s) - (mono >> off & _FIELD_MASK)
         if level <= top:
             tables[level][mono] = c
-    return [_raw(p.n, table, p._den) for table in tables]
+    zero = _canonical(p.n, {}, 1)  # one value serves every empty level
+    return [_raw(p.n, table, p._den) if table else zero for table in tables]
 
 
 def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, list | None]:

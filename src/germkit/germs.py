@@ -532,6 +532,15 @@ class ScanReport(Record):
         return "Stable-evidence" if self.witness is None else "Unstable"
 
 
+def _coordinate_at(c: Polynomial, k: int, t: Fraction) -> Fraction:
+    """Curve coordinate k (1-based) at t.  The budget error of its Horner evaluation
+    names the coordinate's only variable z1; here it is t, and k says which one."""
+    try:
+        return c.evaluate((t,))
+    except ValueError as err:
+        raise ValueError(str(err).replace("in z1 ", f"in t (curve coordinate {k}) ", 1)) from err
+
+
 def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) -> ScanReport:
     """Classify f along a rational curve and judge stability of irreducibility.
 
@@ -549,7 +558,8 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
     degree; a fixed one stays at p_i, a step of 0), each by Horner in t,
     and pays one Horner substitution per coordinate that moves at that t,
     on the shifted germ.  A moving coordinate of degree above 1024, the
-    budget algebra.MAX_VARIABLE_DEGREE, raises ValueError at t != 0.
+    budget algebra.MAX_VARIABLE_DEGREE, raises ValueError at t != 0, and the
+    message names t and the coordinate's 1-based index.
     """
     p = as_point(p, f.n)
     coords = tuple(curve)
@@ -574,7 +584,8 @@ def scan_stability(f: Polynomial, p, curve, t_values, N: int = DEFAULT_ORDER) ->
     moves = [c.total_degree() > 0 for c in coords]
     zero = Fraction(0)
     for t in t_values:
-        q = tuple(c.evaluate((t,)) if m else x for c, x, m in zip(coords, p, moves))
+        q = tuple(_coordinate_at(c, k, t) if m else x
+                  for k, (c, x, m) in enumerate(zip(coords, p, moves), 1))
         step = [y - x if m else zero for y, x, m in zip(q, p, moves)]
         samples.append(ScanSample(t=t, point=q, status=_classify(base.shift(step), N)))
     samples = tuple(samples)

@@ -10,10 +10,12 @@ import pytest
 
 from germkit.algebra import (
     Polynomial,
+    _levels,
     _linear_factors,
     _monomial_multiple,
     _mul_add,
     _pack,
+    _quadratic_parts,
     _truncated_product,
     _unpack,
     as_point,
@@ -23,6 +25,7 @@ from germkit.algebra import (
 from germkit.errors import DimensionMismatchError, VariableIndexError, ZeroPolynomialError
 from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
+from germkit.weierstrass import weierstrass_prepare
 from helpers import (
     big_denominator_poly,
     random_fraction,
@@ -312,6 +315,55 @@ def test_every_operation_returns_the_canonical_form():
         assert a.shift((0,) * n) is a
         assert a - a == Polynomial.zero(n)
         assert repr(a - a) == repr(Polynomial.zero(n))
+
+
+def test_operations_leave_their_operands_unchanged():
+    # a kernel writes only into tables it built, and a result adopts its table: a Horner
+    # step lifts its own rows in place, so a write into an operand would show here
+    rng = random.Random(136)
+    for _ in range(30):
+        n = rng.randint(2, 3)
+        var = rng.randint(1, n)
+        z = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+        a = random_poly(rng, n, 4, 6, nonzero=True)
+        b = big_denominator_poly(rng, n, 3, 4)
+        integral = z[var - 1] + rng.randint(-3, 3) * z[0] * z[-1] + rng.randint(1, 5)  # over 1
+        product = a * b
+        # a*z_n^2 + b*z_n + c with a(0) != 0 = b(0) = c(0): quadratic in z_n, regular of order 2
+        low = [random_poly(rng, n - 1, 2, 3).insert_variable(n) for _ in range(3)]
+        quad = (rng.choice((F(3, 2), -2)) + z[0] * low[0]) * z[-1] ** 2 \
+            + z[0] * low[1] * z[-1] + z[0] ** 2 * low[2]
+        integer_point = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+        fraction_point = tuple(F(rng.choice((-1, 1)) * rng.randint(1, 6), 7) for _ in range(n))
+        operands = (a, b, integral, product, quad)
+        calls = {
+            "+": lambda: (a + b, b + a, a + 3, 3 + a),
+            "-": lambda: (a - b, b - a, a - F(1, 3), F(1, 3) - a, a - a),
+            "*": lambda: (a * b, a * F(-3, 5), 2 * a, a * 0),
+            "** 1": lambda: (a ** 1).shift(fraction_point),
+            "shift": lambda: [p.shift(pt) for p in operands
+                              for pt in (integer_point, fraction_point)],
+            "evaluate": lambda: [p.evaluate(pt) for p in operands
+                                 for pt in (integer_point, fraction_point)],
+            "substitute": lambda: (a.substitute(var, b), a.substitute(var, integral),
+                                   b.substitute(var, a)),
+            "coefficients_in": lambda: a.coefficients_in(var) + quad.coefficients_in(n),
+            "exact_div": lambda: product.exact_div(b) if not b.is_zero() else None,
+            "derivative": lambda: [p.derivative(var) for p in operands],
+            "_quadratic_parts": lambda: _quadratic_parts(quad),
+            "weierstrass_prepare": lambda: weierstrass_prepare(quad, n, 6),
+        }
+        before = [(dict(p._terms), p._den) for p in operands]
+        for name, call in calls.items():
+            call()
+            assert [(dict(p._terms), p._den) for p in operands] == before, name
+        # the values that share a table equal freshly built ones
+        assert a ** 1 == a and repr(a ** 1) == repr(Polynomial(n, dict(a.terms())))
+        levels = _levels(quad, n, 12)  # quad has no term of level above 4
+        for level in levels:
+            fresh = Polynomial(n, dict(level.terms()))
+            assert level == fresh and repr(level) == repr(fresh)
+        assert levels[-1] == Polynomial.zero(n) and repr(levels[-1]) == repr(Polynomial.zero(n))
 
 
 def test_inverse_of_a_unit_with_negative_constant_term_is_canonical():

@@ -37,26 +37,27 @@ changes).  This is the only module that reads a Polynomial's term table.
 Its one product loop is `_mul_add` (acc += scale * ta * tb in place);
 `_truncated_product` (`*`, the series product) runs it on the pairs of
 homogeneous parts from `_graded`.
-Built on it are `_horner` (`substitute`, `shift` and `evaluate`: each Horner
+Built on it are `_horner` (`substitute`, `shift`, `evaluate`, and the shears
+`_shear` and `_shear_coefficients` of `apply_shear` and `make_regular`: each Horner
 step lifts a fresh row of `_table_rows` in place and accumulates into it),
 `_exact_quotient` (`exact_div`), `_table_power` (`**`: repeated products, which
 beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
-`series.ts_sqrt`) and
+`series.ts_sqrt`), `_lift_levels` (`weierstrass_prepare`: the level solve, each
+level an integer table over its own gcd-reduced denominator) and
 `_subresultant_prs` (`elimination.resultant`, `discriminant` and `coprime_at`:
 the subresultant sequence with `_pseudo_remainder`, `_exact_quotient` and
-`_table_power` on the integer coefficient tables in one variable; it takes and
-returns Polynomials).  `_table_rows` splits a table by one variable's exponent
-for `coefficients_in`, `_horner`, `_quadratic_parts` and the subresultant
-sequence, and `_levels` a polynomial by its degree in the other variables for
-`weierstrass_prepare`.  `_quadratic_parts` (e1 and the discriminant of
+`_table_power` on the integer coefficient tables in one variable).  Each of
+these last five takes and returns Polynomials.  `_table_rows` splits a table
+by one variable's exponent for `coefficients_in`, `_horner`, `_quadratic_parts`
+and the subresultant sequence.  `_quadratic_parts` (e1 and the discriminant of
 a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
 `_axis_order` (`regular_order`) and `_linear_part` (the gradient) read keys for
 the cascade.  No other module multiplies term tables.
 
 Ownership is one rule: a kernel writes only into a table it created; `_raw`
 and `_canonical` adopt the table they are given; no kernel ever writes into a
-Polynomial's table.  So two values may share one table (`p ** 1` and p, the
-empty levels of `_levels`), which is safe because none of them is ever written.
+Polynomial's table.  So two values may share one table (`p ** 1` and p), which
+is safe because neither of them is ever written.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -582,6 +583,33 @@ def _linear_factors(e1: Polynomial, r: Polynomial, order: int) -> tuple[Polynomi
     return _raw(n, lo, 2 * den), _raw(n, hi, 2 * den)
 
 
+def _shear(f: Polynomial, j: int, coeffs: Sequence[Fraction]) -> Polynomial:
+    """f with z_i <- z_i + c_i * z_j for each i (1-based j, c_j = 0): one Horner pass per
+    nonzero c_i = a/b, replacing z_i by (b*z_i + a*z_j)/b."""
+    n, zj, table, scale = f.n, _var_key(f.n, j - 1), f._terms, f._den
+    for i, c in enumerate(coeffs):
+        if c:
+            b = c.denominator
+            table, lift = _horner(table, n, i, {_var_key(n, i): b, zj: c.numerator}, b)
+            scale *= lift
+    return _raw(n, table, scale)
+
+
+def _shear_coefficients(form: Polynomial, j: int, m: int) -> list[Fraction]:
+    """The shear `make_regular` chooses from f's lowest form, of degree m (1-based j), putting
+    z_j = 1 and the candidates into it as integer rows (z_i <- 0 as {}: no zero entry)."""
+    rest, _ = _horner(form._terms, form.n, j - 1, {0: 1}, 1)
+    coeffs = [Fraction(0)] * form.n
+    for i in range(form.n):
+        if i != j - 1:
+            for c in range(m + 1):
+                candidate, _ = _horner(rest, form.n, i, {0: c} if c else {}, 1)
+                if candidate:
+                    rest, coeffs[i] = candidate, Fraction(c)
+                    break
+    return coeffs
+
+
 def _horner(table: dict, n: int, i: int, rep: dict, rep_scale: int) -> tuple[dict, int]:
     """Substitute z_i <- rep / rep_scale into an integer table (0-based i).
 
@@ -614,7 +642,7 @@ def _exact_quotient(rem: dict, divisor: dict, n: int) -> dict:
     """
     lead = max(divisor)
     lead_coeff = divisor[lead]
-    guards = ((1 << _FIELD_BITS * (n + 1)) - 1) // _FIELD_MASK << _FIELD_BITS - 1  # field tops
+    guards = _guard_bits(n)
     quotient = {}
     while rem:
         top = max(rem)
@@ -643,17 +671,61 @@ def _table_rows(table: dict, n: int, i: int) -> list[dict]:
     return [rows.get(k, {}) for k in range(top + 1)]
 
 
-def _levels(p: Polynomial, j: int, top: int) -> list[Polynomial]:
-    """p split by level, the total degree in the variables other than z_j (1-based):
-    entry L holds p's terms of level L, for L = 0..top; higher levels are dropped."""
-    s, off = _FIELD_BITS * p.n, _FIELD_BITS * (p.n - j)
-    tables: list[dict] = [{} for _ in range(top + 1)]
-    for mono, c in p._terms.items():
-        level = (mono >> s) - (mono >> off & _FIELD_MASK)
-        if level <= top:
-            tables[level][mono] = c
-    zero = _canonical(p.n, {}, 1)  # one value serves every empty level
-    return [_raw(p.n, table, p._den) if table else zero for table in tables]
+def _lift_levels(f: Polynomial, j: int, d: int, order: int,
+                 inverse: Callable[[Polynomial], Polynomial]) -> tuple[Polynomial, Polynomial]:
+    """(w, u) with f = u * w through total degree `order`, u cut at it, for f regular of order
+    d >= 1 in z_j (1-based), by the level solve of `germkit.weierstrass`; inverse(u0) inverts
+    u0 through z_j^(d-1).  Each level is a `_raw` value: an integer table, gcd-reduced."""
+    n, s, off = f.n, _FIELD_BITS * f.n, _FIELD_BITS * (f.n - j)
+    levels: list[dict] = [{} for _ in range(order + 1)]  # f_L over f's denominator
+    for mono, c in f._terms.items():
+        if (level := (mono >> s) - (mono >> off & _FIELD_MASK)) <= order:
+            levels[level][mono] = c
+    t_d = d * _var_key(n, j - 1)
+    u0 = {m - t_d: c for m, c in levels[0].items()}  # u0 = f_0 / t^d by a key shift
+    if any(m & _guard_bits(n) for m in u0):
+        raise ValueError("division is not exact")
+    u0 = _raw(n, u0, f._den)
+    inv = inverse(u0)
+    u0_parts, inv_parts = _graded(u0._terms, n), _graded(inv._terms, n)
+    u, w = {0: u0}, {}
+    for level in range(1, order + 1):
+        pairs = [(u[a], w[level - a]) for a in u if level - a in w]  # w_L is unknown: a > 0
+        if not (levels[level] or pairs):
+            continue
+        # rest = f_L - sum of u_a * w_(L-a), over den
+        den = math.lcm(f._den if levels[level] else 1, *(a._den * b._den for a, b in pairs))
+        rest = {m: c * (den // f._den) for m, c in levels[level].items()}
+        for a, b in pairs:
+            _mul_add(rest, a._terms, b._terms, -(den // (a._den * b._den)))
+        # w_L: the terms of rest * u0^(-1) of t-degree below d, so of total degree below top
+        top, wl = level + d, {}
+        for da, pa in _graded(rest, n).items():
+            for db, pb in inv_parts.items():
+                if da + db < top:
+                    _mul_add(wl, pa, pb)
+        wl = _raw(n, wl, den * inv._den)
+        # u_L = (rest - u0 * w_L) / t^d: the terms below t^d cancel, so only the others form
+        den_u = math.lcm(den, u0._den * wl._den)
+        ul = {m: c * (den_u // den) for m, c in rest.items() if m >> s >= top}
+        for db, pb in _graded(wl._terms, n).items():
+            for da, pa in u0_parts.items():
+                if da + db >= top:
+                    _mul_add(ul, pa, pb, -(den_u // (u0._den * wl._den)))
+        if wl._terms:
+            w[level] = wl
+        if ul:
+            u[level] = _raw(n, {m - t_d: c for m, c in ul.items()}, den_u)
+    # the levels, lifted onto one denominator: w, with w_0 = t^d, and u cut at the order
+    out = []
+    for parts, top in (([_canonical(n, {t_d: 1}, 1), *w.values()], order + d),
+                       (u.values(), order + 1)):
+        den, table = math.lcm(*(p._den for p in parts)), {}
+        for p in parts:
+            lift = den // p._den
+            table.update((m, c * lift) for m, c in p._terms.items() if m >> s < top)
+        out.append(_raw(n, table, den))
+    return out[0], out[1]
 
 
 def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, list | None]:
@@ -757,6 +829,11 @@ def _unpack(keys: Iterable[int], n: int) -> list[Monomial]:
     word = _FIELD_BITS // 8
     size, fields = word * (n + 1), f">{n}L"
     return [struct.unpack_from(fields, key.to_bytes(size, "big"), word) for key in keys]
+
+
+def _guard_bits(n: int) -> int:
+    """The top bit of each field of an n-variable key: a field gone negative sets its own."""
+    return ((1 << _FIELD_BITS * (n + 1)) - 1) // _FIELD_MASK << _FIELD_BITS - 1
 
 
 def _var_key(n: int, i: int) -> int:

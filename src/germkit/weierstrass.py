@@ -17,20 +17,22 @@ f = u * w reads
 
 and level L is solved once every level below it is known: with rest =
 f_L minus the sum, w_L is the part of rest * u_0^(-1) below t^d, and
-u_L = (rest - u_0 * w_L) / t^d is an exact division.  Levels that hold no
+u_L = (rest - u_0 * w_L) / t^d is exact: the terms below t^d cancel, so
+only the ones above are formed, and shifted down.  Levels that hold no
 terms are skipped, and so are products with a zero factor.  Every level
 is an exact polynomial, so the solve needs no intermediate truncation;
-only the assembled outputs are cut at the requested order N.  All the
-arithmetic runs on the integer kernels of `germkit.algebra`.
+only the assembled outputs are cut at the requested order N.  The solve is
+`germkit.algebra._lift_levels`, on integer tables with one gcd-reduced
+denominator per level; the shears run on that module's Horner kernel.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf
 
 from ._record import Record
-from .algebra import Polynomial, _axis_order, _check_var, _levels, _truncated_product, as_rational
+from .algebra import (Polynomial, _axis_order, _check_var, _lift_levels, _monomial_multiple,
+                      _shear, _shear_coefficients, as_rational)
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from .series import TruncatedSeries, _check_order, ts_inverse
 
@@ -76,10 +78,10 @@ class WeierstrassData(Record):
     def weierstrass_polynomial(self) -> Polynomial:
         """w as an n-variable polynomial (order-N representative of the germ)."""
         j, d, n = self.distinguished_var, self.degree, self.n
-        w = Polynomial.variable(n, j) ** d
+        before, after = (0,) * (j - 1), (0,) * (n - j)  # around z_j's exponent
+        w = Polynomial.monomial(n, before + (d,) + after)
         for i, e in enumerate(self.coefficients, start=1):
-            embedded = e.body.insert_variable(j)
-            w = w + embedded * Polynomial.variable(n, j) ** (d - i)
+            w = w + _monomial_multiple(e.body.insert_variable(j), before + (d - i,) + after)
         return w
 
     def multiply_back(self) -> TruncatedSeries:
@@ -108,14 +110,10 @@ def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:
     coeffs = tuple(as_rational(c) for c in coeffs)
     if len(coeffs) != n:
         raise ValueError(f"expected {n} shear coefficients, got {len(coeffs)}")
-    zj = Polynomial.variable(n, j)  # checks j
+    _check_var(j, n)
     if coeffs[j - 1] != 0:
         raise ValueError(f"shear coefficient {j}, on z{j} itself, must be 0, got {coeffs[j - 1]}")
-    out = f
-    for i, c in enumerate(coeffs, start=1):
-        if c != 0:
-            out = out.substitute(i, Polynomial.variable(n, i) + c * zj)
-    return out
+    return _shear(f, j, coeffs)
 
 
 def make_regular(f: Polynomial, j: int) -> tuple[Polynomial, RegularityReport]:
@@ -137,17 +135,8 @@ def make_regular(f: Polynomial, j: int) -> tuple[Polynomial, RegularityReport]:
     report = regular_order(f, j)
     if report.regular:
         return f, report
-    n = f.n
     form, m = f.lowest_homogeneous_form()
-    rest = form.substitute(j, Polynomial.constant(n, 1))
-    coeffs = [Fraction(0)] * n
-    for i in range(1, n + 1):
-        if i != j:
-            for c in range(m + 1):
-                candidate = rest.substitute(i, Polynomial.constant(n, c))
-                if not candidate.is_zero():
-                    rest, coeffs[i - 1] = candidate, Fraction(c)
-                    break
+    coeffs = _shear_coefficients(form, j, m)
     sheared = apply_shear(f, j, coeffs)
     return sheared, RegularityReport(order=m, applied_change=tuple(coeffs))
 
@@ -172,38 +161,12 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
         )
     if N < d:
         raise OrderTooSmallError(f"truncation order {N} is below the regularity order {d}")
-    n = f.n
-    t_d = Polynomial.monomial(n, (0,) * (j - 1) + (d,) + (0,) * (n - j))
-
-    f_levels = _levels(f, j, N)  # f_L: the terms of level L
-    u0 = f_levels[0].exact_div(t_d)
-    u0_inv = ts_inverse(TruncatedSeries(u0, d)).body  # exact below t^d
-
-    # only nonzero levels are kept, so no product has a zero factor
-    u_levels = {0: u0}
-    w_levels: dict[int, Polynomial] = {}
-    for level in range(1, N + 1):
-        rest = f_levels[level]
-        for a, u_a in u_levels.items():  # w_L is not in w_levels yet, so a > 0
-            if level - a in w_levels:
-                rest = rest - u_a * w_levels[level - a]
-        if rest.is_zero():
-            continue
-        # rest and w_L have level L, so their t-degree is below d exactly
-        # when their total degree is below L + d
-        w_level = _truncated_product(rest, u0_inv, level + d - 1)
-        u_level = (rest - u0 * w_level).exact_div(t_d)
-        if not w_level.is_zero():
-            w_levels[level] = w_level
-        if not u_level.is_zero():
-            u_levels[level] = u_level
-
-    rows = sum(w_levels.values(), Polynomial.zero(n)).coefficients_in(j)
-    rows += [Polynomial.zero(n)] * (d - len(rows))
+    w, u = _lift_levels(f, j, d, N, lambda u0: ts_inverse(TruncatedSeries(u0, d)).body)
+    rows = w.coefficients_in(j)
     coefficients = tuple(  # e_i is the coefficient of t^(d-i)
         TruncatedSeries(rows[d - i].drop_variable(j), N) for i in range(1, d + 1)
     )
-    unit = TruncatedSeries(sum(u_levels.values(), Polynomial.zero(n)), N)
+    unit = TruncatedSeries(u, N)
 
     return WeierstrassData(
         degree=d,

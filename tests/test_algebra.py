@@ -10,7 +10,6 @@ import pytest
 
 from germkit.algebra import (
     Polynomial,
-    _levels,
     _linear_factors,
     _monomial_multiple,
     _mul_add,
@@ -25,7 +24,7 @@ from germkit.algebra import (
 from germkit.errors import DimensionMismatchError, VariableIndexError, ZeroPolynomialError
 from germkit.parsing import parse_poly
 from germkit.series import TruncatedSeries, ts_inverse, ts_sqrt
-from germkit.weierstrass import weierstrass_prepare
+from germkit.weierstrass import apply_shear, make_regular, weierstrass_prepare
 from helpers import (
     big_denominator_poly,
     random_fraction,
@@ -352,18 +351,16 @@ def test_operations_leave_their_operands_unchanged():
             "derivative": lambda: [p.derivative(var) for p in operands],
             "_quadratic_parts": lambda: _quadratic_parts(quad),
             "weierstrass_prepare": lambda: weierstrass_prepare(quad, n, 6),
+            "apply_shear": lambda: [apply_shear(p, n, (F(-2, 7),) * (n - 1) + (0,))
+                                    for p in operands],
+            "make_regular": lambda: [make_regular(p, var) for p in operands],
         }
         before = [(dict(p._terms), p._den) for p in operands]
         for name, call in calls.items():
             call()
             assert [(dict(p._terms), p._den) for p in operands] == before, name
-        # the values that share a table equal freshly built ones
+        # the value that shares a table equals a freshly built one
         assert a ** 1 == a and repr(a ** 1) == repr(Polynomial(n, dict(a.terms())))
-        levels = _levels(quad, n, 12)  # quad has no term of level above 4
-        for level in levels:
-            fresh = Polynomial(n, dict(level.terms()))
-            assert level == fresh and repr(level) == repr(fresh)
-        assert levels[-1] == Polynomial.zero(n) and repr(levels[-1]) == repr(Polynomial.zero(n))
 
 
 def test_inverse_of_a_unit_with_negative_constant_term_is_canonical():

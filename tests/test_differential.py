@@ -10,6 +10,7 @@ past MAX_VARIABLE_DEGREE in the variable a dense kernel splits by.
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -22,12 +23,21 @@ from germkit.algebra import (
     Polynomial,
     _axis_order,
     _linear_factors,
+    _lift_levels,
     _linear_part,
     _monomial_multiple,
     _quadratic_parts,
     _truncated_product,
 )
 from germkit.elimination import discriminant, resultant
+from germkit.series import TruncatedSeries, ts_inverse
+from germkit.weierstrass import (
+    WeierstrassData,
+    apply_shear,
+    make_regular,
+    regular_order,
+    weierstrass_prepare,
+)
 from helpers import BIG_DENOMINATORS, random_monomial
 
 F = Fraction
@@ -420,6 +430,143 @@ def test_linear_factors_match_the_polynomial_arithmetic():
         mid, step = (e1 * F(1, 2)).insert_variable(n + 1), (r * F(1, 2)).insert_variable(n + 1)
         want = ((t + mid - step).truncate(N), (t + mid + step).truncate(N))
         assert [repr(p) for p in _linear_factors(e1, r, N)] == [repr(p) for p in want]
+
+
+# -- the Weierstrass layer against the Polynomial-level chains it replaced ----------------
+
+
+def level_loop_prepare(f, j, N):
+    """`weierstrass_prepare` as a loop over Polynomial levels: each level of w is a
+    truncated product with u0's inverse, and each level of u an exact division by t^d."""
+    n, d = f.n, regular_order(f, j).order
+    t_d = Polynomial.monomial(n, (0,) * (j - 1) + (d,) + (0,) * (n - j))
+    level_terms = [{} for _ in range(N + 1)]
+    for mono, c in f.terms():
+        if sum(mono) - mono[j - 1] <= N:
+            level_terms[sum(mono) - mono[j - 1]][mono] = c
+    f_levels = [Polynomial(n, terms) for terms in level_terms]
+    u0 = f_levels[0].exact_div(t_d)
+    u0_inv = ts_inverse(TruncatedSeries(u0, d)).body
+    u_levels, w_levels = {0: u0}, {}
+    for level in range(1, N + 1):
+        rest = f_levels[level]
+        for a, u_a in u_levels.items():
+            if level - a in w_levels:
+                rest = rest - u_a * w_levels[level - a]
+        if rest.is_zero():
+            continue
+        w_level = _truncated_product(rest, u0_inv, level + d - 1)
+        u_level = (rest - u0 * w_level).exact_div(t_d)
+        if not w_level.is_zero():
+            w_levels[level] = w_level
+        if not u_level.is_zero():
+            u_levels[level] = u_level
+    rows = sum(w_levels.values(), Polynomial.zero(n)).coefficients_in(j)
+    rows += [Polynomial.zero(n)] * (d - len(rows))
+    return WeierstrassData(
+        degree=d,
+        coefficients=tuple(TruncatedSeries(rows[d - i].drop_variable(j), N)
+                           for i in range(1, d + 1)),
+        unit=TruncatedSeries(sum(u_levels.values(), Polynomial.zero(n)), N),
+        distinguished_var=j,
+        truncation_order=N,
+    )
+
+
+def substitute_shear(f, j, coeffs):
+    """`apply_shear` as a chain of substitutions z_i <- z_i + c_i * z_j, checks included."""
+    n = f.n
+    coeffs = tuple(F(c) for c in coeffs)
+    if len(coeffs) != n:
+        raise ValueError(f"expected {n} shear coefficients, got {len(coeffs)}")
+    zj = Polynomial.variable(n, j)  # checks j
+    if coeffs[j - 1] != 0:
+        raise ValueError(f"shear coefficient {j}, on z{j} itself, must be 0, got {coeffs[j - 1]}")
+    for i, c in enumerate(coeffs, start=1):
+        if c != 0:
+            f = f.substitute(i, Polynomial.variable(n, i) + c * zj)
+    return f
+
+
+def substitute_search(f, j):
+    """`make_regular`'s shear search by substituting constants into the lowest form."""
+    n = f.n
+    form, m = f.lowest_homogeneous_form()
+    rest = form.substitute(j, Polynomial.constant(n, 1))
+    coeffs = [F(0)] * n
+    for i in range(1, n + 1):
+        if i != j:
+            for c in range(m + 1):
+                candidate = rest.substitute(i, Polynomial.constant(n, c))
+                if not candidate.is_zero():
+                    rest, coeffs[i - 1] = candidate, F(c)
+                    break
+    return tuple(coeffs), m
+
+
+def shifted_germ(rng, n, j):
+    """A seeded polynomial shifted to a point with denominators up to 11^2, its value taken
+    off and, at random, its terms below degree 2 or 3 too, or its pure powers of z_j, so
+    that `make_regular` must shear."""
+    point = tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 7, 11, 49, 121)))
+                  for _ in range(n))
+    while True:
+        f = Polynomial(n, operand(rng, n, 4 if n < 4 else 3, 6)).shift(point)
+        low = rng.choice((1, 1, 2, 3))
+        axis = rng.random() < 0.3
+        terms = {m: c for m, c in f.terms()
+                 if sum(m) >= low and not (axis and sum(m) == m[j - 1])}
+        if terms:
+            return Polynomial(n, terms)
+
+
+def test_weierstrass_prepare_matches_the_polynomial_level_loop():
+    # 240 germs in 2-4 variables; the orders run through d..16 over the germs, and the
+    # two-variable germs of every eighth case go to order 32 as well
+    rng = random.Random(3701)
+    sheared = 0
+    for case in range(240):
+        n = 2 + case % 3
+        j = rng.randint(1, n)
+        f, report = make_regular(shifted_germ(rng, n, j), j)
+        d = report.order
+        sheared += report.applied_change is not None
+        orders = [d + case % (17 - d)] + ([32] if n == 2 and case % 8 == 0 else [])
+        for N in orders:
+            got = weierstrass_prepare(f, j, N)
+            assert got == level_loop_prepare(f, j, N), (case, N)
+        # the kernel's own outputs: w in full, and u cut at the order
+        w, u = _lift_levels(f, j, d, N, lambda u0: ts_inverse(TruncatedSeries(u0, d)).body)
+        assert (w, u) == (got.weierstrass_polynomial(), got.unit.body)
+    assert sheared >= 30
+
+
+def test_shears_match_the_substitution_chain():
+    rng = random.Random(3702)
+    searched = 0
+    for case in range(120):
+        n = 2 + case % 3
+        for j in range(1, n + 1):
+            f = shifted_germ(rng, n, j)
+            coeffs = [rng.choice((0, -3, F(-2, 11), F(5, 121), 1)) for _ in range(n)]
+            coeffs[j - 1] = 0
+            assert apply_shear(f, j, coeffs) == substitute_shear(f, j, coeffs)
+            g, report = make_regular(f, j)
+            if report.applied_change is None:
+                continue
+            searched += 1
+            change, m = substitute_search(f, j)
+            assert (report.applied_change, report.order) == (change, m)
+            assert g == substitute_shear(f, j, change)
+    assert searched >= 50
+    # the same errors, with the same messages
+    f = shifted_germ(rng, 3, 2)
+    for j, coeffs in ((2, (1, 0)), (2, (0, 0, 1, 0)), (2, (1, 3, 0)), (3, (0, 0, F(1, 2))),
+                      (0, (0, 0, 0)), (4, (0, 0, 0)), (True, (0, 0, 0))):
+        with pytest.raises(Exception) as want:
+            substitute_shear(f, j, coeffs)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            apply_shear(f, j, coeffs)
 
 
 # -- the degree cap --------------------------------------------------------------------

@@ -259,7 +259,8 @@ def _cmd_prepare(ns):
     sheared, regularity = make_regular(f.shift(point), j)
     change = regularity.applied_change
     wd = weierstrass_prepare(sheared, j, ns.order)
-    embedded = [e.body.insert_variable(j) for e in wd.coefficients]
+    w = wd.weierstrass_polynomial
+    embedded = w.coefficients_in(j)[wd.degree - 1::-1]  # e_1, ..., e_d: w's rows in z_j
     return [
         ("f = ", None, f),
         ("point = ", None, point),
@@ -269,7 +270,7 @@ def _cmd_prepare(ns):
         ("shear: ", None, _describe_shear(change, j)),
         (None, "applied_change", change),
         ("degree d = ", None, wd.degree),
-        ("w = ", "weierstrass_polynomial", wd.weierstrass_polynomial()),
+        ("w = ", "weierstrass_polynomial", w),
         *((f"e_{i} = ", None, e) for i, e in enumerate(embedded, start=1)),
         (None, "coefficients", embedded),
         ("unit = ", "unit", wd.unit),

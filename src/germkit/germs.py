@@ -472,7 +472,7 @@ def _classify(shifted: Polynomial, N: int) -> GermStatus:
         factors = None
         if d <= N:
             t = Polynomial.variable(n, j)
-            w = weierstrass_prepare(sheared, j, N).weierstrass_polynomial()
+            w = weierstrass_prepare(sheared, j, N).weierstrass_polynomial
             factors = (TruncatedSeries(t, N), TruncatedSeries(w.exact_div(t), N))
         cert = DistinguishedVarDivides(variable=j, multiplicity=k)
         status = GermStatus(cert, factors=factors)

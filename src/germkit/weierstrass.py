@@ -24,6 +24,8 @@ is an exact polynomial, so the solve needs no intermediate truncation;
 only the assembled outputs are cut at the requested order N.  The solve is
 `germkit.algebra._lift_levels`, on integer tables with one gcd-reduced
 denominator per level; the shears run on that module's Horner kernel.
+`WeierstrassData` stores the w that the solve returns; the e_i are read off
+its rows in t when asked for.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from __future__ import annotations
 from math import inf
 
 from ._record import Record
-from .algebra import (Polynomial, _axis_order, _check_var, _lift_levels, _monomial_multiple,
-                      _shear, _shear_coefficients, as_rational)
+from .algebra import (Polynomial, _axis_order, _check_var, _lift_levels, _shear,
+                      _shear_coefficients, as_rational)
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
 from .series import TruncatedSeries, _check_order, ts_inverse
 
@@ -58,15 +60,16 @@ class RegularityReport(Record):
 class WeierstrassData(Record):
     """Unit times Weierstrass polynomial decomposition at a fixed order.
 
-    w = t^degree + coefficients[0]*t^(degree-1) + ... + coefficients[-1]
-    with t the distinguished variable; each coefficients[i-1] is e_i, a
-    series in the other n-1 variables vanishing at the origin.  The unit
-    and the e_i are exact through total degree `truncation_order`, and
-    unit * w reproduces the input through that order.
+    `weierstrass_polynomial` is w = t^degree + e_1*t^(degree-1) + ... + e_d
+    in all n variables, with t the distinguished variable; each e_i is a
+    series in the other n-1 variables vanishing at the origin, and
+    `coefficients` reads (e_1, ..., e_d) off w's rows in t.  The unit and
+    the e_i are exact through total degree `truncation_order`, and unit * w
+    reproduces the input through that order.
     """
 
     degree: int
-    coefficients: tuple  # (e_1, ..., e_d), TruncatedSeries in n-1 variables
+    weierstrass_polynomial: Polynomial  # w, n variables, levels up to the order
     unit: TruncatedSeries  # n variables, unit(origin) != 0
     distinguished_var: int
     truncation_order: int
@@ -75,19 +78,16 @@ class WeierstrassData(Record):
     def n(self) -> int:
         return self.unit.n
 
-    def weierstrass_polynomial(self) -> Polynomial:
-        """w as an n-variable polynomial (order-N representative of the germ)."""
-        j, d, n = self.distinguished_var, self.degree, self.n
-        before, after = (0,) * (j - 1), (0,) * (n - j)  # around z_j's exponent
-        w = Polynomial.monomial(n, before + (d,) + after)
-        for i, e in enumerate(self.coefficients, start=1):
-            w = w + _monomial_multiple(e.body.insert_variable(j), before + (d - i,) + after)
-        return w
+    @property
+    def coefficients(self) -> tuple:
+        """(e_1, ..., e_d): e_i is w's coefficient of t^(d-i), a TruncatedSeries in n-1 variables."""
+        j, d = self.distinguished_var, self.degree
+        rows = self.weierstrass_polynomial.coefficients_in(j)[d - 1::-1]
+        return tuple(TruncatedSeries(e.drop_variable(j), self.truncation_order) for e in rows)
 
     def multiply_back(self) -> TruncatedSeries:
         """unit * w at the truncation order; equals the input germ mod N."""
-        w = TruncatedSeries(self.weierstrass_polynomial(), self.truncation_order)
-        return self.unit * w
+        return self.unit * TruncatedSeries(self.weierstrass_polynomial, self.truncation_order)
 
 
 def regular_order(f: Polynomial, j: int) -> RegularityReport:
@@ -162,16 +162,5 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
     if N < d:
         raise OrderTooSmallError(f"truncation order {N} is below the regularity order {d}")
     w, u = _lift_levels(f, j, d, N, lambda u0: ts_inverse(TruncatedSeries(u0, d)).body)
-    rows = w.coefficients_in(j)
-    coefficients = tuple(  # e_i is the coefficient of t^(d-i)
-        TruncatedSeries(rows[d - i].drop_variable(j), N) for i in range(1, d + 1)
-    )
-    unit = TruncatedSeries(u, N)
-
-    return WeierstrassData(
-        degree=d,
-        coefficients=coefficients,
-        unit=unit,
-        distinguished_var=j,
-        truncation_order=N,
-    )
+    return WeierstrassData(degree=d, weierstrass_polynomial=w, unit=TruncatedSeries(u, N),
+                           distinguished_var=j, truncation_order=N)

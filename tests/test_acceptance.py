@@ -133,7 +133,7 @@ def test_criterion_5_weierstrass_property_suite():
         assert wd.multiply_back() == TruncatedSeries(g, 8)
         origin = tuple(F(0) for _ in range(n - 1))
         assert all(e.body.evaluate(origin) == 0 for e in wd.coefficients)
-        w = wd.weierstrass_polynomial()
+        w = wd.weierstrass_polynomial
         axis = [F(0)] * n
         axis[n - 1] = F(5, 3)
         assert w.evaluate(tuple(axis)) == F(5, 3) ** wd.degree

@@ -16,7 +16,7 @@ import pytest
 from germkit import __version__
 from germkit.algebra import MAX_VARIABLE_DEGREE, Polynomial
 from germkit.cli import run_cli
-from germkit.parsing import MAX_EXPONENT, MAX_TERMS
+from germkit.parsing import MAX_EXPONENT, MAX_TERMS, format_poly
 from germkit.series import MAX_ORDER, TruncatedSeries
 
 GOLDEN = Path(__file__).parent / "data" / "demo_counterexample.txt"
@@ -587,6 +587,29 @@ def test_prepare_reports_its_shear_in_text_and_json():
     assert result["degree"] == 3 and result["distinguished_var"] == 3
     assert result["multiply_back_ok"] is True
 
+
+
+@pytest.mark.parametrize("argv", [
+    ("--poly", "z2+z1^2"),  # d = 1
+    ("--poly", "z3^2-z1*z2^2+z3^3"),
+    ("--poly", "(1+z1+z2+z3)*(z3^2-z1^3-z2^3)+z3^5+290920/1185921",
+     "--point", "2/3,-5/11,0", "--order", "8"),
+])
+def test_prepare_coefficients_are_the_rows_of_w(argv):
+    # e_i, in JSON and in text, is the coefficient of z_j^(d-i) in w, read off w's own terms
+    code, out, err = run("prepare", *argv, "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    d, j = result["degree"], result["distinguished_var"]
+    w_terms = result["weierstrass_polynomial"]
+    n = len(w_terms[0][0])
+    rows = [poly_from_terms(n, [(m[:j - 1] + [0] + m[j:], c) for m, c in w_terms
+                                if m[j - 1] == d - i]) for i in range(1, d + 1)]
+    assert [poly_from_terms(n, e) for e in result["coefficients"]] == rows
+    code, out, err = run("prepare", *argv)
+    assert code == 0 and err == ""
+    lines = [line for line in out.splitlines() if line.startswith("e_")]
+    assert lines == [f"e_{i} = {format_poly(e)}" for i, e in enumerate(rows, start=1)]
 
 # -- flag values and streams ---------------------------------------------------------
 

@@ -463,10 +463,14 @@ def level_loop_prepare(f, j, N):
             u_levels[level] = u_level
     rows = sum(w_levels.values(), Polynomial.zero(n)).coefficients_in(j)
     rows += [Polynomial.zero(n)] * (d - len(rows))
+    coefficients = [TruncatedSeries(rows[d - i].drop_variable(j), N) for i in range(1, d + 1)]
+    t = Polynomial.variable(n, j)
+    w = t ** d  # t^d + sum of e_i * t^(d-i)
+    for i, e in enumerate(coefficients, start=1):
+        w = w + e.body.insert_variable(j) * t ** (d - i)
     return WeierstrassData(
         degree=d,
-        coefficients=tuple(TruncatedSeries(rows[d - i].drop_variable(j), N)
-                           for i in range(1, d + 1)),
+        weierstrass_polynomial=w,
         unit=TruncatedSeries(sum(u_levels.values(), Polynomial.zero(n)), N),
         distinguished_var=j,
         truncation_order=N,
@@ -537,7 +541,7 @@ def test_weierstrass_prepare_matches_the_polynomial_level_loop():
             assert got == level_loop_prepare(f, j, N), (case, N)
         # the kernel's own outputs: w in full, and u cut at the order
         w, u = _lift_levels(f, j, d, N, lambda u0: ts_inverse(TruncatedSeries(u0, d)).body)
-        assert (w, u) == (got.weierstrass_polynomial(), got.unit.body)
+        assert (w, u) == (got.weierstrass_polynomial, got.unit.body)
     assert sheared >= 30
 
 

@@ -197,7 +197,7 @@ def test_prepare_counterexample_at_origin():
     assert e1.body.is_zero()
     assert e2.body == Polynomial(2, {(1, 2): -1})  # -z1*z2^2 in (z1, z2)
     assert wd.unit.body == Polynomial.constant(3, 1)
-    assert wd.weierstrass_polynomial() == COUNTEREXAMPLE
+    assert wd.weierstrass_polynomial == COUNTEREXAMPLE
 
 
 def test_prepare_shifted_counterexample():
@@ -260,7 +260,11 @@ def test_prepare_invariants_on_random_regular_polynomials():
         for e in wd.coefficients:
             assert e.body.evaluate(origin) == 0
         # w restricted to the distinguished axis is exactly zn^d
-        w = wd.weierstrass_polynomial()
+        w = wd.weierstrass_polynomial
+        # w = zn^d + e_1*zn^(d-1) + ... + e_d, the e_i read off as coefficients
+        t = Polynomial.variable(n, n)
+        assert w == sum((e.body.insert_variable(n) * t ** (d - i)
+                         for i, e in enumerate(wd.coefficients, start=1)), t ** d)
         axis = [F(0)] * n
         probe = F(3, 2)
         axis[n - 1] = probe
@@ -429,9 +433,14 @@ def ref_prepare(f, j, N):
         for k, c in u_beta.items():
             if sum(beta) + k <= N:
                 unit_terms[beta[: j - 1] + (k,) + beta[j - 1 :]] = c
+    t = Polynomial.variable(n, j)
+    w = t ** d  # t^d + sum of e_i * t^(d-i)
+    for i, terms in enumerate(coeff_terms, start=1):
+        e = TruncatedSeries(Polynomial(n - 1, terms), N)
+        w = w + e.body.insert_variable(j) * t ** (d - i)
     return WeierstrassData(
         degree=d,
-        coefficients=tuple(TruncatedSeries(Polynomial(n - 1, t), N) for t in coeff_terms),
+        weierstrass_polynomial=w,
         unit=TruncatedSeries(Polynomial(n, unit_terms), N),
         distinguished_var=j,
         truncation_order=N,

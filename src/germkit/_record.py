@@ -1,10 +1,13 @@
-"""Record, the frozen base class of germkit's result types.
+"""Record, the one frozen base class of germkit's values but `Polynomial`.
 
-A subclass lists its fields as class annotations, in order; a class value
-is the field's default.  Each subclass gets one generated `__init__` (which
-calls `__post_init__` when the class defines one), and every record is
-immutable, prints as `Name(field=value, ...)`, compares equal to a record of
-the same class with equal fields, and hashes by its fields.  `_fields` and
+Results, queries, `TruncatedSeries` and the parser's tokens are Records;
+only `Polynomial` keeps slots of its own, for speed.  A subclass lists its
+fields as class annotations, in order; a class value is the field's default.
+Each subclass gets one generated `__init__` (which calls `__post_init__`
+when the class defines one), and every record is immutable, prints as
+`Name(field=value, ...)`, compares equal to a record of the same class with
+equal fields, and hashes by its fields.  A copy or a pickle is rebuilt
+through the constructor, so `__post_init__` checks it again.  `_fields` and
 `_replace` are named as in `collections.namedtuple`.  A subclass's module
 must start with `from __future__ import annotations`: fields are read from
 the class's own `__annotations__`, which Python 3.14 and later keep behind
@@ -57,6 +60,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def _replace(self, **changes):
         """A copy of this record with the named fields changed."""

@@ -37,19 +37,19 @@ changes).  This is the only module that reads a Polynomial's term table.
 Its one product loop is `_mul_add` (acc += scale * ta * tb in place);
 `_truncated_product` (`*`, the series product) runs it on the pairs of
 homogeneous parts from `_graded`.
-Built on it are `_horner` (`substitute`, `shift`, `evaluate`, and the shears
-`_shear` and `_shear_coefficients` of `apply_shear` and `make_regular`: each Horner
-step lifts a fresh row of `_table_rows` in place and accumulates into it),
-`_exact_quotient` (`exact_div`), `_table_power` (`**`: repeated products, which
-beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
+Built on it are `_horner` (`substitute`, `evaluate`, `_translate`, the one loop
+of `shift` and `apply_shear`, and `_shear_coefficients` of `make_regular`: each
+Horner step lifts a fresh row of `_table_rows` in place and accumulates into
+it), `_exact_quotient` (`exact_div`), `_table_power` (`**`: repeated products,
+which beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
 `series.ts_sqrt`), `_lift_levels` (`weierstrass_prepare`: the level solve, each
 level an integer table over its own gcd-reduced denominator) and
 `_subresultant_prs` (`elimination.resultant`, `discriminant` and `coprime_at`:
 the subresultant sequence with `_pseudo_remainder`, `_exact_quotient` and
-`_table_power` on the integer coefficient tables in one variable).  Each of
-these last five takes and returns Polynomials.  `_table_rows` splits a table
-by one variable's exponent for `coefficients_in`, `_horner`, `_quadratic_parts`
-and the subresultant sequence.  `_quadratic_parts` (e1 and the discriminant of
+`_table_power` on the integer coefficient tables in one variable).  Each of these
+last five takes and returns Polynomials.  `_table_rows` splits a table by one
+variable's exponent for `coefficients_in`, `_horner`, `_quadratic_parts` and the
+subresultant sequence.  `_quadratic_parts` (e1 and the discriminant of
 a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
 `_axis_order` (`regular_order`) and `_linear_part` (the gradient) read keys for
 the cascade.  No other module multiplies term tables.
@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -336,19 +336,11 @@ class Polynomial:
     def shift(self, point: Sequence) -> "Polynomial":
         """Recenter at a point: returns g with g(x) = f(point + x) exactly.
 
-        Each nonzero c_i = a/b is one Horner substitution z_i <- (b*z_i + a)/b,
-        as `substitute` runs; at the zero point the polynomial is returned as it is.
+        Each nonzero c_i = a/b is one Horner substitution z_i <- (b*z_i + a)/b, by
+        `_translate`; at the zero point the polynomial is returned as it is.
         """
         pt = as_point(point, self.n)
-        if not any(pt):
-            return self
-        table, scale = self._terms, self._den
-        for i, c in enumerate(pt):
-            if c != 0:
-                a, b = c.numerator, c.denominator
-                table, lift = _horner(table, self.n, i, {_var_key(self.n, i): b, 0: a}, b)
-                scale *= lift
-        return _raw(self.n, table, scale)
+        return _translate(self, pt) if any(pt) else self
 
     def substitute(self, var: int, replacement: "Polynomial") -> "Polynomial":
         """Replace z_var by an arbitrary polynomial (Horner on integer tables)."""
@@ -583,10 +575,11 @@ def _linear_factors(e1: Polynomial, r: Polynomial, order: int) -> tuple[Polynomi
     return _raw(n, lo, 2 * den), _raw(n, hi, 2 * den)
 
 
-def _shear(f: Polynomial, j: int, coeffs: Sequence[Fraction]) -> Polynomial:
-    """f with z_i <- z_i + c_i * z_j for each i (1-based j, c_j = 0): one Horner pass per
-    nonzero c_i = a/b, replacing z_i by (b*z_i + a*z_j)/b."""
-    n, zj, table, scale = f.n, _var_key(f.n, j - 1), f._terms, f._den
+def _translate(f: Polynomial, coeffs: Sequence[Fraction], j: int = 0) -> Polynomial:
+    """f with z_i <- z_i + c_i * z_j for each i, z_0 = 1 (j = 0 shifts to the point c; a 1-based
+    j >= 1 shears, c_j = 0): one Horner pass per nonzero c_i = a/b, z_i <- (b*z_i + a*z_j)/b."""
+    n, table, scale = f.n, f._terms, f._den
+    zj = _var_key(n, j - 1) if j else 0
     for i, c in enumerate(coeffs):
         if c:
             b = c.denominator
@@ -671,11 +664,10 @@ def _table_rows(table: dict, n: int, i: int) -> list[dict]:
     return [rows.get(k, {}) for k in range(top + 1)]
 
 
-def _lift_levels(f: Polynomial, j: int, d: int, order: int,
-                 inverse: Callable[[Polynomial], Polynomial]) -> tuple[Polynomial, Polynomial]:
+def _lift_levels(f: Polynomial, j: int, d: int, order: int) -> tuple[Polynomial, Polynomial]:
     """(w, u) with f = u * w through total degree `order`, u cut at it, for f regular of order
-    d >= 1 in z_j (1-based), by the level solve of `germkit.weierstrass`; inverse(u0) inverts
-    u0 through z_j^(d-1).  Each level is a `_raw` value: an integer table, gcd-reduced."""
+    d >= 1 in z_j (1-based), by the level solve of `germkit.weierstrass`; u0 = f_0 / z_j^d is
+    inverted by `_unit_power`.  Each level is a `_raw` value: an integer table, gcd-reduced."""
     n, s, off = f.n, _FIELD_BITS * f.n, _FIELD_BITS * (f.n - j)
     levels: list[dict] = [{} for _ in range(order + 1)]  # f_L over f's denominator
     for mono, c in f._terms.items():
@@ -686,7 +678,7 @@ def _lift_levels(f: Polynomial, j: int, d: int, order: int,
     if any(m & _guard_bits(n) for m in u0):
         raise ValueError("division is not exact")
     u0 = _raw(n, u0, f._den)
-    inv = inverse(u0)
+    inv = _unit_power(u0, d, -1, 1, Fraction(u0._den, u0._terms[0]))
     u0_parts, inv_parts = _graded(u0._terms, n), _graded(inv._terms, n)
     u, w = {0: u0}, {}
     for level in range(1, order + 1):

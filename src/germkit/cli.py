@@ -107,7 +107,7 @@ def _text(value) -> str:
         return _format_point(value)
     if isinstance(value, _Rows):
         return "".join(_lines(value))
-    if isinstance(value, Record):  # a certificate, the one record a row holds
+    if isinstance(value, Record):  # a certificate; a series, a Record too, is tested above
         return _describe_certificate(value)
     return str(value)
 
@@ -120,7 +120,7 @@ def _encode(value):
         return [[list(mono), str(coeff)] for mono, coeff in value.terms()]
     if isinstance(value, TruncatedSeries):
         return {"order": value.order, "terms": value.body}
-    if isinstance(value, Record):  # a certificate
+    if isinstance(value, Record):  # a certificate; a series is tested above
         return {"kind": value.kind, **{name: getattr(value, name) for name in value._fields}}
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 

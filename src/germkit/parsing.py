@@ -25,8 +25,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
+from ._record import Record
 from .algebra import Point, Polynomial, as_point
 from .errors import DimensionMismatchError, ParseError, UnknownVariableError
 
@@ -39,7 +39,7 @@ MAX_EXPONENT = 32
 MAX_TERMS = 10_000
 
 
-class _Token(NamedTuple):
+class _Token(Record):
     kind: str  # "num", "var", one of "+-*/^(),", or "end"
     value: int
     pos: int

@@ -1,9 +1,10 @@
 """Formal power series truncated at a total-degree order.
 
-A TruncatedSeries is a polynomial body plus an order N: a value, with no
-term of total degree above N.  It is the finite, exactly-computable
-stand-in for a convergent power series germ: two germs agree "to order N"
-exactly when their TruncatedSeries representatives at order N are equal.
+A TruncatedSeries, printed as `TruncatedSeries(body=Polynomial(...),
+order=8)`, is a `Record` of a polynomial body and an order N with no term
+of total degree above N.  It is the finite, exactly-computable stand-in for
+a convergent power series germ: two germs agree "to order N" exactly when
+their TruncatedSeries representatives at order N are equal.
 Every verdict is read from exact polynomials; series only print and
 multiply back factors, so a series has one product, an inverse and a
 square root, and any other arithmetic runs on the bodies (`Polynomial`).
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._record import Record
 from .algebra import Polynomial, _truncated_product, _unit_power, rational_sqrt
 from .errors import DimensionMismatchError, NotAUnitError
 
@@ -38,21 +40,15 @@ def _check_order(order: int, low: int = 1) -> None:
         raise ValueError(f"truncation order must be at least {low} and at most {MAX_ORDER}")
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Immutable power series known exactly up to a total-degree order."""
 
-    __slots__ = ("body", "order")
+    body: Polynomial
+    order: int
 
-    def __init__(self, body: Polynomial, order: int):
-        _check_order(order)
-        object.__setattr__(self, "body", body.truncate(order))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        return TruncatedSeries, (self.body, self.order)
+    def __post_init__(self):
+        _check_order(self.order)
+        object.__setattr__(self, "body", self.body.truncate(self.order))
 
     @property
     def n(self) -> int:
@@ -60,16 +56,6 @@ class TruncatedSeries:
 
     def constant_term(self) -> Fraction:
         return self.body.constant_term()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.body == other.body
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.body!r}, order={self.order})"
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):

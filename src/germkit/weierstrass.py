@@ -33,10 +33,10 @@ from __future__ import annotations
 from math import inf
 
 from ._record import Record
-from .algebra import (Polynomial, _axis_order, _check_var, _lift_levels, _shear,
-                      _shear_coefficients, as_rational)
+from .algebra import (Polynomial, _axis_order, _check_var, _lift_levels, _shear_coefficients,
+                      _translate, as_rational)
 from .errors import NotRegularError, OrderTooSmallError, ZeroPolynomialError
-from .series import TruncatedSeries, _check_order, ts_inverse
+from .series import TruncatedSeries, _check_order
 
 
 class RegularityReport(Record):
@@ -113,7 +113,7 @@ def apply_shear(f: Polynomial, j: int, coeffs) -> Polynomial:
     _check_var(j, n)
     if coeffs[j - 1] != 0:
         raise ValueError(f"shear coefficient {j}, on z{j} itself, must be 0, got {coeffs[j - 1]}")
-    return _shear(f, j, coeffs)
+    return _translate(f, coeffs, j)
 
 
 def make_regular(f: Polynomial, j: int) -> tuple[Polynomial, RegularityReport]:
@@ -161,6 +161,6 @@ def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:
         )
     if N < d:
         raise OrderTooSmallError(f"truncation order {N} is below the regularity order {d}")
-    w, u = _lift_levels(f, j, d, N, lambda u0: ts_inverse(TruncatedSeries(u0, d)).body)
+    w, u = _lift_levels(f, j, d, N)
     return WeierstrassData(degree=d, weierstrass_polynomial=w, unit=TruncatedSeries(u, N),
                            distinguished_var=j, truncation_order=N)

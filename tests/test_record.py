@@ -1,4 +1,5 @@
-"""Result records: frozen, compared and hashed by class and fields, copied and pickled."""
+"""Records (results, queries, series and parser tokens): frozen, compared and hashed by
+class and fields, copied and pickled through their constructors."""
 
 from __future__ import annotations
 
@@ -26,13 +27,15 @@ from germkit import (
 )
 from germkit._record import Record
 from germkit.germs import DistinguishedVarDivides, MonomialUnitSquare
+from germkit.parsing import _tokenize
+from germkit.series import TruncatedSeries
 
 F = Fraction
 
 
 def _records():
     """Records of several classes, nested ones and ones holding Polynomials and
-    TruncatedSeries included."""
+    TruncatedSeries included, and a bare series, a query and a parser token."""
     f = parse_poly("z3^2 - z1*z2^2")
     _, regularity = make_regular(parse_poly("z1*z2"), 2)
     status = analyze_germ(GermQuery(f, (0, 0, 0)))
@@ -43,7 +46,8 @@ def _records():
     prepared = weierstrass_prepare(f.shift((1, 0, 0)), 3, 8)
     return [status, status.certificate, regularity, RegularityReport(2, (F(1), F(-1, 2))),
             GermStatus(NonzeroValue(F(3, 2))), GermStatus(reason="no test applies"),
-            split, scan, coprime, prepared]
+            split, scan, coprime, prepared, TruncatedSeries(f, 2), GermQuery(f, (1, 0, "1/2")),
+            _tokenize("z12^3")[0]]
 
 
 def test_a_record_is_frozen():
@@ -105,6 +109,22 @@ def test_records_survive_copies_and_pickles(clone):
         assert type(twin) is type(record) and isinstance(twin, Record)
         with pytest.raises(AttributeError):
             twin.anything = 1
+
+
+def test_a_pickle_is_rebuilt_through_the_constructor(monkeypatch):
+    query, calls = GermQuery(parse_poly("z1*z2"), (0, 0)), []
+    post_init = GermQuery.__post_init__
+    monkeypatch.setattr(GermQuery, "__post_init__", lambda self: calls.append(post_init(self)))
+    assert pickle.loads(pickle.dumps(query)) == query
+    assert len(calls) == 1
+
+
+def test_a_pickle_of_a_series_above_the_largest_order_is_refused():
+    class Reduces:
+        def __reduce__(self):
+            return TruncatedSeries, (parse_poly("z1 + z2"), 33)
+    with pytest.raises(ValueError, match="truncation order must be at least 1 and at most 32"):
+        pickle.loads(pickle.dumps(Reduces()))
 
 
 def test_a_pickled_polynomial_is_equal_and_still_immutable():

@@ -24,11 +24,11 @@ _OWNERS = {name: module for module, names in {
     "elimination": ("CoprimeReport", "coprime_at", "discriminant", "matrix_det", "resultant",
                     "zero_set_discrete"),
     "germs": ("BinomialCoprimeEdge", "DistinguishedVarDivides", "EdgePolynomialSplits",
-              "GermQuery", "GermStatus", "LowestFormNotASquare", "MonomialUnitSquare",
-              "MultiEdgePolygon", "NonzeroValue", "OddVariableOrder", "PolygonEdge",
-              "PolynomialSquare", "ScanReport", "ScanSample", "SmoothPoint", "analyze_germ",
-              "is_local_square", "newton_polygon", "polygon_verdict", "quadratic_germ_test",
-              "scan_stability"),
+              "GermQuery", "GermStatus", "IsolatedCriticalPoint", "LowestFormNotASquare",
+              "MonomialUnitSquare", "MultiEdgePolygon", "NonzeroValue", "OddVariableOrder",
+              "PolygonEdge", "PolynomialSquare", "ScanReport", "ScanSample", "SmoothPoint",
+              "analyze_germ", "is_local_square", "newton_polygon", "polygon_verdict",
+              "quadratic_germ_test", "scan_stability"),
     "parsing": ("format_poly", "parse_curve", "parse_point", "parse_poly", "parse_rationals"),
     "errors": ("GermkitError", "DimensionMismatchError", "VariableIndexError",
                "ZeroPolynomialError", "NotAUnitError", "NotRegularError", "OrderTooSmallError",

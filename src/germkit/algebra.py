@@ -52,7 +52,9 @@ variable's exponent for `coefficients_in`, `_horner`, `_quadratic_parts` and the
 subresultant sequence.  `_quadratic_parts` (e1 and the discriminant of
 a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
 `_axis_order` (`regular_order`) and `_linear_part` (the gradient) read keys for
-the cascade.  No other module multiplies term tables.
+the cascade, and `_isolated_level` (the isolated critical point test) eliminates on
+the rows z^b * df/dz_i of the Jacobian ideal, each built by adding packed keys.  No
+other module multiplies term tables.
 
 Ownership is one rule: a kernel writes only into a table it created; `_raw`
 and `_canonical` adopt the table they are given; no kernel ever writes into a
@@ -87,6 +89,8 @@ MAX_DEGREE = (1 << _FIELD_BITS - 1) - 1
 # the largest degree in one variable that `_table_rows` splits into dense rows, one per
 # exponent: the Horner and subresultant loops on those rows take O(d^2) products
 MAX_VARIABLE_DEGREE = 1024
+# the most monomials `_isolated_level` spans: of degree <= 12 in 3 variables, 8 in 4, 6 in 5
+MAX_JACOBIAN_COLUMNS = 500
 
 
 def as_rational(value) -> Fraction:
@@ -546,6 +550,51 @@ def _quadratic_parts(f: Polynomial) -> tuple[Polynomial | None, Polynomial] | No
     if a.keys() != {0}:
         return None, _raw(f.n - 1, D, f._den**2)
     return _raw(f.n - 1, b, a[0]), _raw(f.n - 1, D, a[0] ** 2)
+
+
+def _isolated_level(f: Polynomial) -> tuple[int, int] | None:
+    """(k, mu) when the origin is an isolated zero of f's gradient, mu = dim O/J being its Milnor
+    number (Milnor 1968) and J = (df/dz_1, ..., df/dz_n) in the local ring O; else None.
+
+    V is the span of the rows z^b * df/dz_i cut at total degree K, the largest K with at most
+    MAX_JACOBIAN_COLUMNS monomials of degree <= K.  One integer elimination clears a row's
+    lowest key by that key's pivot row, dividing out the content, until the key is new and
+    the row becomes its pivot (or the row is 0), so the pivots are V's lowest monomials.  k
+    is the least degree whose every monomial is a pivot: then m^k lies in J + m^(k+1), so in
+    J by Nakayama's lemma.  Below degree k, V is the image of J in O/m^k, so mu counts the
+    monomials of degree < k that are not pivots.  None means no such k <= K: undecided.
+    """
+    n, s, K = f.n, _FIELD_BITS * f.n, 0
+    while math.comb(n + K + 1, n) <= MAX_JACOBIAN_COLUMNS:
+        K += 1
+    cut = f.truncate(K + 1)
+    partials = [cut.derivative(i)._terms for i in range(1, n + 1)]
+    units, by_degree = [_var_key(n, i) for i in range(n)], [[0]]
+    for _ in range(K):  # the keys of the monomials of each degree <= K, by adding var keys
+        by_degree.append(sorted({m + u for m in by_degree[-1] for u in units}))
+    top, pivots = K + 1 << s, {}
+    # the largest b first: their short rows pivot the high keys and clear longer rows without
+    # fill-in (on one planted product in 3 variables, 0.3 s against 21 s from the smallest b up)
+    for b in (b for keys in reversed(by_degree[:K]) for b in reversed(keys)):
+        for partial in partials:
+            row = {b + m: c for m, c in partial.items() if b + m < top}
+            while row:
+                if (low := min(row)) not in pivots:
+                    g = math.gcd(*row.values())
+                    pivots[low] = {m: c // g for m, c in row.items()}
+                    break
+                pivot = pivots[low]
+                g = math.gcd(pivot[low], row[low])
+                lift, drop = pivot[low] // g, row[low] // g
+                if lift != 1:
+                    row = {m: c * lift for m, c in row.items()}
+                _mul_add(row, {0: 1}, pivot, -drop)  # row is a fresh table: written in place
+    milnor = 0
+    for k, keys in enumerate(by_degree):
+        if not (missing := sum(m not in pivots for m in keys)):
+            return k, milnor
+        milnor += missing
+    return None
 
 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:

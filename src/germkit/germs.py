@@ -2,9 +2,10 @@
 
 The classifier is deliberately a partial decision procedure.  It is
 decisive on units, smooth points, germs a*z_n^2 + b*z_n + c with a(0) != 0
-in any dimension whose discriminant the square test decides, and bivariate
-germs caught by the Newton polygon criteria; everything else comes back
-Undetermined with a reason.  No verdict depends on the truncation order,
+in any dimension whose discriminant the square test decides, bivariate
+germs caught by the Newton polygon criteria, and isolated singular points
+in three or more variables; everything else comes back Undetermined with a
+reason.  No verdict depends on the truncation order,
 the precision of printed series.  Every decisive answer carries a certificate holding
 exactly the data needed to re-verify it independently.  Its class line
 names the verdict (its `verdict` attribute, which GermStatus.kind reads),
@@ -26,6 +27,8 @@ and its class name is its `kind`:
                         germ, `multiplicity` times
   MultiEdgePolygon / BinomialCoprimeEdge / EdgePolynomialSplits
                         Newton polygon criteria for bivariate germs
+  IsolatedCriticalPoint the gradient has an isolated zero, so a germ in
+                        n >= 3 variables is irreducible
 
 All certificates are statements over the complex numbers; rational
 arithmetic is only the computation substrate.  The two questions over C
@@ -43,8 +46,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import Record
-from .algebra import (Polynomial, _linear_factors, _linear_part, _monomial_multiple,
-                      _quadratic_parts, as_point, as_rational, rational_sqrt)
+from .algebra import (Polynomial, _isolated_level, _linear_factors, _linear_part,
+                      _monomial_multiple, _quadratic_parts, as_point, as_rational, rational_sqrt)
 from .errors import (
     DimensionMismatchError,
     DistinguishedVarDividesError,
@@ -175,6 +178,19 @@ class EdgePolynomialSplits(_Certificate, verdict=SINGULAR_REDUCIBLE):
     """
 
     edge_polynomial: Polynomial
+
+
+class IsolatedCriticalPoint(_Certificate, verdict=SINGULAR_IRREDUCIBLE):
+    """m^level lies in J = (df/dz_1, ..., df/dz_n), whose colength `milnor` is the Milnor number.
+
+    So the gradient's zero at the origin is isolated, while that of g*h, g(0) = h(0) = 0,
+    contains V(g) and V(h)'s intersection, of dimension >= n - 2 >= 1: in n >= 3 variables
+    the germ is irreducible.  A checker re-verifies that the z^b * df/dz_i span every
+    monomial of degree `level` modulo m^(level+1), and counts `milnor` below that degree.
+    """
+
+    level: int
+    milnor: int
 
 
 # -- status and query ---------------------------------------------------------
@@ -453,10 +469,11 @@ def _classify(shifted: Polynomial, N: int) -> GermStatus:
     dispatch once on the exact sheared germ: z_j divides it -> the
     distinguished variable splits off; a*z_j^2 + b*z_j + c with a(0) != 0
     -> the square test on its exact discriminant; bivariate ->
-    Newton polygon; anything else is outside the decidable fragment.  No
-    verdict depends on the order N, the precision of the factors, which are
-    in the shifted coordinates (plus the recorded shear, if any); only the
-    first branch prepares, for its factors, when d is at most N.
+    Newton polygon; in n >= 3, an undecided germ whose gradient has an isolated
+    zero is irreducible (`_isolated_level`); anything else is outside the
+    decidable fragment.  No verdict depends on the order N, the precision of
+    the factors, which are in the shifted coordinates (plus the recorded shear,
+    if any); only the first branch prepares, for its factors, when d is at most N.
     """
     # f(p) is the constant term of f(p + x), and the gradient its linear part
     value = shifted.constant_term()
@@ -483,6 +500,8 @@ def _classify(shifted: Polynomial, N: int) -> GermStatus:
             shape = f"2 (but z{j}-degree above 2)" if d == 2 else ">= 3"
             status = GermStatus(reason=f"Weierstrass degree {shape} in dimension >= 3 is "
                                 "outside the decidable fragment")
+    if n >= 3 and status.certificate is None and (found := _isolated_level(shifted)):
+        return GermStatus(IsolatedCriticalPoint(*found))
     if report.applied_change is None:
         return status
     return status._replace(applied_change=report.applied_change)

@@ -1,5 +1,6 @@
 """Sparse exact-rational polynomials: representation, arithmetic, local ops."""
 
+import itertools
 import math
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from germkit.algebra import (
     Polynomial,
+    _isolated_level,
     _linear_factors,
     _monomial_multiple,
     _mul_add,
@@ -729,6 +731,43 @@ def test_lowest_homogeneous_form():
         form, degree = p.lowest_homogeneous_form()
         assert degree == p.order()
         assert all(sum(m) == degree for m, _ in form.terms())
+
+
+# -- isolated critical points --------------------------------------------------------
+
+
+def _brieskorn_pham():
+    yield from itertools.product(range(2, 6), repeat=3)
+    yield from itertools.product(range(2, 4), repeat=4)
+
+
+@pytest.mark.parametrize("exponents", _brieskorn_pham(), ids=str)
+def test_isolated_level_of_brieskorn_pham_sums(exponents):
+    # J = (z_i^(a_i - 1)): O/J has the basis z^e, e_i < a_i - 1, so mu = prod(a_i - 1), and
+    # its top monomial has degree sum(a_i - 2), the last below the level
+    n = len(exponents)
+    f = sum((Polynomial.monomial(n, [a * (i == k) for k in range(n)])
+             for i, a in enumerate(exponents)), Polynomial.zero(n))
+    assert _isolated_level(f) == (sum(a - 2 for a in exponents) + 1,
+                                  math.prod(a - 1 for a in exponents))
+
+
+def test_isolated_level_of_a_smooth_germ_is_zero():
+    # a nonzero gradient makes J the whole ring: every constant is in it
+    assert _isolated_level(parse_poly("z1 + z2^2 + z3^2")) == (0, 0)
+
+
+def test_isolated_level_certifies_no_planted_product():
+    # g * h * u with g(0) = h(0) = 0 and u(0) != 0: the gradient vanishes on
+    # V(g) and V(h)'s intersection, of dimension >= n - 2 >= 1, so its zero is not isolated
+    rng = random.Random(4040)
+    for _ in range(300):
+        n = rng.randint(3, 4)
+        g = h = Polynomial.zero(n)
+        while g.is_zero() or h.is_zero():
+            g, h, v = (p - p.truncate(0) for p in (random_poly(rng, n, 3, 3) for _ in range(3)))
+        f = g * h * (v + random_fraction(rng, 1, 9, 9))
+        assert _isolated_level(f) is None, f
 
 
 def test_coefficients_in_rejects_variables_outside_the_space():

@@ -185,7 +185,7 @@ def readme_cli_transcripts():
 
 def test_readme_cli_lines_match_golden_transcripts():
     transcripts = readme_cli_transcripts()
-    assert len(transcripts) == 16
+    assert len(transcripts) == 18
     assert sorted(transcripts) == sorted(p.name for p in README_CLI.iterdir())
     for name, out in transcripts.items():
         assert out == (README_CLI / name).read_text(), name
@@ -217,6 +217,18 @@ def test_json_envelope_shape():
     assert cert["root"]["order"] == 8 and cert["half_exponents"] == [0, 1]
     assert cert["unit_root"]["terms"][0] == [[0, 0], "2"]
 
+
+
+def test_isolated_critical_point_certificate_in_text_and_json():
+    argv = ("analyze", "--poly", "z1^9 + z2^2 + z3^2", "--point", "0,0,0")
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert "status: SingularIrreducible\n" in out
+    assert "certificate: IsolatedCriticalPoint(level = 8, milnor = 8)\n" in out
+    code, out, _ = run(*argv, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["certificate"] == {"kind": "IsolatedCriticalPoint", "level": 8, "milnor": 8}
 
 def test_json_input_echoes_the_parsed_point_and_variable():
     # the golden transcripts pass --var as z<k> and --point explicitly
@@ -450,7 +462,7 @@ def test_curve_parse_errors_name_t():
 
 def test_exit_code_0_on_undetermined():
     code, out, _ = run(
-        "analyze", "--poly", "z1^3 + z2^3 + z3^3", "--point", "0,0,0"
+        "analyze", "--poly", "z3^2 + z3^3 - z1*z2^2", "--point", "0,0,0"
     )
     assert code == 0
     assert "status: Undetermined" in out

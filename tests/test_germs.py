@@ -21,6 +21,8 @@ from germkit.germs import (
     DistinguishedVarDivides,
     EdgePolynomialSplits,
     GermQuery,
+    GermStatus,
+    IsolatedCriticalPoint,
     LowestFormNotASquare,
     MonomialUnitSquare,
     OddVariableOrder,
@@ -751,6 +753,10 @@ def test_analyze_bivariate_cusp_via_polygon():
 def test_analyze_undetermined_in_high_dimension():
     f = Polynomial(3, {(0, 0, 3): 1, (3, 0, 0): 1, (0, 3, 0): 1})  # Fermat cubic
     status = analyze_germ(GermQuery(f, (0, 0, 0), 8))
+    assert status.certificate == IsolatedCriticalPoint(level=4, milnor=8)
+    # z3^3 - z1*z2^3 is singular along the z1-axis: no isolated point, no certificate
+    f = Polynomial(3, {(0, 0, 3): 1, (1, 3, 0): -1})
+    status = analyze_germ(GermQuery(f, (0, 0, 0), 8))
     assert status.kind == "Undetermined"
     assert status.reason
 
@@ -1169,22 +1175,61 @@ def test_unit_iff_nonvanishing_both_directions():
 # -- verdicts of the exact germ ----------------------------------------------------------
 # A square test on the discriminant cut at the order gave each of these germs
 # the wrong answer.  On the exact discriminant the first is decided, since D is
-# a constant times a square; the others are Undetermined, since their lowest
-# forms are squares and no other certificate applies.
+# a constant times a square; the others have square lowest forms, so the
+# square test leaves them open, and their isolated singular points decide them.
 
 
 @pytest.mark.parametrize("poly, wrong, expected", [
     # (z3 - z1 - z2^5)*(z3 + z1 + z2^5): D = 4*(z1 + z2^5)^2 is a square
     ("z3^2 - (z1 + z2^5)^2", "SingularIrreducible", "SingularReducible"),
     # D = 4*(z1^2 + z2^9), and the plane germ z1^2 + z2^9 is not a square
-    ("z3^2 - z1^2 - z2^9", "SingularReducible", "Undetermined"),
+    ("z3^2 - z1^2 - z2^9", "SingularReducible", "SingularIrreducible"),
     # D = -4*(z2^2 + z1^9), not a square either
-    ("z1^9 + z2^2 + z3^2", "SingularReducible", "Undetermined"),
+    ("z1^9 + z2^2 + z3^2", "SingularReducible", "SingularIrreducible"),
 ])
 def test_quadratic_verdict_holds_for_the_exact_germ(poly, wrong, expected):
     status = analyze_germ(GermQuery(parse_poly(poly), (0, 0, 0)))
     assert status.kind != wrong
     assert status.kind == expected
+
+
+# -- the undecided germs --------------------------------------------------------------
+# Each germ with its truth and its answer at the origin: the isolated singular
+# points get their exact certificate; every other germ stays Undetermined, with
+# the reason of the stage that left it open.
+
+_QUADRATIC = "the discriminant has a square lowest form but is neither a monomial times a unit " \
+             "nor a constant times a square"
+_DEGREE_2 = "Weierstrass degree 2 (but z3-degree above 2) in dimension >= 3 is outside the " \
+            "decidable fragment"
+_DEGREE_3 = "Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment"
+_EDGE = "single Newton polygon edge with one repeated edge root; deeper expansion needed"
+
+
+@pytest.mark.parametrize("poly, truth, answer", [
+    ("z3^2 - z1^2 - z2^9", "SingularIrreducible", IsolatedCriticalPoint(level=8, milnor=8)),
+    ("z1^9 + z2^2 + z3^2", "SingularIrreducible", IsolatedCriticalPoint(level=8, milnor=8)),
+    ("z3^9 + z1^2 + z2^2", "SingularIrreducible", IsolatedCriticalPoint(level=8, milnor=8)),
+    ("z3^3 - z1^2 - z2^5", "SingularIrreducible", IsolatedCriticalPoint(level=5, milnor=8)),
+    ("z1*z2 + z3^3", "SingularIrreducible", IsolatedCriticalPoint(level=2, milnor=2)),
+    ("z3^3 + z1^3 + z2^3", "SingularIrreducible", IsolatedCriticalPoint(level=4, milnor=8)),
+    ("(1 + z1)*(z3^2 - z1^2 - z2^9)", "SingularIrreducible",
+     IsolatedCriticalPoint(level=8, milnor=8)),
+    ("z3^2 + z3^3 - z1*z2^2", "SingularIrreducible", _DEGREE_2),
+    ("z3^3 - z1*z2^3", "SingularIrreducible", _DEGREE_3),
+    ("z4^3 - z1*z2*z3", "SingularIrreducible", _DEGREE_3),
+    ("z3^2 - (z1^2 - z2^3)*z2^2", "SingularIrreducible", _QUADRATIC),
+    ("z3^2 - (z1 + z2^2)^2*(1 + z1)", "SingularReducible", _QUADRATIC),
+    ("(z2^2 - z1^3)^2 - 4*z1^5*z2 - z1^7", "SingularIrreducible", _EDGE),
+    ("(z2^2 - z1^3)^2 - z1^7", "SingularReducible", _EDGE),
+])
+def test_undecided_germs_get_their_truth_or_stay_undetermined(poly, truth, answer):
+    f = parse_poly(poly)
+    status = analyze_germ(GermQuery(f, (0,) * f.n))
+    if isinstance(answer, str):
+        assert status == GermStatus(reason=answer)
+    else:
+        assert status == GermStatus(answer) and status.kind == truth
 
 
 @pytest.mark.parametrize("poly, point, lc, root, factors", [

@@ -42,12 +42,14 @@ of `shift` and `apply_shear`, and `_shear_coefficients` of `make_regular`: each
 Horner step lifts a fresh row of `_table_rows` in place and accumulates into
 it), `_exact_quotient` (`exact_div`), `_table_power` (`**`: repeated products,
 which beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
-`series.ts_sqrt`), `_lift_levels` (`weierstrass_prepare`: the level solve, each
-level an integer table over its own gcd-reduced denominator) and
-`_subresultant_prs` (`elimination.resultant`, `discriminant` and `coprime_at`:
-the subresultant sequence with `_pseudo_remainder`, `_exact_quotient` and
-`_table_power` on the integer coefficient tables in one variable).  Each of these
-last five takes and returns Polynomials.  `_table_rows` splits a table by one
+`series.ts_sqrt`) and `_lift_levels` (`weierstrass_prepare`: the level solve, each
+level an integer table over its own gcd-reduced denominator); the last two take
+and return Polynomials.  No product loop runs in `_subresultant_prs`
+(`elimination.resultant`, `discriminant` and `coprime_at`): it packs each
+coefficient in one variable into a single int by Kronecker substitution
+(`_kronecker_pack`), runs the subresultant sequence on those ints, and unpacks the
+result's digits back into a table (`_kronecker_unpack`), under the budget
+MAX_PACKED_BITS on a packed size.  `_table_rows` splits a table by one
 variable's exponent for `coefficients_in`, `_horner`, `_quadratic_parts` and the
 subresultant sequence.  `_quadratic_parts` (e1 and the discriminant of
 a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
@@ -64,7 +66,9 @@ is safe because neither of them is ever written.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 import struct
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -89,6 +93,9 @@ MAX_DEGREE = (1 << _FIELD_BITS - 1) - 1
 # the largest degree in one variable that `_table_rows` splits into dense rows, one per
 # exponent: the Horner and subresultant loops on those rows take O(d^2) products
 MAX_VARIABLE_DEGREE = 1024
+# the largest packed size in bits, digits times digit bits, of `_subresultant_prs`: 31
+# times the 0.53 Mbit of Res(z1^1024 + z2, z1 - z2), the largest any test packs
+MAX_PACKED_BITS = 1 << 24
 # the most monomials `_isolated_level` spans: of degree <= 12 in 3 variables, 8 in 4, 6 in 5
 MAX_JACOBIAN_COLUMNS = 500
 
@@ -564,9 +571,7 @@ def _isolated_level(f: Polynomial) -> tuple[int, int] | None:
     J by Nakayama's lemma.  Below degree k, V is the image of J in O/m^k, so mu counts the
     monomials of degree < k that are not pivots.  None means no such k <= K: undecided.
     """
-    n, s, K = f.n, _FIELD_BITS * f.n, 0
-    while math.comb(n + K + 1, n) <= MAX_JACOBIAN_COLUMNS:
-        K += 1
+    n, s, K = f.n, _FIELD_BITS * f.n, _jacobian_cut(f.n)
     cut = f.truncate(K + 1)
     partials = [cut.derivative(i)._terms for i in range(1, n + 1)]
     units, by_degree = [_var_key(n, i) for i in range(n)], [[0]]
@@ -595,6 +600,12 @@ def _isolated_level(f: Polynomial) -> tuple[int, int] | None:
             return k, milnor
         milnor += missing
     return None
+
+
+def _jacobian_cut(n: int) -> int:
+    """The degree K `_isolated_level` cuts its rows at in n variables: the largest with at
+    most MAX_JACOBIAN_COLUMNS monomials of degree <= K."""
+    return next(K for K in itertools.count() if math.comb(n + K + 1, n) > MAX_JACOBIAN_COLUMNS)
 
 
 def _monomial_multiple(a: Polynomial, expo: Monomial) -> Polynomial:
@@ -775,14 +786,27 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
 
     S is None when the resultant is nonzero; otherwise S lists the coefficients in
     z_j of the last nonzero remainder, gcd(f, g) times a nonzero polynomial in the
-    other variables.  The sequence runs on the integer tables of f's and g's
-    coefficients in z_j (1-based j), and the denominators, cleared once, are divided
-    out at the end.  An operand free of z_j makes the Sylvester matrix diagonal:
-    Res = f^dg, or g^df.
+    other variables.  The sequence runs on ints with `*` and exact `//`: each of f's and
+    g's integer coefficients in z_j (1-based j) is packed by Kronecker substitution (von
+    zur Gathen & Gerhard, Modern Computer Algebra, 8.4) at X = 2^B, each other variable v
+    a digit place of radix D_v + 1, D_v = dg*deg_v(f) + df*deg_v(g).  Packing is a ring
+    map, so it commutes with the products, exact divisions and (unique) pseudo-remainders
+    of the sequence.  Every value unpacked, and every leading coefficient tested for
+    zero, is a minor of the Sylvester matrix, or one times nonzero minors (a
+    pseudo-remainder's entry before its division).  A minor has degree at most D_v in
+    each v and coefficients at most H = prod over the rows of (sum_k |c_k|_1^2)^(1/2),
+    c_k the row's entries: Hadamard's bound, as each entry is at most its l1-norm on the
+    unit torus, whose maximum bounds every coefficient; H <= |f|_1^dg * |g|_1^df.  With B
+    the bit length of H plus 2, rounded up to whole bytes, a minor's digits are balanced,
+    so it packs to 0 only when it is 0: the degrees and outputs are those of the sequence
+    on the polynomials.  A packed size, digits times B, above MAX_PACKED_BITS is refused
+    before any packing.  The denominators, cleared once, are divided out at the end.  An
+    operand free of z_j makes the Sylvester matrix diagonal: Res = f^dg, or g^df.
     """
     f._check_same_space(g)
     _check_var(j, f.n)
-    a, b = _table_rows(f._terms, f.n, j - 1), _table_rows(g._terms, g.n, j - 1)
+    n = f.n
+    a, b = _table_rows(f._terms, n, j - 1), _table_rows(g._terms, n, j - 1)
     df, dg = len(a) - 1, len(b) - 1
     if df < 0:
         raise ZeroPolynomialError("first polynomial is zero")
@@ -793,48 +817,88 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
     # every entry of the sequence is a minor of the Sylvester matrix, of degree at most
     # dg*deg(f) + df*deg(g), and no product below holds more than max(df, dg) + 1 of them
     _check_degree((max(df, dg) + 1) * (dg * _degree_of(f) + df * _degree_of(g)))
+    # each other variable's (field offset, key, weight): its exponent counts in base D_v + 1
+    layout, count = [], 1
+    for v in reversed(range(n)):
+        if v != j - 1:
+            layout.append((_FIELD_BITS * (n - 1 - v), _var_key(n, v), count))
+            count *= dg * f.degree_in(v + 1) + df * g.degree_in(v + 1) + 1
+    # H^2: the product of the Sylvester rows' squared norms, each entry weighed by its l1-norm
+    square = math.prod(sum(sum(map(abs, row.values())) ** 2 for row in rows) ** power
+                       for rows, power in ((a, dg), (b, df)))
+    size = ((square.bit_length() + 1) // 2 + 9) // 8  # bytes per digit: 8*size >= bits(H) + 2
+    if 8 * size * count > MAX_PACKED_BITS:
+        raise ValueError(f"packed size {count} digits x {8 * size} bits is above "
+                         f"MAX_PACKED_BITS = {MAX_PACKED_BITS}, the largest a resultant packs")
+    a, b = ([_kronecker_pack(c, layout, size) for c in rows] for rows in (a, b))
     # Res is homogeneous of degree dg in f's coefficients and df in g's
     den = f._den**dg * g._den**df
-    one = {0: 1}
     sign = -1 if df < dg and df * dg % 2 else 1
     if df < dg:
         a, b = b, a
-    lc = h = one
+    lc = h = 1
     while len(b) > 1:
         delta = len(a) - len(b)
         if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
-        r = _pseudo_remainder(a, b, delta)
+        # r = lc(b)^(delta+1) * a mod b: a step whose top entry is 0 is skipped, its
+        # power of lc(b) put on at the end
+        lead, r, e = b[-1], a, delta + 1
+        while len(r) >= len(b):
+            top, shift = r[-1], len(r) - len(b)
+            r = [lead * c for c in r[:-1]]
+            for k, c in enumerate(b[:-1], shift):
+                r[k] -= top * c
+            while r and not r[-1]:
+                r.pop()
+            e -= 1
         if not r:
-            return Polynomial.zero(f.n), [_raw(f.n, c, 1) for c in b]
-        divisor = _mul_add({}, lc, _table_power(h, delta)) if delta else lc
-        a, b = b, r if divisor == one else [_exact_quotient(c, divisor, f.n) for c in r]
+            return Polynomial.zero(n), [
+                _raw(n, _kronecker_unpack(c, layout, size, count), 1) for c in b]
+        if e:
+            r = [lead**e * c for c in r]
+        divisor = lc * h**delta
+        a, b = b, [c // divisor for c in r] if divisor != 1 else r
         lc = a[-1]
-        h = h if delta == 0 else lc if delta == 1 else _exact_quotient(
-            _table_power(lc, delta), _table_power(h, delta - 1), f.n)
+        h = h if delta == 0 else lc if delta == 1 else lc**delta // h ** (delta - 1)
     d = len(a) - 1
-    last = b[0] if d == 1 else _exact_quotient(
-        _table_power(b[0], d), _table_power(h, d - 1), f.n)
-    return _raw(f.n, last, sign * den), None
+    last = b[0] if d == 1 else b[0] ** d // h ** (d - 1)
+    return _raw(n, _kronecker_unpack(last, layout, size, count), sign * den), None
 
 
-def _pseudo_remainder(a: list, b: list, delta: int) -> list:
-    """lc(B)^(delta+1) * A mod B over Z[x'], coefficient lists as in `_subresultant_prs`,
-    delta = deg A - deg B >= 0; the result has a nonzero last entry, or is []."""
-    lead, db = b[-1], len(b) - 1
-    r, e = a, delta + 1
-    while len(r) > db:
-        top, shift = r[-1], len(r) - 1 - db
-        r = [_mul_add({}, lead, c) for c in r[:-1]]
-        for k, c in enumerate(b[:-1]):
-            _mul_add(r[k + shift], top, c, -1)
-        while r and not r[-1]:
-            r.pop()
-        e -= 1
-    if e and r:
-        scale = _table_power(lead, e)
-        r = [_mul_add({}, scale, c) for c in r]
-    return r
+def _kronecker_pack(row: dict, layout: list, size: int) -> int:
+    """An integer table free of the eliminated variable as one int: its monomial x^e is
+    the digit place sum e_v * w_v of X = 2^(8*size), w_v the weight of v in the layout."""
+    out, bits = 0, 8 * size
+    for mono, c in row.items():
+        place = 0
+        for off, _, weight in layout:
+            place += (mono >> off & _FIELD_MASK) * weight
+        out += c << bits * place
+    return out
+
+
+# a byte of a digit that is not 0
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
+def _kronecker_unpack(value: int, layout: list, size: int, count: int) -> dict:
+    """The integer table `_kronecker_pack` packed into value, read as count balanced
+    digits of size bytes each.  Adding the digit string 2^(8*size-1) in every place and
+    flipping its top bits back leaves each digit in two's complement, so a zero digit is
+    size zero bytes, which the search skips at C speed."""
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = ((value + bias) ^ bias).to_bytes(size * count, "little")
+    table, pos = {}, 0
+    while found := _NONZERO_BYTE.search(data, pos):
+        place = found.start() // size
+        pos = (place + 1) * size
+        key, rest = 0, place
+        for _, unit, weight in reversed(layout):
+            e, rest = divmod(rest, weight)
+            key += e * unit
+        table[key] = int.from_bytes(data[pos - size:pos], "little", signed=True)
+    return table
 
 
 def _table_power(t: dict, k: int) -> dict:

@@ -9,10 +9,13 @@ once; a zero resultant does not mean "not coprime", since the common factor
 may be a unit at the point.
 
 No Sylvester matrix is built: every resultant here comes from
-`germkit.algebra._subresultant_prs`, which runs the subresultant sequence on
-the operands' integer coefficient tables (every division in it is exact over
-Z[x]) and returns Polynomials.  When the resultant is zero the same sequence
-ends in a multiple of gcd(f, g), which `coprime_at` evaluates at the point.
+`germkit.algebra._subresultant_prs`, which packs each of the operands'
+coefficients in the eliminated variable into one int by Kronecker
+substitution, runs the subresultant sequence on those ints (every division
+in it is exact), and unpacks the result into a Polynomial.  A packed size
+above `algebra.MAX_PACKED_BITS` is refused with a ValueError before any
+packing.  When the resultant is zero the same sequence ends in a multiple
+of gcd(f, g), which `coprime_at` evaluates at the point.
 `matrix_det`, a fraction-free Bareiss determinant on `Polynomial` arithmetic,
 stays public for matrices of polynomials; no resultant goes through it.
 """

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import Record
-from .algebra import (Polynomial, _isolated_level, _linear_factors, _linear_part,
+from .algebra import (Polynomial, _isolated_level, _jacobian_cut, _linear_factors, _linear_part,
                       _monomial_multiple, _quadratic_parts, as_point, as_rational, rational_sqrt)
 from .errors import (
     DimensionMismatchError,
@@ -470,7 +470,8 @@ def _classify(shifted: Polynomial, N: int) -> GermStatus:
     distinguished variable splits off; a*z_j^2 + b*z_j + c with a(0) != 0
     -> the square test on its exact discriminant; bivariate ->
     Newton polygon; in n >= 3, an undecided germ whose gradient has an isolated
-    zero is irreducible (`_isolated_level`); anything else is outside the
+    zero is irreducible (`_isolated_level`), and the reason of one it leaves
+    open names the degree K its rows are cut at; anything else is outside the
     decidable fragment.  No verdict depends on the order N, the precision of
     the factors, which are in the shifted coordinates (plus the recorded shear,
     if any); only the first branch prepares, for its factors, when d is at most N.
@@ -500,8 +501,11 @@ def _classify(shifted: Polynomial, N: int) -> GermStatus:
             shape = f"2 (but z{j}-degree above 2)" if d == 2 else ">= 3"
             status = GermStatus(reason=f"Weierstrass degree {shape} in dimension >= 3 is "
                                 "outside the decidable fragment")
-    if n >= 3 and status.certificate is None and (found := _isolated_level(shifted)):
-        return GermStatus(IsolatedCriticalPoint(*found))
+    if n >= 3 and status.certificate is None:
+        if found := _isolated_level(shifted):
+            return GermStatus(IsolatedCriticalPoint(*found))
+        status = status._replace(reason=f"{status.reason}; the Jacobian kernel found no level "
+                                 f"up to K = {_jacobian_cut(n)}")
     if report.applied_change is None:
         return status
     return status._replace(applied_change=report.applied_change)

@@ -3,11 +3,14 @@ reference, discriminants, coprimality and discreteness."""
 
 import io
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from germkit.algebra import Polynomial, _exact_quotient, _pack
+from germkit import algebra
+from germkit.algebra import MAX_PACKED_BITS, Polynomial, _exact_quotient, _pack
 from germkit.cli import run_cli
 from germkit.elimination import (
     coprime_at,
@@ -23,6 +26,7 @@ from germkit.errors import (
     VariableIndexError,
     ZeroPolynomialError,
 )
+from germkit.parsing import parse_poly
 from helpers import (
     big_denominator_poly,
     random_fraction,
@@ -314,6 +318,22 @@ def _assert_resultant_matches_bareiss(f, g, j):
     return r
 
 
+# inputs at the edges of the Kronecker packing: n = 1, so a single digit and no base
+# variable; coefficients of +-2^64 and negative leading coefficients, so balanced digits
+# and borrows; zero resultants whose last remainder is multivariate in n = 3 and n = 4;
+# and sparse pairs in 4 variables, whose packed digits are mostly zero
+BIG = 2**64
+KRONECKER_EDGES = [(parse_poly(f, n), parse_poly(g, n), n) for f, g, n in (
+    ("3*z1^3 - 2*z1 + 5", "-z1^2 + 7", 1),
+    (f"-{BIG}*z2^2 + z1*z2 - {BIG}", f"-z2^3 + {BIG}*z1^2*z2 - z1 + 1", 2),
+    (f"(z3 - z1*z2 + {BIG}*z1^2)*(z3^2 - z2 + 3)", f"(z3 - z1*z2 + {BIG}*z1^2)*(-z3 + z1 - {BIG})",
+     3),
+    ("(z1*z4 - z2*z3 + 1)*(z4^2 + z1 - z3)", "(z1*z4 - z2*z3 + 1)*(z2*z4 - 5)", 4),
+    ("z4^3 - z1^4*z2^2 + z3^5*z4", "z4^3 + z2^4*z3 - z1^3*z4^2 + 1", 4),
+    ("z4^2 + z1^6 + z2^6 + z3^6", f"-{BIG}*z4^2*z1 - z2^3*z4 + z3^2 - 5", 4),
+)]
+
+
 def test_resultant_matches_bareiss_on_seeded_pairs():
     rng = random.Random(407)
     zeros = smaller_first = 0
@@ -334,6 +354,11 @@ def test_resultant_matches_bareiss_on_seeded_pairs():
         smaller_first += f.degree_in(j) < g.degree_in(j)
         zeros += _assert_resultant_matches_bareiss(f, g, j).is_zero()
     assert zeros >= 15 and smaller_first >= 15
+    edge_zeros = 0
+    for f, g, j in KRONECKER_EDGES:
+        edge_zeros += _assert_resultant_matches_bareiss(f, g, j).is_zero()
+        _assert_resultant_matches_bareiss(g, f, j)
+    assert edge_zeros == 2
 
 
 def test_resultant_matches_bareiss_on_hand_picked_sequences():
@@ -383,6 +408,28 @@ def test_resultant_rejects_mismatched_spaces_and_variables():
             resultant(CUSP, CUSP.derivative(2), j)
         with pytest.raises(VariableIndexError):
             discriminant(CUSP, j)
+
+
+# two 5-variable inputs of degree 12 in each base variable and 3 in z5: their
+# Kronecker packing would hold 73^4, about 28 million, digits
+PAST_PACKED_BUDGET = ("(z1*z2*z3*z4)^12*z5^3 + z5", "(z1*z2*z3*z4)^12 - z5^3 + 1")
+
+
+def test_resultants_past_the_packed_budget_are_refused_before_any_packing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an operand was packed past the budget")
+    monkeypatch.setattr(algebra, "_kronecker_pack", refuse)
+    f, g = (parse_poly(text) for text in PAST_PACKED_BUDGET)
+    message = rf"^packed size \d+ digits x \d+ bits is above MAX_PACKED_BITS = {MAX_PACKED_BITS}, "
+    started = time.perf_counter()
+    for call in (lambda: resultant(f, g, 5), lambda: coprime_at(f, g, (0,) * 5, 5)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["resultant", "--f", PAST_PACKED_BUDGET[0], "--g", PAST_PACKED_BUDGET[1], "--var", "z5"]
+    assert run_cli(argv, out, err) == 1
+    assert time.perf_counter() - started < 2.0
+    assert out.getvalue() == "" and re.match(message.replace("^", "^error: "), err.getvalue())
 
 
 # -- discriminants ----------------------------------------------------------------
@@ -435,9 +482,19 @@ def test_coprime_at_detects_shared_factor():
     shared = Polynomial(2, {(0, 1): 1, (1, 0): -1})  # z2 - z1
     g = shared * Polynomial(2, {(0, 1): 1, (1, 0): 1})
     h = shared * Polynomial(2, {(0, 1): 1, (2, 0): 1})
-    rep = coprime_at(g, h, (0, 0), 2)
-    assert not rep.coprime_germ_at_point
-    assert rep.resultant_poly.is_zero()
+    cases = [(g, h)]
+    # the Kronecker edges: a single digit in n = 1, and factors of the last remainder
+    # multivariate in n = 3 and n = 4, with coefficients of +-2^64
+    for common, a, b, n in (
+            ("z1", f"z1 - {BIG}", "-3*z1^2 + 1", 1),
+            (f"z3 - z1*z2 + {BIG}*z1^2", "z3^2 - z2 + 3", f"-z3 + z1 - {BIG}", 3),
+            ("z4 - z2*z3 + z1", "z4^2 + z1 - z3 + 1", f"-{BIG}*z2*z4 - 5", 4)):
+        common = parse_poly(common, n)
+        cases.append((common * parse_poly(a, n), common * parse_poly(b, n)))
+    for g, h in cases:
+        rep = coprime_at(g, h, (0,) * g.n, g.n)
+        assert not rep.coprime_germ_at_point
+        assert rep.resultant_poly.is_zero()
 
 
 def test_common_factor_that_is_a_unit_at_the_point_leaves_the_germs_coprime():

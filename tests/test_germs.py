@@ -685,7 +685,8 @@ def test_analyze_names_a_quadratic_weierstrass_degree_with_a_higher_zn_degree():
     # regular of order 2 in z3, but of z3-degree 3: not a*z3^2 + b*z3 + c
     status = analyze_germ(GermQuery(parse_poly("z3^2 + z3^3 - z1*z2^2"), (0, 0, 0), 8))
     assert status.reason == ("Weierstrass degree 2 (but z3-degree above 2) in dimension >= 3 "
-                             "is outside the decidable fragment")
+                             "is outside the decidable fragment; the Jacobian kernel found no "
+                             "level up to K = 12")
 
 
 def _no_preparation(*args):
@@ -1198,11 +1199,13 @@ def test_quadratic_verdict_holds_for_the_exact_germ(poly, wrong, expected):
 # points get their exact certificate; every other germ stays Undetermined, with
 # the reason of the stage that left it open.
 
+# in n >= 3 the reason also names K, the degree the Jacobian kernel cut its rows at
 _QUADRATIC = "the discriminant has a square lowest form but is neither a monomial times a unit " \
-             "nor a constant times a square"
+             "nor a constant times a square; the Jacobian kernel found no level up to K = 12"
 _DEGREE_2 = "Weierstrass degree 2 (but z3-degree above 2) in dimension >= 3 is outside the " \
-            "decidable fragment"
-_DEGREE_3 = "Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment"
+            "decidable fragment; the Jacobian kernel found no level up to K = 12"
+_DEGREE_3 = "Weierstrass degree >= 3 in dimension >= 3 is outside the decidable fragment; the " \
+            "Jacobian kernel found no level up to K = {}"
 _EDGE = "single Newton polygon edge with one repeated edge root; deeper expansion needed"
 
 
@@ -1216,8 +1219,8 @@ _EDGE = "single Newton polygon edge with one repeated edge root; deeper expansio
     ("(1 + z1)*(z3^2 - z1^2 - z2^9)", "SingularIrreducible",
      IsolatedCriticalPoint(level=8, milnor=8)),
     ("z3^2 + z3^3 - z1*z2^2", "SingularIrreducible", _DEGREE_2),
-    ("z3^3 - z1*z2^3", "SingularIrreducible", _DEGREE_3),
-    ("z4^3 - z1*z2*z3", "SingularIrreducible", _DEGREE_3),
+    ("z3^3 - z1*z2^3", "SingularIrreducible", _DEGREE_3.format(12)),
+    ("z4^3 - z1*z2*z3", "SingularIrreducible", _DEGREE_3.format(8)),
     ("z3^2 - (z1^2 - z2^3)*z2^2", "SingularIrreducible", _QUADRATIC),
     ("z3^2 - (z1 + z2^2)^2*(1 + z1)", "SingularReducible", _QUADRATIC),
     ("(z2^2 - z1^3)^2 - 4*z1^5*z2 - z1^7", "SingularIrreducible", _EDGE),

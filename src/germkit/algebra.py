@@ -44,19 +44,22 @@ it), `_exact_quotient` (`exact_div`), `_table_power` (`**`: repeated products,
 which beat squaring on dense tables), `_unit_power` (`series.ts_inverse`,
 `series.ts_sqrt`) and `_lift_levels` (`weierstrass_prepare`: the level solve, each
 level an integer table over its own gcd-reduced denominator); the last two take
-and return Polynomials.  No product loop runs in `_subresultant_prs`
-(`elimination.resultant`, `discriminant` and `coprime_at`): it packs each
-coefficient in one variable into a single int by Kronecker substitution
-(`_kronecker_pack`), runs the subresultant sequence on those ints, and unpacks the
+and return Polynomials.  No product loop runs in `_sequence`, the subresultant
+sequence: it packs each coefficient in one variable into a single int by Kronecker
+substitution (`_kronecker_pack`), runs the sequence on those ints, and unpacks the
 result's digits back into a table (`_kronecker_unpack`), under the budget
-MAX_PACKED_BITS on a packed size.  `_table_rows` splits a table by one
-variable's exponent for `coefficients_in`, `_horner`, `_quadratic_parts` and the
-subresultant sequence.  `_quadratic_parts` (e1 and the discriminant of
-a*z_n^2 + b*z_n + c), `_linear_factors` (its factor pair z_n + (e1 -+ r)/2),
-`_axis_order` (`regular_order`) and `_linear_part` (the gradient) read keys for
-the cascade, and `_isolated_level` (the isolated critical point test) eliminates on
-the rows z^b * df/dz_i of the Jacobian ideal, each built by adding packed keys.  No
-other module multiplies term tables.
+MAX_PACKED_BITS on a packed size.  It runs on rows: `_subresultant_prs`
+(`elimination.resultant` and `coprime_at`) splits f and g, and `_discriminant`
+(`elimination.discriminant`) splits f once and reads df/dz_j's rows off f's.
+`_table_rows` splits a table by one variable's exponent for `coefficients_in`,
+`_horner`, `_quadratic_parts`, `_subresultant_prs` and `_discriminant`.
+`_quadratic_parts` (e1 and the discriminant of a*z_n^2 + b*z_n + c),
+`_linear_factors` (its factor pair z_n + (e1 -+ r)/2), `_axis_order`
+(`regular_order` and the shear rule of `make_regular` and `coprime_at`) and
+`_linear_part` (the gradient) read keys for the cascade, and `_isolated_level`
+(the isolated critical point test) eliminates on the rows z^b * df/dz_i of the
+Jacobian ideal, each built by adding packed keys.  No other module multiplies term
+tables.
 
 Ownership is one rule: a kernel writes only into a table it created; `_raw`
 and `_canonical` adopt the table they are given; no kernel ever writes into a
@@ -74,7 +77,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
+    DegreeTooSmallError,
     DimensionMismatchError,
+    NonConstantLeadingCoefficientError,
     VariableIndexError,
     ZeroPolynomialError,
 )
@@ -93,7 +98,7 @@ MAX_DEGREE = (1 << _FIELD_BITS - 1) - 1
 # the largest degree in one variable that `_table_rows` splits into dense rows, one per
 # exponent: the Horner and subresultant loops on those rows take O(d^2) products
 MAX_VARIABLE_DEGREE = 1024
-# the largest packed size in bits, digits times digit bits, of `_subresultant_prs`: 31
+# the largest packed size in bits, digits times digit bits, of `_sequence`: 31
 # times the 0.53 Mbit of Res(z1^1024 + z2, z1 - z2), the largest any test packs
 MAX_PACKED_BITS = 1 << 24
 # the most monomials `_isolated_level` spans: of degree <= 12 in 3 variables, 8 in 4, 6 in 5
@@ -781,28 +786,9 @@ def _lift_levels(f: Polynomial, j: int, d: int, order: int) -> tuple[Polynomial,
 
 
 def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial, list | None]:
-    """(Res_j(f, g), S) by the subresultant PRS (Collins, J. ACM 14, 1967; Brown &
-    Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7 without the content step).
-
-    S is None when the resultant is nonzero; otherwise S lists the coefficients in
-    z_j of the last nonzero remainder, gcd(f, g) times a nonzero polynomial in the
-    other variables.  The sequence runs on ints with `*` and exact `//`: each of f's and
-    g's integer coefficients in z_j (1-based j) is packed by Kronecker substitution (von
-    zur Gathen & Gerhard, Modern Computer Algebra, 8.4) at X = 2^B, each other variable v
-    a digit place of radix D_v + 1, D_v = dg*deg_v(f) + df*deg_v(g).  Packing is a ring
-    map, so it commutes with the products, exact divisions and (unique) pseudo-remainders
-    of the sequence.  Every value unpacked, and every leading coefficient tested for
-    zero, is a minor of the Sylvester matrix, or one times nonzero minors (a
-    pseudo-remainder's entry before its division).  A minor has degree at most D_v in
-    each v and coefficients at most H = prod over the rows of (sum_k |c_k|_1^2)^(1/2),
-    c_k the row's entries: Hadamard's bound, as each entry is at most its l1-norm on the
-    unit torus, whose maximum bounds every coefficient; H <= |f|_1^dg * |g|_1^df.  With B
-    the bit length of H plus 2, rounded up to whole bytes, a minor's digits are balanced,
-    so it packs to 0 only when it is 0: the degrees and outputs are those of the sequence
-    on the polynomials.  A packed size, digits times B, above MAX_PACKED_BITS is refused
-    before any packing.  The denominators, cleared once, are divided out at the end.  An
-    operand free of z_j makes the Sylvester matrix diagonal: Res = f^dg, or g^df.
-    """
+    """(Res_j(f, g), S) by `_sequence` on f's and g's integer rows in z_j (1-based j), the
+    radices D_v read off f and g.  An operand free of z_j makes the Sylvester matrix
+    diagonal: Res = f^dg, or g^df."""
     f._check_same_space(g)
     _check_var(j, f.n)
     n = f.n
@@ -814,15 +800,77 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
         raise ZeroPolynomialError("second polynomial is zero")
     if df == 0 or dg == 0:
         return (f ** dg if df == 0 else g ** df), None
-    # every entry of the sequence is a minor of the Sylvester matrix, of degree at most
-    # dg*deg(f) + df*deg(g), and no product below holds more than max(df, dg) + 1 of them
-    _check_degree((max(df, dg) + 1) * (dg * _degree_of(f) + df * _degree_of(g)))
+    # Res is a minor of the Sylvester matrix, of degree at most dg*deg(f) + df*deg(g)
+    _check_degree(dg * _degree_of(f) + df * _degree_of(g))
     # each other variable's (field offset, key, weight): its exponent counts in base D_v + 1
     layout, count = [], 1
     for v in reversed(range(n)):
         if v != j - 1:
             layout.append((_FIELD_BITS * (n - 1 - v), _var_key(n, v), count))
             count *= dg * f.degree_in(v + 1) + df * g.degree_in(v + 1) + 1
+    # Res is homogeneous of degree dg in f's coefficients and df in g's
+    return _sequence(a, b, layout, count, f._den**dg * g._den**df)
+
+
+def _discriminant(f: Polynomial, j: int) -> Polynomial:
+    """(-1)^(d(d-1)/2) * Res_j(f, df/dz_j) / lc by `_sequence`, for f of degree d >= 2 in z_j
+    (1-based j) with a rational constant leading coefficient lc, from one split of f: row k-1
+    of df/dz_j is k * row_k, whose keys already have z_j's field zeroed.  Its degrees and
+    norms are read off those rows in lowest terms, so the degree cap, the radices D_v and
+    the digit size are those `_subresultant_prs` reads off f.derivative(j)."""
+    d = f.degree_in(j)  # -inf for the zero polynomial
+    if d < 2:
+        raise DegreeTooSmallError(f"discriminant needs degree >= 2 in z{j}")
+    n, s = f.n, _FIELD_BITS * f.n
+    a = _table_rows(f._terms, n, j - 1)
+    if a[d].keys() != {0}:
+        raise NonConstantLeadingCoefficientError(
+            f"leading coefficient in z{j} is not a rational constant")
+    b = [{m: k * c for m, c in a[k].items()} for k in range(1, d + 1)]
+    common = math.gcd(f._den, *(c for row in b for c in row.values()))
+    if common != 1:
+        b = [{m: c // common for m, c in row.items()} for row in b]
+    # a key of row k holds its term's degree less k; df/dz_j's term of it has degree k - 1 more
+    deg_b = max((max(row) >> s) + k - 1 for k, row in enumerate(b, 1) if row)
+    _check_degree((d - 1) * _degree_of(f) + d * deg_b)
+    layout, count = [], 1
+    for v in reversed(range(n)):
+        if v != j - 1:  # deg_v f is the largest over the rows, deg_v df/dz_j over rows 1..d
+            off = _FIELD_BITS * (n - 1 - v)
+            tops = [max((m >> off & _FIELD_MASK for m in row), default=0) for row in a]
+            layout.append((off, _var_key(n, v), count))
+            count *= (d - 1) * max(tops) + d * max(tops[1:]) + 1
+    sign = -1 if d * (d - 1) // 2 % 2 else 1
+    # lc = a[d][0] / f._den, and Res is the packed one over f._den^(d-1) * (f._den/common)^d
+    den = sign * f._den ** (d - 2) * (f._den // common) ** d * a[d][0]
+    return _sequence(a, b, layout, count, den)[0]
+
+
+def _sequence(a: list, b: list, layout: list, count: int,
+              den: int) -> tuple[Polynomial, list | None]:
+    """(R / den, S) for the integer rows a and b in z_j of f and g, of degrees df, dg >= 1, and
+    R = Res_j of the integer tables, by the subresultant PRS (Collins, J. ACM 14, 1967; Brown &
+    Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7 without the content step).
+
+    S is None when R is nonzero; otherwise S lists the coefficients in z_j of the last
+    nonzero remainder, gcd(f, g) times a nonzero polynomial in the other variables.  The
+    sequence runs on ints with `*` and exact `//`: each row is packed by Kronecker
+    substitution (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4) at X = 2^B, each
+    other variable v a digit place of radix D_v + 1, D_v = dg*deg_v(f) + df*deg_v(g): the
+    layout lists each one's (field offset, key, weight), the weight the product of the
+    radices of the variables after it, and count the product of them all.  Packing is a
+    ring map, so it commutes with the products, exact divisions and (unique)
+    pseudo-remainders of the sequence.  Every value unpacked, and every leading coefficient
+    tested for zero, is a minor of the Sylvester matrix, or one times nonzero minors (a
+    pseudo-remainder's entry before its division).  A minor has degree at most D_v in each v
+    and coefficients at most H = prod over the rows of (sum_k |c_k|_1^2)^(1/2), c_k the row's
+    entries: Hadamard's bound, as each entry is at most its l1-norm on the unit torus, whose
+    maximum bounds every coefficient; H <= |f|_1^dg * |g|_1^df.  With B the bit length of H
+    plus 2, rounded up to whole bytes, a minor's digits are balanced, so it packs to 0 only
+    when it is 0: the degrees and outputs are those of the sequence on the polynomials.  A
+    packed size, digits times B, above MAX_PACKED_BITS is refused before any packing.
+    """
+    n, df, dg = len(layout) + 1, len(a) - 1, len(b) - 1  # the layout skips z_j alone
     # H^2: the product of the Sylvester rows' squared norms, each entry weighed by its l1-norm
     square = math.prod(sum(sum(map(abs, row.values())) ** 2 for row in rows) ** power
                        for rows, power in ((a, dg), (b, df)))
@@ -831,8 +879,6 @@ def _subresultant_prs(f: Polynomial, g: Polynomial, j: int) -> tuple[Polynomial,
         raise ValueError(f"packed size {count} digits x {8 * size} bits is above "
                          f"MAX_PACKED_BITS = {MAX_PACKED_BITS}, the largest a resultant packs")
     a, b = ([_kronecker_pack(c, layout, size) for c in rows] for rows in (a, b))
-    # Res is homogeneous of degree dg in f's coefficients and df in g's
-    den = f._den**dg * g._den**df
     sign = -1 if df < dg and df * dg % 2 else 1
     if df < dg:
         a, b = b, a

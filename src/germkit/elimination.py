@@ -8,34 +8,35 @@ coprimality of the germs at the center point and at every nearby point at
 once; a zero resultant does not mean "not coprime", since the common factor
 may be a unit at the point.
 
-No Sylvester matrix is built: every resultant here comes from
-`germkit.algebra._subresultant_prs`, which packs each of the operands'
+No Sylvester matrix is built: every resultant here comes from the one
+subresultant sequence of `germkit.algebra`, which packs each of the operands'
 coefficients in the eliminated variable into one int by Kronecker
-substitution, runs the subresultant sequence on those ints (every division
-in it is exact), and unpacks the result into a Polynomial.  A packed size
-above `algebra.MAX_PACKED_BITS` is refused with a ValueError before any
-packing.  When the resultant is zero the same sequence ends in a multiple
-of gcd(f, g), which `coprime_at` evaluates at the point.
+substitution, runs the sequence on those ints (every division in it is
+exact), and unpacks the result into a Polynomial.  A packed size above
+`algebra.MAX_PACKED_BITS` is refused with a ValueError before any packing.
+`resultant` and `coprime_at` run it on their two operands
+(`algebra._subresultant_prs`); `discriminant` runs it on f and df/dz_j read
+off one split of f (`algebra._discriminant`), so neither the derivative nor
+the scaled resultant is built apart.  When the resultant is zero the
+sequence ends in a multiple of gcd(f, g), which `coprime_at` evaluates at the
+point.  Each elimination builds only what it returns: `coprime_at` takes the
+regularizing shear of g*h from g and h (`weierstrass._regularity`), without
+forming the product.
 `matrix_det`, a fraction-free Bareiss determinant on `Polynomial` arithmetic,
 stays public for matrices of polynomials; no resultant goes through it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record
 from .algebra import (
     Polynomial,
+    _discriminant,
     _subresultant_prs,
     as_point,
 )
-from .errors import (
-    DegreeTooSmallError,
-    NonConstantLeadingCoefficientError,
-    ZeroPolynomialError,
-)
-from .weierstrass import apply_shear, make_regular
+from .errors import ZeroPolynomialError
+from .weierstrass import _regularity, apply_shear
 
 
 class CoprimeReport(Record):
@@ -108,29 +109,21 @@ def discriminant(f: Polynomial, j: int) -> Polynomial:
     coefficient.  The normalization makes the monic quadratic case come out
     as a^2 - 4b exactly.
     """
-    d = f.degree_in(j)
-    if f.is_zero() or d < 2:
-        raise DegreeTooSmallError(f"discriminant needs degree >= 2 in z{j}")
-    lead = f.coefficients_in(j)[d]
-    if lead.total_degree() > 0:
-        raise NonConstantLeadingCoefficientError(
-            f"leading coefficient in z{j} is not a rational constant"
-        )
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return resultant(f, f.derivative(j), j) * (Fraction(sign) / lead.constant_term())
+    return _discriminant(f, j)
 
 
 def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     """Resultant-witnessed coprimality of the germs of g and h at p.
 
     Both inputs are shifted so p becomes the origin, then a single shear
-    (found on the product g*h, so it serves both) makes them regular in
-    variable j. The report's resultant lives in the base variables; when it
-    is nonzero the germs are coprime at p and stay coprime at all nearby
-    points.  When it is zero, let S = sum S_k z_j^k be the last nonzero
-    subresultant, a multiple c(x')*gcd(g, h) with c != 0.  The gcd divides
-    g*h, which is regular in z_j, so its content in x' is a unit at 0 and
-    its primitive part does not vanish on the z_j-axis; the germs are
+    makes them regular in variable j: the one `make_regular` finds for the
+    product g*h, so it serves both, read off g and h without forming g*h
+    (`weierstrass._regularity`).  The report's resultant lives in the base
+    variables; when it is nonzero the germs are coprime at p and stay coprime
+    at all nearby points.  When it is zero, let S = sum S_k z_j^k be the last
+    nonzero subresultant, a multiple c(x')*gcd(g, h) with c != 0.  The gcd
+    divides g*h, which is regular in z_j, so its content in x' is a unit at 0
+    and its primitive part does not vanish on the z_j-axis; the germs are
     coprime exactly when that primitive part is nonzero at 0, that is when
     ord S_0 = min_k ord S_k (order = lowest total degree, additive over
     products).
@@ -141,8 +134,7 @@ def coprime_at(g: Polynomial, h: Polynomial, p, j: int) -> CoprimeReport:
     p = as_point(p, g.n)
     gs = g.shift(p)
     hs = h.shift(p)
-    _, report = make_regular(gs * hs, j)
-    change = report.applied_change
+    change = _regularity((gs, hs), j).applied_change
     if change is not None:
         gs = apply_shear(gs, j, change)
         hs = apply_shear(hs, j, change)

@@ -130,15 +130,33 @@ def make_regular(f: Polynomial, j: int) -> tuple[Polynomial, RegularityReport]:
     it vanish identically (the grid bound of the Combinatorial
     Nullstellensatz, Alon 1999).  Since germ structure is preserved by any
     invertible linear change, a recorded shear never affects the
-    classification questions asked downstream.
+    classification questions asked downstream.  The rule reads only the
+    order and L, so it serves a product given by its factors as well
+    (`_regularity`): `coprime_at` regularizes g*h without forming it.
     """
-    report = regular_order(f, j)
-    if report.regular:
+    report = _regularity((f,), j)
+    if report.applied_change is None:
         return f, report
-    form, m = f.lowest_homogeneous_form()
-    coeffs = _shear_coefficients(form, j, m)
-    sheared = apply_shear(f, j, coeffs)
-    return sheared, RegularityReport(order=m, applied_change=tuple(coeffs))
+    return apply_shear(f, j, report.applied_change), report
+
+
+def _regularity(factors: tuple, j: int) -> RegularityReport:
+    """The report `make_regular` gives the product of the nonzero factors, read off the
+    factors: restriction to the z_j axis is a ring map, so the product's order is the sum
+    of theirs (+inf if one is), and its lowest form is the product of theirs."""
+    order = 0
+    for f in factors:
+        if f.is_zero():
+            raise ZeroPolynomialError("regularity is undefined for the zero polynomial")
+        _check_var(j, f.n)
+        order += _axis_order(f, j)
+    if order != inf:
+        return RegularityReport(order=order)
+    form, m = factors[0].lowest_homogeneous_form()
+    for f in factors[1:]:
+        low, k = f.lowest_homogeneous_form()
+        form, m = form * low, m + k
+    return RegularityReport(order=m, applied_change=tuple(_shear_coefficients(form, j, m)))
 
 
 def weierstrass_prepare(f: Polynomial, j: int, N: int) -> WeierstrassData:

@@ -581,7 +581,7 @@ def test_shears_match_the_substitution_chain():
 Z1, Z2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
 ONE_PLUS_Z1, Z1_Z2 = 1 + Z1, Z1 * Z2
 HALF = Polynomial.monomial(2, (MAX_DEGREE // 2 + 1, 0))  # its square is past the cap
-HALF_PLUS_Z2_SQUARED, Z2_PLUS_Z1 = HALF + Z2 * Z2, Z2 + Z1
+HALF_PLUS_Z2_SQUARED, HALF_Z2_PLUS_Z1 = HALF + Z2 * Z2, HALF * Z2 + Z1
 HALF_Z2_PLUS_Z2_SQUARED = HALF * Z2 + Z2 * Z2
 
 
@@ -633,8 +633,11 @@ PAST_THE_CAP = {
     "quadratic parts": lambda: _quadratic_parts(HALF_Z2_PLUS_Z2_SQUARED),
     "substitute": lambda: HALF.substitute(1, Z1_Z2),
     "monomial multiple": lambda: _monomial_multiple(HALF, (MAX_DEGREE // 2 + 1, 0)),
-    # (2 + 1) * (1 * deg f + 2 * deg g) is past the cap for f = HALF + z2^2, g = z2 + z1
-    "resultant": lambda: resultant(HALF_PLUS_Z2_SQUARED, Z2_PLUS_Z1, 2),
+    # Res's degree bound 1 * deg f + 2 * deg g is past the cap for f = HALF + z2^2,
+    # g = HALF*z2 + z1, so it is refused before any packing
+    "resultant": lambda: resultant(HALF_PLUS_Z2_SQUARED, HALF_Z2_PLUS_Z1, 2),
+    # 1 * deg f + 2 * deg df/dz2 for f = z2^2 + HALF*z2, whose z2-derivative is 2*z2 + HALF
+    "discriminant": lambda: discriminant(HALF_Z2_PLUS_Z2_SQUARED, 2),
 }
 
 

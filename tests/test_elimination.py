@@ -2,6 +2,7 @@
 reference, discriminants, coprimality and discreteness."""
 
 import io
+import math
 import random
 import re
 import time
@@ -10,7 +11,13 @@ from fractions import Fraction
 import pytest
 
 from germkit import algebra
-from germkit.algebra import MAX_PACKED_BITS, Polynomial, _exact_quotient, _pack
+from germkit.algebra import (
+    MAX_PACKED_BITS,
+    MAX_VARIABLE_DEGREE,
+    Polynomial,
+    _exact_quotient,
+    _pack,
+)
 from germkit.cli import run_cli
 from germkit.elimination import (
     coprime_at,
@@ -27,6 +34,7 @@ from germkit.errors import (
     ZeroPolynomialError,
 )
 from germkit.parsing import parse_poly
+from germkit.weierstrass import apply_shear, make_regular
 from helpers import (
     big_denominator_poly,
     random_fraction,
@@ -452,10 +460,57 @@ def test_discriminant_pinned_values():
 
 
 def test_discriminant_errors():
-    with pytest.raises(DegreeTooSmallError):
-        discriminant(Polynomial(2, {(1, 1): 1}), 2)  # degree 1 in z2
-    with pytest.raises(NonConstantLeadingCoefficientError):
-        discriminant(Polynomial(2, {(1, 2): 1, (0, 0): 1}), 2)  # lc = z1
+    # in order: a bad j, a zero f, degree < 2, degree > MAX_VARIABLE_DEGREE, a non-constant
+    # leading coefficient; each input also has every fault checked after its own
+    zero = Polynomial.zero(2)
+    past = MAX_VARIABLE_DEGREE + 1
+    for f, j, error, message in (
+            (zero, 3, VariableIndexError, "variable index 3 outside 1..2"),
+            (zero, 0, VariableIndexError, "variable index 0 outside 1..2"),
+            (zero, 2, DegreeTooSmallError, "discriminant needs degree >= 2 in z2"),
+            (Polynomial(2, {(1, 1): 1}), 2, DegreeTooSmallError,
+             "discriminant needs degree >= 2 in z2"),
+            (Polynomial(2, {(1, past): 1}), 2, ValueError,
+             f"degree {past} in z2 is above {MAX_VARIABLE_DEGREE}, the largest degree in one "
+             "variable a dense kernel takes"),
+            (Polynomial(2, {(1, 2): 1, (0, 0): 1}), 2, NonConstantLeadingCoefficientError,
+             "leading coefficient in z2 is not a rational constant")):
+        with pytest.raises(error) as err:
+            discriminant(f, j)
+        assert type(err.value) is error and str(err.value) == message
+
+
+def test_discriminant_is_the_normalized_resultant_with_the_derivative():
+    # disc = (-1)^(d(d-1)/2) * Res(f, df/dz_j) / lc, f.derivative(j) built apart; z_j-free
+    # terms of high degree make deg_v df/dz_j < deg_v f, and a denominator shared with
+    # df/dz_j's coefficients leaves that derivative in lower terms than f
+    rng = random.Random(411)
+    lower = reduced = 0
+    for case in range(60):
+        n = 1 + case % 4
+        j = rng.randint(1, n)
+        d = rng.randint(2, 4)
+        e = [0] * n
+        e[j - 1] = d
+        f = Polynomial.monomial(n, e, random_fraction(rng, 1, 5, 3) * rng.choice((1, -1)))
+        f = f + _poly_in(rng, n, j, d - 1, rng.randint(0, 1))
+        if case % 3 == 0 and n > 1:  # a z_j-free term above every other degree in some v
+            v = rng.choice([i for i in range(1, n + 1) if i != j])
+            f = f + Polynomial.variable(n, v) ** (d + 3) * random_fraction(rng, 1, 9, 1)
+        if case % 3 == 1:
+            f = f * F(1, rng.choice((2, 6, 12)))
+        df = f.derivative(j)
+        lower += any(df.degree_in(v) < f.degree_in(v) for v in range(1, n + 1) if v != j)
+        reduced += _lcm_den(df) < _lcm_den(f)
+        lead = f.coefficients_in(j)[d].constant_term()
+        want = resultant(f, df, j) * (F((-1) ** (d * (d - 1) // 2)) / lead)
+        got = discriminant(f, j)
+        assert got == want and repr(got) == repr(want), (f, j)
+    assert lower >= 10 and reduced >= 10
+
+
+def _lcm_den(p):
+    return math.lcm(*(c.denominator for _, c in p.terms()))
 
 
 # -- coprimality and discreteness ---------------------------------------------------
@@ -512,10 +567,49 @@ def test_unit_germ_is_coprime_to_every_germ():
     assert rep.resultant_poly == Polynomial(1, {(0,): 1, (1,): 1})
 
 
+def test_coprime_at_shears_as_make_regular_does_on_the_product():
+    # coprime_at finds the shear of g*h from g and h: the same applied_change and the
+    # same resultant as make_regular on the product, then resultant on the sheared pair.
+    # A shear is needed when an operand vanishes on the z_j axis through p
+    rng = random.Random(410)
+    sheared = 0
+    for case in range(36):
+        n = 2 + case % 3
+        j = rng.randint(1, n)
+        p = random_point(rng, n, -2, 2, 3)
+        g0 = _through_origin(rng, n, j, on_axis=case % 3 == 2)
+        h0 = _through_origin(rng, n, j, on_axis=case % 3 != 1)
+        g, h = (q.shift(tuple(-c for c in p)) for q in (g0, h0))
+        gs, hs = g.shift(p), h.shift(p)
+        _, report = make_regular(gs * hs, j)
+        change = report.applied_change
+        if change is not None:
+            gs, hs = apply_shear(gs, j, change), apply_shear(hs, j, change)
+        rep = coprime_at(g, h, p, j)
+        assert rep.applied_change == change, (g, h, p, j)
+        assert rep.resultant_poly == resultant(gs, hs, j).drop_variable(j), (g, h, p, j)
+        sheared += change is not None
+    assert sheared >= 12
+
+
+def _through_origin(rng, n, j, on_axis):
+    """A nonzero polynomial vanishing at 0 whose restriction to the z_j axis is 0 unless
+    on_axis, when it holds a power of z_j."""
+    while True:
+        q = random_poly(rng, n, 3, 4)
+        terms = {m: c for m, c in q.terms()
+                 if sum(m) and any(e for i, e in enumerate(m) if i != j - 1)}
+        if on_axis:
+            terms[tuple(rng.randint(1, 2) if i == j - 1 else 0 for i in range(n))] = (
+                random_fraction(rng, 1, 9) * rng.choice((1, -1)))
+        if terms:
+            return Polynomial(n, terms)
+
+
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
 def test_coprime_names_a_zero_operand(json_flag):
-    # the zero check comes before the product g*h is regularized, so the
-    # error names the operand, with the text the resultant uses
+    # the zero check comes before g and h are regularized, so the error names
+    # the operand, with the text the resultant uses
     z1 = Polynomial.variable(2, 1)
     for g, h, which in ((Polynomial.zero(2), z1, "first"), (z1, Polynomial.zero(2), "second")):
         with pytest.raises(ZeroPolynomialError) as err:
